@@ -383,11 +383,12 @@ func BenchmarkRemoteQuery(b *testing.B) {
 		}
 		defer lis.Close()
 		go func() { _ = wire.NewCloud().Serve(lis) }()
-		conn, err := wire.Dial(lis.Addr().String())
+		c, err := wire.Dial(lis.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer conn.Close()
+		defer c.Close()
+		conn := c.WithStore(wire.DefaultStore)
 		tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("bench7")), conn)
 		if err != nil {
 			b.Fatal(err)

@@ -187,16 +187,20 @@ func dialTransport(cfg Config) (wire.Transport, error) {
 	if err := checkStoreName(cfg.Store); err != nil {
 		return nil, err
 	}
-	if cfg.Reconnect {
-		if cfg.CloudConns > 1 {
-			return wire.DialReconnectPool(cfg.CloudAddr, cfg.CloudConns, wire.ReconnectOptions{})
-		}
+	dial := func() (*wire.Client, error) { return wire.Dial(cfg.CloudAddr) }
+	redial := func() (*wire.Reconnector, error) {
 		return wire.DialReconnect(cfg.CloudAddr, wire.ReconnectOptions{})
 	}
-	if cfg.CloudConns > 1 {
-		return wire.DialPool(cfg.CloudAddr, cfg.CloudConns)
+	switch pooled := cfg.CloudConns > 1; {
+	case pooled && cfg.Reconnect:
+		return wire.DialPool(cfg.CloudConns, redial)
+	case pooled:
+		return wire.DialPool(cfg.CloudConns, dial)
+	case cfg.Reconnect:
+		return redial()
+	default:
+		return dial()
 	}
-	return wire.Dial(cfg.CloudAddr)
 }
 
 // NewClient validates the configuration and builds the client.
@@ -593,10 +597,12 @@ func (c *VerticalClient) Outsource(r *Relation, rowSensitive func(Tuple) bool) e
 }
 
 // Query returns full original-schema tuples with attr = w. Remote
-// failures on either namespace surface as errors (the sub-clients share
-// one transport, so one bracket observes both).
+// failures on either namespace surface as errors: each namespace keeps
+// its own record, so the query is bracketed once per sub-client.
 func (c *VerticalClient) Query(w Value) ([]Tuple, error) {
-	return withRemoteCheck(c.main, func() ([]Tuple, error) { return c.v.Query(w) })
+	return withRemoteCheck(c.cols, func() ([]Tuple, error) {
+		return withRemoteCheck(c.main, func() ([]Tuple, error) { return c.v.Query(w) })
+	})
 }
 
 // AdversarialViews exposes the main cloud's view log.

@@ -1,8 +1,9 @@
 // Command qbaudit generates the repository's audit summary
 // (docs/AUDIT.md by default): the qbvet invariant findings over the whole
-// tree plus per-package statement coverage from `go test -cover ./...`,
-// with an optional total-coverage floor so CI fails when coverage
-// regresses below the recorded baseline.
+// tree, the non-test line count per package (the ROADMAP's north-star
+// number, bench/ shown apart), plus per-package statement coverage from
+// `go test -cover ./...`, with an optional total-coverage floor so CI
+// fails when coverage regresses below the recorded baseline.
 //
 // Usage:
 //
@@ -98,7 +99,7 @@ func run(outPath string, floor float64) error {
 
 	// 3. render.
 	if outPath != "" {
-		report := render(diags, covers, total)
+		report := render(diags, pkgs, covers, total)
 		if outPath == "-" {
 			fmt.Print(report)
 		} else {
@@ -173,7 +174,35 @@ func parseTotal(funcOut string) (float64, error) {
 	return 0, fmt.Errorf("no total line in cover -func output")
 }
 
-func render(diags []analysis.Diagnostic, covers []pkgCover, total float64) string {
+// benchPkg is the frozen benchmark harness (BENCHMARK.json "paths"): its
+// lines are reported apart from the code the ROADMAP wants smaller.
+const benchPkg = "repro/bench"
+
+// renderLines writes the non-test line table. The loader parsed exactly
+// each package's non-test files, so a file's line count is its wc -l.
+func renderLines(b *strings.Builder, pkgs []*analysis.Package) {
+	b.WriteString("## Non-test lines\n\n")
+	b.WriteString("| Package | Lines |\n|---|---|\n")
+	total, bench := 0, 0
+	pkgs = append([]*analysis.Package(nil), pkgs...) // listing order is dependency order
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
+	for _, p := range pkgs {
+		n := 0
+		for _, f := range p.Files {
+			n += p.Fset.File(f.Pos()).LineCount()
+		}
+		if p.ImportPath == benchPkg {
+			bench = n
+			continue
+		}
+		total += n
+		fmt.Fprintf(b, "| %s | %d |\n", p.ImportPath, n)
+	}
+	fmt.Fprintf(b, "| **total outside bench/** | **%d** |\n", total)
+	fmt.Fprintf(b, "| %s (frozen harness, not in the total) | %d |\n\n", benchPkg, bench)
+}
+
+func render(diags []analysis.Diagnostic, pkgs []*analysis.Package, covers []pkgCover, total float64) string {
 	var b strings.Builder
 	b.WriteString("# Audit\n\n")
 	b.WriteString("Generated by `make audit` (cmd/qbaudit). Do not edit by hand.\n\n")
@@ -194,6 +223,8 @@ func render(diags []analysis.Diagnostic, covers []pkgCover, total float64) strin
 		fmt.Fprintf(&b, "| %s | %s |\n", a.Name, a.Doc)
 	}
 	b.WriteString("\n")
+
+	renderLines(&b, pkgs)
 
 	b.WriteString("## Statement coverage\n\n")
 	b.WriteString("| Package | Coverage |\n|---|---|\n")

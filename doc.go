@@ -57,7 +57,9 @@
 // calls in flight on one connection and the server dispatches them
 // concurrently, and a batched query pays a single round trip for the
 // whole batch's encrypted bin fetches. CloudConns adds a small connection
-// pool on top for CPU-bound encrypted scans.
+// pool on top for CPU-bound encrypted scans, and Reconnect makes every
+// connection heal itself; either way the owner talks to one namespace view
+// type, so pooling and reconnection never change what the cloud observes.
 //
 // One qbcloud hosts any number of relations: Config.Store selects the
 // cloud-side namespace (its own clear-text store, encrypted store and

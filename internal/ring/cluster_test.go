@@ -433,3 +433,75 @@ func TestRouterReplicationFailoverRepair(t *testing.T) {
 		t.Fatalf("view transport error with both replicas live: %v", err)
 	}
 }
+
+// TestRouterFailureWitnessIsPerNamespace: a namespace whose every read
+// fails (it was never loaded) shares both nodes — and so both node
+// transports — with a healthy namespace. The failing tenant's errors must
+// stay its own: the healthy tenant's reads keep answering from their
+// preferred replica, and nothing lands in its logical record. (The old
+// failure witness was the transport-wide logical-error counter, so each
+// failing neighbour op made a concurrent healthy read "fail" on every
+// replica in turn.)
+func TestRouterFailureWitnessIsPerNamespace(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	healthy, failing := router.WithStore("healthy"), router.WithStore("never-loaded")
+	if err := healthy.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	prefOf := func(s *ReplicatedStore) int {
+		s.prefMu.Lock()
+		defer s.prefMu.Unlock()
+		return s.pref
+	}
+	if got := healthy.Search([]relation.Value{relation.Int(3)}); len(got) != 1 {
+		t.Fatalf("Search = %d tuples, want 1", len(got))
+	}
+	pref := prefOf(healthy)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					failing.Search(nil)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		if got := healthy.Search([]relation.Value{relation.Int(int64(i % 10))}); len(got) != 1 {
+			t.Errorf("healthy Search #%d = %d tuples, want 1 (logical: %v)", i, len(got), healthy.LogicalErr())
+			break
+		}
+		if got := prefOf(healthy); got != pref {
+			t.Errorf("healthy read #%d moved the preferred replica %d -> %d", i, pref, got)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if n := healthy.LogicalErrCount(); n != 0 {
+		t.Fatalf("healthy namespace recorded %d logical errors: %v", n, healthy.LogicalErr())
+	}
+	if failing.LogicalErrCount() == 0 {
+		t.Fatal("the failing namespace's own record stayed empty")
+	}
+}

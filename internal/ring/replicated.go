@@ -23,11 +23,12 @@ import (
 // take a write, the write fails rather than diverging the survivors:
 // refusing is recoverable, forked address spaces are not.
 //
-// Failed reads on one replica fall over to the next without surfacing
-// through the owner's logical-error bracket: the ReplicatedStore keeps
-// its OWN logical record and counts only ops that failed on EVERY
-// replica, because a masked per-replica failure is degradation the
-// failover already absorbed, not a lost answer.
+// Failed reads on one replica fall over to the next without surfacing to
+// the owner: replicas are read through their views' error-returning
+// methods (which record nothing), and the ReplicatedStore keeps its OWN
+// logical record counting only ops that failed on EVERY replica, because
+// a masked per-replica failure is degradation the failover already
+// absorbed, not a lost answer.
 type ReplicatedStore struct {
 	r        *Router
 	name     string
@@ -80,23 +81,21 @@ func (s *ReplicatedStore) InSync() []bool {
 	return out
 }
 
-// backend returns a replica's Backend view with the owner token stamped.
-func (s *ReplicatedStore) backend(nc *nodeConn) wire.Backend {
-	b := nc.backend(s.name)
+// view returns a replica's view of the namespace with the owner token
+// stamped.
+func (s *ReplicatedStore) view(nc *nodeConn) *wire.StoreClient {
+	v := nc.transport().WithStore(s.name)
 	s.tokMu.Lock()
 	tok := s.adminTok
 	s.tokMu.Unlock()
 	if tok != nil {
-		b.SetAdminToken(tok)
+		v.SetAdminToken(tok)
 	}
-	return b
+	return v
 }
 
 // noteLogical records an op that failed on every replica.
 func (s *ReplicatedStore) noteLogical(err error) {
-	if err == nil {
-		err = fmt.Errorf("ring: store %q: op failed on every replica", s.name)
-	}
 	s.logMu.Lock()
 	if s.logical == nil {
 		s.logical = err
@@ -133,24 +132,6 @@ func (s *ReplicatedStore) readOrder() []int {
 	return order
 }
 
-// bracket runs a void read against one replica backend and surfaces the
-// failure its signature swallowed, using the transport's logical-error
-// counter as the witness.
-func bracket(b wire.Backend, f func()) error {
-	before := b.LogicalErrCount()
-	f()
-	if err := b.Err(); err != nil {
-		return err
-	}
-	if b.LogicalErrCount() != before {
-		if err := b.LogicalErr(); err != nil {
-			return err
-		}
-		return fmt.Errorf("ring: replica recorded a per-op failure")
-	}
-	return nil
-}
-
 // afterFailure books a failed probe: the node cools down only when its
 // transport is actually gone — a logical refusal (unknown relation, bad
 // range) is deterministic and must not eject the node from read routing.
@@ -160,41 +141,38 @@ func (s *ReplicatedStore) afterFailure(nc *nodeConn) {
 	}
 }
 
-// readVoid serves a void-signature read with failover; an op that fails
-// on every replica lands in the view's own logical record.
-func (s *ReplicatedStore) readVoid(f func(wire.Backend)) {
+// readFrom serves one read with failover: replicas are tried in
+// readOrder through their views' error-returning methods, so the witness
+// of a failed probe is that probe's own error — never a counter some
+// other namespace on the same node could be bumping — and the first
+// replica to answer becomes the sticky preference.
+func readFrom[T any](s *ReplicatedStore, f func(*wire.StoreClient) (T, error)) (T, error) {
 	var lastErr error
 	for _, idx := range s.readOrder() {
 		nc := s.replicas[idx]
-		b := s.backend(nc)
-		if err := bracket(b, func() { f(b) }); err != nil {
-			lastErr = err
-			s.afterFailure(nc)
-			continue
+		out, err := f(s.view(nc))
+		if err == nil {
+			s.setPref(idx)
+			return out, nil
 		}
-		s.setPref(idx)
-		return
-	}
-	s.noteLogical(lastErr)
-}
-
-// readErr serves an error-signature read with failover.
-func (s *ReplicatedStore) readErr(f func(wire.Backend) error) error {
-	var lastErr error
-	for _, idx := range s.readOrder() {
-		nc := s.replicas[idx]
-		if err := f(s.backend(nc)); err != nil {
-			lastErr = err
-			s.afterFailure(nc)
-			continue
-		}
-		s.setPref(idx)
-		return nil
+		lastErr = err
+		s.afterFailure(nc)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("ring: store %q: no replica answered", s.name)
 	}
-	return lastErr
+	var zero T
+	return zero, lastErr
+}
+
+// readNoted is readFrom for the void-signature reads: an op that failed
+// on every replica lands in the view's own logical record.
+func readNoted[T any](s *ReplicatedStore, f func(*wire.StoreClient) (T, error)) T {
+	out, err := readFrom(s, f)
+	if err != nil {
+		s.noteLogical(err)
+	}
+	return out
 }
 
 // fanOut runs one write against every in-sync replica (writeMu held).
@@ -203,7 +181,7 @@ func (s *ReplicatedStore) readErr(f func(wire.Backend) error) error {
 // quarantine sticks, so a total outage (or a client-side mistake every
 // node refuses identically) cannot strand the namespace with an empty
 // write set.
-func (s *ReplicatedStore) fanOut(f func(wire.Backend) error) error {
+func (s *ReplicatedStore) fanOut(f func(*wire.StoreClient) error) error {
 	acks := 0
 	var quarantine []int
 	var lastErr error
@@ -218,7 +196,7 @@ func (s *ReplicatedStore) fanOut(f func(wire.Backend) error) error {
 			}
 			continue
 		}
-		if err := f(s.backend(nc)); err != nil {
+		if err := f(s.view(nc)); err != nil {
 			quarantine = append(quarantine, i)
 			lastErr = err
 			s.afterFailure(nc)
@@ -276,9 +254,9 @@ func (s *ReplicatedStore) readmit() {
 		if s.inSync[i] || !nc.available() {
 			continue
 		}
-		b := s.backend(nc)
+		v := s.view(nc)
 		if !refOK {
-			info, err := s.probeInfo(s.backend(s.replicas[ref]))
+			info, err := s.view(s.replicas[ref]).Info()
 			if err != nil {
 				return
 			}
@@ -286,12 +264,10 @@ func (s *ReplicatedStore) readmit() {
 			refOK = true
 		}
 		for attempt := 0; ; attempt++ {
-			if rl, ok := b.(interface{ ResyncLen() error }); ok {
-				if err := rl.ResyncLen(); err != nil {
-					break
-				}
+			if err := v.ResyncLen(); err != nil {
+				break
 			}
-			info, err := s.probeInfo(b)
+			info, err := v.Info()
 			if err != nil {
 				s.afterFailure(nc)
 				break
@@ -313,24 +289,11 @@ func (s *ReplicatedStore) readmit() {
 			}
 			// Other owners of the namespace may have written while the
 			// repair ran; refresh the reference before the re-probe.
-			if info, err := s.probeInfo(s.backend(s.replicas[ref])); err == nil {
+			if info, err := s.view(s.replicas[ref]).Info(); err == nil {
 				refInfo = info
 			}
 		}
 	}
-}
-
-// probeInfo reads one replica's server-side partition counts for the
-// readmission parity check, via the transport's Info probe when it has
-// one (the reconnecting wire client does) and the encrypted length alone
-// otherwise.
-func (s *ReplicatedStore) probeInfo(b wire.Backend) (wire.StoreInfo, error) {
-	if ip, ok := b.(interface{ Info() (wire.StoreInfo, error) }); ok {
-		return ip.Info()
-	}
-	var info wire.StoreInfo
-	err := bracket(b, func() { info.EncRows = b.Len() })
-	return info, err
 }
 
 // --- lifecycle and errors ------------------------------------------------
@@ -409,7 +372,7 @@ func (s *ReplicatedStore) SetAdminToken(tok []byte) {
 func (s *ReplicatedStore) Load(rel *relation.Relation, attr string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.fanOut(func(b wire.Backend) error { return b.Load(rel, attr) })
+	return s.fanOut(func(v *wire.StoreClient) error { return v.Load(rel, attr) })
 }
 
 // Insert applies a clear-text insert on every in-sync replica, then —
@@ -419,7 +382,7 @@ func (s *ReplicatedStore) Load(rel *relation.Relation, attr string) error {
 func (s *ReplicatedStore) Insert(t relation.Tuple) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if err := s.fanOut(func(b wire.Backend) error { return b.Insert(t) }); err != nil {
+	if err := s.fanOut(func(v *wire.StoreClient) error { return v.Insert(t) }); err != nil {
 		return err
 	}
 	s.readmit()
@@ -443,7 +406,7 @@ func (s *ReplicatedStore) Add(tupleCT, attrCT, token []byte) int {
 			quarantine = append(quarantine, i)
 			continue
 		}
-		got := s.backend(nc).Add(tupleCT, attrCT, token)
+		got := s.view(nc).Add(tupleCT, attrCT, token)
 		if got < 0 {
 			quarantine = append(quarantine, i)
 			s.afterFailure(nc)
@@ -472,7 +435,7 @@ func (s *ReplicatedStore) Add(tupleCT, attrCT, token []byte) int {
 func (s *ReplicatedStore) Flush() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if err := s.fanOut(func(b wire.Backend) error { return b.Flush() }); err != nil {
+	if err := s.fanOut((*wire.StoreClient).Flush); err != nil {
 		return err
 	}
 	s.readmit()
@@ -480,130 +443,85 @@ func (s *ReplicatedStore) Flush() error {
 }
 
 // --- reads (failover) ----------------------------------------------------
+//
+// Every read serves from the preferred replica, failing over on error.
 
-// Search serves from the preferred replica, failing over on error.
+// Search implements cloud.PlainBackend.
 func (s *ReplicatedStore) Search(values []relation.Value) []relation.Tuple {
-	var out []relation.Tuple
-	s.readVoid(func(b wire.Backend) { out = b.Search(values) })
-	return out
+	return readNoted(s, func(v *wire.StoreClient) ([]relation.Tuple, error) { return v.SearchErr(values) })
 }
 
-// SearchRange serves from the preferred replica, failing over on error.
+// SearchRange implements cloud.PlainBackend.
 func (s *ReplicatedStore) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	var out []relation.Tuple
-	s.readVoid(func(b wire.Backend) { out = b.SearchRange(lo, hi) })
-	return out
+	return readNoted(s, func(v *wire.StoreClient) ([]relation.Tuple, error) { return v.SearchRangeErr(lo, hi) })
 }
 
-// Len serves from the preferred replica, failing over on error.
+// Len implements technique.EncStore.
 func (s *ReplicatedStore) Len() int {
-	var out int
-	s.readVoid(func(b wire.Backend) { out = b.Len() })
-	return out
+	return readNoted(s, (*wire.StoreClient).LenErr)
 }
 
-// AttrColumn serves from the preferred replica, failing over on error.
+// AttrColumn implements technique.EncStore.
 func (s *ReplicatedStore) AttrColumn() []storage.EncRow {
-	var out []storage.EncRow
-	s.readVoid(func(b wire.Backend) { out = b.AttrColumn() })
-	return out
+	return readNoted(s, (*wire.StoreClient).AttrColumnErr)
 }
 
-// Fetch serves from the preferred replica, failing over on error.
+// Fetch implements technique.EncStore.
 func (s *ReplicatedStore) Fetch(addrs []int) ([]storage.EncRow, error) {
-	var out []storage.EncRow
-	err := s.readErr(func(b wire.Backend) error {
-		rows, err := b.Fetch(addrs)
-		if err != nil {
-			return err
-		}
-		out = rows
-		return nil
-	})
-	return out, err
+	return readFrom(s, func(v *wire.StoreClient) ([]storage.EncRow, error) { return v.Fetch(addrs) })
 }
 
-// FetchBatch serves from the preferred replica, failing over on error.
+// FetchBatch implements technique.BatchEncStore.
 func (s *ReplicatedStore) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	var out [][]storage.EncRow
-	err := s.readErr(func(b wire.Backend) error {
-		rows, err := b.FetchBatch(addrBatches)
-		if err != nil {
-			return err
-		}
-		out = rows
-		return nil
-	})
-	return out, err
+	return readFrom(s, func(v *wire.StoreClient) ([][]storage.EncRow, error) { return v.FetchBatch(addrBatches) })
 }
 
-// LookupToken serves from the preferred replica, failing over on error.
+// LookupToken implements technique.EncStore.
 func (s *ReplicatedStore) LookupToken(tok []byte) []int {
-	var out []int
-	s.readVoid(func(b wire.Backend) { out = b.LookupToken(tok) })
-	return out
+	return readNoted(s, func(v *wire.StoreClient) ([]int, error) { return v.LookupTokenErr(tok) })
 }
 
-// Rows serves from the preferred replica, failing over on error.
+// Rows implements technique.EncStore.
 func (s *ReplicatedStore) Rows() []storage.EncRow {
-	var out []storage.EncRow
-	s.readVoid(func(b wire.Backend) { out = b.Rows() })
-	return out
+	return readNoted(s, (*wire.StoreClient).RowsErr)
 }
 
-// EncVersion serves from the preferred replica, failing over on error.
-// Version epochs are per store INSTANCE, so a failover necessarily
-// changes the observed epoch — exactly the signal the owner-side cache
-// needs to drop state learned from the previous replica.
+// EncVersion implements technique.VersionedEncStore. Version epochs are
+// per store INSTANCE, so a failover necessarily changes the observed
+// epoch — exactly the signal the owner-side cache needs to drop state
+// learned from the previous replica.
 func (s *ReplicatedStore) EncVersion() (storage.EncVersion, error) {
-	var out storage.EncVersion
-	err := s.readErr(func(b wire.Backend) error {
-		v, err := b.EncVersion()
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	})
-	return out, err
+	return readFrom(s, (*wire.StoreClient).EncVersion)
 }
 
-// AttrColumnSince serves from the preferred replica, failing over on
-// error. Read stickiness keeps the conditional-fetch protocol effective:
-// the epoch only changes when a failover actually happens.
-func (s *ReplicatedStore) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	var rows []storage.EncRow
-	var cur storage.EncVersion
-	var delta bool
-	err := s.readErr(func(b wire.Backend) error {
-		r, c, d, err := b.AttrColumnSince(v, have)
-		if err != nil {
-			return err
-		}
-		rows, cur, delta = r, c, d
-		return nil
-	})
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return rows, cur, delta, nil
+// pull is the answer of a conditional row pull.
+type pull struct {
+	rows  []storage.EncRow
+	cur   storage.EncVersion
+	delta bool
 }
 
-// RowsSince serves from the preferred replica, failing over on error.
-func (s *ReplicatedStore) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	var rows []storage.EncRow
-	var cur storage.EncVersion
-	var delta bool
-	err := s.readErr(func(b wire.Backend) error {
-		r, c, d, err := b.RowsSince(v, have)
-		if err != nil {
-			return err
-		}
-		rows, cur, delta = r, c, d
-		return nil
+// since serves a conditional row pull from the preferred replica.
+func (s *ReplicatedStore) since(f func(*wire.StoreClient) ([]storage.EncRow, storage.EncVersion, bool, error)) ([]storage.EncRow, storage.EncVersion, bool, error) {
+	p, err := readFrom(s, func(v *wire.StoreClient) (p pull, err error) {
+		p.rows, p.cur, p.delta, err = f(v)
+		return p, err
 	})
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return rows, cur, delta, nil
+	return p.rows, p.cur, p.delta, err
+}
+
+// AttrColumnSince implements technique.VersionedEncStore. Read stickiness
+// keeps the conditional-fetch protocol effective: the epoch only changes
+// when a failover actually happens.
+func (s *ReplicatedStore) AttrColumnSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
+	return s.since(func(v *wire.StoreClient) ([]storage.EncRow, storage.EncVersion, bool, error) {
+		return v.AttrColumnSince(ver, have)
+	})
+}
+
+// RowsSince implements technique.VersionedEncStore.
+func (s *ReplicatedStore) RowsSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
+	return s.since(func(v *wire.StoreClient) ([]storage.EncRow, storage.EncVersion, bool, error) {
+		return v.RowsSince(ver, have)
+	})
 }

@@ -99,11 +99,6 @@ func (nc *nodeConn) transport() *wire.Reconnector {
 	return nc.tr
 }
 
-// backend returns the node's Backend view of one namespace.
-func (nc *nodeConn) backend(name string) wire.Backend {
-	return nc.transport().Store(name)
-}
-
 // close tears down the node transport.
 func (nc *nodeConn) close() error {
 	nc.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // address list — including empty lists — in a single round trip, and
 // rejects out-of-range addresses as a per-op logical error.
 func TestEncFetchBatchOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	for i := 0; i < 5; i++ {
 		c.Add([]byte{byte(10 + i)}, []byte{byte(20 + i)}, nil)
 	}
@@ -61,7 +61,7 @@ func TestEncFetchBatchOverWire(t *testing.T) {
 // one batched round trip.
 func TestSearchBatchOverWire(t *testing.T) {
 	backends := map[string]func(t *testing.T) Backend{
-		"client": func(t *testing.T) Backend { return startCloud(t) },
+		"client": func(t *testing.T) Backend { return startCloud(t).WithStore(DefaultStore) },
 		// Both pool connections must reach the SAME cloud, so dial the
 		// first client's cloud a second time.
 		"pool": func(t *testing.T) Backend {
@@ -71,7 +71,7 @@ func TestSearchBatchOverWire(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c2.Close() })
-			return NewPool([]*Client{c1, c2})
+			return NewPool([]*Client{c1, c2}).WithStore(DefaultStore)
 		},
 	}
 

@@ -12,20 +12,20 @@ import (
 	"repro/internal/storage"
 )
 
-// Client is the owner-side connection to a remote cloud. One connection
-// serves any number of namespaces: WithStore returns a per-namespace view
-// implementing cloud.PlainBackend for the clear-text partition and
+// Client is one owner-side connection to a remote cloud. It serves any
+// number of namespaces: WithStore returns the per-namespace StoreClient
+// view implementing cloud.PlainBackend for the clear-text partition and
 // technique.BatchEncStore for the encrypted partition, so the standard
-// owner and techniques work over the network unchanged. For the common
-// single-relation case the Client itself implements the same surface,
-// delegating to its DefaultStore view.
+// owner and techniques work over the network unchanged. The Client itself
+// holds no namespace state: it is the link its views reach the cloud
+// through, plus the store-less planes (Ping, admin ops, ring ops).
 //
 // The connection is multiplexed: every request carries an ID, a writer
 // goroutine frames requests in submission order, and a reader goroutine
 // routes each response back to its caller, so any number of calls can be
 // in flight at once without head-of-line blocking. The batch query engine
 // therefore gains real cloud-side parallelism through a remote backend;
-// DialPool adds connection-level parallelism on top for CPU-bound
+// a Pool adds connection-level parallelism on top for CPU-bound
 // encrypted scans.
 //
 // The first round trip performs the protocol handshake (opHello): a
@@ -36,11 +36,9 @@ import (
 // Error semantics: only transport failures are sticky. The first one
 // poisons the client — every in-flight and subsequent call fails with the
 // same cause, exposed by Err(). Server-side logical errors (e.g. a Search
-// before any Load) are per-call: methods with an error return surface
-// them directly, and interface methods without one (Search, Len, ...)
-// return zero values and record the error for LogicalErr(). Callers doing
-// anything important should check Err() and LogicalErr() after a batch of
-// operations.
+// before any Load) are per-call and are recorded by the namespace view
+// that made the call (see StoreClient.LogicalErr), never by the
+// connection.
 //
 // Client is safe for concurrent use.
 type Client struct {
@@ -73,9 +71,7 @@ type Client struct {
 	dead  chan struct{}
 
 	mu       sync.Mutex
-	err      error  // sticky transport error
-	logical  error  // last per-op error from a void method
-	logicalN uint64 // times logical was recorded (monotonic)
+	err      error // sticky transport error
 	nextID   uint64
 	inflight map[uint64]chan *response
 
@@ -84,11 +80,7 @@ type Client struct {
 	helloOnce sync.Once
 	helloErr  error
 
-	// storeMu guards the per-namespace view registry; def is the
-	// DefaultStore view the Client's own methods delegate to.
-	storeMu sync.Mutex
-	stores  map[string]*StoreClient
-	def     *StoreClient
+	stores views
 }
 
 // Dial connects to a remote cloud at addr.
@@ -109,32 +101,29 @@ func NewClient(conn net.Conn) *Client {
 		sendq:    make(chan *request),
 		dead:     make(chan struct{}),
 		inflight: make(map[uint64]chan *response),
-		stores:   make(map[string]*StoreClient),
 	}
 	c.gobIn = &gobSource{direct: c.br}
 	c.gobOut = &gobSink{direct: conn}
 	c.enc = gob.NewEncoder(c.gobOut)
 	c.dec = gob.NewDecoder(c.gobIn)
-	c.def = c.WithStore(DefaultStore)
 	c.start()
 	return c
 }
 
 // WithStore returns the view of the named server-side namespace ("" means
 // DefaultStore). Views share the connection, its multiplexing and its
-// error state, but each has its own upload buffer and address arithmetic,
-// so differently keyed relations can ride one transport without
-// interleaving. The same name always yields the same view.
-func (c *Client) WithStore(name string) *StoreClient {
-	name = storeName(name)
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if s, ok := c.stores[name]; ok {
-		return s
-	}
-	s := &StoreClient{c: c, store: name}
-	c.stores[name] = s
-	return s
+// sticky error, but each has its own upload buffer, address arithmetic
+// and logical-error record, so differently keyed relations can ride one
+// transport without interleaving. The same name always yields the same
+// view.
+func (c *Client) WithStore(name string) *StoreClient { return c.view(name, c) }
+
+// view implements member: the namespace's view homed on this connection,
+// reaching the cloud through over (the Client itself unless pooled).
+func (c *Client) view(name string, over link) *StoreClient {
+	return c.stores.get(name, func(name string) *StoreClient {
+		return &StoreClient{store: name, link: over}
+	})
 }
 
 // Store implements Transport: the Backend view of one namespace.
@@ -149,52 +138,13 @@ func (c *Client) Close() error {
 }
 
 // Err returns the sticky transport error, if any. Logical (server-side)
-// errors never poison the client (see LogicalErr), and an explicit Close
-// is not a failure.
+// errors never poison the client (see StoreClient.LogicalErr), and an
+// explicit Close is not a failure.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == errClientClosed {
-		return nil
+	if err := c.stickyErr(); err != errClientClosed {
+		return err
 	}
-	return c.err
-}
-
-// LogicalErr returns the most recent error reported by an interface
-// method that cannot return one (Search, Len, ...): usually a server-side
-// logical error, but also transport failures and use-after-close those
-// methods swallowed into zero values. A logical error never poisons the
-// connection, so this is a per-op record: later successful calls do not
-// clear it, later failing calls overwrite it. The record is shared by
-// every store view on the connection.
-func (c *Client) LogicalErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.logical
-}
-
-// LogicalErrCount reports how many times a void interface method has
-// recorded an error. Callers bracketing a batch of operations (e.g. one
-// query) snapshot it before and compare after: a changed count means some
-// op in the window failed silently — without the races of a shared
-// take-and-clear slot under concurrent batches.
-func (c *Client) LogicalErrCount() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.logicalN
-}
-
-// noteLogical records a per-op error from a void interface method.
-// Transport failures and use-after-close are recorded too — they are
-// what the method's zero-value return just swallowed — so windows
-// bracketed by LogicalErrCount observe them even when Err() alone would
-// not surface them (clean close, or a pool whose other connections are
-// healthy).
-func (c *Client) noteLogical(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.logical = err
-	c.logicalN++
+	return nil
 }
 
 // Ping checks liveness (and, on first use, performs the handshake).
@@ -203,80 +153,97 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// --- DefaultStore delegation -------------------------------------------
-//
-// The Client keeps the full Backend surface for the one-relation case;
-// every method is the DefaultStore view's.
+// acquire implements link: a bare connection is its own only generation —
+// itself while healthy, its sticky error (an explicit Close included)
+// after.
+func (c *Client) acquire(bool) (*Client, error) { return c, c.stickyErr() }
 
-// SetAdminToken attaches the default store's owner token.
-func (c *Client) SetAdminToken(tok []byte) { c.def.SetAdminToken(tok) }
+// budget implements link: nothing beneath a bare connection can heal it,
+// so one attempt per op.
+func (c *Client) budget() int { return 1 }
 
-// Load implements cloud.PlainBackend on the default store.
-func (c *Client) Load(rns *relation.Relation, attr string) error { return c.def.Load(rns, attr) }
+// --- the connection seam --------------------------------------------------
 
-// Search implements cloud.PlainBackend on the default store.
-func (c *Client) Search(values []relation.Value) []relation.Tuple { return c.def.Search(values) }
+// link is the seam between a namespace view and whatever carries its
+// requests. The view asks for a live connection per attempt and never
+// learns whether it got the one connection it was derived from (*Client),
+// the current generation of a self-healing one (*Reconnector), or a
+// pooled member (poolLink: the namespace's home for writes, any healthy
+// member for reads). Pooling, reconnection and the view are therefore
+// three layers of one algorithm instead of three copies of it.
+type link interface {
+	// acquire returns a live connection for one attempt of a read
+	// (write=false) or a mutation (write=true), or the reason there is
+	// none. It may block through a reconnect cycle, and that cycle calls
+	// the restore hook of the views homed on the link — so it must never
+	// be called with a view's bufMu or plainMu held.
+	acquire(write bool) (*Client, error)
+	// budget bounds the attempts one op makes while its failures are the
+	// transport's.
+	budget() int
 
-// SearchRange implements cloud.PlainBackend on the default store.
-func (c *Client) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return c.def.SearchRange(lo, hi)
+	Ping() error
+	Err() error
+	Close() error
 }
 
-// Insert implements cloud.PlainBackend on the default store.
-func (c *Client) Insert(t relation.Tuple) error { return c.def.Insert(t) }
-
-// Add implements technique.EncStore on the default store.
-func (c *Client) Add(tupleCT, attrCT, token []byte) int { return c.def.Add(tupleCT, attrCT, token) }
-
-// Flush uploads the default store's pending encrypted rows.
-func (c *Client) Flush() error { return c.def.Flush() }
-
-// Len implements technique.EncStore on the default store.
-func (c *Client) Len() int { return c.def.Len() }
-
-// AttrColumn implements technique.EncStore on the default store.
-func (c *Client) AttrColumn() []storage.EncRow { return c.def.AttrColumn() }
-
-// Fetch implements technique.EncStore on the default store.
-func (c *Client) Fetch(addrs []int) ([]storage.EncRow, error) { return c.def.Fetch(addrs) }
-
-// FetchBatch implements technique.BatchEncStore on the default store.
-func (c *Client) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	return c.def.FetchBatch(addrBatches)
+// views is a link's registry of namespace views: the same name always
+// yields the same view.
+type views struct {
+	mu sync.Mutex
+	m  map[string]*StoreClient
 }
 
-// LookupToken implements technique.EncStore on the default store.
-func (c *Client) LookupToken(tok []byte) []int { return c.def.LookupToken(tok) }
-
-// Rows implements technique.EncStore on the default store.
-func (c *Client) Rows() []storage.EncRow { return c.def.Rows() }
-
-// EncVersion implements technique.VersionedEncStore on the default store.
-func (c *Client) EncVersion() (storage.EncVersion, error) { return c.def.EncVersion() }
-
-// AttrColumnSince implements technique.VersionedEncStore on the default store.
-func (c *Client) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return c.def.AttrColumnSince(v, have)
+// get returns the view registered under name ("" means DefaultStore),
+// creating it with mk — under the registry lock — on first use.
+func (r *views) get(name string, mk func(name string) *StoreClient) *StoreClient {
+	name = storeName(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := r.m[name]; ok {
+		return s
+	}
+	if r.m == nil {
+		r.m = make(map[string]*StoreClient)
+	}
+	s := mk(name)
+	r.m[name] = s
+	return s
 }
 
-// RowsSince implements technique.VersionedEncStore on the default store.
-func (c *Client) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return c.def.RowsSince(v, have)
+// list snapshots the registered views.
+func (r *views) list() []*StoreClient {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*StoreClient, 0, len(r.m))
+	for _, s := range r.m {
+		out = append(out, s)
+	}
+	return out
 }
 
 // --- StoreClient --------------------------------------------------------
 
-// StoreClient is one namespace's view of a shared connection. It
-// implements the full Backend surface — cloud.PlainBackend plus
-// technique.BatchEncStore — scoped to its store: every request it frames
-// carries the store name, and it owns the namespace's upload buffer and
-// client-side address arithmetic. Transport state (multiplexing, sticky
-// errors, the logical-error record) is shared with the connection.
+// StoreClient is one namespace's view of a cloud, and the only Backend
+// implementation in this package. It implements the full surface —
+// cloud.PlainBackend plus technique.BatchEncStore — scoped to its store:
+// every request it frames carries the store name, and it owns everything
+// that is per namespace rather than per connection: the owner token, the
+// encrypted upload buffer and client-side address arithmetic, the
+// clear-text length mirror, the clear-text replay mirror, and the
+// logical-error record. It reaches the cloud through a link (a
+// connection, a reconnecting connection, or a pool of either) and retries
+// each op through fresh connections until it succeeds, fails logically,
+// or the link's budget is spent.
 //
 // StoreClient is safe for concurrent use.
 type StoreClient struct {
-	c     *Client
 	store string
+	link  link
+	// replays marks a view whose home link heals itself (a Reconnector):
+	// only such a view pays for the clear-text replay mirror, because only
+	// its link ever calls restore.
+	replays bool
 
 	// adminMu guards adminToken: the namespace's control-plane owner
 	// token, attached to write requests so the first write claims the
@@ -286,7 +253,8 @@ type StoreClient struct {
 
 	// bufMu guards the encrypted-upload buffer. It is held across the
 	// flush round trip so the buffer and serverLen stay consistent with
-	// the server.
+	// the server, and by restore while it reconciles them against a fresh
+	// connection.
 	bufMu   sync.Mutex
 	pending []EncUpload
 	// serverLen tracks the server-side row count of this namespace after
@@ -297,13 +265,28 @@ type StoreClient struct {
 	serverLen int
 	lenSynced bool
 
-	// plainMu guards the clear-text partition's length mirror, held
-	// across the insert round trip so concurrent Inserts CAS against
-	// consecutive lengths instead of racing each other. Lock order:
-	// plainMu before bufMu (Insert holds plainMu while call() flushes).
+	// plainMu guards the clear-text partition's length mirror and replay
+	// mirror, held across the load/insert round trip so concurrent Inserts
+	// CAS against consecutive lengths instead of racing each other, and so
+	// a reconnect's re-Load (restore takes it too) can never slip between
+	// an acknowledgment and the mirror commit that records it. Lock order:
+	// plainMu before bufMu (Load and Insert flush while holding plainMu).
 	plainMu     sync.Mutex
 	plainLen    int
 	plainSynced bool
+	// rel/attr mirror what the cloud's clear-text partition must hold — the
+	// relation last shipped with Load plus every acknowledged Insert since
+	// (the price of transparent retry is an owner-side copy of the plain
+	// partition). nil before Load, and always nil unless replays.
+	rel  *relation.Relation
+	attr string
+
+	// The view's own logical-error record: errors its void interface
+	// methods swallowed into zero values. Per namespace, so one tenant's
+	// failing op never shows up in another tenant's bracket.
+	logMu    sync.Mutex
+	logical  error
+	logicalN uint64
 }
 
 // StoreName returns the namespace this view addresses.
@@ -328,59 +311,154 @@ func (s *StoreClient) ownerToken() []byte {
 	return s.adminToken
 }
 
-// call flushes buffered uploads and performs one round trip, stamping the
-// request with the view's namespace.
-func (s *StoreClient) call(req *request) (*response, error) {
-	if err := s.Flush(); err != nil {
-		return nil, err
+// attempt is the one retry loop: it runs f against a live connection from
+// the link, and again through a fresh one for as long as f's failure is
+// the transport's and the link's budget lasts. Logical errors return
+// immediately — retrying cannot help. f must take the view's locks itself
+// (acquire runs lock-free, see link).
+func (s *StoreClient) attempt(write bool, f func(c *Client) error) error {
+	var lastErr error
+	for i := 0; i < s.link.budget(); i++ {
+		c, err := s.link.acquire(write)
+		if err != nil {
+			return err
+		}
+		if err = f(c); err == nil || c.stickyErr() == nil {
+			return err
+		}
+		lastErr = err
 	}
-	req.Store = s.store
-	return s.c.roundTrip(req)
+	return lastErr
 }
 
-// Ping checks liveness of the shared connection.
-func (s *StoreClient) Ping() error { return s.c.Ping() }
+// roundTrip performs one request against the view's namespace under the
+// retry loop.
+func (s *StoreClient) roundTrip(write bool, req *request) (resp *response, err error) {
+	req.Store = s.store
+	err = s.attempt(write, func(c *Client) error {
+		// Every attempt frames its own copy: a dead connection's writer
+		// goroutine may still be reading the previous one.
+		r := *req
+		resp, err = c.roundTrip(&r)
+		return err
+	})
+	return resp, err
+}
 
-// Err returns the shared connection's sticky transport error.
-func (s *StoreClient) Err() error { return s.c.Err() }
+// read makes the namespace's buffered uploads durable — through its home,
+// so they are visible wherever the read lands — and performs one read
+// round trip. The nothing-buffered fast path is one mutex acquisition.
+func (s *StoreClient) read(req *request) (*response, error) {
+	s.bufMu.Lock()
+	buffered := len(s.pending) > 0
+	s.bufMu.Unlock()
+	if buffered {
+		if err := s.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return s.roundTrip(false, req)
+}
 
-// LogicalErr returns the shared connection's per-op error record.
-func (s *StoreClient) LogicalErr() error { return s.c.LogicalErr() }
+// Ping checks liveness of the link (every connection of a pool).
+func (s *StoreClient) Ping() error { return s.link.Ping() }
 
-// LogicalErrCount returns the shared connection's per-op error count.
-func (s *StoreClient) LogicalErrCount() uint64 { return s.c.LogicalErrCount() }
+// Err returns the sticky error of the link this namespace's writes depend
+// on: the connection's, the Reconnector's permanent failure, or — pooled —
+// its home member's.
+func (s *StoreClient) Err() error { return s.link.Err() }
 
-// Close closes the SHARED connection: every view on it dies with it. A
-// caller owning several views (e.g. a vertical client's two namespaces)
-// should close once, through whichever handle it keeps.
-func (s *StoreClient) Close() error { return s.c.Close() }
+// LogicalErr returns the most recent error swallowed by one of this
+// view's interface methods that cannot return one (Search, Len, ...):
+// usually a server-side logical error, but also transport failures and
+// use-after-close those methods turned into zero values. A logical error
+// never poisons the connection, so this is a per-op record: later
+// successful calls do not clear it, later failing calls overwrite it.
+func (s *StoreClient) LogicalErr() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return s.logical
+}
+
+// LogicalErrCount reports how many times a void interface method of this
+// view has recorded an error; monotonic across reconnects. Callers
+// bracketing a batch of operations (e.g. one query) snapshot it before
+// and compare after: a changed count means some op in the window failed
+// silently — without the races of a shared take-and-clear slot under
+// concurrent batches, and without seeing any other namespace's failures.
+func (s *StoreClient) LogicalErrCount() uint64 {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	return s.logicalN
+}
+
+// noteLogical records a per-op error a void interface method is about to
+// swallow (nil is not an error). Transport failures and use-after-close
+// are recorded too, so windows bracketed by LogicalErrCount observe them
+// even when Err() alone would not surface them (clean close, or a pool
+// whose other connections are healthy).
+func (s *StoreClient) noteLogical(err error) {
+	if err == nil {
+		return
+	}
+	s.logMu.Lock()
+	s.logical = err
+	s.logicalN++
+	s.logMu.Unlock()
+}
+
+// Close closes the SHARED link: every view on it dies with it. A caller
+// owning several views (e.g. a vertical client's two namespaces) should
+// close once, through whichever handle it keeps.
+func (s *StoreClient) Close() error { return s.link.Close() }
+
+// Info probes the namespace's replica state — existence, row counts, the
+// encrypted store's version. Ring clients use it as the readmission
+// parity probe: unlike Len it covers the clear-text partition too, so a
+// replica whose plain tuples still lag repair is not readmitted on
+// encrypted parity alone.
+func (s *StoreClient) Info() (StoreInfo, error) {
+	resp, err := s.roundTrip(false, &request{Op: opStoreInfo})
+	if err != nil {
+		return StoreInfo{}, err
+	}
+	return resp.Info, nil
+}
 
 // --- cloud.PlainBackend -----------------------------------------------
 
 // Load implements cloud.PlainBackend: ships the non-sensitive relation to
-// the view's namespace in clear-text.
+// the view's namespace in clear-text. Over a self-healing link it also
+// mirrors the relation owner-side, so a reconnect can rebuild a cloud that
+// restarted from a stale (or no) snapshot. The mirror is committed only
+// once the cloud has accepted the relation — a logically rejected Load
+// must not become the relation every future reconnect replays (and fails
+// on, permanently).
 func (s *StoreClient) Load(rns *relation.Relation, attr string) error {
-	resp, err := s.call(&request{
-		Op:         opPlainLoad,
-		Schema:     rns.Schema,
-		Tuples:     rns.Tuples,
-		Attr:       attr,
-		AdminToken: s.ownerToken(),
+	return s.attempt(true, func(c *Client) error {
+		s.plainMu.Lock()
+		defer s.plainMu.Unlock()
+		if err := s.flushOn(c); err != nil {
+			return err
+		}
+		resp, err := c.roundTrip(&request{
+			Op: opPlainLoad, Store: s.store, Schema: rns.Schema, Tuples: rns.Tuples, Attr: attr, AdminToken: s.ownerToken(),
+		})
+		if err != nil {
+			return err
+		}
+		s.plainLen, s.plainSynced = resp.N, true
+		if s.replays {
+			s.rel, s.attr = rns.Clone(), attr
+		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	s.plainMu.Lock()
-	s.plainLen = resp.N
-	s.plainSynced = true
-	s.plainMu.Unlock()
-	return nil
 }
 
-// searchErr is Search with the error surfaced (retrying wrappers need it;
-// the interface method swallows it into noteLogical).
-func (s *StoreClient) searchErr(values []relation.Value) ([]relation.Tuple, error) {
-	resp, err := s.call(&request{Op: opPlainSearch, Values: values})
+// SearchErr is Search with the error surfaced instead of recorded (ring
+// failover needs the per-replica outcome).
+func (s *StoreClient) SearchErr(values []relation.Value) ([]relation.Tuple, error) {
+	resp, err := s.read(&request{Op: opPlainSearch, Values: values})
 	if err != nil {
 		return nil, err
 	}
@@ -389,17 +467,14 @@ func (s *StoreClient) searchErr(values []relation.Value) ([]relation.Tuple, erro
 
 // Search implements cloud.PlainBackend.
 func (s *StoreClient) Search(values []relation.Value) []relation.Tuple {
-	ts, err := s.searchErr(values)
-	if err != nil {
-		s.c.noteLogical(err)
-		return nil
-	}
+	ts, err := s.SearchErr(values)
+	s.noteLogical(err)
 	return ts
 }
 
-// searchRangeErr is SearchRange with the error surfaced.
-func (s *StoreClient) searchRangeErr(lo, hi relation.Value) ([]relation.Tuple, error) {
-	resp, err := s.call(&request{Op: opPlainSearchRange, Lo: lo, Hi: hi})
+// SearchRangeErr is SearchRange with the error surfaced.
+func (s *StoreClient) SearchRangeErr(lo, hi relation.Value) ([]relation.Tuple, error) {
+	resp, err := s.read(&request{Op: opPlainSearchRange, Lo: lo, Hi: hi})
 	if err != nil {
 		return nil, err
 	}
@@ -408,11 +483,8 @@ func (s *StoreClient) searchRangeErr(lo, hi relation.Value) ([]relation.Tuple, e
 
 // SearchRange implements cloud.PlainBackend.
 func (s *StoreClient) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	ts, err := s.searchRangeErr(lo, hi)
-	if err != nil {
-		s.c.noteLogical(err)
-		return nil
-	}
+	ts, err := s.SearchRangeErr(lo, hi)
+	s.noteLogical(err)
 	return ts
 }
 
@@ -423,29 +495,50 @@ func (s *StoreClient) SearchRange(lo, hi relation.Value) []relation.Tuple {
 // still matches, so an insert racing an anti-entropy restore of the same
 // replica cannot land twice. A stale-write refusal (IsStaleWrite) drops
 // the mirror; the next insert re-probes before writing.
+//
+// Over a self-healing link the insert is exactly-once when a Load went
+// through this view: a reconnect always re-Loads the replay mirror before
+// any retry can run, so an insert whose acknowledgment died with the
+// connection was either never applied (the retry inserts it once) or was
+// erased by the re-Load of the t-less mirror (the retry re-inserts it
+// once); and an acknowledged tuple joins the mirror under the same plainMu
+// hold as its round trip, so no re-Load can ship a mirror that misses it.
+// Without a mirrored Load (a resumed session that never shipped the
+// relation through this view) a lost acknowledgment may duplicate the
+// insert on retry.
 func (s *StoreClient) Insert(t relation.Tuple) error {
-	s.plainMu.Lock()
-	defer s.plainMu.Unlock()
-	if !s.plainSynced {
-		resp, err := s.call(&request{Op: opStoreInfo})
-		if err != nil {
+	return s.attempt(true, func(c *Client) error {
+		s.plainMu.Lock()
+		defer s.plainMu.Unlock()
+		if err := s.flushOn(c); err != nil {
 			return err
 		}
-		if resp.Info.PlainTuples < 0 {
-			return fmt.Errorf("wire: insert: no relation loaded in store %q", storeName(s.store))
+		if !s.plainSynced {
+			resp, err := c.roundTrip(&request{Op: opStoreInfo, Store: s.store})
+			if err != nil {
+				return err
+			}
+			if resp.Info.PlainTuples < 0 {
+				return fmt.Errorf("wire: insert: no relation loaded in store %q", s.store)
+			}
+			s.plainLen, s.plainSynced = resp.Info.PlainTuples, true
 		}
-		s.plainLen = resp.Info.PlainTuples
-		s.plainSynced = true
-	}
-	_, err := s.call(&request{Op: opPlainInsert, Tuple: t, AdminToken: s.ownerToken(), Have: s.plainLen})
-	if err != nil {
-		if s.c.stickyErr() == nil && IsStaleWrite(err) {
-			s.plainSynced = false
+		_, err := c.roundTrip(&request{Op: opPlainInsert, Store: s.store, Tuple: t, AdminToken: s.ownerToken(), Have: s.plainLen})
+		if err != nil {
+			if c.stickyErr() == nil && IsStaleWrite(err) {
+				s.plainSynced = false
+			}
+			return err
 		}
-		return err
-	}
-	s.plainLen++
-	return nil
+		s.plainLen++
+		if s.rel != nil {
+			// Mirror maintenance failing (schema drift) is impossible when
+			// the cloud accepted the same tuple against the same schema;
+			// ignore the error by symmetry.
+			_ = s.rel.Append(t.Clone())
+		}
+		return nil
+	})
 }
 
 // --- technique.EncStore -------------------------------------------------
@@ -453,60 +546,72 @@ func (s *StoreClient) Insert(t relation.Tuple) error {
 // Add implements technique.EncStore. Uploads are buffered; they are
 // flushed automatically before any read operation, or explicitly with
 // Flush. The returned address is computed client-side (the server assigns
-// addresses sequentially in upload order, per namespace).
+// addresses sequentially in upload order, per namespace). The buffer
+// belongs to the view, not to a connection, so it survives reconnects
+// until a flush is acknowledged.
 func (s *StoreClient) Add(tupleCT, attrCT, token []byte) int {
-	s.bufMu.Lock()
-	defer s.bufMu.Unlock()
-	if s.c.stickyErr() != nil {
+	addr := -1
+	err := s.attempt(true, func(c *Client) error {
+		s.bufMu.Lock()
+		defer s.bufMu.Unlock()
+		if !s.lenSynced {
+			resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
+			if err != nil {
+				return err
+			}
+			s.serverLen, s.lenSynced = resp.N, true
+		}
+		addr = s.serverLen + len(s.pending)
+		s.pending = append(s.pending, EncUpload{
+			TupleCT: cloneBytes(tupleCT), AttrCT: cloneBytes(attrCT), Token: cloneBytes(token),
+		})
+		return nil
+	})
+	if err != nil {
+		s.noteLogical(err)
 		return -1
 	}
-	if !s.lenSynced {
-		resp, err := s.c.roundTrip(&request{Op: opEncLen, Store: s.store})
-		if err != nil {
-			s.c.noteLogical(err)
-			return -1
-		}
-		s.serverLen = resp.N
-		s.lenSynced = true
-	}
-	addr := s.serverLen + len(s.pending)
-	s.pending = append(s.pending, EncUpload{
-		TupleCT: cloneBytes(tupleCT), AttrCT: cloneBytes(attrCT), Token: cloneBytes(token),
-	})
 	return addr
 }
 
 // Flush uploads any pending encrypted rows. On failure the rows stay
 // buffered — their addresses were already handed out by Add, so dropping
 // them would silently corrupt the technique's index — and a later Flush
-// retries them.
-func (s *StoreClient) Flush() error {
+// retries them; over a self-healing link a flush interrupted by connection
+// death is completed by the reconnect cycle's replay (exactly once — see
+// restore). The link's sticky error surfaces even with nothing buffered:
+// after a transport failure Add buffers nothing, so an empty-pending nil
+// would let an Outsource over a dead connection report success.
+func (s *StoreClient) Flush() error { return s.attempt(true, s.flushOn) }
+
+// flushOn uploads the pending rows over c. It takes bufMu but never
+// acquires, so callers already holding plainMu (and a connection) use it
+// directly.
+func (s *StoreClient) flushOn(c *Client) error {
 	s.bufMu.Lock()
 	defer s.bufMu.Unlock()
-	// Surface the sticky error even with nothing buffered: after a
-	// transport failure Add buffers nothing, so an empty-pending nil here
-	// would let an Outsource over a dead connection report success.
-	if err := s.c.stickyErr(); err != nil {
-		return err
-	}
+	return s.flushLocked(c)
+}
+
+// flushLocked is flushOn with bufMu held.
+func (s *StoreClient) flushLocked(c *Client) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	batch := s.pending
 	// The batch is conditional on the row count its addresses were
 	// assigned at (protocol v6): pending is never non-empty without a
-	// synced length (Add probes before buffering, seed records one), and
-	// the server applies the batch only if the store still holds exactly
-	// serverLen rows. A flush racing an anti-entropy repair of this
-	// replica — which can append these very rows, copied from a peer that
-	// acked them — is refused instead of doubling the tail.
+	// synced length (Add probes before buffering), and the server applies
+	// the batch only if the store still holds exactly serverLen rows. A
+	// flush racing an anti-entropy repair of this replica — which can
+	// append these very rows, copied from a peer that acked them — is
+	// refused instead of doubling the tail.
 	have := s.serverLen
 	if !s.lenSynced {
 		have = -1
 	}
-	resp, err := s.c.roundTrip(&request{Op: opEncAddBatch, Store: s.store, Batch: batch, AdminToken: s.ownerToken(), Have: have})
+	resp, err := c.roundTrip(&request{Op: opEncAddBatch, Store: s.store, Batch: s.pending, AdminToken: s.ownerToken(), Have: have})
 	if err != nil {
-		if s.c.stickyErr() == nil && IsStaleWrite(err) {
+		if c.stickyErr() == nil && IsStaleWrite(err) {
 			// Nothing was applied, but the base address moved: the buffered
 			// rows' handed-out addresses can only ever be honoured at the
 			// probed base, so retrying is pointless. Drop them and the
@@ -517,7 +622,7 @@ func (s *StoreClient) Flush() error {
 			s.pending = nil
 			s.lenSynced = false
 			s.serverLen = 0
-			return fmt.Errorf("wire: flush: store %q: %w", storeName(s.store), err)
+			return fmt.Errorf("wire: flush: store %q: %w", s.store, err)
 		}
 		// Keep the batch buffered for retry: its addresses were already
 		// handed out by Add, so dropping the rows would silently corrupt
@@ -527,12 +632,12 @@ func (s *StoreClient) Flush() error {
 		// are still the ones a retry will materialise. A shifted length
 		// means the batch was partially applied and the handed-out
 		// addresses can no longer be honoured — no retry can fix that, so
-		// fail the client loudly rather than let every later Fetch return
-		// the wrong row.
-		if s.c.stickyErr() == nil {
-			if lenResp, lerr := s.c.roundTrip(&request{Op: opEncLen, Store: s.store}); lerr == nil {
+		// fail the connection loudly rather than let every later Fetch
+		// return the wrong row.
+		if c.stickyErr() == nil {
+			if lenResp, lerr := c.roundTrip(&request{Op: opEncLen, Store: s.store}); lerr == nil {
 				if s.lenSynced && lenResp.N != s.serverLen {
-					s.c.fail(fmt.Errorf(
+					c.fail(fmt.Errorf(
 						"wire: flush: store %q length %d after rejected batch, expected %d: batch partially applied, handed-out addresses lost (%w)",
 						s.store, lenResp.N, s.serverLen, err))
 					return err
@@ -544,34 +649,106 @@ func (s *StoreClient) Flush() error {
 		return err
 	}
 	// bufMu is held across the whole round trip and Add requires it too,
-	// so pending cannot have grown since batch was taken.
+	// so pending cannot have grown since the batch was sent.
 	s.pending = nil
 	s.serverLen += resp.N
 	return nil
 }
 
-// takeRetained extracts the view's retained upload state so a reconnecting
-// wrapper can replay it on a fresh connection. It is only meaningful on a
-// poisoned connection: the sticky error (checked under the same bufMu)
-// guarantees no concurrent Add can buffer after the harvest.
-func (s *StoreClient) takeRetained() (pending []EncUpload, serverLen int, synced bool) {
+// restore is the hook a self-healing link calls, on a fresh handshaken
+// connection nobody else can see yet, for every view homed on it: make
+// the cloud's copy of this namespace agree with the view again. It
+//
+//  1. re-Loads the clear-text replay mirror (the cloud may have restarted
+//     from a snapshot that predates recent plain writes — re-loading makes
+//     the plain partition exactly the owner's copy), and
+//  2. reconciles the encrypted row count (opEncLen) against the
+//     acknowledged count plus the retained upload buffer, replaying the
+//     retained uploads whose flush never got an acknowledgment.
+//
+// The opEncLen arithmetic makes flush replay exactly-once: a batch whose
+// acknowledgment was lost in the crash is detected as already applied
+// (server count == acknowledged + retained) and not replayed; a batch the
+// server never saw is replayed at the exact addresses Add handed out
+// (server count == acknowledged). Any other count is unreconcilable —
+// handed-out addresses can no longer be honoured. restore is idempotent
+// across attempts: a replay applied before the cycle's next failure is
+// detected as applied by the same arithmetic. An error with c still
+// healthy is the cloud's verdict, hence permanent; with c dead it is one
+// more transport failure and the cycle redials.
+func (s *StoreClient) restore(c *Client) error {
+	fail := func(what string, err error) error {
+		return fmt.Errorf("wire: reconnect: store %q: %s: %w", s.store, what, err)
+	}
+
+	s.plainMu.Lock()
+	// The length mirror described the dead connection's server; without a
+	// replay mirror the next Insert re-probes it.
+	s.plainSynced = false
+	if s.rel != nil {
+		resp, err := c.roundTrip(&request{
+			Op: opPlainLoad, Store: s.store, Schema: s.rel.Schema, Tuples: s.rel.Tuples, Attr: s.attr, AdminToken: s.ownerToken(),
+		})
+		if err != nil {
+			s.plainMu.Unlock()
+			return fail("re-load", err)
+		}
+		s.plainLen, s.plainSynced = resp.N, true
+	}
+	s.plainMu.Unlock()
+
 	s.bufMu.Lock()
 	defer s.bufMu.Unlock()
-	pending = s.pending
-	s.pending = nil
-	return pending, s.serverLen, s.lenSynced
-}
-
-// seed installs upload state harvested from a dead connection's view of
-// the same namespace: the retained rows keep the addresses Add already
-// handed out, and serverLen anchors them to the server-side row count the
-// reconnect resync verified.
-func (s *StoreClient) seed(pending []EncUpload, serverLen int) {
-	s.bufMu.Lock()
-	s.pending = pending
-	s.serverLen = serverLen
-	s.lenSynced = true
-	s.bufMu.Unlock()
+	if !s.lenSynced && len(s.pending) == 0 {
+		return nil
+	}
+	probe := func() (int, error) {
+		resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
+		if err != nil {
+			return 0, err
+		}
+		return resp.N, nil
+	}
+	n, err := probe()
+	if err != nil {
+		return fail("resync", err)
+	}
+	retained := len(s.pending)
+	switch {
+	case n == s.serverLen:
+		// The server is exactly where the last acknowledged flush left
+		// it: retained uploads replay at the addresses Add handed out.
+		if err := s.flushLocked(c); err != nil {
+			if !IsStaleWrite(err) || c.stickyErr() != nil {
+				return fail("replaying retained uploads", err)
+			}
+			// The count moved between the probe and the replay — in a
+			// ring, anti-entropy copying this very batch from a replica
+			// that acked it before the crash. Only an exact
+			// batch-already-present count reconciles; flushLocked already
+			// dropped the retained rows either way.
+			n2, err2 := probe()
+			if err2 != nil {
+				return fail("re-probing after stale replay", err2)
+			}
+			if n2 != n+retained {
+				return fail("retained uploads lost to a concurrent write", err)
+			}
+			s.serverLen, s.lenSynced = n2, true
+		}
+	case n == s.serverLen+retained, retained == 0 && n > s.serverLen:
+		// Either the batch was applied but its acknowledgment died with
+		// the connection — replaying would double every row — or nothing
+		// was retained and another writer appended; ours are all
+		// accounted for.
+		s.pending = nil
+		s.serverLen = n
+	default:
+		return fmt.Errorf(
+			"wire: reconnect: store %q: server has %d encrypted rows, cannot reconcile with %d acknowledged + %d retained (handed-out addresses lost)",
+			s.store, n, s.serverLen, retained)
+	}
+	return nil
 }
 
 // ResyncLen drops the view's cached server-length arithmetic — the
@@ -597,9 +774,9 @@ func (s *StoreClient) ResyncLen() error {
 	return nil
 }
 
-// lenErr is Len with the error surfaced.
-func (s *StoreClient) lenErr() (int, error) {
-	resp, err := s.call(&request{Op: opEncLen})
+// LenErr is Len with the error surfaced.
+func (s *StoreClient) LenErr() (int, error) {
+	resp, err := s.read(&request{Op: opEncLen})
 	if err != nil {
 		return 0, err
 	}
@@ -608,40 +785,35 @@ func (s *StoreClient) lenErr() (int, error) {
 
 // Len implements technique.EncStore.
 func (s *StoreClient) Len() int {
-	n, err := s.lenErr()
-	if err != nil {
-		s.c.noteLogical(err)
-		return 0
-	}
+	n, err := s.LenErr()
+	s.noteLogical(err)
 	return n
 }
 
-// attrColumnErr is AttrColumn with the error surfaced.
-func (s *StoreClient) attrColumnErr() ([]storage.EncRow, error) {
-	resp, err := s.call(&request{Op: opEncAttrColumn})
+// rows performs a row-returning read.
+func (s *StoreClient) rows(req *request) ([]storage.EncRow, error) {
+	resp, err := s.read(req)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Rows, nil
 }
 
+// AttrColumnErr is AttrColumn with the error surfaced.
+func (s *StoreClient) AttrColumnErr() ([]storage.EncRow, error) {
+	return s.rows(&request{Op: opEncAttrColumn})
+}
+
 // AttrColumn implements technique.EncStore.
 func (s *StoreClient) AttrColumn() []storage.EncRow {
-	rows, err := s.attrColumnErr()
-	if err != nil {
-		s.c.noteLogical(err)
-		return nil
-	}
+	rows, err := s.AttrColumnErr()
+	s.noteLogical(err)
 	return rows
 }
 
 // Fetch implements technique.EncStore.
 func (s *StoreClient) Fetch(addrs []int) ([]storage.EncRow, error) {
-	resp, err := s.call(&request{Op: opEncFetch, Addrs: addrs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Rows, nil
+	return s.rows(&request{Op: opEncFetch, Addrs: addrs})
 }
 
 // FetchBatch implements technique.BatchEncStore: a single round trip
@@ -649,16 +821,16 @@ func (s *StoreClient) Fetch(addrs []int) ([]storage.EncRow, error) {
 // network latency for the whole batch's bin fetches instead of one per
 // query.
 func (s *StoreClient) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	resp, err := s.call(&request{Op: opEncFetchBatch, AddrBatches: addrBatches})
+	resp, err := s.read(&request{Op: opEncFetchBatch, AddrBatches: addrBatches})
 	if err != nil {
 		return nil, err
 	}
 	return resp.RowBatches, nil
 }
 
-// lookupTokenErr is LookupToken with the error surfaced.
-func (s *StoreClient) lookupTokenErr(tok []byte) ([]int, error) {
-	resp, err := s.call(&request{Op: opEncLookupToken, Token: tok})
+// LookupTokenErr is LookupToken with the error surfaced.
+func (s *StoreClient) LookupTokenErr(tok []byte) ([]int, error) {
+	resp, err := s.read(&request{Op: opEncLookupToken, Token: tok})
 	if err != nil {
 		return nil, err
 	}
@@ -667,43 +839,46 @@ func (s *StoreClient) lookupTokenErr(tok []byte) ([]int, error) {
 
 // LookupToken implements technique.EncStore.
 func (s *StoreClient) LookupToken(tok []byte) []int {
-	addrs, err := s.lookupTokenErr(tok)
-	if err != nil {
-		s.c.noteLogical(err)
-		return nil
-	}
+	addrs, err := s.LookupTokenErr(tok)
+	s.noteLogical(err)
 	return addrs
 }
 
-// rowsErr is Rows with the error surfaced.
-func (s *StoreClient) rowsErr() ([]storage.EncRow, error) {
-	resp, err := s.call(&request{Op: opEncRows})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Rows, nil
+// RowsErr is Rows with the error surfaced.
+func (s *StoreClient) RowsErr() ([]storage.EncRow, error) {
+	return s.rows(&request{Op: opEncRows})
 }
 
 // Rows implements technique.EncStore.
 func (s *StoreClient) Rows() []storage.EncRow {
-	rows, err := s.rowsErr()
-	if err != nil {
-		s.c.noteLogical(err)
-		return nil
-	}
+	rows, err := s.RowsErr()
+	s.noteLogical(err)
 	return rows
 }
 
 // --- technique.VersionedEncStore ----------------------------------------
 
 // EncVersion implements technique.VersionedEncStore: the namespace's
-// current version in one tiny round trip.
+// current version in one tiny round trip. An owner-side cache composes
+// with reconnection for free: it is keyed by the store's version epoch,
+// which survives a transport blip unchanged (same server process) and
+// changes when the server was rebuilt from a snapshot — exactly the case
+// where cached state must be refetched.
 func (s *StoreClient) EncVersion() (storage.EncVersion, error) {
-	resp, err := s.call(&request{Op: opEncVersion})
+	resp, err := s.read(&request{Op: opEncVersion})
 	if err != nil {
 		return storage.EncVersion{}, err
 	}
 	return storage.EncVersion{Epoch: resp.VerEpoch, N: resp.VerN}, nil
+}
+
+// since performs a conditional row pull.
+func (s *StoreClient) since(o op, v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
+	resp, err := s.read(&request{Op: o, CondEpoch: v.Epoch, CondN: v.N, Have: have})
+	if err != nil {
+		return nil, storage.EncVersion{}, false, err
+	}
+	return resp.Rows, storage.EncVersion{Epoch: resp.VerEpoch, N: resp.VerN}, resp.Delta, nil
 }
 
 // AttrColumnSince implements technique.VersionedEncStore: the conditional
@@ -712,21 +887,13 @@ func (s *StoreClient) EncVersion() (storage.EncVersion, error) {
 // on a clean hit — a not-modified frame of a few bytes instead of the
 // whole column); otherwise the full column comes back with delta=false.
 func (s *StoreClient) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	resp, err := s.call(&request{Op: opEncAttrColumnIf, CondEpoch: v.Epoch, CondN: v.N, Have: have})
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return resp.Rows, storage.EncVersion{Epoch: resp.VerEpoch, N: resp.VerN}, resp.Delta, nil
+	return s.since(opEncAttrColumnIf, v, have)
 }
 
 // RowsSince implements technique.VersionedEncStore: the conditional full-
 // row pull, same delta contract as AttrColumnSince.
 func (s *StoreClient) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	resp, err := s.call(&request{Op: opEncRowsIf, CondEpoch: v.Epoch, CondN: v.N, Have: have})
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return resp.Rows, storage.EncVersion{Epoch: resp.VerEpoch, N: resp.VerN}, resp.Delta, nil
+	return s.since(opEncRowsIf, v, have)
 }
 
 func cloneBytes(b []byte) []byte {

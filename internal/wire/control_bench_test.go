@@ -20,7 +20,7 @@ func BenchmarkReconnectResync(b *testing.B) {
 		b.Run(fmt.Sprintf("plainTuples=%d", tuples), func(b *testing.B) {
 			cl := NewCloud()
 			srv := newChaosServer(b, cl)
-			rc := reconnectorFor(b, srv)
+			rc := reconnectorFor(b, srv).WithStore(DefaultStore)
 			if err := rc.Load(testRelation(tuples), "K"); err != nil {
 				b.Fatal(err)
 			}

@@ -289,5 +289,5 @@ func (c *Client) stickyErr() error {
 	return c.err
 }
 
-// healthy implements poolConn: a Client is routable until poisoned.
+// healthy implements member: a Client is routable until poisoned.
 func (c *Client) healthy() bool { return c.stickyErr() == nil }

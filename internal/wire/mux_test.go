@@ -105,18 +105,19 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 // to its call only; the client stays healthy and later calls succeed.
 func TestLogicalErrorDoesNotPoison(t *testing.T) {
 	c := startCloud(t)
-	if _, err := c.Fetch([]int{42}); err == nil {
+	v := c.WithStore(DefaultStore)
+	if _, err := v.Fetch([]int{42}); err == nil {
 		t.Fatal("out-of-range fetch accepted")
 	}
 	if c.Err() != nil {
 		t.Fatalf("logical error became sticky: %v", c.Err())
 	}
 	// Void methods record the error instead.
-	if got := c.Search([]relation.Value{relation.Int(1)}); got != nil {
+	if got := v.Search([]relation.Value{relation.Int(1)}); got != nil {
 		t.Fatalf("search before load = %v", got)
 	}
-	if c.LogicalErr() == nil || !strings.Contains(c.LogicalErr().Error(), "no relation loaded") {
-		t.Fatalf("LogicalErr = %v", c.LogicalErr())
+	if v.LogicalErr() == nil || !strings.Contains(v.LogicalErr().Error(), "no relation loaded") {
+		t.Fatalf("LogicalErr = %v", v.LogicalErr())
 	}
 	if c.Err() != nil {
 		t.Fatalf("void-method logical error became sticky: %v", c.Err())
@@ -165,7 +166,7 @@ func TestTransportErrorPoisonsAndReleases(t *testing.T) {
 	if err := c.Ping(); err == nil {
 		t.Fatal("ping on poisoned client succeeded")
 	}
-	if c.Add([]byte("x"), nil, nil) != -1 {
+	if c.WithStore(DefaultStore).Add([]byte("x"), nil, nil) != -1 {
 		t.Fatal("Add on poisoned client handed out an address")
 	}
 }
@@ -196,6 +197,7 @@ func TestUnknownResponseIDFailsConnection(t *testing.T) {
 // same addresses.
 func TestFlushFailureRetainsPending(t *testing.T) {
 	c, ss := pipeClient(t)
+	v := c.WithStore(DefaultStore)
 
 	serverRows := 0
 	rejected := false
@@ -235,21 +237,21 @@ func TestFlushFailureRetainsPending(t *testing.T) {
 		}
 	}()
 
-	a0 := c.Add([]byte("ct0"), []byte("a0"), nil)
-	a1 := c.Add([]byte("ct1"), []byte("a1"), nil)
+	a0 := v.Add([]byte("ct0"), []byte("a0"), nil)
+	a1 := v.Add([]byte("ct1"), []byte("a1"), nil)
 	if a0 != 0 || a1 != 1 {
 		t.Fatalf("addresses %d, %d", a0, a1)
 	}
 
-	if err := c.Flush(); err == nil {
+	if err := v.Flush(); err == nil {
 		t.Fatal("rejected flush reported success")
 	}
 	if c.Err() != nil {
 		t.Fatalf("logical flush failure poisoned the client: %v", c.Err())
 	}
-	c.def.bufMu.Lock()
-	retained, syncedLen := len(c.def.pending), c.def.serverLen
-	c.def.bufMu.Unlock()
+	v.bufMu.Lock()
+	retained, syncedLen := len(v.pending), v.serverLen
+	v.bufMu.Unlock()
 	if retained != 2 {
 		t.Fatalf("failed flush dropped rows: %d pending, want 2", retained)
 	}
@@ -258,16 +260,16 @@ func TestFlushFailureRetainsPending(t *testing.T) {
 	}
 	// Addresses handed out before the failure are still the ones the
 	// retry will materialise.
-	if a2 := c.Add([]byte("ct2"), nil, nil); a2 != 2 {
+	if a2 := v.Add([]byte("ct2"), nil, nil); a2 != 2 {
 		t.Fatalf("post-failure Add returned %d, want 2", a2)
 	}
 
-	if err := c.Flush(); err != nil {
+	if err := v.Flush(); err != nil {
 		t.Fatalf("retry flush: %v", err)
 	}
-	c.def.bufMu.Lock()
-	retained, syncedLen = len(c.def.pending), c.def.serverLen
-	c.def.bufMu.Unlock()
+	v.bufMu.Lock()
+	retained, syncedLen = len(v.pending), v.serverLen
+	v.bufMu.Unlock()
 	if retained != 0 || syncedLen != 3 {
 		t.Fatalf("after retry: pending=%d serverLen=%d, want 0/3", retained, syncedLen)
 	}
@@ -286,6 +288,7 @@ func TestFlushFailureRetainsPending(t *testing.T) {
 // retrying the rows at shifted addresses.
 func TestFlushPartialApplicationPoisons(t *testing.T) {
 	c, ss := pipeClient(t)
+	v := c.WithStore(DefaultStore)
 	go func() {
 		serverRows := 0
 		for {
@@ -312,9 +315,9 @@ func TestFlushPartialApplicationPoisons(t *testing.T) {
 		}
 	}()
 
-	c.Add([]byte("ct0"), nil, nil)
-	c.Add([]byte("ct1"), nil, nil)
-	if err := c.Flush(); err == nil {
+	v.Add([]byte("ct0"), nil, nil)
+	v.Add([]byte("ct1"), nil, nil)
+	if err := v.Flush(); err == nil {
 		t.Fatal("partially applied flush reported success")
 	}
 	if c.Err() == nil || !strings.Contains(c.Err().Error(), "partially applied") {
@@ -341,23 +344,24 @@ func TestFlushRejectedByRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := c.WithStore(DefaultStore)
 	defer c.Close()
 
-	if addr := c.Add([]byte("good"), nil, nil); addr != 0 {
+	if addr := v.Add([]byte("good"), nil, nil); addr != 0 {
 		t.Fatalf("Add = %d", addr)
 	}
-	if addr := c.Add(nil, nil, nil); addr != 1 { // empty TupleCT: invalid row
+	if addr := v.Add(nil, nil, nil); addr != 1 { // empty TupleCT: invalid row
 		t.Fatalf("Add = %d", addr)
 	}
-	if err := c.Flush(); err == nil || !strings.Contains(err.Error(), "empty tuple ciphertext") {
+	if err := v.Flush(); err == nil || !strings.Contains(err.Error(), "empty tuple ciphertext") {
 		t.Fatalf("Flush = %v, want empty-ciphertext rejection", err)
 	}
 	if c.Err() != nil {
 		t.Fatalf("logical rejection poisoned the client: %v", c.Err())
 	}
-	c.def.bufMu.Lock()
-	retained, syncedLen := len(c.def.pending), c.def.serverLen
-	c.def.bufMu.Unlock()
+	v.bufMu.Lock()
+	retained, syncedLen := len(v.pending), v.serverLen
+	v.bufMu.Unlock()
 	if retained != 2 || syncedLen != 0 {
 		t.Fatalf("after rejection: pending=%d serverLen=%d, want 2/0", retained, syncedLen)
 	}
@@ -368,7 +372,7 @@ func TestFlushRejectedByRealServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if n := c2.Len(); n != 0 {
+	if n := c2.WithStore(DefaultStore).Len(); n != 0 {
 		t.Fatalf("server applied part of a rejected batch: Len = %d", n)
 	}
 }
@@ -378,6 +382,7 @@ func TestFlushRejectedByRealServer(t *testing.T) {
 // resend them) and the client is poisoned.
 func TestFlushTransportFailureRetainsPending(t *testing.T) {
 	c, ss := pipeClient(t)
+	v := c.WithStore(DefaultStore)
 	// Serve the handshake and Add's first-use length sync, then vanish
 	// before the flush.
 	go func() {
@@ -393,18 +398,18 @@ func TestFlushTransportFailureRetainsPending(t *testing.T) {
 		c.conn.Close()
 	}()
 
-	if addr := c.Add([]byte("ct0"), nil, nil); addr != 0 {
+	if addr := v.Add([]byte("ct0"), nil, nil); addr != 0 {
 		t.Fatalf("Add = %d", addr)
 	}
-	if err := c.Flush(); err == nil {
+	if err := v.Flush(); err == nil {
 		t.Fatal("flush over dead transport succeeded")
 	}
 	if c.Err() == nil {
 		t.Fatal("transport flush failure not sticky")
 	}
-	c.def.bufMu.Lock()
-	retained := len(c.def.pending)
-	c.def.bufMu.Unlock()
+	v.bufMu.Lock()
+	retained := len(v.pending)
+	v.bufMu.Unlock()
 	if retained != 1 {
 		t.Fatalf("transport flush failure dropped rows: %d pending, want 1", retained)
 	}
@@ -456,14 +461,14 @@ func TestMuxConcurrentStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Close() })
-			return c
+			return c.WithStore(DefaultStore)
 		}
-		p, err := DialPool(lis.Addr().String(), conns)
+		p, err := dialPool(lis.Addr().String(), conns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Close() })
-		return p
+		return p.WithStore(DefaultStore)
 	}
 
 	for _, tc := range []struct {
@@ -584,10 +589,11 @@ func TestPoolBasics(t *testing.T) {
 	defer lis.Close()
 	go func() { _ = NewCloud().Serve(lis) }()
 
-	p, err := DialPool(lis.Addr().String(), 3)
+	p, err := dialPool(lis.Addr().String(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := p.WithStore(DefaultStore)
 	defer p.Close()
 	if p.Size() != 3 {
 		t.Fatalf("Size = %d", p.Size())
@@ -597,25 +603,25 @@ func TestPoolBasics(t *testing.T) {
 	}
 
 	// Enc reads see buffered uploads no matter which conn serves them.
-	if a := p.Add([]byte("ct0"), []byte("a0"), []byte("tok")); a != 0 {
+	if a := v.Add([]byte("ct0"), []byte("a0"), []byte("tok")); a != 0 {
 		t.Fatalf("Add = %d", a)
 	}
 	for i := 0; i < p.Size()+1; i++ { // cycle through every connection
-		if n := p.Len(); n != 1 {
+		if n := v.Len(); n != 1 {
 			t.Fatalf("Len via conn %d = %d, want 1", i, n)
 		}
 	}
-	if got := p.LookupToken([]byte("tok")); len(got) != 1 || got[0] != 0 {
+	if got := v.LookupToken([]byte("tok")); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("LookupToken = %v", got)
 	}
-	rows, err := p.Fetch([]int{0})
+	rows, err := v.Fetch([]int{0})
 	if err != nil || len(rows) != 1 || string(rows[0].TupleCT) != "ct0" {
 		t.Fatalf("Fetch = %v, %v", rows, err)
 	}
-	if got := p.AttrColumn(); len(got) != 1 || string(got[0].AttrCT) != "a0" {
+	if got := v.AttrColumn(); len(got) != 1 || string(got[0].AttrCT) != "a0" {
 		t.Fatalf("AttrColumn = %v", got)
 	}
-	if got := p.Rows(); len(got) != 1 {
+	if got := v.Rows(); len(got) != 1 {
 		t.Fatalf("Rows = %v", got)
 	}
 
@@ -623,22 +629,22 @@ func TestPoolBasics(t *testing.T) {
 		relation.Column{Name: "K", Kind: relation.KindInt},
 	))
 	rel.MustInsert(relation.Int(1))
-	if err := p.Load(rel, "K"); err != nil {
+	if err := v.Load(rel, "K"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Insert(relation.Tuple{ID: 2, Values: []relation.Value{relation.Int(5)}}); err != nil {
+	if err := v.Insert(relation.Tuple{ID: 2, Values: []relation.Value{relation.Int(5)}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.Size()+1; i++ {
-		if got := p.Search([]relation.Value{relation.Int(5)}); len(got) != 1 {
+		if got := v.Search([]relation.Value{relation.Int(5)}); len(got) != 1 {
 			t.Fatalf("Search via conn %d = %v", i, got)
 		}
-		if got := p.SearchRange(relation.Int(0), relation.Int(9)); len(got) != 2 {
+		if got := v.SearchRange(relation.Int(0), relation.Int(9)); len(got) != 2 {
 			t.Fatalf("SearchRange via conn %d = %v", i, got)
 		}
 	}
-	if p.Err() != nil || p.LogicalErr() != nil {
-		t.Fatalf("pool errors: %v / %v", p.Err(), p.LogicalErr())
+	if p.Err() != nil || v.LogicalErr() != nil {
+		t.Fatalf("pool errors: %v / %v", p.Err(), v.LogicalErr())
 	}
 }
 
@@ -653,17 +659,18 @@ func TestPoolSkipsPoisonedConnections(t *testing.T) {
 	defer lis.Close()
 	go func() { _ = NewCloud().Serve(lis) }()
 
-	p, err := DialPool(lis.Addr().String(), 3)
+	p, err := dialPool(lis.Addr().String(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := p.WithStore(DefaultStore)
 	defer p.Close()
 
 	rel := relation.New(relation.MustSchema("T",
 		relation.Column{Name: "K", Kind: relation.KindInt},
 	))
 	rel.MustInsert(relation.Int(1))
-	if err := p.Load(rel, "K"); err != nil {
+	if err := v.Load(rel, "K"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -675,7 +682,7 @@ func TestPoolSkipsPoisonedConnections(t *testing.T) {
 
 	// Every read must keep succeeding: the dead conn is skipped.
 	for i := 0; i < 3*p.Size(); i++ {
-		if got := p.Search([]relation.Value{relation.Int(1)}); len(got) != 1 {
+		if got := v.Search([]relation.Value{relation.Int(1)}); len(got) != 1 {
 			t.Fatalf("read %d routed to poisoned conn: %v", i, got)
 		}
 	}
@@ -700,7 +707,7 @@ func TestPoolSkipsPoisonedConnections(t *testing.T) {
 
 // TestDialPoolUnreachable: a failed dial cleans up already-open conns.
 func TestDialPoolUnreachable(t *testing.T) {
-	if _, err := DialPool("127.0.0.1:1", 2); err == nil {
+	if _, err := dialPool("127.0.0.1:1", 2); err == nil {
 		t.Fatal("DialPool to unreachable addr succeeded")
 	}
 }

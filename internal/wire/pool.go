@@ -2,21 +2,18 @@ package wire
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cloud"
-	"repro/internal/relation"
-	"repro/internal/storage"
 	"repro/internal/technique"
 )
 
 // Backend is the owner-side view of a remote cloud namespace:
 // cloud.PlainBackend plus technique.BatchEncStore (the encrypted store
 // including the batched read path) plus the lifecycle and error surface.
-// *Client (one multiplexed connection), *Pool (several), and the
-// per-namespace views both hand out (*StoreClient, *PoolStore) all
-// implement it, so callers can pick connection-level parallelism and
+// *StoreClient is its one implementation over the network — whatever the
+// link beneath it (one connection, a reconnecting one, a pool of either)
+// — so callers pick connection-level parallelism, self-healing and
 // namespacing without changing anything else.
 type Backend interface {
 	cloud.PlainBackend
@@ -50,36 +47,31 @@ type Transport interface {
 	Close() error
 }
 
+var _ Backend = (*StoreClient)(nil)
+
 var (
-	_ Backend   = (*Client)(nil)
-	_ Backend   = (*Pool)(nil)
-	_ Backend   = (*StoreClient)(nil)
-	_ Backend   = (*PoolStore)(nil)
 	_ Transport = (*Client)(nil)
+	_ Transport = (*Reconnector)(nil)
 	_ Transport = (*Pool)(nil)
-	_ poolConn  = (*Client)(nil)
-	_ poolConn  = (*Reconnector)(nil)
+	_ member    = (*Client)(nil)
+	_ member    = (*Reconnector)(nil)
 )
 
-// poolConn is what the Pool needs from each pooled transport: the
-// per-namespace Backend factory, liveness, and the shared logical-error
-// record. Both *Client (fail-fast; poisoned by its first transport error)
-// and *Reconnector (self-healing; unhealthy only after a permanent
-// failure) satisfy it, so pools compose with reconnecting transports —
-// each pooled Reconnector redials its own connection and migrates its own
-// namespaces' upload buffers, while the rest of the pool keeps serving.
-type poolConn interface {
-	Store(name string) Backend
-	Ping() error
-	Close() error
-	Err() error
-	LogicalErr() error
-	LogicalErrCount() uint64
-
+// member is a link a Pool can be built over: besides carrying requests it
+// can home a namespace view and report whether reads should be routed to
+// it. Both *Client (fail-fast; poisoned by its first transport error) and
+// *Reconnector (self-healing; unhealthy only after a permanent failure)
+// qualify, so pools compose with reconnecting transports — each pooled
+// Reconnector redials its own connection and restores the namespaces
+// homed on it, while the rest of the pool keeps serving.
+type member interface {
+	link
+	// view returns the namespace's view homed on this member — the member
+	// that restores it after a reconnect — whose requests travel through
+	// over.
+	view(name string, over link) *StoreClient
 	// healthy reports whether reads should be routed here.
 	healthy() bool
-	// noteLogical records a per-op error a void method swallowed.
-	noteLogical(err error)
 }
 
 // Pool fans calls out over several multiplexed connections to the same
@@ -89,113 +81,69 @@ type poolConn interface {
 // decode, dispatch and encode in parallel.
 //
 // Mutating state is per namespace, pinned per store rather than per pool:
-// each namespace view (WithStore) is assigned a home connection in
-// round-robin order, and that connection owns the namespace's encrypted
-// upload buffer and client-side address arithmetic. Two tenants writing
-// through one pool therefore use two different connections instead of
-// serialising on a single primary. Read ops round-robin across every
-// connection; ops that read the encrypted store flush the namespace's
-// home first so buffered uploads are visible regardless of which
-// connection serves the read. Blocking call semantics make this safe: an
-// op's server-side effect completes before the call returns, and the
-// stores are shared across connections.
-//
-// The Pool's own Backend methods are the DefaultStore view's, whose home
-// is the first connection — the exact single-store behaviour of earlier
-// protocol generations.
+// each namespace view (WithStore) is assigned a home member in
+// round-robin order, and only that member carries the namespace's writes
+// (and, when it reconnects, restores it). Two tenants writing through one
+// pool therefore use two different connections instead of serialising on
+// a single primary. Read ops round-robin across every healthy member; the
+// view flushes its buffered uploads through the home first, so they are
+// visible regardless of which connection serves the read. Blocking call
+// semantics make this safe: an op's server-side effect completes before
+// the call returns, and the stores are shared across connections.
 type Pool struct {
-	conns []poolConn
+	conns []member
 	next  atomic.Uint64
 
-	storeMu  sync.Mutex
-	stores   map[string]*PoolStore
-	nextHome int
-	def      *PoolStore
+	stores   views
+	nextHome int // guarded by stores.mu
 }
 
-// DialPool connects n multiplexed connections to the cloud at addr.
-// n <= 1 degrades to a pool over a single connection.
-func DialPool(addr string, n int) (*Pool, error) {
-	return dialPool(n, func() (poolConn, error) { return Dial(addr) })
-}
-
-// DialReconnectPool is DialPool over reconnecting transports: n
-// independent Reconnectors to the cloud at addr, composed into one Pool.
-// Each pooled Reconnector redials its own connection on failure and
-// migrates the upload buffers of the namespaces homed on it, so one
-// connection's death stalls only the ops routed to it mid-cycle — the
-// rest of the pool keeps serving. This is what lifts the old
-// Reconnect-xor-pool restriction.
-func DialReconnectPool(addr string, n int, opts ReconnectOptions) (*Pool, error) {
-	return dialPool(n, func() (poolConn, error) { return DialReconnect(addr, opts) })
-}
-
-func dialPool(n int, dial func() (poolConn, error)) (*Pool, error) {
-	if n < 1 {
-		n = 1
+// NewPool composes established links — Clients (e.g. net.Pipe pairs in
+// tests) or Reconnectors — into a pool. It panics on an empty slice.
+func NewPool[L member](links []L) *Pool {
+	if len(links) == 0 {
+		panic("wire: NewPool with no connections")
 	}
-	conns := make([]poolConn, 0, n)
+	p := &Pool{conns: make([]member, len(links))}
+	for i, l := range links {
+		p.conns[i] = l
+	}
+	// The default namespace is homed first so its home is conns[0] — the
+	// "writes pinned to the primary" behaviour single-store callers have
+	// always seen.
+	p.WithStore(DefaultStore)
+	return p
+}
+
+// DialPool dials n links (n <= 1 degrades to a pool of one) and composes
+// them: Dial for fail-fast members, DialReconnect for members that each
+// redial their own connection on failure — one connection's death then
+// stalls only the ops routed to it mid-cycle.
+func DialPool[L member](n int, dial func() (L, error)) (*Pool, error) {
+	n = max(n, 1)
+	links := make([]L, 0, n)
 	for i := 0; i < n; i++ {
-		c, err := dial()
+		l, err := dial()
 		if err != nil {
-			for _, open := range conns {
+			for _, open := range links {
 				open.Close()
 			}
 			return nil, fmt.Errorf("wire: dial pool conn %d/%d: %w", i+1, n, err)
 		}
-		conns = append(conns, c)
+		links = append(links, l)
 	}
-	return newPool(conns), nil
-}
-
-// NewPool wraps established clients (e.g. net.Pipe pairs in tests) into a
-// pool. It panics on an empty slice.
-func NewPool(conns []*Client) *Pool {
-	pcs := make([]poolConn, len(conns))
-	for i, c := range conns {
-		pcs[i] = c
-	}
-	return newPool(pcs)
-}
-
-// NewReconnectPool composes established Reconnectors (e.g. over net.Pipe
-// dialers in tests) into a pool.
-func NewReconnectPool(conns []*Reconnector) *Pool {
-	pcs := make([]poolConn, len(conns))
-	for i, c := range conns {
-		pcs[i] = c
-	}
-	return newPool(pcs)
-}
-
-func newPool(conns []poolConn) *Pool {
-	if len(conns) == 0 {
-		panic("wire: NewPool with no connections")
-	}
-	p := &Pool{conns: conns, stores: make(map[string]*PoolStore)}
-	// The default namespace is created first so its home is conns[0] —
-	// the "writes pinned to the primary" behaviour single-store callers
-	// have always seen.
-	p.def = p.WithStore(DefaultStore)
-	return p
+	return NewPool(links), nil
 }
 
 // WithStore returns the view of the named server-side namespace ("" means
-// DefaultStore), assigning it a home connection for mutations in
-// round-robin order on first use. The same name always yields the same
-// view.
-func (p *Pool) WithStore(name string) *PoolStore {
-	name = storeName(name)
-	p.storeMu.Lock()
-	defer p.storeMu.Unlock()
-	if s, ok := p.stores[name]; ok {
-		return s
-	}
-	conn := p.conns[p.nextHome%len(p.conns)]
-	p.nextHome++
-	s := &PoolStore{p: p, conn: conn, home: conn.Store(name), name: name}
-	p.stores[name] = s
-	return s
+// DefaultStore), assigning it a home member for mutations in round-robin
+// order on first use. The same name always yields the same view.
+func (p *Pool) WithStore(name string) *StoreClient {
+	return p.stores.get(name, func(name string) *StoreClient {
+		home := p.conns[p.nextHome%len(p.conns)]
+		p.nextHome++
+		return home.view(name, poolLink{p, home})
+	})
 }
 
 // Store implements Transport: the Backend view of one namespace.
@@ -204,16 +152,11 @@ func (p *Pool) Store(name string) Backend { return p.WithStore(name) }
 // Size reports the number of pooled connections.
 func (p *Pool) Size() int { return len(p.conns) }
 
-// primary is the first connection: home of the default namespace and the
-// pool's liveness bellwether.
-func (p *Pool) primary() poolConn { return p.conns[0] }
-
-// pick round-robins across all connections for read ops, skipping
-// unhealthy ones: a dead secondary must not keep swallowing reads as
-// silent zero values while the rest of the pool works. With every
-// connection unhealthy it falls back to the primary, whose fail-fast
-// errors surface the cause.
-func (p *Pool) pick() poolConn {
+// pick round-robins across all members for read ops, skipping unhealthy
+// ones: a dead secondary must not keep swallowing reads as silent zero
+// values while the rest of the pool works. With every member unhealthy it
+// falls back to the first, whose fail-fast errors surface the cause.
+func (p *Pool) pick() member {
 	n := uint64(len(p.conns))
 	start := p.next.Add(1)
 	for i := uint64(0); i < n; i++ {
@@ -221,7 +164,7 @@ func (p *Pool) pick() poolConn {
 			return c
 		}
 	}
-	return p.primary()
+	return p.conns[0]
 }
 
 // Close closes every connection, returning the first error.
@@ -245,14 +188,15 @@ func (p *Pool) Ping() error {
 	return nil
 }
 
-// Err returns the primary connection's sticky transport error. A dead
-// secondary is degradation, not failure — default-store writes never
-// touch it and pick() routes reads around it — so it must not permanently
-// fail an otherwise healthy pool. Ops that failed on a secondary before
-// the routing kicked in are observable through LogicalErr/LogicalErrCount
-// (and a namespace homed on the dead connection through its view's Err),
-// and the capacity loss through Alive.
-func (p *Pool) Err() error { return p.primary().Err() }
+// Err returns the first member's sticky transport error: the home of the
+// default namespace and the pool's liveness bellwether. A dead secondary
+// is degradation, not failure — pick() routes reads around it — so it
+// must not permanently fail an otherwise healthy pool. Ops that failed on
+// a secondary before the routing kicked in are observable through the
+// issuing view's LogicalErr/LogicalErrCount (and a namespace homed on the
+// dead connection through its view's Err), and the capacity loss through
+// Alive.
+func (p *Pool) Err() error { return p.conns[0].Err() }
 
 // Alive reports how many pooled connections are healthy (not poisoned;
 // for reconnecting members, not permanently failed).
@@ -266,254 +210,28 @@ func (p *Pool) Alive() int {
 	return n
 }
 
-// LogicalErr returns the first recorded per-op error across the pool.
-func (p *Pool) LogicalErr() error {
-	for _, c := range p.conns {
-		if err := c.LogicalErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LogicalErrCount sums the per-op error counts across the pool, so a
-// bracketed window observes a silent failure on any connection.
-func (p *Pool) LogicalErrCount() uint64 {
-	var n uint64
-	for _, c := range p.conns {
-		n += c.LogicalErrCount()
-	}
-	return n
-}
-
-// --- default-store Backend surface --------------------------------------
-
-// SetAdminToken attaches the default store's owner token.
-func (p *Pool) SetAdminToken(tok []byte) { p.def.SetAdminToken(tok) }
-
-// Load ships the clear-text partition through the default store's home.
-func (p *Pool) Load(rns *relation.Relation, attr string) error { return p.def.Load(rns, attr) }
-
-// Search round-robins across connections.
-func (p *Pool) Search(values []relation.Value) []relation.Tuple { return p.def.Search(values) }
-
-// SearchRange round-robins across connections.
-func (p *Pool) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return p.def.SearchRange(lo, hi)
-}
-
-// Insert goes through the default store's home connection.
-func (p *Pool) Insert(t relation.Tuple) error { return p.def.Insert(t) }
-
-// Add buffers on the default store's home connection, which owns its
-// address arithmetic.
-func (p *Pool) Add(tupleCT, attrCT, token []byte) int { return p.def.Add(tupleCT, attrCT, token) }
-
-// Flush uploads the default store's pending rows.
-func (p *Pool) Flush() error { return p.def.Flush() }
-
-// Len round-robins after flushing pending uploads.
-func (p *Pool) Len() int { return p.def.Len() }
-
-// AttrColumn round-robins after flushing pending uploads.
-func (p *Pool) AttrColumn() []storage.EncRow { return p.def.AttrColumn() }
-
-// Fetch round-robins after flushing pending uploads.
-func (p *Pool) Fetch(addrs []int) ([]storage.EncRow, error) { return p.def.Fetch(addrs) }
-
-// FetchBatch round-robins after flushing pending uploads.
-func (p *Pool) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	return p.def.FetchBatch(addrBatches)
-}
-
-// LookupToken round-robins after flushing pending uploads.
-func (p *Pool) LookupToken(tok []byte) []int { return p.def.LookupToken(tok) }
-
-// Rows round-robins after flushing pending uploads.
-func (p *Pool) Rows() []storage.EncRow { return p.def.Rows() }
-
-// EncVersion round-robins after flushing pending uploads.
-func (p *Pool) EncVersion() (storage.EncVersion, error) { return p.def.EncVersion() }
-
-// AttrColumnSince round-robins after flushing pending uploads.
-func (p *Pool) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return p.def.AttrColumnSince(v, have)
-}
-
-// RowsSince round-robins after flushing pending uploads.
-func (p *Pool) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return p.def.RowsSince(v, have)
-}
-
-// --- PoolStore ----------------------------------------------------------
-
-// PoolStore is one namespace's view of a pool: mutations go through the
-// namespace's home connection (which owns its upload buffer), reads
-// round-robin across every connection after flushing the home so buffered
-// uploads are visible wherever the read lands.
-type PoolStore struct {
+// poolLink is a pooled namespace's link: mutations go through the
+// namespace's home member, reads round-robin across every healthy member.
+type poolLink struct {
 	p    *Pool
-	conn poolConn // the pinned home connection
-	home Backend  // the pinned connection's view of this namespace
-	name string
+	home member
 }
 
-// StoreName returns the namespace this view addresses.
-func (s *PoolStore) StoreName() string { return s.name }
-
-// Home exposes the pinned connection's view (tests assert the pinning).
-func (s *PoolStore) Home() Backend { return s.home }
-
-// read picks a connection for a read op, making this namespace's buffered
-// uploads durable first. The no-pending fast path is a single mutex
-// acquisition on the home view.
-func (s *PoolStore) read() (Backend, error) {
-	if err := s.home.Flush(); err != nil {
-		return nil, err
+func (l poolLink) acquire(write bool) (*Client, error) {
+	if write {
+		return l.home.acquire(true)
 	}
-	return s.p.pick().Store(s.name), nil
+	return l.p.pick().acquire(false)
 }
+
+func (l poolLink) budget() int { return l.home.budget() }
 
 // Ping checks liveness of every pooled connection.
-func (s *PoolStore) Ping() error { return s.p.Ping() }
+func (l poolLink) Ping() error { return l.p.Ping() }
 
-// Err returns this namespace's home-connection sticky transport error:
-// the connection its writes depend on.
-func (s *PoolStore) Err() error { return s.home.Err() }
-
-// LogicalErr returns the first recorded per-op error across the pool
-// (reads round-robin, so any connection may have swallowed this
-// namespace's error).
-func (s *PoolStore) LogicalErr() error { return s.p.LogicalErr() }
-
-// LogicalErrCount sums the per-op error counts across the pool.
-func (s *PoolStore) LogicalErrCount() uint64 { return s.p.LogicalErrCount() }
+// Err is the home member's sticky error: the one this namespace's writes
+// depend on.
+func (l poolLink) Err() error { return l.home.Err() }
 
 // Close closes the SHARED pool: every namespace view dies with it.
-func (s *PoolStore) Close() error { return s.p.Close() }
-
-// SetAdminToken attaches the owner token to the home connection's view —
-// the one this namespace's writes (which carry the token) go through.
-func (s *PoolStore) SetAdminToken(tok []byte) { s.home.SetAdminToken(tok) }
-
-// Load ships the clear-text partition through the home connection.
-func (s *PoolStore) Load(rns *relation.Relation, attr string) error {
-	return s.home.Load(rns, attr)
-}
-
-// Search round-robins across connections.
-func (s *PoolStore) Search(values []relation.Value) []relation.Tuple {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return nil
-	}
-	return v.Search(values)
-}
-
-// SearchRange round-robins across connections.
-func (s *PoolStore) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return nil
-	}
-	return v.SearchRange(lo, hi)
-}
-
-// Insert goes through the home connection.
-func (s *PoolStore) Insert(t relation.Tuple) error { return s.home.Insert(t) }
-
-// Add buffers on the home connection, which owns this namespace's address
-// arithmetic.
-func (s *PoolStore) Add(tupleCT, attrCT, token []byte) int {
-	return s.home.Add(tupleCT, attrCT, token)
-}
-
-// Flush uploads this namespace's pending rows through its home.
-func (s *PoolStore) Flush() error { return s.home.Flush() }
-
-// Len round-robins after flushing pending uploads.
-func (s *PoolStore) Len() int {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return 0
-	}
-	return v.Len()
-}
-
-// AttrColumn round-robins after flushing pending uploads.
-func (s *PoolStore) AttrColumn() []storage.EncRow {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return nil
-	}
-	return v.AttrColumn()
-}
-
-// Fetch round-robins after flushing pending uploads.
-func (s *PoolStore) Fetch(addrs []int) ([]storage.EncRow, error) {
-	v, err := s.read()
-	if err != nil {
-		return nil, err
-	}
-	return v.Fetch(addrs)
-}
-
-// FetchBatch round-robins after flushing pending uploads.
-func (s *PoolStore) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	v, err := s.read()
-	if err != nil {
-		return nil, err
-	}
-	return v.FetchBatch(addrBatches)
-}
-
-// LookupToken round-robins after flushing pending uploads.
-func (s *PoolStore) LookupToken(tok []byte) []int {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return nil
-	}
-	return v.LookupToken(tok)
-}
-
-// Rows round-robins after flushing pending uploads.
-func (s *PoolStore) Rows() []storage.EncRow {
-	v, err := s.read()
-	if err != nil {
-		s.conn.noteLogical(err)
-		return nil
-	}
-	return v.Rows()
-}
-
-// EncVersion round-robins after flushing pending uploads.
-func (s *PoolStore) EncVersion() (storage.EncVersion, error) {
-	v, err := s.read()
-	if err != nil {
-		return storage.EncVersion{}, err
-	}
-	return v.EncVersion()
-}
-
-// AttrColumnSince round-robins after flushing pending uploads.
-func (s *PoolStore) AttrColumnSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	v, err := s.read()
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return v.AttrColumnSince(ver, have)
-}
-
-// RowsSince round-robins after flushing pending uploads.
-func (s *PoolStore) RowsSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	v, err := s.read()
-	if err != nil {
-		return nil, storage.EncVersion{}, false, err
-	}
-	return v.RowsSince(ver, have)
-}
+func (l poolLink) Close() error { return l.p.Close() }

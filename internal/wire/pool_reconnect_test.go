@@ -24,7 +24,7 @@ func TestReconnectPoolSurvivesOneConnKillMidBatch(t *testing.T) {
 	for i := range conns {
 		conns[i] = reconnectorFor(t, srv)
 	}
-	p := NewReconnectPool(conns)
+	p := NewPool(conns)
 	if p.Size() != 3 || p.Alive() != 3 {
 		t.Fatalf("pool size/alive = %d/%d", p.Size(), p.Alive())
 	}
@@ -33,7 +33,7 @@ func TestReconnectPoolSurvivesOneConnKillMidBatch(t *testing.T) {
 	// seeded — the shape the owner-side technique drives.
 	a := p.WithStore("tenant-a")
 	b := p.WithStore("tenant-b")
-	for _, v := range []*PoolStore{a, b} {
+	for _, v := range []*StoreClient{a, b} {
 		if err := v.Load(testRelation(25), "K"); err != nil {
 			t.Fatal(err)
 		}
@@ -44,17 +44,6 @@ func TestReconnectPoolSurvivesOneConnKillMidBatch(t *testing.T) {
 		}
 		if err := v.Flush(); err != nil {
 			t.Fatal(err)
-		}
-	}
-
-	// killOne closes exactly one pooled member's current connection; the
-	// others keep their transports.
-	killOne := func(rc *Reconnector) {
-		rc.mu.Lock()
-		cur := rc.cur
-		rc.mu.Unlock()
-		if cur != nil {
-			cur.conn.Close()
 		}
 	}
 
@@ -118,7 +107,7 @@ func TestReconnectPoolSurvivesOneConnKillMidBatch(t *testing.T) {
 
 	for k := 0; k < 2; k++ {
 		time.Sleep(25 * time.Millisecond)
-		killOne(conns[(k+1)%len(conns)])
+		killCurrent(conns[(k+1)%len(conns)]) // exactly one member; the others keep their transports
 	}
 	time.Sleep(25 * time.Millisecond)
 	close(stop)
@@ -150,34 +139,38 @@ func TestReconnectPoolSurvivesOneConnKillMidBatch(t *testing.T) {
 // reconnecting members, fails fast on an unreachable address, and the
 // pooled members reconnect independently after a full server restart.
 func TestDialReconnectPool(t *testing.T) {
-	if _, err := DialReconnectPool("127.0.0.1:1", 2, fastOpts); err == nil {
+	dial := func(addr string) func() (*Reconnector, error) {
+		return func() (*Reconnector, error) { return DialReconnect(addr, fastOpts) }
+	}
+	if _, err := DialPool(2, dial("127.0.0.1:1")); err == nil {
 		t.Fatal("DialReconnectPool to unreachable addr succeeded")
 	}
 
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	p, err := DialReconnectPool(srv.addr, 2, fastOpts)
+	p, err := DialPool(2, dial(srv.addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Load(testRelation(10), "K"); err != nil {
+	v := p.WithStore(DefaultStore)
+	if err := v.Load(testRelation(10), "K"); err != nil {
 		t.Fatal(err)
 	}
-	if addr := p.Add([]byte("ct"), nil, nil); addr != 0 {
+	if addr := v.Add([]byte("ct"), nil, nil); addr != 0 {
 		t.Fatalf("Add = %d", addr)
 	}
-	if err := p.Flush(); err != nil {
+	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill everything; the same cloud comes back. Every member redials.
 	srv.kill()
 	srv.restart(t, cl)
-	if got := p.Search([]relation.Value{relation.Int(1)}); got == nil {
-		t.Fatalf("Search after restart = nil: %v / %v", p.LogicalErr(), p.Err())
+	if got := v.Search([]relation.Value{relation.Int(1)}); got == nil {
+		t.Fatalf("Search after restart = nil: %v / %v", v.LogicalErr(), p.Err())
 	}
-	if n := p.Len(); n != 1 {
+	if n := v.Len(); n != 1 {
 		t.Fatalf("Len after restart = %d", n)
 	}
 	if got := p.Alive(); got != 2 {

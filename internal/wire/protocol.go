@@ -2,9 +2,11 @@
 // the untrusted cloud can run as a separate process: length-prefixed
 // frames over any net.Conn carrying a hand-rolled binary codec for the
 // hot data-plane ops (and gob for the cold ones), a server hosting any
-// number of named store pairs (clear-text + encrypted), and clients that
-// plug into the owner as a cloud.PlainBackend and into any technique as a
-// technique.EncStore.
+// number of named store pairs (clear-text + encrypted), and one client
+// view type — StoreClient — that plugs into the owner as a
+// cloud.PlainBackend and into any technique as a technique.EncStore,
+// whatever carries its requests: a Client (one connection), a
+// Reconnector (a connection that heals itself) or a Pool of either.
 //
 // Every request carries a client-assigned ID echoed by its response, so
 // many calls can be in flight on one connection at once: the client runs
@@ -15,15 +17,19 @@
 // response frames. Responses may therefore arrive in any order; ordering
 // guarantees come from callers blocking on their own response, not from
 // the transport. For CPU-bound encrypted scans a small connection pool
-// (DialPool) spreads calls over several multiplexed connections.
+// (Pool) spreads calls over several multiplexed connections.
 //
 // Namespaces: every request addresses a named store, so one cloud serves
 // any number of independently keyed relations side by side (the
 // multi-relation outsourcing model of the paper's successors). A
-// connection is shared across namespaces — Client.WithStore / (*Pool).WithStore
-// return per-namespace views implementing the full Backend surface — and
-// the server keeps per-store state and per-store locks, so tenants never
-// contend except on the transport itself.
+// connection is shared across namespaces — WithStore on a Client, a
+// Reconnector or a Pool returns the namespace's *StoreClient, the only
+// Backend implementation in this package, which owns everything that is
+// per namespace (upload buffer, address arithmetic, owner token, replay
+// mirror, logical-error record) and reaches the cloud through the link
+// it was derived from — and the server keeps per-store state and
+// per-store locks, so tenants never contend except on the transport
+// itself.
 //
 // The protocol is versioned: the first message on every connection must
 // be an opHello carrying ProtocolVersion, exchanged as plain gob exactly
@@ -39,15 +45,16 @@
 //
 // Reads come in batched flavours too: opEncFetchBatch serves one address
 // list per query of a batched search in a single round trip, which is how
-// Client/Pool satisfy technique.BatchEncStore and how a remote QueryBatch
-// avoids paying one network latency per query.
+// StoreClient satisfies technique.BatchEncStore and how a remote
+// QueryBatch avoids paying one network latency per query.
 //
 // The control plane rides the same protocol: namespace lifecycle ops
 // (list/stats/drop/compact) authenticated by a per-namespace owner token
 // derived from the owner's master key (OwnerToken; the cloud stores only
 // its hash, claimed by the namespace's first write), a Reconnector that
-// survives transport failure by redialing, re-handshaking and replaying
-// retained uploads exactly once, and two-level dispatch admission
+// survives transport failure by redialing, re-handshaking and having each
+// view homed on it restore its namespace (retained uploads replay exactly
+// once), and two-level dispatch admission
 // (per-connection plus per-namespace) so tenants sharing a connection
 // cannot starve each other.
 //

@@ -104,7 +104,7 @@ func testRelation(n int) *relation.Relation {
 // exactly once.
 func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 	srv := newChaosServer(t, NewCloud())
-	rc := reconnectorFor(t, srv)
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 
 	if err := rc.Load(testRelation(20), "K"); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 
 	for i := 0; i < 5; i++ {
 		if addr := rc.Add([]byte{byte(i)}, nil, []byte("tok")); addr != i {
@@ -194,7 +194,7 @@ func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 
 	for i := 0; i < 5; i++ {
 		rc.Add([]byte{byte(i)}, nil, nil)
@@ -212,9 +212,9 @@ func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 5; i < 8; i++ {
-		direct.Add([]byte{byte(i)}, nil, nil)
+		direct.WithStore(DefaultStore).Add([]byte{byte(i)}, nil, nil)
 	}
-	if err := direct.Flush(); err != nil {
+	if err := direct.WithStore(DefaultStore).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	direct.Close()
@@ -236,7 +236,7 @@ func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 // serve wrong rows.
 func TestReconnectorUnreconcilableFailsLoudly(t *testing.T) {
 	srv := newChaosServer(t, NewCloud())
-	rc := reconnectorFor(t, srv)
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 	for i := 0; i < 5; i++ {
 		rc.Add([]byte{byte(i)}, nil, nil)
 	}
@@ -290,7 +290,7 @@ func TestReconnectorGivesUpAfterMaxRetries(t *testing.T) {
 func TestReconnectorConcurrentOpsSurviveKill(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 	if err := rc.Load(testRelation(30), "K"); err != nil {
 		t.Fatal(err)
 	}

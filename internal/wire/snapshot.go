@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,22 +21,14 @@ import (
 // Save and Restore take the cloud-level write lock, so they are exclusive
 // against every op in flight on the concurrent per-connection
 // dispatchers across all namespaces.
-//
-// The legacy single-store fields keep protocol-v1-era state files
-// restorable: a snapshot without Version (gob-decoded as 0) is loaded
-// into DefaultStore.
 type snapshot struct {
-	// Version distinguishes snapshot generations: 0 is the legacy
-	// single-store layout, ProtocolVersion (2) the namespaced one.
+	// Version is the ProtocolVersion of the server that saved the
+	// snapshot (>= 2: the namespaced layout). The protocol-v1 single-store
+	// layout had no stamp (and no Stores): no server since has written it,
+	// it no longer decodes, and whatever does decode to Version 0 is
+	// refused by Restore rather than guessed at.
 	Version int
 	Stores  []storeSnapshot
-
-	// Legacy single-store layout (Version 0).
-	HasPlain bool
-	Schema   relation.Schema
-	Tuples   []relation.Tuple
-	Attr     string
-	Enc      []storage.EncRow
 }
 
 // storeSnapshot is one namespace's serialised state.
@@ -154,27 +147,17 @@ func materialiseStore(ss storeSnapshot) (*storage.Store, error) {
 }
 
 // Restore replaces the entire cloud state — all namespaces — with a
-// previously saved snapshot. Legacy (pre-namespace) snapshots restore
-// into DefaultStore.
+// previously saved snapshot. A pre-namespace (protocol-v1) snapshot is
+// refused and leaves the live state intact.
 func (c *Cloud) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("wire: snapshot restore: %w", err)
 	}
-	stores := snap.Stores
 	if snap.Version == 0 {
-		// Legacy layout: one implicit store.
-		if snap.HasPlain || len(snap.Enc) > 0 {
-			stores = []storeSnapshot{{
-				Name:     DefaultStore,
-				HasPlain: snap.HasPlain,
-				Schema:   snap.Schema,
-				Tuples:   snap.Tuples,
-				Attr:     snap.Attr,
-				Enc:      snap.Enc,
-			}}
-		}
+		return errors.New("wire: snapshot restore: pre-namespace snapshot (no version stamp: written by a protocol-v1 server), refusing to guess its layout")
 	}
+	stores := snap.Stores
 
 	// Materialise every store before touching the live registry, so a bad
 	// snapshot leaves the current state (all namespaces) intact.

@@ -37,18 +37,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	defer client1.Close()
 
 	ks := crypto.DeriveKeys([]byte("snapshot"))
-	tech, err := technique.NewNoIndOn(ks, client1)
+	tech, err := technique.NewNoIndOn(ks, client1.WithStore(DefaultStore))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := owner.New(tech, "EId")
-	o.SetCloudBackend(client1)
+	o.SetCloudBackend(client1.WithStore(DefaultStore))
 	emp := workload.Employee()
 	opts := core.Options{Rand: mrand.New(mrand.NewPCG(5, 6))}
 	if err := o.Outsource(emp.Clone(), workload.EmployeeSensitive, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := client1.Flush(); err != nil {
+	if err := client1.WithStore(DefaultStore).Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// A new owner session (same keys and bin seed) against the restored
 	// cloud: rebuild owner-side metadata by re-deriving from the original
 	// relation but point both backends at cloud2.
-	tech2, err := technique.NewNoIndOn(ks, &restoredStore{client2})
+	tech2, err := technique.NewNoIndOn(ks, &restoredStore{client2.WithStore(DefaultStore)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +85,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Owner metadata (bins, counts) is reconstructed from the relation;
 	// the cloud stores are NOT re-uploaded: the restored plain store must
 	// already answer.
-	got := client2.Search([]relation.Value{relation.Str("E259")})
+	got := client2.WithStore(DefaultStore).Search([]relation.Value{relation.Str("E259")})
 	if len(got) != 1 {
 		t.Fatalf("restored plain store returned %d tuples for E259, want 1", len(got))
 	}
-	if n := client2.Len(); n != cloud1Len(t, client1) {
+	if n := client2.WithStore(DefaultStore).Len(); n != cloud1Len(t, client1) {
 		t.Fatalf("restored enc store has %d rows, want %d", n, cloud1Len(t, client1))
 	}
 	_ = o2
 
 	// End-to-end equality of the encrypted column between original and
 	// restored clouds.
-	col1 := client1.AttrColumn()
-	col2 := client2.AttrColumn()
+	col1 := client1.WithStore(DefaultStore).AttrColumn()
+	col2 := client2.WithStore(DefaultStore).AttrColumn()
 	if !reflect.DeepEqual(col1, col2) {
 		t.Fatal("restored encrypted column differs")
 	}
@@ -105,7 +105,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func cloud1Len(t *testing.T, c *Client) int {
 	t.Helper()
-	n := c.Len()
+	n := c.WithStore(DefaultStore).Len()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func cloud1Len(t *testing.T, c *Client) int {
 
 // restoredStore wraps a client without the upload buffer semantics (reads
 // only).
-type restoredStore struct{ *Client }
+type restoredStore struct{ *StoreClient }
 
 // TestSnapshotMultiStoreRoundTrip: a cloud hosting several namespaces
 // persists and restores all of them, with plain and encrypted sides
@@ -171,10 +171,13 @@ func TestSnapshotMultiStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacySnapshot: a pre-namespace state file (no Version
-// field, single implicit store) restores into DefaultStore, so qbcloud
-// upgrades keep their data.
-func TestRestoreLegacySnapshot(t *testing.T) {
+// TestRestoreRefusesPreNamespaceSnapshot: a protocol-v1 state file (no
+// Version field, single implicit store) is refused instead of being
+// guessed into DefaultStore — its own layout no longer even decodes, and
+// anything that does decode without a version stamp gets the explicit
+// pre-namespace error — and the live state survives the refusal; a
+// versioned snapshot still restores over it.
+func TestRestoreRefusesPreNamespaceSnapshot(t *testing.T) {
 	// The v1 snapshot layout, gob-encoded exactly as PR 2/3 wrote it.
 	type legacySnapshot struct {
 		HasPlain bool
@@ -194,25 +197,47 @@ func TestRestoreLegacySnapshot(t *testing.T) {
 		Attr:     "K",
 		Enc:      []storage.EncRow{{Addr: 0, TupleCT: []byte("old-ct"), Token: []byte("t")}},
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
+	// The same state in today's layout minus the stamp: what Version == 0
+	// can still decode to.
+	unstamped := snapshot{Stores: []storeSnapshot{{
+		Name: DefaultStore, HasPlain: true, Schema: rel.Schema, Tuples: rel.Tuples, Attr: "K", Enc: legacy.Enc,
+	}}}
 
 	c := NewCloud()
-	if err := c.Restore(&buf); err != nil {
-		t.Fatalf("legacy snapshot refused: %v", err)
+	c.stores.GetOrCreate("live").Enc().Add([]byte("precious"), nil, nil)
+	for name, tc := range map[string]struct {
+		snap any
+		want string
+	}{
+		"v1 layout": {legacy, "snapshot restore"},
+		"unstamped": {unstamped, "pre-namespace snapshot"},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tc.snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Restore(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: restore = %v, want a refusal mentioning %q", name, err, tc.want)
+		}
+		if names := c.StoreNames(); !reflect.DeepEqual(names, []string{"live"}) {
+			t.Fatalf("%s: refused restore changed the namespaces to %v", name, names)
+		}
+		if st, _ := c.stores.Get("live"); st.Enc().Len() != 1 {
+			t.Fatalf("%s: refused restore destroyed live state", name)
+		}
 	}
-	st, ok := c.stores.Get(DefaultStore)
-	if !ok {
-		t.Fatalf("legacy data not in DefaultStore; namespaces = %v", c.StoreNames())
+
+	// Every stamped generation restores exactly as before.
+	var cur bytes.Buffer
+	if err := c.Save(&cur); err != nil {
+		t.Fatal(err)
 	}
-	if st.Plain() == nil || st.Plain().Len() != 1 {
-		t.Fatal("legacy plain relation lost")
+	c2 := NewCloud()
+	if err := c2.Restore(&cur); err != nil {
+		t.Fatalf("current-generation snapshot refused: %v", err)
 	}
-	rows := st.Enc().Rows()
-	if len(rows) != 1 || string(rows[0].TupleCT) != "old-ct" {
-		t.Fatalf("legacy enc rows = %v", rows)
+	if st, ok := c2.stores.Get("live"); !ok || st.Enc().Len() != 1 {
+		t.Fatalf("current-generation snapshot restored wrong: %v", c2.StoreNames())
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // startCloudListener runs a cloud on a loopback listener and returns the
@@ -26,6 +27,14 @@ func startCloudListener(t *testing.T) (*Cloud, string) {
 	t.Cleanup(func() { lis.Close() })
 	return cl, lis.Addr().String()
 }
+
+// dialPool pools n plain connections to the cloud at addr.
+func dialPool(addr string, n int) (*Pool, error) {
+	return DialPool(n, func() (*Client, error) { return Dial(addr) })
+}
+
+// homeOf returns the pool member a pooled view's writes are pinned to.
+func homeOf(v *StoreClient) member { return v.link.(poolLink).home }
 
 // TestHelloRejectsLegacyClient: a pre-namespace (v1) client never sends
 // opHello; its first op must be answered with an explicit
@@ -109,7 +118,7 @@ func TestClientRejectsLegacyServer(t *testing.T) {
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "version mismatch") {
 		t.Fatalf("Err = %v, want sticky version mismatch", err)
 	}
-	if _, err := c.Fetch([]int{0}); err == nil {
+	if _, err := c.WithStore(DefaultStore).Fetch([]int{0}); err == nil {
 		t.Fatal("fetch proceeded against a version-mismatched server")
 	}
 }
@@ -240,7 +249,7 @@ func TestStoreNamespacesOverWire(t *testing.T) {
 	if got := fin.Search([]relation.Value{relation.Int(1)}); got != nil {
 		t.Fatalf("finance search = %v", got)
 	}
-	if le := c.LogicalErr(); le == nil || !strings.Contains(le.Error(), "finance") {
+	if le := fin.LogicalErr(); le == nil || !strings.Contains(le.Error(), "finance") {
 		t.Fatalf("LogicalErr = %v, want store-qualified no-relation error", le)
 	}
 
@@ -248,10 +257,10 @@ func TestStoreNamespacesOverWire(t *testing.T) {
 	if c.WithStore("") != c.WithStore(DefaultStore) {
 		t.Fatal("empty name and DefaultStore yield different views")
 	}
-	if a := c.Add([]byte("def-0"), nil, nil); a != 0 {
+	if a := c.WithStore(DefaultStore).Add([]byte("def-0"), nil, nil); a != 0 {
 		t.Fatalf("default store first addr = %d", a)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.WithStore(DefaultStore).Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,12 +278,42 @@ func TestStoreNamespacesOverWire(t *testing.T) {
 	}
 }
 
+// TestLogicalRecordIsPerNamespace: two tenants share one connection; a
+// failing op of one must not show up in the other's bracket, or tenant A's
+// successful query would be reported as failed with tenant B's error.
+func TestLogicalRecordIsPerNamespace(t *testing.T) {
+	_, addr := startCloudListener(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, b := c.WithStore("tenant-a"), c.WithStore("tenant-b")
+	if err := a.Load(testRelation(5), "K"); err != nil {
+		t.Fatal(err)
+	}
+
+	beforeA, beforeB := a.LogicalErrCount(), b.LogicalErrCount()
+	if got := b.Search(nil); got != nil {
+		t.Fatalf("Search on a never-loaded store = %v", got)
+	}
+	if got := a.Search([]relation.Value{relation.Int(1)}); len(got) != 1 {
+		t.Fatalf("tenant-a Search = %v", got)
+	}
+	if n := b.LogicalErrCount(); n != beforeB+1 {
+		t.Fatalf("tenant-b's failing Search moved its count %d -> %d", beforeB, n)
+	}
+	if a.LogicalErrCount() != beforeA {
+		t.Fatalf("tenant-a's bracket sees %q", a.LogicalErr())
+	}
+}
+
 // TestPoolPinsWritesPerStore: with two connections, two namespaces get
 // two different home connections — mutations no longer serialise on a
 // single pool-wide primary — while the default store keeps conns[0].
 func TestPoolPinsWritesPerStore(t *testing.T) {
 	_, addr := startCloudListener(t)
-	p, err := DialPool(addr, 2)
+	p, err := dialPool(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +321,10 @@ func TestPoolPinsWritesPerStore(t *testing.T) {
 
 	a := p.WithStore("tenant-a")
 	b := p.WithStore("tenant-b")
-	if a.conn == b.conn {
+	if homeOf(a) == homeOf(b) {
 		t.Fatal("two namespaces share one home connection on a 2-conn pool")
 	}
-	if p.WithStore("").conn != p.conns[0] {
+	if homeOf(p.WithStore("")) != p.conns[0] {
 		t.Fatal("default store not homed on the first connection")
 	}
 	// Same name, same view.
@@ -319,7 +358,7 @@ func TestPoolPinsWritesPerStore(t *testing.T) {
 // routes its reads around the corpse.
 func TestPoolStoreSurvivesOtherHomeDeath(t *testing.T) {
 	_, addr := startCloudListener(t)
-	p, err := DialPool(addr, 2)
+	p, err := dialPool(addr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,8 +373,8 @@ func TestPoolStoreSurvivesOtherHomeDeath(t *testing.T) {
 	}
 
 	// Kill tenant-a's home.
-	a.Home().(*StoreClient).c.conn.Close()
-	for a.Home().(*StoreClient).c.stickyErr() == nil {
+	homeOf(a).(*Client).conn.Close()
+	for homeOf(a).(*Client).stickyErr() == nil {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -360,29 +399,156 @@ func TestPoolStoreSurvivesOtherHomeDeath(t *testing.T) {
 	}
 }
 
-// TestTwoNamespacesConcurrently hammers two namespaces through one
-// connection and through a pool under -race: interleaved writes, reads
-// and per-store loads must stay isolated.
+// transportStacks is every way a namespace view can reach a cloud: the
+// four link stacks the conformance table and the concurrency stress both
+// run over. home returns the self-healing link a view's writes ride (nil
+// on the fail-fast stacks).
+var transportStacks = []struct {
+	name string
+	open func(addr string) (Transport, error)
+	home func(v *StoreClient) *Reconnector
+}{
+	{"conns=1", func(addr string) (Transport, error) { return Dial(addr) }, nil},
+	{"conns=3", func(addr string) (Transport, error) { return dialPool(addr, 3) }, nil},
+	{"reconnect,conns=1", func(addr string) (Transport, error) { return DialReconnect(addr, fastOpts) },
+		func(v *StoreClient) *Reconnector { return v.link.(*Reconnector) }},
+	{"reconnect,conns=2", func(addr string) (Transport, error) {
+		return DialPool(2, func() (*Reconnector, error) { return DialReconnect(addr, fastOpts) })
+	}, func(v *StoreClient) *Reconnector { return homeOf(v).(*Reconnector) }},
+}
+
+// killCurrent severs a Reconnector's live connection and waits for the
+// poison to register, so the next op deterministically runs a reconnect
+// cycle.
+func killCurrent(rc *Reconnector) {
+	rc.mu.Lock()
+	cur := rc.cur
+	rc.mu.Unlock()
+	if cur == nil {
+		return
+	}
+	cur.conn.Close()
+	for cur.stickyErr() == nil {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTransportConformance runs one op script over every link stack, each
+// against its own fresh cloud, and requires identical answers AND an
+// identical per-namespace server-side op count: what the cloud — the
+// adversary — observes must not depend on how requests reach it. The
+// self-healing stacks then lose their connection between Add and Flush
+// and must land the buffered rows exactly once.
+func TestTransportConformance(t *testing.T) {
+	const ns = "conformance"
+	tok := OwnerToken([]byte("conformance master key"), ns)
+	type outcome struct {
+		Search, Range       []relation.Tuple
+		Lookup              []int
+		Fetch               []storage.EncRow
+		Batch               [][]storage.EncRow
+		VerN                uint64
+		HitRows, TailRows   []storage.EncRow
+		HitDelta, TailDelta bool
+		Len                 int
+		Stats               StoreStats
+	}
+	var want *outcome
+	for _, stack := range transportStacks {
+		t.Run(stack.name, func(t *testing.T) {
+			_, addr := startCloudListener(t)
+			tr, err := stack.open(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tr.Close() })
+			v := tr.Store(ns).(*StoreClient)
+			v.SetAdminToken(tok)
+			add := func(from, n int) {
+				t.Helper()
+				for i := from; i < from+n; i++ {
+					if a := v.Add([]byte{byte(i)}, []byte{byte(100 + i)}, []byte("tok")); a != i {
+						t.Fatalf("Add #%d = %d", i, a)
+					}
+				}
+			}
+			check := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var got outcome
+			check(v.Load(testRelation(20), "K"))
+			add(0, 6)
+			check(v.Flush())
+			got.Search = v.Search([]relation.Value{relation.Int(2)})
+			got.Range = v.SearchRange(relation.Int(1), relation.Int(2))
+			got.Lookup = v.LookupToken([]byte("tok"))
+			got.Fetch, err = v.Fetch([]int{0, 3})
+			check(err)
+			got.Batch, err = v.FetchBatch([][]int{{1}, {2, 4}})
+			check(err)
+			ver, err := v.EncVersion()
+			check(err)
+			got.VerN = ver.N
+			got.HitRows, _, got.HitDelta, err = v.AttrColumnSince(ver, 6)
+			check(err)
+			add(6, 2)
+			check(v.Flush())
+			got.TailRows, _, got.TailDelta, err = v.AttrColumnSince(ver, 6)
+			check(err)
+			check(v.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}))
+			got.Len = v.Len()
+			if v.LogicalErrCount() != 0 || v.Err() != nil {
+				t.Fatalf("script left errors: %v / %v", v.LogicalErr(), v.Err())
+			}
+			ctl, err := Dial(addr)
+			check(err)
+			defer ctl.Close()
+			got.Stats, err = ctl.AdminStats(ns, tok)
+			check(err)
+
+			if len(got.Search) != 4 || len(got.Range) != 8 || len(got.Lookup) != 6 || len(got.Batch) != 2 ||
+				!got.HitDelta || len(got.HitRows) != 0 || !got.TailDelta || len(got.TailRows) != 2 ||
+				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 21 {
+				t.Fatalf("script answers wrong: %+v", got)
+			}
+			if want == nil {
+				want = &got
+			} else if !reflect.DeepEqual(&got, want) {
+				t.Fatalf("stack answers or server op count differ from %s:\n got %+v\nwant %+v", transportStacks[0].name, got, *want)
+			}
+
+			if stack.home == nil {
+				return
+			}
+			add(8, 3)
+			killCurrent(stack.home(v))
+			check(v.Flush())
+			if n := v.Len(); n != 11 {
+				t.Fatalf("Len after a kill between Add and Flush = %d, want exactly 11", n)
+			}
+			if got := v.Search([]relation.Value{relation.Int(42)}); len(got) != 1 {
+				t.Fatalf("insert after the restore's re-Load: %v", got)
+			}
+		})
+	}
+}
+
+// TestTwoNamespacesConcurrently hammers two namespaces through every link
+// stack under -race: interleaved writes, reads and per-store loads must
+// stay isolated.
 func TestTwoNamespacesConcurrently(t *testing.T) {
 	_, addr := startCloudListener(t)
-	for _, conns := range []int{1, 3} {
-		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
-			var tr Transport
-			if conns == 1 {
-				c, err := Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { c.Close() })
-				tr = c
-			} else {
-				p, err := DialPool(addr, conns)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { p.Close() })
-				tr = p
+	for _, stack := range transportStacks {
+		t.Run(stack.name, func(t *testing.T) {
+			tr, err := stack.open(addr)
+			if err != nil {
+				t.Fatal(err)
 			}
+			t.Cleanup(func() { tr.Close() })
 
 			var wg sync.WaitGroup
 			fail := make(chan error, 16)
@@ -392,9 +558,7 @@ func TestTwoNamespacesConcurrently(t *testing.T) {
 				default:
 				}
 			}
-			for _, ns := range []string{
-				fmt.Sprintf("stress-a-%d", conns), fmt.Sprintf("stress-b-%d", conns),
-			} {
+			for _, ns := range []string{"stress-a-" + stack.name, "stress-b-" + stack.name} {
 				wg.Add(1)
 				go func(ns string) {
 					defer wg.Done()

@@ -34,14 +34,14 @@ func startCloud(t *testing.T) *Client {
 }
 
 func TestPing(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPlainBackendOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	rel := relation.New(relation.MustSchema("T",
 		relation.Column{Name: "K", Kind: relation.KindInt},
 		relation.Column{Name: "P", Kind: relation.KindString},
@@ -73,7 +73,7 @@ func TestPlainBackendOverWire(t *testing.T) {
 }
 
 func TestPlainErrorsOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	// Search before Load is a server-side logical error: recorded per-op,
 	// but the connection stays healthy.
 	if got := c.Search([]relation.Value{relation.Int(1)}); got != nil {
@@ -99,7 +99,7 @@ func TestPlainErrorsOverWire(t *testing.T) {
 }
 
 func TestEncStoreOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	a0 := c.Add([]byte("ct0"), []byte("a0"), nil)
 	a1 := c.Add([]byte("ct1"), []byte("a1"), []byte("tok"))
 	if a0 != 0 || a1 != 1 {
@@ -138,7 +138,7 @@ func TestEncStoreOverWire(t *testing.T) {
 // process reached over TCP loopback: remote clear-text store and remote
 // encrypted store.
 func TestOwnerEndToEndOverWire(t *testing.T) {
-	client := startCloud(t)
+	client := startCloud(t).WithStore(DefaultStore)
 
 	ks := crypto.DeriveKeys([]byte("wire e2e"))
 	tech, err := technique.NewNoIndOn(ks, client) // encrypted store lives remote
@@ -208,17 +208,17 @@ func TestTwoClientsShareOneCloud(t *testing.T) {
 	}
 	defer c2.Close()
 
-	c1.Add([]byte("x"), []byte("y"), nil)
-	if err := c1.Flush(); err != nil {
+	c1.WithStore(DefaultStore).Add([]byte("x"), []byte("y"), nil)
+	if err := c1.WithStore(DefaultStore).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := c2.Len(); n != 1 {
+	if n := c2.WithStore(DefaultStore).Len(); n != 1 {
 		t.Fatalf("second client sees %d rows, want 1", n)
 	}
 }
 
 func TestClientCloseIsClean(t *testing.T) {
-	client := startCloud(t)
+	client := startCloud(t).WithStore(DefaultStore)
 	if err := client.Ping(); err != nil {
 		t.Fatal(err)
 	}

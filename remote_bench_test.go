@@ -124,7 +124,7 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 				conns[i] = wire.NewClient(cend)
 				b.Cleanup(func(c *wire.Client) func() { return func() { c.Close() } }(conns[i]))
 			}
-			return wire.NewPool(conns)
+			return wire.NewPool(conns).WithStore(wire.DefaultStore)
 		})
 	})
 
@@ -136,12 +136,12 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 			}
 			b.Cleanup(func() { lis.Close() })
 			go func() { _ = wire.NewCloud().Serve(lis) }()
-			pool, err := wire.DialPool(lis.Addr().String(), poolSize)
+			pool, err := wire.DialPool(poolSize, func() (*wire.Client, error) { return wire.Dial(lis.Addr().String()) })
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { pool.Close() })
-			return pool
+			return pool.WithStore(wire.DefaultStore)
 		})
 	})
 }
