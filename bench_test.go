@@ -410,8 +410,7 @@ func BenchmarkRemoteQuery(b *testing.B) {
 // queries/sec metric is the headline. Two effects separate the
 // sub-benchmarks: QueryBatch shares the technique's column pull across
 // the whole batch (visible even at workers=1 on one core), and extra
-// workers parallelise the plaintext fan-out on multi-core. Before/after
-// numbers live in docs/BENCHMARKS.md.
+// workers parallelise the plaintext fan-out on multi-core.
 func BenchmarkQueryBatch(b *testing.B) {
 	tech, err := technique.NewNoInd(crypto.DeriveKeys([]byte("bench8")))
 	if err != nil {

@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -56,13 +57,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*addr, *master, *store, flag.Arg(0), *workers); err != nil {
+	if err := run(os.Stdout, *addr, *master, *store, flag.Arg(0), *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "qbadmin:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, master, store, cmd string, workers int) error {
+func run(w io.Writer, addr, master, store, cmd string, workers int) error {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return err
@@ -83,18 +84,18 @@ func run(addr, master, store, cmd string, workers int) error {
 		if err := c.Ping(); err != nil {
 			return err
 		}
-		fmt.Printf("qbadmin: %s is alive (protocol v%d)\n", addr, wire.ProtocolVersion)
+		fmt.Fprintf(w, "qbadmin: %s is alive (protocol v%d)\n", addr, wire.ProtocolVersion)
 	case "list":
 		names, err := c.AdminList()
 		if err != nil {
 			return err
 		}
 		if len(names) == 0 {
-			fmt.Println("qbadmin: no stores")
+			fmt.Fprintln(w, "qbadmin: no stores")
 			return nil
 		}
 		for _, name := range names {
-			fmt.Println(name)
+			fmt.Fprintln(w, name)
 		}
 	case "stats":
 		tok, err := token()
@@ -105,7 +106,7 @@ func run(addr, master, store, cmd string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("qbadmin: store %q: ops=%d plain_tuples=%d enc_rows=%d cond_hits=%d workers=%s\n",
+		fmt.Fprintf(w, "qbadmin: store %q: ops=%d plain_tuples=%d enc_rows=%d cond_hits=%d workers=%s\n",
 			storeLabel(store), s.Ops, s.PlainTuples, s.EncRows, s.CondHits, workersLabel(s.Workers))
 	case "compact":
 		tok, err := token()
@@ -116,7 +117,7 @@ func run(addr, master, store, cmd string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("qbadmin: store %q compacted: %d rows retained\n", storeLabel(store), n)
+		fmt.Fprintf(w, "qbadmin: store %q compacted: %d rows retained\n", storeLabel(store), n)
 	case "drop":
 		tok, err := token()
 		if err != nil {
@@ -125,7 +126,7 @@ func run(addr, master, store, cmd string, workers int) error {
 		if err := c.AdminDrop(store, tok); err != nil {
 			return err
 		}
-		fmt.Printf("qbadmin: store %q dropped\n", storeLabel(store))
+		fmt.Fprintf(w, "qbadmin: store %q dropped\n", storeLabel(store))
 	case "set-workers":
 		tok, err := token()
 		if err != nil {
@@ -135,9 +136,9 @@ func run(addr, master, store, cmd string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("qbadmin: store %q admission bound: %s\n", storeLabel(store), workersLabel(n))
+		fmt.Fprintf(w, "qbadmin: store %q admission bound: %s\n", storeLabel(store), workersLabel(n))
 	case "ring":
-		return ringStatus(c)
+		return ringStatus(w, c)
 	default:
 		return fmt.Errorf("unknown command %q (want ping|list|stats|compact|drop|set-workers|ring)", cmd)
 	}
@@ -146,12 +147,12 @@ func run(addr, master, store, cmd string, workers int) error {
 
 // ringStatus renders the cluster picture from a qbring coordinator:
 // membership, and per-namespace replica placement with row counts.
-func ringStatus(c *wire.Client) error {
+func ringStatus(w io.Writer, c *wire.Client) error {
 	dir, err := ring.FetchDirectory(c)
 	if err != nil {
 		return fmt.Errorf("fetch ring directory (is -addr a qbring coordinator?): %w", err)
 	}
-	fmt.Printf("qbadmin: ring directory v%d: %d node(s), R=%d\n", dir.Version, len(dir.Nodes), dir.Replicas)
+	fmt.Fprintf(w, "qbadmin: ring directory v%d: %d node(s), R=%d\n", dir.Version, len(dir.Nodes), dir.Replicas)
 
 	// One control connection per node, tolerating the dead ones.
 	conns := make(map[string]*wire.Client, len(dir.Nodes))
@@ -170,7 +171,7 @@ func ringStatus(c *wire.Client) error {
 		if n.Alive {
 			coordinatorView = "up"
 		}
-		fmt.Printf("qbadmin:   node %-24s %s (coordinator sees %s)\n", n.ID, status, coordinatorView)
+		fmt.Fprintf(w, "qbadmin:   node %-24s %s (coordinator sees %s)\n", n.ID, status, coordinatorView)
 	}
 
 	// Hosted namespaces: union across reachable nodes.
@@ -185,7 +186,7 @@ func ringStatus(c *wire.Client) error {
 		}
 	}
 	if len(names) == 0 {
-		fmt.Println("qbadmin: no stores hosted anywhere in the ring")
+		fmt.Fprintln(w, "qbadmin: no stores hosted anywhere in the ring")
 		return nil
 	}
 	ordered := make([]string, 0, len(names))
@@ -196,7 +197,7 @@ func ringStatus(c *wire.Client) error {
 
 	r := ring.Build(dir)
 	for _, ns := range ordered {
-		fmt.Printf("qbadmin: store %q:\n", ns)
+		fmt.Fprintf(w, "qbadmin: store %q:\n", ns)
 		placement := r.Placement(ns)
 		infos := make([]wire.StoreInfo, len(placement))
 		reached := make([]bool, len(placement))
@@ -222,15 +223,15 @@ func ringStatus(c *wire.Client) error {
 			}
 			switch {
 			case !reached[i]:
-				fmt.Printf("qbadmin:   %-8s %-24s unreachable\n", role, n.ID)
+				fmt.Fprintf(w, "qbadmin:   %-8s %-24s unreachable\n", role, n.ID)
 			case !infos[i].Exists:
-				fmt.Printf("qbadmin:   %-8s %-24s MISSING\n", role, n.ID)
+				fmt.Fprintf(w, "qbadmin:   %-8s %-24s MISSING\n", role, n.ID)
 			default:
 				mark := ""
 				if infos[i].EncRows != maxRows {
 					mark = "  DIVERGENT"
 				}
-				fmt.Printf("qbadmin:   %-8s %-24s plain_tuples=%-8d enc_rows=%-8d ver=(%d,%d)%s\n",
+				fmt.Fprintf(w, "qbadmin:   %-8s %-24s plain_tuples=%-8d enc_rows=%-8d ver=(%d,%d)%s\n",
 					role, n.ID, infos[i].PlainTuples, infos[i].EncRows, infos[i].VerEpoch, infos[i].VerN, mark)
 			}
 		}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qbbench [-exp all|fig5|fig6a|fig6b|fig6c|table2|table4|table6|security|metadata|insert|batch] [-full] [-seed N]
+//	qbbench [-exp all|fig5|fig6a|fig6b|fig6c|table2|table4|table6|security|metadata|insert] [-full] [-seed N]
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected experiments
 // (see docs/BENCHMARKS.md for the analysis workflow).
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig5, fig6a, fig6b, fig6c, table2, table4, table6, security, metadata, insert, batch)")
+	exp := flag.String("exp", "all", "experiment to run (all, fig5, fig6a, fig6b, fig6c, table2, table4, table6, security, metadata, insert)")
 	full := flag.Bool("full", false, "use the paper's dataset sizes (slow)")
 	seed := flag.Int64("seed", 1, "seed for data generation and binning")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run here (pprof)")
@@ -160,21 +160,8 @@ func run(exp string, full bool, seed int64) error {
 		tab.Fprint(out)
 	}
 
-	if all || exp == "batch" {
-		spec := experiments.DefaultBatch()
-		spec.Seed = seed
-		if full {
-			spec.Tuples, spec.DistinctValues, spec.Queries = 600_000, 36_000, 1024
-		}
-		tab, err := experiments.BatchThroughput(spec)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-
 	switch exp {
-	case "all", "fig5", "fig6a", "fig6b", "fig6c", "table2", "table4", "table6", "security", "metadata", "insert", "batch":
+	case "all", "fig5", "fig6a", "fig6b", "fig6c", "table2", "table4", "table6", "security", "metadata", "insert":
 		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)

@@ -33,29 +33,27 @@
 // the restart the coordinator's anti-entropy repair brings the victim
 // back to row parity.
 //
-// -run-name NAME prefixes the benchmark names in the -o report and
-// -append merges into an existing report instead of overwriting, so one
-// file can hold several arms (BENCH_ring.json's 1-node vs 3-node).
-//
 // -check cross-checks every read against the sequential reference
 // bounds; -assert exits non-zero unless the run was clean (nonzero ops,
 // zero errors, zero check failures, sane percentiles) — that pair is
-// what `make smoke-load` runs in CI. -o FILE writes the benchfmt JSON
-// consumed by the perf trajectory (BENCH_load.json).
+// what `make smoke` runs in CI. When qbload booted a single qbcloud
+// itself, -assert also shuts it down gracefully (after a chaos run that
+// is the restarted process) and requires its per-store shutdown stats to
+// name every tenant namespace and its final state save to succeed.
 //
 // Remote clients enable the owner-side version cache by default;
 // -cache=false runs the pre-cache per-query-pull profile (the control arm
-// `make smoke-load-nocache` exercises). -cpuprofile/-memprofile write
-// pprof profiles of the whole run — see docs/BENCHMARKS.md.
+// of `make smoke`). -cpuprofile/-memprofile write pprof profiles of the
+// whole run — see docs/BENCHMARKS.md.
 //
 // Usage:
 //
-//	qbload -tenants 4 -clients 4 -rate 500 -duration 10s -o BENCH_load.json
+//	qbload -tenants 4 -clients 4 -rate 500 -duration 10s
 //	qbload -qbcloud bin/qbcloud -read-frac 1 -kill-at 2s -restart-after 500ms -check -assert
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +64,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/benchfmt"
 	"repro/internal/loadgen"
 )
 
@@ -99,9 +96,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "seed for datasets, op streams and bin permutations")
 		check    = flag.Bool("check", false, "cross-check every read against the sequential reference bounds")
 		assert   = flag.Bool("assert", false, "exit non-zero unless the run is clean (ops>0, errors=0, checks=0, sane percentiles)")
-		out      = flag.String("o", "", "write the benchfmt JSON report here (e.g. BENCH_load.json)")
-		runName  = flag.String("run-name", "qbload", "benchmark name prefix in the -o report")
-		appendTo = flag.Bool("append", false, "merge this run's series into an existing -o report instead of overwriting")
 		cache    = flag.Bool("cache", true, "owner-side version cache (false = per-query column pull, the pre-cache profile)")
 		cacheMB  = flag.Int("cache-mb", 0, "owner-side cache budget per client in MiB (0 = library default)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run here (pprof)")
@@ -133,8 +127,7 @@ func main() {
 				ringN: *ringN, ringBin: *ringBin, replicas: *replicas,
 				killAt: *killAt, restartAfter: *restart,
 				snapshotEvery: *snapshot, state: *state,
-				assert: *assert, out: *out,
-				runName: *runName, appendTo: *appendTo,
+				assert: *assert,
 			})
 		}
 		stopProf()
@@ -211,9 +204,6 @@ type runOpts struct {
 	snapshotEvery time.Duration
 	state         string
 	assert        bool
-	out           string
-	runName       string
-	appendTo      bool
 }
 
 // ringToken is the intra-ring transfer secret the harness configures on
@@ -278,8 +268,7 @@ func run(o runOpts) error {
 		defer srv.Kill()
 		o.cfg.CloudAddr = srv.Addr
 		o.cfg.Reconnect = true // survive chaos; free otherwise
-		victim, victimState = srv, o.state
-		restartArgs = []string{"-state", o.state}
+		victim, victimState, restartArgs = srv, o.state, extra
 		fmt.Fprintf(os.Stderr, "qbload: qbcloud up on %s (state=%s)\n", srv.Addr, o.state)
 	}
 	if o.ringN > 0 {
@@ -288,7 +277,6 @@ func run(o runOpts) error {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		nodes := make([]*loadgen.CloudProc, 0, o.ringN)
 		addrs := make([]string, 0, o.ringN)
 		for i := 0; i < o.ringN; i++ {
 			state := filepath.Join(dir, fmt.Sprintf("node%d.gob", i))
@@ -302,14 +290,16 @@ func run(o runOpts) error {
 			}
 			n, err := loadgen.BootCloud(o.bin, extra...)
 			if err != nil {
-				for _, up := range nodes {
-					up.Kill()
-				}
-				return err
+				return err // the nodes already up die by their deferred Kill
 			}
 			defer n.Kill()
-			nodes = append(nodes, n)
 			addrs = append(addrs, n.Addr)
+			if i == 0 {
+				// Chaos kills the first data node: its replicas answer
+				// through the outage, and repair catches it up after the
+				// restart.
+				victim, victimState, restartArgs = n, state, extra
+			}
 		}
 		ring, err := loadgen.BootRing(o.ringBin,
 			"-nodes", strings.Join(addrs, ","),
@@ -323,15 +313,6 @@ func run(o runOpts) error {
 		}
 		defer ring.Kill()
 		o.cfg.RingAddr = ring.Addr
-		// Chaos kills the first data node: its replicas answer through
-		// the outage, and repair catches it up after the restart.
-		victim = nodes[0]
-		victimState = filepath.Join(dir, "node0.gob")
-		restartArgs = []string{
-			"-state", victimState,
-			"-snapshot-every", o.snapshotEvery.String(),
-			"-ring-token", ringToken,
-		}
 		fmt.Fprintf(os.Stderr, "qbload: ring up on %s (%d nodes: %s, R=%d)\n",
 			ring.Addr, o.ringN, strings.Join(addrs, " "), o.replicas)
 	}
@@ -352,11 +333,27 @@ func run(o runOpts) error {
 		}
 	}
 
-	chaosDone := make(chan chaosResult, 1)
+	// Every return path below waits for the chaos goroutine and kills what
+	// it rebooted: a run that fails during the outage must not leave a
+	// restarted qbcloud holding its port after the harness exits.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		restarted *loadgen.CloudProc // set, with chaosErr, before chaosDone closes
+		chaosErr  error
+	)
+	chaosDone := make(chan struct{})
 	if o.killAt > 0 {
 		go func() {
-			srv2, err := chaos(o, victim, victimState, restartArgs, loadStart)
-			chaosDone <- chaosResult{srv2, err}
+			defer close(chaosDone)
+			restarted, chaosErr = chaos(ctx, o, victim, victimState, restartArgs, loadStart)
+		}()
+		defer func() {
+			cancel()
+			<-chaosDone
+			if restarted != nil {
+				restarted.Kill()
+			}
 		}()
 	}
 
@@ -365,56 +362,51 @@ func run(o runOpts) error {
 		return err
 	}
 	if o.killAt > 0 {
-		cr := <-chaosDone
-		if cr.srv != nil {
-			defer cr.srv.Kill()
+		<-chaosDone
+		if chaosErr != nil {
+			return chaosErr
 		}
-		if cr.err != nil {
-			return cr.err
+		if srv != nil {
+			srv = restarted // the single node now serving
 		}
 	}
 
 	res.WriteTable(os.Stdout)
-	if o.out != "" {
-		rep := res.ReportNamed(o.runName, o.cfg, time.Now().Unix())
-		if o.appendTo {
-			if prev, err := os.ReadFile(o.out); err == nil {
-				var existing benchfmt.Report
-				if err := json.Unmarshal(prev, &existing); err != nil {
-					return fmt.Errorf("-append: parsing existing %s: %w", o.out, err)
-				}
-				rep.Benchmarks = append(existing.Benchmarks, rep.Benchmarks...)
-			}
-		}
-		b, err := rep.Encode()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "qbload: wrote %s\n", o.out)
+	if !o.assert {
+		return nil
 	}
-	if o.assert {
-		return assertClean(res)
+	if err := assertClean(res); err != nil {
+		return err
+	}
+	if srv != nil {
+		return assertShutdownStats(srv, res)
 	}
 	return nil
 }
 
-type chaosResult struct {
-	srv *loadgen.CloudProc // the restarted server, for teardown
-	err error
+// sleepCtx sleeps for d, or returns ctx's error early once it is cancelled.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // chaos SIGKILLs the victim qbcloud killAt into the measured window —
 // but never before a background snapshot has covered the outsourced
 // datasets — and reboots it from its state file on the same address
 // (with restartArgs carrying the victim's original flags, e.g. the ring
-// token in ring mode).
-func chaos(o runOpts, victim *loadgen.CloudProc, state string, restartArgs []string, loadStart <-chan time.Time) (*loadgen.CloudProc, error) {
+// token in ring mode). It gives up at its next wait once ctx is
+// cancelled, which is how a failed run stops it from rebooting a server
+// nobody will tear down.
+func chaos(ctx context.Context, o runOpts, victim *loadgen.CloudProc, state string, restartArgs []string, loadStart <-chan time.Time) (*loadgen.CloudProc, error) {
 	var start time.Time
 	select {
 	case start = <-loadStart:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	case <-time.After(2 * time.Minute):
 		return nil, fmt.Errorf("chaos: tenants not ready within 2m")
 	}
@@ -430,11 +422,13 @@ func chaos(o runOpts, victim *loadgen.CloudProc, state string, restartArgs []str
 		if time.Since(start) > 30*time.Second {
 			return nil, fmt.Errorf("chaos: no post-setup snapshot of %s within 30s", state)
 		}
-		time.Sleep(25 * time.Millisecond)
+		if err := sleepCtx(ctx, 25*time.Millisecond); err != nil {
+			return nil, err
+		}
 	}
 
-	if d := time.Until(start.Add(o.killAt)); d > 0 {
-		time.Sleep(d)
+	if err := sleepCtx(ctx, time.Until(start.Add(o.killAt))); err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "qbload: chaos: SIGKILL qbcloud %s %v into the window\n",
 		victim.Addr, time.Since(start).Round(time.Millisecond))
@@ -445,7 +439,9 @@ func chaos(o runOpts, victim *loadgen.CloudProc, state string, restartArgs []str
 		return nil, err
 	}
 
-	time.Sleep(o.restartAfter)
+	if err := sleepCtx(ctx, o.restartAfter); err != nil {
+		return nil, err
+	}
 	srv2, err := loadgen.BootCloud(o.bin, append([]string{"-addr", victim.Addr}, restartArgs...)...)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: restarting qbcloud: %w", err)
@@ -458,8 +454,33 @@ func chaos(o runOpts, victim *loadgen.CloudProc, state string, restartArgs []str
 	return srv2, nil
 }
 
-// assertClean is the -assert gate: the smoke-load CI step fails the
-// build on any op error, any reference-check violation, or a degenerate
+// assertShutdownStats is the -assert gate's last step when qbload owns a
+// single qbcloud: a graceful shutdown must print the per-store accounting
+// table with every tenant namespace of the run in it, and the final state
+// save must succeed. After a chaos run srv is the restarted process, so
+// this also checks that the restored namespaces are the ones served.
+func assertShutdownStats(srv *loadgen.CloudProc, res *loadgen.Result) error {
+	if err := srv.Stop(); err != nil {
+		return fmt.Errorf("assert: stopping qbcloud: %w", err)
+	}
+	if err := srv.WaitExit(10 * time.Second); err != nil {
+		return fmt.Errorf("assert: %w", err)
+	}
+	out := srv.Output()
+	for _, t := range res.Tenants {
+		if !strings.Contains(out, "qbcloud:   store "+t.Store+" ") {
+			return fmt.Errorf("assert: qbcloud shutdown stats missing namespace %q:\n%s", t.Store, out)
+		}
+	}
+	if !strings.Contains(out, "qbcloud: state saved") {
+		return fmt.Errorf("assert: qbcloud did not save its state on shutdown:\n%s", out)
+	}
+	fmt.Fprintf(os.Stderr, "qbload: qbcloud shutdown stats name all %d tenant namespaces, state saved\n", len(res.Tenants))
+	return nil
+}
+
+// assertClean is the -assert gate: `make smoke` fails the build on any
+// op error, any reference-check violation, or a degenerate
 // latency distribution.
 func assertClean(res *loadgen.Result) error {
 	a := res.Aggregate

@@ -12,8 +12,9 @@
 // are re-exported here as type aliases where downstream code needs them.
 // README.md covers the paper's claims, the quickstarts and the technique
 // matrix; docs/ARCHITECTURE.md has the layer diagram, the concurrency
-// model and the batched-search flow; docs/BENCHMARKS.md records the bench
-// methodology and numbers.
+// model and the batched-search flow; docs/BENCHMARKS.md says how to run the
+// benchmark gate (go run ./bench) and the paper's tables (cmd/qbbench).
+// examples/quickstart is the paper's running example end to end.
 //
 // Quick start:
 //

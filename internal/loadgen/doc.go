@@ -20,10 +20,10 @@
 //     that bounds every returned result set against the sequential
 //     reference (baseline counts plus acknowledged-write arithmetic),
 //     sound under concurrency and under chaos kill/restart.
-//   - CloudProc: boots, kills and restarts a real qbcloud binary — the
-//     chaos machinery shared with cmd/qbsmoke.
+//   - CloudProc: boots, kills and restarts a real qbcloud or qbring
+//     binary — the chaos machinery cmd/qbload and bench/ share.
 //
-// Results convert to the benchfmt schema, so a load run lands in
-// BENCH_load.json next to the microbenchmarks and the perf trajectory is
-// tracked across PRs.
+// A run prints a scoreboard (Result.WriteTable). The numbers that gate a
+// PR come from `go run ./bench`, which reuses CloudProc, Pacer and
+// Generator from here.
 package loadgen

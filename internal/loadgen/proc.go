@@ -12,8 +12,8 @@ import (
 )
 
 // CloudProc is a real server binary (qbcloud or qbring) running as a
-// child process: the chaos machinery shared by cmd/qbsmoke and
-// cmd/qbload. It owns the process handle and a single reader goroutine
+// child process: the chaos machinery shared by cmd/qbload and bench/.
+// It owns the process handle and a single reader goroutine
 // over the combined stdout/stderr stream, so the boot-time address scan
 // and later output-content checks (restore lines, shutdown stats) never
 // race on the pipe.
@@ -60,12 +60,19 @@ func BootCloud(bin string, extra ...string) (*CloudProc, error) {
 		p.Addr = addr
 		return p, nil
 	case <-p.done:
-		p.Kill()
+		p.reap()
 		return nil, fmt.Errorf("%s exited before reporting its address:\n%s", bin, p.Output())
 	case <-time.After(10 * time.Second):
-		p.Kill()
+		p.reap()
 		return nil, fmt.Errorf("%s did not report an address within 10s", bin)
 	}
+}
+
+// reap kills the process and collects it, so a failed boot leaves neither
+// a running server nor a zombie behind.
+func (p *CloudProc) reap() {
+	p.Kill()
+	p.WaitExit(10 * time.Second)
 }
 
 func (p *CloudProc) read(pipe io.Reader, addrCh chan<- string) {
@@ -104,17 +111,18 @@ func (p *CloudProc) Kill() error { return p.cmd.Process.Kill() }
 // a final snapshot and print per-store stats before exiting.
 func (p *CloudProc) Stop() error { return p.cmd.Process.Signal(syscall.SIGTERM) }
 
-// WaitExit waits for the output stream to hit EOF and the process to be
-// reaped, killing it if that takes longer than timeout. The exit status
+// WaitExit waits for the output stream to hit EOF and reaps the process,
+// killing it first if that takes longer than timeout. The exit status
 // is not checked: callers that Kill expect a failure status, and
 // callers that Stop assert on Output content instead.
 func (p *CloudProc) WaitExit(timeout time.Duration) error {
+	var err error
 	select {
 	case <-p.done:
 	case <-time.After(timeout):
 		p.Kill()
-		return fmt.Errorf("%s did not exit within %v", p.bin, timeout)
+		err = fmt.Errorf("%s did not exit within %v", p.bin, timeout)
 	}
 	p.cmd.Wait()
-	return nil
+	return err
 }

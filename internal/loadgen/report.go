@@ -3,82 +3,8 @@ package loadgen
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
-
-	"repro/internal/benchfmt"
 )
-
-// metrics flattens one scoreboard row into normalised benchfmt keys.
-// Latencies are reported in microseconds (p50_us, ...): fine enough for
-// the wire-protocol hot path, coarse enough that trajectory diffs aren't
-// nanosecond noise.
-func (r TenantResult) metrics() map[string]float64 {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return map[string]float64{
-		"queries_per_sec":   r.AchievedQPS,
-		"target_qps":        r.TargetQPS,
-		"ops":               float64(r.Ops),
-		"errors":            float64(r.Errors),
-		"checks_failed":     float64(r.ChecksFailed),
-		"mean_us":           us(r.Mean),
-		"p50_us":            us(r.P50),
-		"p95_us":            us(r.P95),
-		"p99_us":            us(r.P99),
-		"max_us":            us(r.Max),
-		"cache_hits":        float64(r.CacheHits),
-		"cache_misses":      float64(r.CacheMisses),
-		"cache_bytes_saved": float64(r.CacheBytesSaved),
-	}
-}
-
-// Report converts the run into the benchfmt document tracked in
-// BENCH_load.json: one series per tenant plus the aggregate, with the
-// run's parameters recorded under config.
-func (res *Result) Report(cfg Config, generatedUnix int64) benchfmt.Report {
-	return res.ReportNamed("qbload", cfg, generatedUnix)
-}
-
-// ReportNamed is Report with the benchmark name prefix chosen by the
-// caller, so one file can hold several arms of a comparison (e.g.
-// BENCH_ring.json's single-node and 3-node series).
-func (res *Result) ReportNamed(name string, cfg Config, generatedUnix int64) benchfmt.Report {
-	rep := benchfmt.Report{
-		GeneratedUnix: generatedUnix,
-		GoOS:          runtime.GOOS,
-		GoArch:        runtime.GOARCH,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Config: map[string]any{
-			"tenants":         cfg.Tenants,
-			"clients":         cfg.Clients,
-			"rate_per_tenant": cfg.Rate,
-			"read_fraction":   cfg.Gen.ReadFraction,
-			"zipf_s":          cfg.Gen.ZipfS,
-			"tuples":          cfg.Tuples,
-			"distinct_values": cfg.DistinctValues,
-			"sensitive_alpha": cfg.Alpha,
-			"technique":       cfg.Technique.String(),
-			"remote":          cfg.remote(),
-			"ring":            cfg.RingAddr != "",
-			"reconnect":       cfg.Reconnect,
-			"cache":           cfg.remote() && !cfg.DisableCache,
-			"elapsed_seconds": res.Elapsed.Seconds(),
-		},
-	}
-	for _, t := range res.Tenants {
-		rep.Benchmarks = append(rep.Benchmarks, benchfmt.Result{
-			Name:       name + "/tenant=" + t.Tenant,
-			Iterations: t.Ops,
-			Metrics:    t.metrics(),
-		})
-	}
-	rep.Benchmarks = append(rep.Benchmarks, benchfmt.Result{
-		Name:       name + "/aggregate",
-		Iterations: res.Aggregate.Ops,
-		Metrics:    res.Aggregate.metrics(),
-	})
-	return rep
-}
 
 // WriteTable prints the human-readable scoreboard.
 func (res *Result) WriteTable(w io.Writer) {

@@ -15,7 +15,7 @@ import (
 // test process and can sever every connection and stop accepting — the
 // in-process analogue of SIGKILLing qbcloud. The Cloud object (and so the
 // stores) survives a kill, modelling a restart that lost no state; lossy
-// snapshot recovery is qbsmoke's and cmd/qbload's territory.
+// snapshot recovery is cmd/qbload's territory (`make smoke`).
 type chaosCloud struct {
 	t    *testing.T
 	cl   *wire.Cloud

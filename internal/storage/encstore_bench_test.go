@@ -69,7 +69,7 @@ func (s *rwmutexStore) LookupToken(tok []byte) []int {
 // against the pre-shard single-RWMutex baseline. This is the store-level
 // view of ROADMAP open item 1 (parallel searches contending on one
 // RWMutex); the end-to-end effect on QueryBatch appears at high worker
-// counts on multi-core hosts. Numbers live in docs/BENCHMARKS.md.
+// counts on multi-core hosts.
 func BenchmarkEncStoreParallelReads(b *testing.B) {
 	const rows = 4096
 	seedStore := func(add func(t, a, tok []byte) int) {

@@ -21,7 +21,7 @@ import (
 // version cache (the library default against a remote cloud).
 func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, cached bool) *owner.Owner {
 	b.Helper()
-	tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("bench-remote")), backend)
+	tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("remote bench")), backend)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, 
 // batched sub-benchmarks win even on a single CPU; extra workers
 // additionally parallelise the plaintext fetches against the server-side
 // dispatch pool on multi-core. The pool holds min(workers, GOMAXPROCS)
-// connections. Before/after numbers live in docs/BENCHMARKS.md.
+// connections. These are numbers to read while working; the gated
+// equivalent is batch_qps in `go run ./bench`.
 //
 // The owner-side version cache runs in its library-default state (on):
 // after the first pull, each sequential query revalidates the decrypted
 // column with a constant-size conditional round trip instead of re-pulling
-// it, which is where the sequential series' jump in the tracked
-// BENCH_remote.json comes from. The sequential-nocache sub-benchmark keeps
-// the pre-cache per-query-pull profile measurable on a separate cloud.
+// it. The sequential-nocache sub-benchmark keeps the pre-cache
+// per-query-pull profile measurable on a separate cloud.
 func BenchmarkRemoteQueryBatch(b *testing.B) {
 	ds := benchDataset(b, 2_000, 0.3)
 	queries := workload.QueryStream(ds, workload.QuerySpec{Queries: 64, Seed: 9})
