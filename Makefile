@@ -25,12 +25,14 @@ docs: vet
 	$(GO) test -run 'Example' ./...
 	$(GO) build ./examples/...
 
-# Root-package go benchmarks: every paper table/figure plus the batch
-# engine in process (BenchmarkQueryBatch) and against a cloud behind
-# net.Pipe and TCP loopback (BenchmarkRemoteQueryBatch). Numbers to read
-# while working; the gate that decides a PR is `go run ./bench`.
+# Go benchmarks of the root package — every paper table/figure plus the
+# batch engine in process (BenchmarkQueryBatch) and against a cloud behind
+# net.Pipe and TCP loopback (BenchmarkRemoteQueryBatch) — and of
+# internal/technique (BenchmarkNoIndSearchCached: one warm cached search
+# over columns 100x apart in size). Numbers to read while working; the gate
+# that decides a PR is `go run ./bench`.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/technique
 
 # Fuzz smoke: run each binary-codec fuzz target's mutation engine briefly
 # (the seed corpora already run as plain tests on every `make test`). The

@@ -1,9 +1,12 @@
 package technique
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/crypto"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -18,9 +21,11 @@ const DefaultCacheBytes = 64 << 20
 // Cache is the owner-side cross-query cache that kills the per-query
 // column pull. It holds, per technique family:
 //
-//   - the decrypted searchable-attribute column (NoInd), revalidated each
-//     query by the store's version counter (VersionedEncStore) — a tiny
-//     not-modified round trip replaces the full column transfer;
+//   - the decrypted searchable-attribute column (NoInd), held as a value ->
+//     column positions index beside the cells' cloud addresses, revalidated
+//     each query by the store's version counter (VersionedEncStore) — a
+//     tiny not-modified round trip replaces the full column transfer, and
+//     matching a predicate costs its posting lists, not the column;
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
 //     (addresses are stable within an epoch: the store is append-only and
 //     Compact preserves addressing);
@@ -36,23 +41,21 @@ const DefaultCacheBytes = 64 << 20
 // never fresher than the data it vouches for.
 //
 // A Cache is safe for concurrent use: readers snapshot a segment under the
-// mutex, do their round trips and decryption unlocked, and store the
-// extended segment back last-writer-wins. Cached slices and payloads are
-// shared read-only; callers must not mutate what they get back (the
-// technique API already hands decrypted payloads out as owner-owned
-// read-only data — SearchBatch shares one decryption across queries the
-// same way).
+// mutex, do their round trips and decryption unlocked, and publish what
+// they learned under the mutex again (the column by appending the
+// decrypted tail, the other segments last-writer-wins). Cached slices and
+// payloads are shared read-only; callers must not mutate what they get
+// back (the technique API already hands decrypted payloads out as
+// owner-owned read-only data — SearchBatch shares one decryption across
+// queries the same way).
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int
 
-	// Column segment: decrypted attribute values aligned with their cloud
-	// addresses, consistent with ver. ctBytes is the summed ciphertext size
-	// of the cached cells — the wire bytes a revalidation avoids.
-	colVer   storage.EncVersion
-	colVals  []relation.Value
-	colAddrs []int
-	colCT    int
+	// Column segment; nil when nothing is cached. Its fields are read and
+	// written under mu only, also through a pointer a reader still holds
+	// after eviction.
+	col *column
 
 	// Payload segment: cloud address -> decrypted tuple payload, valid for
 	// payEpoch only. FIFO-evicted under the byte budget.
@@ -75,6 +78,21 @@ type Cache struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	bytesSaved atomic.Uint64
+}
+
+// column is the decrypted attribute column of one store epoch, kept as an
+// inverted index: idx maps a value to the ascending column positions
+// holding it and always covers exactly the len(addrs) cells, addrs[p] is
+// the cloud address of position p, and ver is the store version the cells
+// were last confirmed at. Both only ever grow by appending (the store is
+// append-only within an epoch), so a prefix a reader copied out under the
+// lock stays valid after the lock is released. ct is the summed ciphertext
+// size of the cells — the wire bytes a revalidation avoids.
+type column struct {
+	ver   storage.EncVersion
+	addrs []int
+	idx   map[relation.Value][]int
+	ct    int
 }
 
 type payEntry struct {
@@ -141,13 +159,21 @@ func (c *Cache) recordSaved(n int) {
 	}
 }
 
+// bytesLocked accounts the column at its ciphertext size, as it always
+// was, plus 8 bytes per indexed position and one map entry per distinct
+// value.
 func (c *Cache) bytesLocked() int {
-	return c.colCT + c.payBytes + c.memoBytes + 8*len(c.shamir)
+	n := c.payBytes + c.memoBytes + 8*len(c.shamir)
+	if c.col != nil {
+		n += c.col.ct + 8*len(c.col.addrs) + payEntryOverhead*len(c.col.idx)
+	}
+	return n
 }
 
 // rebalanceLocked enforces the byte budget: payload entries go first
 // (FIFO — they are per-address and individually droppable), then the memo
-// map, then the column. The Shamir segment is bounded at store time.
+// map, then the column with its index. The Shamir segment is bounded at
+// store time.
 func (c *Cache) rebalanceLocked() {
 	for c.bytesLocked() > c.maxBytes && len(c.payOrder) > 0 {
 		addr := c.payOrder[0]
@@ -161,8 +187,8 @@ func (c *Cache) rebalanceLocked() {
 		c.memo = make(map[string][]int)
 		c.memoBytes = 0
 	}
-	if c.bytesLocked() > c.maxBytes && c.colCT > 0 {
-		c.colVer, c.colVals, c.colAddrs, c.colCT = storage.EncVersion{}, nil, nil, 0
+	if c.bytesLocked() > c.maxBytes {
+		c.col = nil
 	}
 }
 
@@ -172,37 +198,103 @@ const payEntryOverhead = 48
 
 // --- column segment ------------------------------------------------------
 
-// colSnapshot returns the cached decrypted column: the version it is
-// consistent with, the values aligned with their addresses, and the summed
-// ciphertext bytes the cache stands in for. The slices are shared
-// read-only.
-func (c *Cache) colSnapshot() (ver storage.EncVersion, vals []relation.Value, addrs []int, ctBytes int) {
+// colSnapshot returns the cached column, the version and cell count to
+// revalidate it with, and the summed ciphertext bytes it stands in for.
+func (c *Cache) colSnapshot() (col *column, ver storage.EncVersion, cells, ctBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.colVer, c.colVals, c.colAddrs, c.colCT
+	if c.col == nil {
+		return nil, storage.EncVersion{}, 0, 0
+	}
+	return c.col, c.col.ver, len(c.col.addrs), c.col.ct
 }
 
-// colStore publishes an extended (or replaced) column, last-writer-wins:
-// a column for a different epoch always replaces, within an epoch the
-// longer column wins (the store is append-only within an epoch, so longer
-// means strictly more information).
-func (c *Cache) colStore(ver storage.EncVersion, vals []relation.Value, addrs []int, ctBytes int) {
+// colExtend appends a revalidation's decrypted tail — rows[i] holds vals[i]
+// and follows the first have cells — to col and its index; nil starts the
+// column of a new epoch. Only what col still lacks is appended, so readers
+// racing over the same tail extend it once. The result is published unless
+// the cache already holds a longer column of the same epoch, and returned
+// either way: a budget too small for the column evicts it at once, and the
+// caller still matches through the one it holds.
+func (c *Cache) colExtend(col *column, cur storage.EncVersion, have int, rows []storage.EncRow, vals []relation.Value) *column {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ver.Epoch == c.colVer.Epoch && len(vals) < len(c.colVals) {
-		return
+	if col == nil {
+		col = &column{idx: make(map[relation.Value][]int)}
 	}
-	c.colVer, c.colVals, c.colAddrs, c.colCT = ver, vals, addrs, ctBytes
+	if i := len(col.addrs) - have; i < len(rows) {
+		col.ver = cur
+		for ; i < len(rows); i++ {
+			col.idx[vals[i]] = append(col.idx[vals[i]], len(col.addrs))
+			col.addrs = append(col.addrs, rows[i].Addr)
+			col.ct += len(rows[i].AttrCT)
+		}
+	}
+	if c.col == nil || c.col.ver.Epoch != cur.Epoch || len(c.col.addrs) < len(col.addrs) {
+		c.col = col
+	}
 	c.rebalanceLocked()
+	return col
+}
+
+// colMatch returns, in column order, the cloud addresses of those of col's
+// first cells cells that hold one of values (nil if none do). cells is the
+// count the caller's own revalidation vouched for: positions a concurrent
+// reader has appended since are cut off. The posting lists are copied out
+// under the lock and put back in column order outside it.
+func (c *Cache) colMatch(col *column, cells int, values []relation.Value) []int {
+	if col == nil {
+		return nil
+	}
+	c.mu.Lock()
+	addrs := col.addrs[:cells]
+	var pos []int
+	for _, v := range values {
+		list := col.idx[v]
+		cut, _ := slices.BinarySearch(list, cells)
+		pos = append(pos, list[:cut]...)
+	}
+	c.mu.Unlock()
+	if len(pos) == 0 {
+		return nil
+	}
+	out := pos[:0]
+	if len(pos) > cells/8 {
+		// A range over most of the bins: sorting that many positions would
+		// cost more than the column scan this index replaced, marking them
+		// and sweeping the cells once does not.
+		mark := make([]bool, cells)
+		for _, p := range pos {
+			mark[p] = true
+		}
+		for p, m := range mark {
+			if m {
+				out = append(out, addrs[p])
+			}
+		}
+		return out
+	}
+	slices.Sort(pos)
+	// A value listed twice contributed its positions twice: skip repeats.
+	prev := -1
+	for _, p := range pos {
+		if p != prev {
+			out = append(out, addrs[p])
+		}
+		prev = p
+	}
+	return out
 }
 
 // --- payload segment -----------------------------------------------------
 
-// payloadGet returns the cached decryptions among addrs that are valid for
-// the given store epoch, plus the summed ciphertext bytes those hits avoid
+// payloadGet returns the cached decryptions for addrs, aligned with it
+// (nil where none is cached; missing counts those), valid for the given
+// store epoch, plus the summed ciphertext bytes the hits avoid
 // transferring. A mismatched epoch empties the segment: a reborn store may
 // have reassigned addresses.
-func (c *Cache) payloadGet(epoch uint64, addrs []int) (found map[int][]byte, ctSaved int) {
+func (c *Cache) payloadGet(epoch uint64, addrs []int) (pts [][]byte, missing, ctSaved int) {
+	pts = make([][]byte, len(addrs))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.payEpoch != epoch {
@@ -210,18 +302,16 @@ func (c *Cache) payloadGet(epoch uint64, addrs []int) (found map[int][]byte, ctS
 		c.payOrder = nil
 		c.payBytes = 0
 		c.payEpoch = epoch
-		return nil, 0
 	}
-	for _, a := range addrs {
-		if e, ok := c.pay[a]; ok {
-			if found == nil {
-				found = make(map[int][]byte)
-			}
-			found[a] = e.pt
+	for i, a := range addrs {
+		if e := c.pay[a]; e.pt != nil {
+			pts[i] = e.pt
 			ctSaved += e.ctLen
+		} else {
+			missing++
 		}
 	}
-	return found, ctSaved
+	return pts, missing, ctSaved
 }
 
 // payloadPut caches one address's decrypted payload for the given epoch.
@@ -241,6 +331,56 @@ func (c *Cache) payloadPut(epoch uint64, addr int, pt []byte, ctLen int) {
 	c.payOrder = append(c.payOrder, addr)
 	c.payBytes += len(pt) + payEntryOverhead
 	c.rebalanceLocked()
+}
+
+// fetchPayloads serves a cached search's tuple fetch through the payload
+// segment: payloadGet's aligned slice is the result as it stands when
+// every address is cached (no round trip at all); otherwise only the holes
+// are fetched from store, decrypted, cached for the next query and filled
+// in — addrs order either way, exactly what the uncached Fetch path
+// returns. Decryptions and avoided bytes are counted into st; fetched, nil
+// when there was no hole, holds the ciphertext size of each payload this
+// call transferred (0 where the cache served it) for the caller to
+// attribute (Stats.addFetched, or per query in a batch).
+func (c *Cache) fetchPayloads(store EncStore, prob *crypto.Probabilistic, st *Stats, epoch uint64, addrs []int) (payloads [][]byte, fetched []int, err error) {
+	payloads, missing, ctSaved := c.payloadGet(epoch, addrs)
+	if ctSaved > 0 {
+		st.CacheBytesSaved += ctSaved
+		c.recordSaved(ctSaved)
+	}
+	if missing == 0 {
+		return payloads, nil, nil
+	}
+	need := make([]int, 0, missing)
+	for i, a := range addrs {
+		if payloads[i] == nil {
+			need = append(need, a)
+		}
+	}
+	rows, err := store.Fetch(need)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rows) < len(need) {
+		return nil, nil, fmt.Errorf("technique: cached fetch returned %d rows for %d addresses", len(rows), len(need))
+	}
+	fetched = make([]int, len(addrs))
+	next := 0
+	for i := range addrs {
+		if payloads[i] != nil {
+			continue
+		}
+		r := rows[next]
+		next++
+		pt, err := prob.Decrypt(r.TupleCT)
+		if err != nil {
+			return nil, nil, fmt.Errorf("technique: cached tuple decrypt addr %d: %w", r.Addr, err)
+		}
+		st.EncOps++
+		c.payloadPut(epoch, r.Addr, pt, len(r.TupleCT))
+		payloads[i], fetched[i] = pt, len(r.TupleCT)
+	}
+	return payloads, fetched, nil
 }
 
 // --- memo segment --------------------------------------------------------

@@ -169,49 +169,11 @@ func (d *DetIndex) searchCached(values []relation.Value) ([][]byte, *Stats, erro
 		d.cache.recordSaved(st.CacheBytesSaved)
 	}
 
-	found, ctSaved := d.cache.payloadGet(cur.Epoch, addrs)
-	if ctSaved > 0 {
-		st.CacheBytesSaved += ctSaved
-		d.cache.recordSaved(ctSaved)
+	payloads, fetched, err := d.cache.fetchPayloads(d.store, d.prob, st, cur.Epoch, addrs)
+	if err != nil {
+		return nil, nil, err
 	}
-	missing := addrs
-	if len(found) > 0 {
-		missing = make([]int, 0, len(addrs)-len(found))
-		for _, a := range addrs {
-			if _, ok := found[a]; !ok {
-				missing = append(missing, a)
-			}
-		}
-	}
-	var rows []storage.EncRow
-	if len(missing) > 0 {
-		rows, err = d.store.Fetch(missing)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	payloads := make([][]byte, 0, len(addrs))
-	next := 0
-	for _, a := range addrs {
-		if pt, ok := found[a]; ok {
-			payloads = append(payloads, pt)
-			continue
-		}
-		if next >= len(rows) {
-			return nil, nil, fmt.Errorf("technique: detindex fetch returned %d rows for %d addresses", len(rows), len(missing))
-		}
-		r := rows[next]
-		next++
-		pt, err := d.prob.Decrypt(r.TupleCT)
-		if err != nil {
-			return nil, nil, fmt.Errorf("technique: detindex decrypt addr %d: %w", r.Addr, err)
-		}
-		st.EncOps++
-		st.TuplesTransferred++
-		st.BytesTransferred += len(r.TupleCT)
-		d.cache.payloadPut(cur.Epoch, r.Addr, pt, len(r.TupleCT))
-		payloads = append(payloads, pt)
-	}
+	st.addFetched(fetched)
 	st.ReturnedAddrs = addrs
 	return payloads, st, nil
 }

@@ -17,6 +17,7 @@ type corruptStore struct {
 	corruptAttr  bool
 	corruptTuple bool
 	failFetch    bool
+	shortFetch   bool // Fetch drops the last row it was asked for
 }
 
 func (c *corruptStore) AttrColumn() []storage.EncRow {
@@ -52,6 +53,9 @@ func (c *corruptStore) Fetch(addrs []int) ([]storage.EncRow, error) {
 	rows, err := c.EncryptedStore.Fetch(addrs)
 	if err != nil {
 		return nil, err
+	}
+	if c.shortFetch && len(rows) > 0 {
+		return rows[:len(rows)-1], nil
 	}
 	if c.corruptTuple {
 		out := make([]storage.EncRow, len(rows))

@@ -70,135 +70,69 @@ func (n *NoInd) SetCache(c *Cache) {
 	n.cache, n.vstore = nil, nil
 }
 
-// cachedColumn returns the decrypted attribute column via the cache: the
-// cached prefix is revalidated by one conditional round trip, only the
-// appended tail (or, on a miss, the whole column) is transferred and
-// decrypted, and the extended column is published back. The returned
-// slices are shared read-only; epoch identifies the store instance the
-// column (and any payload reuse) is consistent with.
-func (n *NoInd) cachedColumn(st *Stats) (vals []relation.Value, addrs []int, epoch uint64, err error) {
-	ver, vals, addrs, ctBytes := n.cache.colSnapshot()
-	rows, cur, delta, err := n.vstore.AttrColumnSince(ver, len(vals))
+// cachedColumn revalidates the cached column by one conditional round
+// trip: only the appended tail (or, on a miss, the whole column) is
+// transferred and decrypted, and that delta alone is published back. It
+// returns the column to match through, the cell count this revalidation
+// vouches for (a concurrent reader may already have extended the column
+// past it) and the epoch of the store instance both — and any payload
+// reuse — are consistent with.
+func (n *NoInd) cachedColumn(st *Stats) (col *column, cells int, epoch uint64, err error) {
+	col, ver, have, ctBytes := n.cache.colSnapshot()
+	rows, cur, delta, err := n.vstore.AttrColumnSince(ver, have)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, 0, err
 	}
 	if delta {
 		st.CacheHits++
 		st.CacheBytesSaved += ctBytes
 		n.cache.recordHit(ctBytes)
 	} else {
-		vals, addrs, ctBytes = nil, nil, 0
+		col, have = nil, 0
 		st.CacheMisses++
 		n.cache.recordMiss()
 	}
 	st.TuplesScanned += len(rows)
 	st.TuplesTransferred += len(rows)
 	if len(rows) == 0 {
-		return vals, addrs, cur.Epoch, nil
+		return col, have, cur.Epoch, nil
 	}
-	nv := make([]relation.Value, len(vals), len(vals)+len(rows))
-	copy(nv, vals)
-	na := make([]int, len(addrs), len(addrs)+len(rows))
-	copy(na, addrs)
+	vals := make([]relation.Value, len(rows))
 	var scratch []byte
-	for _, row := range rows {
+	for i, row := range rows {
 		st.BytesTransferred += len(row.AttrCT)
-		ctBytes += len(row.AttrCT)
 		pt, err := n.prob.DecryptAppend(scratch[:0], row.AttrCT)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("technique: noind attr decrypt addr %d: %w", row.Addr, err)
+			return nil, 0, 0, fmt.Errorf("technique: noind attr decrypt addr %d: %w", row.Addr, err)
 		}
 		scratch = pt
 		st.EncOps++
-		v, _, err := relation.DecodeValue(pt)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		nv = append(nv, v)
-		na = append(na, row.Addr)
-	}
-	n.cache.colStore(cur, nv, na, ctBytes)
-	return nv, na, cur.Epoch, nil
-}
-
-// fetchPayloads serves round 2 through the payload cache: only addresses
-// without a cached decryption are fetched (no round trip at all when every
-// address is cached), fresh decryptions are cached for the next query, and
-// the results come back in addrs order — exactly what the uncached Fetch
-// path returns.
-func (n *NoInd) fetchPayloads(st *Stats, epoch uint64, addrs []int) ([][]byte, error) {
-	found, ctSaved := n.cache.payloadGet(epoch, addrs)
-	if ctSaved > 0 {
-		st.CacheBytesSaved += ctSaved
-		n.cache.recordSaved(ctSaved)
-	}
-	missing := addrs
-	if len(found) > 0 {
-		missing = make([]int, 0, len(addrs)-len(found))
-		for _, a := range addrs {
-			if _, ok := found[a]; !ok {
-				missing = append(missing, a)
-			}
+		if vals[i], _, err = relation.DecodeValue(pt); err != nil {
+			return nil, 0, 0, err
 		}
 	}
-	var rows []storage.EncRow
-	if len(missing) > 0 {
-		var err error
-		rows, err = n.store.Fetch(missing)
-		if err != nil {
-			return nil, err
-		}
-	}
-	payloads := make([][]byte, 0, len(addrs))
-	next := 0
-	for _, a := range addrs {
-		if pt, ok := found[a]; ok {
-			payloads = append(payloads, pt)
-			continue
-		}
-		if next >= len(rows) {
-			return nil, fmt.Errorf("technique: noind fetch returned %d rows for %d addresses", len(rows), len(missing))
-		}
-		r := rows[next]
-		next++
-		pt, err := n.prob.Decrypt(r.TupleCT)
-		if err != nil {
-			return nil, fmt.Errorf("technique: noind tuple decrypt addr %d: %w", r.Addr, err)
-		}
-		st.EncOps++
-		st.TuplesTransferred++
-		st.BytesTransferred += len(r.TupleCT)
-		n.cache.payloadPut(epoch, r.Addr, pt, len(r.TupleCT))
-		payloads = append(payloads, pt)
-	}
-	return payloads, nil
+	return n.cache.colExtend(col, cur, have, rows, vals), have + len(rows), cur.Epoch, nil
 }
 
 // searchCached is Search with the version cache engaged: round 1 shrinks
 // to a conditional column pull (a constant-size not-modified answer in the
-// steady state) and round 2 only fetches addresses whose decryptions are
-// not already cached. Results and ReturnedAddrs are identical to the
-// uncached path; the cloud-observed accesses are a subset of it.
+// steady state), matching costs the predicates' posting lists in the
+// cached column's index rather than a pass over the column, and round 2
+// only fetches addresses whose decryptions are not already cached. Results
+// and ReturnedAddrs are identical to the uncached path; the cloud-observed
+// accesses are a subset of it.
 func (n *NoInd) searchCached(values []relation.Value) ([][]byte, *Stats, error) {
 	st := &Stats{Rounds: 2}
-	want := make(map[relation.Value]bool, len(values))
-	for _, v := range values {
-		want[v] = true
-	}
-	vals, colAddrs, epoch, err := n.cachedColumn(st)
+	col, cells, epoch, err := n.cachedColumn(st)
 	if err != nil {
 		return nil, nil, err
 	}
-	var addrs []int
-	for i, v := range vals {
-		if want[v] {
-			addrs = append(addrs, colAddrs[i])
-		}
-	}
-	payloads, err := n.fetchPayloads(st, epoch, addrs)
+	addrs := n.cache.colMatch(col, cells, values)
+	payloads, fetched, err := n.cache.fetchPayloads(n.store, n.prob, st, epoch, addrs)
 	if err != nil {
 		return nil, nil, err
 	}
+	st.addFetched(fetched)
 	st.ReturnedAddrs = addrs
 	return payloads, st, nil
 }
@@ -407,10 +341,11 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 }
 
 // searchBatchCached is SearchBatch with the version cache engaged: the
-// shared column pull becomes one conditional round trip, and round 2
-// fetches only the batch-wide union of addresses whose decryptions are not
-// already cached — at most one fetch round trip per batch, none in the
-// steady state. Results and per-query access patterns are identical to the
+// shared column pull becomes one conditional round trip, each distinct bin
+// retrieval matches through the cached column's index, and round 2 fetches
+// only the batch-wide union of addresses whose decryptions are not already
+// cached — at most one fetch round trip per batch, none in the steady
+// state. Results and per-query access patterns are identical to the
 // uncached batch; the cloud-observed accesses are a subset of it.
 func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	nq := len(queries)
@@ -419,100 +354,48 @@ func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stat
 	if nq == 0 {
 		return out, agg, nil
 	}
+	// Round 1, shared and cached: one conditional pull revalidates the
+	// decrypted column for the whole batch.
+	col, cells, epoch, err := n.cachedColumn(agg)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Identical bin-retrieval sharing as the uncached path: rep[i] is the
-	// lowest query index with the same backing predicate slice as query i.
+	// lowest query index with the same backing predicate slice as query i,
+	// and only representatives are matched. need is the batch-wide union of
+	// their addresses, slot an address's place in it (an address matched by
+	// several queries is fetched and decrypted once, like the uncached
+	// path's opened map).
 	rep := make([]int, nq)
 	firstFor := make(map[*relation.Value]int, nq)
+	addrs := make([][]int, nq)
+	slot := make(map[int]int)
+	var need []int
 	for i, q := range queries {
+		agg.PerQuery[i] = &Stats{Rounds: 2}
 		rep[i] = i
 		if len(q) == 0 {
 			continue
 		}
 		if j, ok := firstFor[&q[0]]; ok {
 			rep[i] = j
-		} else {
-			firstFor[&q[0]] = i
-		}
-	}
-	wantedBy := make(map[relation.Value][]int)
-	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
-		if rep[i] != i {
 			continue
 		}
-		for _, v := range q {
-			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
-				wantedBy[v] = append(qs, i)
-			}
-		}
-	}
-
-	// Round 1, shared and cached: one conditional pull revalidates the
-	// decrypted column for the whole batch.
-	vals, colAddrs, epoch, err := n.cachedColumn(agg)
-	if err != nil {
-		return nil, nil, err
-	}
-	addrs := make([][]int, nq)
-	for i, v := range vals {
-		for _, qi := range wantedBy[v] {
-			addrs[qi] = append(addrs[qi], colAddrs[i])
-		}
-	}
-
-	// Round 2: fetch the batch-wide union of uncached addresses in one
-	// round trip (an address matched by several queries is fetched and
-	// decrypted once, like the uncached path's opened map).
-	var need []int
-	seen := make(map[int]bool)
-	for qi := range queries {
-		if rep[qi] != qi {
-			continue
-		}
-		for _, a := range addrs[qi] {
-			if !seen[a] {
-				seen[a] = true
+		firstFor[&q[0]] = i
+		addrs[i] = n.cache.colMatch(col, cells, q)
+		for _, a := range addrs[i] {
+			if _, ok := slot[a]; !ok {
+				slot[a] = len(need)
 				need = append(need, a)
 			}
 		}
 	}
-	found, ctSaved := n.cache.payloadGet(epoch, need)
-	if ctSaved > 0 {
-		agg.CacheBytesSaved += ctSaved
-		n.cache.recordSaved(ctSaved)
-	}
-	missing := need
-	if len(found) > 0 {
-		missing = make([]int, 0, len(need)-len(found))
-		for _, a := range need {
-			if _, ok := found[a]; !ok {
-				missing = append(missing, a)
-			}
-		}
-	}
-	var rows []storage.EncRow
-	if len(missing) > 0 {
-		rows, err = n.store.Fetch(missing)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	opened := make(map[int][]byte, len(need))
-	ctLen := make(map[int]int, len(rows))
-	for a, pt := range found {
-		opened[a] = pt
-	}
-	for _, r := range rows {
-		pt, err := n.prob.Decrypt(r.TupleCT)
-		if err != nil {
-			return nil, nil, fmt.Errorf("technique: noind tuple decrypt addr %d: %w", r.Addr, err)
-		}
-		agg.EncOps++ // shared: repeated across queries, opened once
-		opened[r.Addr] = pt
-		ctLen[r.Addr] = len(r.TupleCT)
-		n.cache.payloadPut(epoch, r.Addr, pt, len(r.TupleCT))
-	}
 
+	// Round 2: one round trip for whatever of the union is not cached.
+	opened, fetched, err := n.cache.fetchPayloads(n.store, n.prob, agg, epoch, need)
+	if err != nil {
+		return nil, nil, err
+	}
 	for qi := range queries {
 		per := agg.PerQuery[qi]
 		if r := rep[qi]; r != qi {
@@ -525,17 +408,14 @@ func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stat
 			agg.BytesTransferred += per.BytesTransferred
 			continue
 		}
-		payloads := make([][]byte, 0, len(addrs[qi]))
-		for _, a := range addrs[qi] {
-			pt, ok := opened[a]
-			if !ok {
-				return nil, nil, fmt.Errorf("technique: noind batch missing fetched addr %d", a)
-			}
-			if cl := ctLen[a]; cl > 0 {
+		payloads := make([][]byte, len(addrs[qi]))
+		for j, a := range addrs[qi] {
+			i := slot[a]
+			payloads[j] = opened[i]
+			if fetched != nil && fetched[i] > 0 {
 				per.TuplesTransferred++
-				per.BytesTransferred += cl
+				per.BytesTransferred += fetched[i]
 			}
-			payloads = append(payloads, pt)
 		}
 		per.ReturnedAddrs = addrs[qi]
 		out[qi] = payloads

@@ -76,6 +76,17 @@ type Stats struct {
 	PerQuery []*Stats
 }
 
+// addFetched counts the payload transfers a Cache.fetchPayloads call
+// reported: one tuple and its ciphertext bytes per nonzero entry.
+func (s *Stats) addFetched(fetched []int) {
+	for _, ctLen := range fetched {
+		if ctLen > 0 {
+			s.TuplesTransferred++
+			s.BytesTransferred += ctLen
+		}
+	}
+}
+
 // Add folds o's counters into s. PerQuery is not merged: batch-level
 // attribution only makes sense relative to one SearchBatch call.
 func (s *Stats) Add(o *Stats) {
