@@ -28,7 +28,7 @@ func (c *Client) QueryBatch(ws []Value) ([][]Tuple, error) {
 // the per-query engine. It does not reach inside the technique: an
 // index-shaped technique's internal per-query fallback runs at
 // GOMAXPROCS. With a remote cloud the batch keeps many calls in flight on
-// the multiplexed connection(s), and a remote failure mid-batch fails the
+// the one multiplexed connection, and a remote failure mid-batch fails the
 // batch rather than thinning its results.
 func (c *Client) QueryBatchN(ws []Value, workers int) ([][]Tuple, error) {
 	return withRemoteCheck(c, func() ([][]Tuple, error) {

@@ -15,10 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/experiments"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -29,49 +28,15 @@ func main() {
 	memProf := flag.String("memprofile", "", "write a heap profile at exit here (pprof)")
 	flag.Parse()
 
-	err := withProfiles(*cpuProf, *memProf, func() error {
-		return run(*exp, *full, *seed)
-	})
+	stopProf, err := profile.Start("qbbench", *cpuProf, *memProf)
+	if err == nil {
+		err = run(*exp, *full, *seed)
+		stopProf()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qbbench:", err)
 		os.Exit(1)
 	}
-}
-
-// withProfiles runs f under an optional CPU profile and writes an optional
-// heap profile once f returns.
-func withProfiles(cpuPath, memPath string, f func() error) error {
-	if cpuPath != "" {
-		cf, err := os.Create(cpuPath)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(cf); err != nil {
-			cf.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			cf.Close()
-			fmt.Fprintf(os.Stderr, "qbbench: wrote CPU profile %s\n", cpuPath)
-		}()
-	}
-	if memPath != "" {
-		defer func() {
-			mf, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "qbbench: memprofile:", err)
-				return
-			}
-			runtime.GC() // up-to-date allocation data
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "qbbench: memprofile:", err)
-			}
-			mf.Close()
-			fmt.Fprintf(os.Stderr, "qbbench: wrote heap profile %s\n", memPath)
-		}()
-	}
-	return f()
 }
 
 func run(exp string, full bool, seed int64) error {

@@ -58,13 +58,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro"
 	"repro/internal/loadgen"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -86,7 +85,6 @@ func main() {
 		ringN    = flag.Int("ring", 0, "boot this many qbcloud nodes plus a qbring coordinator and drive the ring (needs -qbcloud and -qbring)")
 		ringBin  = flag.String("qbring", "", "qbring binary for -ring mode")
 		replicas = flag.Int("replicas", 2, "replication factor for -ring mode")
-		conns    = flag.Int("conns", 0, "connection-pool size per client (remote; 0 = library default)")
 		workers  = flag.Int("store-workers", 0, "per-namespace dispatch bound for the booted qbcloud (0 = unbounded)")
 		killAt   = flag.Duration("kill-at", 0, "SIGKILL the booted qbcloud this long into the measured window (0 = no chaos)")
 		restart  = flag.Duration("restart-after", 500*time.Millisecond, "restart the killed qbcloud after this long")
@@ -103,9 +101,8 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := profile.Start("qbload", *cpuProf, *memProf)
 	if err == nil {
-		defer stopProf()
 		var tech repro.Technique
 		tech, err = parseTechnique(*techName)
 		if err == nil {
@@ -116,7 +113,7 @@ func main() {
 					Gen:    loadgen.GenConfig{ReadFraction: *readFrac, ZipfS: *zipf},
 					Tuples: *tuples, DistinctValues: *values,
 					Alpha: *alpha, AssocFraction: *assoc,
-					Technique: tech, CloudAddr: *addr, CloudConns: *conns,
+					Technique: tech, CloudAddr: *addr,
 					DisableCache: !*cache, CacheBytes: *cacheMB << 20,
 					Seed: *seed, MaxInFlight: *maxIF, Check: *check,
 					Logf: func(format string, args ...any) {
@@ -136,48 +133,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qbload: FAIL:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles starts a CPU profile and arranges a heap profile, either
-// optional. The returned stop is idempotent so the happy path can flush
-// profiles before exiting and the deferred call stays a no-op.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-			fmt.Fprintf(os.Stderr, "qbload: wrote CPU profile %s\n", cpuPath)
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "qbload: memprofile:", err)
-				return
-			}
-			runtime.GC() // up-to-date allocation data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "qbload: memprofile:", err)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "qbload: wrote heap profile %s\n", memPath)
-		}
-	}, nil
 }
 
 func parseTechnique(name string) (repro.Technique, error) {

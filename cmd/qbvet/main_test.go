@@ -38,32 +38,52 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	}
 }
 
-// TestWireHasOneBackend pins the one-backend-stack collapse: exactly one
-// type in internal/wire implements wire.Backend. Pooling, reconnection
-// and namespacing are links beneath that one view, so a second
-// implementation means flush-before-read, retry and error recording have
-// been copied again.
-func TestWireHasOneBackend(t *testing.T) {
+// wireImplementers names, in scope order, the concrete types of
+// internal/wire that implement (by value or by pointer) the package's
+// interface iface — exported or not.
+func wireImplementers(t *testing.T, iface string) []string {
+	t.Helper()
 	for _, p := range loadRepo(t) {
 		if p.ImportPath != "repro/internal/wire" {
 			continue
 		}
 		scope := p.Types.Scope()
-		backend := scope.Lookup("Backend").Type().Underlying().(*types.Interface)
+		want := scope.Lookup(iface).Type().Underlying().(*types.Interface)
 		var impls []string
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || types.IsInterface(tn.Type()) {
 				continue
 			}
-			if types.Implements(tn.Type(), backend) || types.Implements(types.NewPointer(tn.Type()), backend) {
+			if types.Implements(tn.Type(), want) || types.Implements(types.NewPointer(tn.Type()), want) {
 				impls = append(impls, name)
 			}
 		}
-		if want := []string{"StoreClient"}; !reflect.DeepEqual(impls, want) {
-			t.Fatalf("wire.Backend implementations in internal/wire = %v, want %v", impls, want)
-		}
-		return
+		return impls
 	}
 	t.Fatal("repro/internal/wire not loaded")
+	return nil
+}
+
+// TestWireHasOneBackend pins the one-backend-stack collapse: exactly one
+// type in internal/wire implements wire.Backend. Reconnection and
+// namespacing are links beneath that one view, so a second implementation
+// means flush-before-read, retry and error recording have been copied
+// again.
+func TestWireHasOneBackend(t *testing.T) {
+	if impls, want := wireImplementers(t, "Backend"), []string{"StoreClient"}; !reflect.DeepEqual(impls, want) {
+		t.Fatalf("wire.Backend implementations in internal/wire = %v, want %v", impls, want)
+	}
+}
+
+// TestWireHasTwoLinks pins the connection seam beneath that view: the
+// unexported link interface is implemented by a connection and by a
+// self-healing connection, nothing else. The connection pool that was a
+// third link measured neutral on the traffic it was built for
+// (docs/bench/pr24) and was deleted; a new layer between a view and its
+// connection has to show up here first.
+func TestWireHasTwoLinks(t *testing.T) {
+	if impls, want := wireImplementers(t, "link"), []string{"Client", "Reconnector"}; !reflect.DeepEqual(impls, want) {
+		t.Fatalf("link implementations in internal/wire = %v, want %v", impls, want)
+	}
 }

@@ -245,7 +245,7 @@ func TestWriteAdmissionGate(t *testing.T) {
 		return rel
 	}
 
-	// Every write-path op (opEncAdd via the batched flush, opPlainInsert,
+	// Every write-path op (opEncAddBatch via the buffered flush, opPlainInsert,
 	// opPlainLoad), each driven through its own fresh connection so one
 	// refusal's client-side state cannot mask another, for both a missing
 	// token and a wrong-key token.

@@ -1,0 +1,52 @@
+package wire
+
+import (
+	"repro/internal/cloud"
+	"repro/internal/technique"
+)
+
+// Backend is the owner-side view of a remote cloud namespace:
+// cloud.PlainBackend plus technique.BatchEncStore (the encrypted store
+// including the batched read path) plus the lifecycle and error surface.
+// *StoreClient is its one implementation over the network — whatever the
+// link beneath it (one connection or a reconnecting one) — so callers
+// pick self-healing and namespacing without changing anything else.
+type Backend interface {
+	cloud.PlainBackend
+	technique.BatchEncStore
+	technique.VersionedEncStore
+
+	// Lifecycle and errors.
+	Ping() error
+	Flush() error
+	Err() error
+	LogicalErr() error
+	LogicalErrCount() uint64
+	Close() error
+
+	// SetAdminToken attaches the namespace's control-plane owner token
+	// (see OwnerToken): writes carry it so the first write claims the
+	// namespace for the owner.
+	SetAdminToken(tok []byte)
+}
+
+// Transport is a shared connection to one cloud (or, in internal/ring, a
+// router over a ring of them) from which per-namespace Backend views are
+// derived. It is what a process serving several relations holds once and
+// shares.
+type Transport interface {
+	// Store returns the Backend view of the named namespace ("" selects
+	// DefaultStore). The same name always yields the same view.
+	Store(name string) Backend
+	// Ping checks liveness (performing the handshake if needed).
+	Ping() error
+	// Close tears down the transport and every view derived from it.
+	Close() error
+}
+
+var _ Backend = (*StoreClient)(nil)
+
+var (
+	_ Transport = (*Client)(nil)
+	_ Transport = (*Reconnector)(nil)
+)

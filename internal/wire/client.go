@@ -24,9 +24,7 @@ import (
 // goroutine frames requests in submission order, and a reader goroutine
 // routes each response back to its caller, so any number of calls can be
 // in flight at once without head-of-line blocking. The batch query engine
-// therefore gains real cloud-side parallelism through a remote backend;
-// a Pool adds connection-level parallelism on top for CPU-bound
-// encrypted scans.
+// therefore gains real cloud-side parallelism through a remote backend.
 //
 // The first round trip performs the protocol handshake (opHello): a
 // server that cannot echo ProtocolVersion poisons the client with an
@@ -116,13 +114,9 @@ func NewClient(conn net.Conn) *Client {
 // and logical-error record, so differently keyed relations can ride one
 // transport without interleaving. The same name always yields the same
 // view.
-func (c *Client) WithStore(name string) *StoreClient { return c.view(name, c) }
-
-// view implements member: the namespace's view homed on this connection,
-// reaching the cloud through over (the Client itself unless pooled).
-func (c *Client) view(name string, over link) *StoreClient {
+func (c *Client) WithStore(name string) *StoreClient {
 	return c.stores.get(name, func(name string) *StoreClient {
-		return &StoreClient{store: name, link: over}
+		return &StoreClient{store: name, link: c}
 	})
 }
 
@@ -156,7 +150,7 @@ func (c *Client) Ping() error {
 // acquire implements link: a bare connection is its own only generation —
 // itself while healthy, its sticky error (an explicit Close included)
 // after.
-func (c *Client) acquire(bool) (*Client, error) { return c, c.stickyErr() }
+func (c *Client) acquire() (*Client, error) { return c, c.stickyErr() }
 
 // budget implements link: nothing beneath a bare connection can heal it,
 // so one attempt per op.
@@ -166,18 +160,16 @@ func (c *Client) budget() int { return 1 }
 
 // link is the seam between a namespace view and whatever carries its
 // requests. The view asks for a live connection per attempt and never
-// learns whether it got the one connection it was derived from (*Client),
-// the current generation of a self-healing one (*Reconnector), or a
-// pooled member (poolLink: the namespace's home for writes, any healthy
-// member for reads). Pooling, reconnection and the view are therefore
-// three layers of one algorithm instead of three copies of it.
+// learns whether it got the one connection it was derived from (*Client)
+// or the current generation of a self-healing one (*Reconnector).
+// Reconnection and the view are therefore two layers of one algorithm
+// instead of two copies of it.
 type link interface {
-	// acquire returns a live connection for one attempt of a read
-	// (write=false) or a mutation (write=true), or the reason there is
-	// none. It may block through a reconnect cycle, and that cycle calls
-	// the restore hook of the views homed on the link — so it must never
-	// be called with a view's bufMu or plainMu held.
-	acquire(write bool) (*Client, error)
+	// acquire returns a live connection for one attempt of an op, or the
+	// reason there is none. It may block through a reconnect cycle, and
+	// that cycle calls the restore hook of the views derived from the link
+	// — so it must never be called with a view's bufMu or plainMu held.
+	acquire() (*Client, error)
 	// budget bounds the attempts one op makes while its failures are the
 	// transport's.
 	budget() int
@@ -231,16 +223,16 @@ func (r *views) list() []*StoreClient {
 // that is per namespace rather than per connection: the owner token, the
 // encrypted upload buffer and client-side address arithmetic, the
 // clear-text length mirror, the clear-text replay mirror, and the
-// logical-error record. It reaches the cloud through a link (a
-// connection, a reconnecting connection, or a pool of either) and retries
-// each op through fresh connections until it succeeds, fails logically,
-// or the link's budget is spent.
+// logical-error record. It reaches the cloud through a link (a connection
+// or a reconnecting connection) and retries each op through fresh
+// connections until it succeeds, fails logically, or the link's budget is
+// spent.
 //
 // StoreClient is safe for concurrent use.
 type StoreClient struct {
 	store string
 	link  link
-	// replays marks a view whose home link heals itself (a Reconnector):
+	// replays marks a view whose link heals itself (a Reconnector):
 	// only such a view pays for the clear-text replay mirror, because only
 	// its link ever calls restore.
 	replays bool
@@ -316,10 +308,10 @@ func (s *StoreClient) ownerToken() []byte {
 // the transport's and the link's budget lasts. Logical errors return
 // immediately — retrying cannot help. f must take the view's locks itself
 // (acquire runs lock-free, see link).
-func (s *StoreClient) attempt(write bool, f func(c *Client) error) error {
+func (s *StoreClient) attempt(f func(c *Client) error) error {
 	var lastErr error
 	for i := 0; i < s.link.budget(); i++ {
-		c, err := s.link.acquire(write)
+		c, err := s.link.acquire()
 		if err != nil {
 			return err
 		}
@@ -333,9 +325,9 @@ func (s *StoreClient) attempt(write bool, f func(c *Client) error) error {
 
 // roundTrip performs one request against the view's namespace under the
 // retry loop.
-func (s *StoreClient) roundTrip(write bool, req *request) (resp *response, err error) {
+func (s *StoreClient) roundTrip(req *request) (resp *response, err error) {
 	req.Store = s.store
-	err = s.attempt(write, func(c *Client) error {
+	err = s.attempt(func(c *Client) error {
 		// Every attempt frames its own copy: a dead connection's writer
 		// goroutine may still be reading the previous one.
 		r := *req
@@ -345,9 +337,8 @@ func (s *StoreClient) roundTrip(write bool, req *request) (resp *response, err e
 	return resp, err
 }
 
-// read makes the namespace's buffered uploads durable — through its home,
-// so they are visible wherever the read lands — and performs one read
-// round trip. The nothing-buffered fast path is one mutex acquisition.
+// read makes the namespace's buffered uploads durable and performs one
+// read round trip. The nothing-buffered fast path is one mutex acquisition.
 func (s *StoreClient) read(req *request) (*response, error) {
 	s.bufMu.Lock()
 	buffered := len(s.pending) > 0
@@ -357,15 +348,14 @@ func (s *StoreClient) read(req *request) (*response, error) {
 			return nil, err
 		}
 	}
-	return s.roundTrip(false, req)
+	return s.roundTrip(req)
 }
 
-// Ping checks liveness of the link (every connection of a pool).
+// Ping checks liveness of the link.
 func (s *StoreClient) Ping() error { return s.link.Ping() }
 
-// Err returns the sticky error of the link this namespace's writes depend
-// on: the connection's, the Reconnector's permanent failure, or — pooled —
-// its home member's.
+// Err returns the link's sticky error: the connection's, or the
+// Reconnector's permanent failure.
 func (s *StoreClient) Err() error { return s.link.Err() }
 
 // LogicalErr returns the most recent error swallowed by one of this
@@ -395,8 +385,7 @@ func (s *StoreClient) LogicalErrCount() uint64 {
 // noteLogical records a per-op error a void interface method is about to
 // swallow (nil is not an error). Transport failures and use-after-close
 // are recorded too, so windows bracketed by LogicalErrCount observe them
-// even when Err() alone would not surface them (clean close, or a pool
-// whose other connections are healthy).
+// even when Err() alone would not surface them (a clean close).
 func (s *StoreClient) noteLogical(err error) {
 	if err == nil {
 		return
@@ -418,7 +407,7 @@ func (s *StoreClient) Close() error { return s.link.Close() }
 // replica whose plain tuples still lag repair is not readmitted on
 // encrypted parity alone.
 func (s *StoreClient) Info() (StoreInfo, error) {
-	resp, err := s.roundTrip(false, &request{Op: opStoreInfo})
+	resp, err := s.roundTrip(&request{Op: opStoreInfo})
 	if err != nil {
 		return StoreInfo{}, err
 	}
@@ -435,7 +424,7 @@ func (s *StoreClient) Info() (StoreInfo, error) {
 // must not become the relation every future reconnect replays (and fails
 // on, permanently).
 func (s *StoreClient) Load(rns *relation.Relation, attr string) error {
-	return s.attempt(true, func(c *Client) error {
+	return s.attempt(func(c *Client) error {
 		s.plainMu.Lock()
 		defer s.plainMu.Unlock()
 		if err := s.flushOn(c); err != nil {
@@ -507,7 +496,7 @@ func (s *StoreClient) SearchRange(lo, hi relation.Value) []relation.Tuple {
 // relation through this view) a lost acknowledgment may duplicate the
 // insert on retry.
 func (s *StoreClient) Insert(t relation.Tuple) error {
-	return s.attempt(true, func(c *Client) error {
+	return s.attempt(func(c *Client) error {
 		s.plainMu.Lock()
 		defer s.plainMu.Unlock()
 		if err := s.flushOn(c); err != nil {
@@ -551,7 +540,7 @@ func (s *StoreClient) Insert(t relation.Tuple) error {
 // until a flush is acknowledged.
 func (s *StoreClient) Add(tupleCT, attrCT, token []byte) int {
 	addr := -1
-	err := s.attempt(true, func(c *Client) error {
+	err := s.attempt(func(c *Client) error {
 		s.bufMu.Lock()
 		defer s.bufMu.Unlock()
 		if !s.lenSynced {
@@ -582,7 +571,7 @@ func (s *StoreClient) Add(tupleCT, attrCT, token []byte) int {
 // restore). The link's sticky error surfaces even with nothing buffered:
 // after a transport failure Add buffers nothing, so an empty-pending nil
 // would let an Outsource over a dead connection report success.
-func (s *StoreClient) Flush() error { return s.attempt(true, s.flushOn) }
+func (s *StoreClient) Flush() error { return s.attempt(s.flushOn) }
 
 // flushOn uploads the pending rows over c. It takes bufMu but never
 // acquires, so callers already holding plainMu (and a connection) use it
@@ -656,7 +645,7 @@ func (s *StoreClient) flushLocked(c *Client) error {
 }
 
 // restore is the hook a self-healing link calls, on a fresh handshaken
-// connection nobody else can see yet, for every view homed on it: make
+// connection nobody else can see yet, for every view derived from it: make
 // the cloud's copy of this namespace agree with the view again. It
 //
 //  1. re-Loads the clear-text replay mirror (the cloud may have restarted

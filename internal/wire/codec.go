@@ -46,7 +46,7 @@ const (
 func binaryOp(o op) bool {
 	switch o {
 	case opPing, opPlainSearch, opPlainSearchRange, opPlainInsert,
-		opEncAdd, opEncAddBatch, opEncLen, opEncAttrColumn, opEncFetch,
+		opEncAddBatch, opEncLen, opEncAttrColumn, opEncFetch,
 		opEncLookupToken, opEncRows, opEncFetchBatch,
 		opEncVersion, opEncAttrColumnIf, opEncRowsIf:
 		return true
@@ -121,11 +121,6 @@ func appendBinRequest(buf []byte, req *request) []byte {
 		buf = appendBytes(buf, req.AdminToken)
 		buf = appendHave(buf, req.Have)
 		buf = relation.AppendEncodeTuple(buf, req.Tuple)
-	case opEncAdd:
-		buf = appendBytes(buf, req.AdminToken)
-		buf = appendBytes(buf, req.TupleCT)
-		buf = appendBytes(buf, req.AttrCT)
-		buf = appendBytes(buf, req.Token)
 	case opEncAddBatch:
 		buf = appendBytes(buf, req.AdminToken)
 		buf = appendHave(buf, req.Have)
@@ -169,8 +164,6 @@ func appendBinResponse(buf []byte, o op, resp *response, extra byte) []byte {
 		for _, t := range resp.Tuples {
 			buf = relation.AppendEncodeTuple(buf, t)
 		}
-	case opEncAdd:
-		buf = binary.AppendVarint(buf, int64(resp.Addr))
 	case opEncAddBatch:
 		buf = binary.AppendVarint(buf, int64(resp.Addr))
 		buf = binary.AppendUvarint(buf, uint64(resp.N))
@@ -447,11 +440,6 @@ func decodeBinRequest(body []byte) (*request, error) {
 		req.Have = r.have()
 		var slab []relation.Value
 		req.Tuple = r.tuple(&slab)
-	case opEncAdd:
-		req.AdminToken = r.bytes(&a)
-		req.TupleCT = r.bytes(&a)
-		req.AttrCT = r.bytes(&a)
-		req.Token = r.bytes(&a)
 	case opEncAddBatch:
 		req.AdminToken = r.bytes(&a)
 		req.Have = r.have()
@@ -514,8 +502,6 @@ func decodeBinResponse(body []byte) (resp *response, partial bool, err error) {
 					resp.Tuples = append(resp.Tuples, r.tuple(&slab))
 				}
 			}
-		case opEncAdd:
-			resp.Addr = int(r.varint())
 		case opEncAddBatch:
 			resp.Addr = int(r.varint())
 			resp.N = int(r.uvarint())

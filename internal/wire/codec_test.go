@@ -44,12 +44,10 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opPlainSearch, ID: 5, Store: "s", Values: []relation.Value{relation.Int(9), relation.Str("q")}},
 		{Op: opPlainSearchRange, ID: 6, Lo: relation.Int(-100), Hi: relation.Int(100)},
 		{Op: opPlainInsert, ID: 7, Store: "s", AdminToken: []byte("tok"), Tuple: tuple},
-		{Op: opEncAdd, ID: 8, TupleCT: []byte("ct"), AttrCT: []byte("a"), Token: []byte("t")},
-		{Op: opEncAdd, ID: 9, TupleCT: []byte("ct"), AttrCT: nil, Token: nil},
-		{Op: opEncAdd, ID: 10, AdminToken: []byte("owner"), TupleCT: []byte("ct"), AttrCT: []byte{}, Token: []byte{}},
 		{Op: opEncAddBatch, ID: 11, AdminToken: []byte("owner"), Batch: []EncUpload{
 			{TupleCT: []byte("r0"), AttrCT: []byte("a0"), Token: []byte("t0")},
 			{TupleCT: []byte("r1"), AttrCT: nil, Token: nil},
+			{TupleCT: []byte("r2"), AttrCT: []byte{}, Token: []byte{}},
 		}},
 		{Op: opEncFetch, ID: 12, Addrs: []int{0, 5, 1 << 20}},
 		{Op: opEncFetchBatch, ID: 13, AddrBatches: [][]int{{1, 2}, nil, {3}}},
@@ -80,7 +78,6 @@ func TestBinResponseRoundTrip(t *testing.T) {
 			{ID: 1, Values: []relation.Value{relation.Int(5)}},
 			{ID: 2, Values: []relation.Value{relation.Str("s"), relation.Int(-1)}},
 		}}},
-		{opEncAdd, &response{ID: 4, Addr: 123}},
 		{opEncAddBatch, &response{ID: 5, Addr: 99, N: 17}},
 		{opEncLen, &response{ID: 6, N: 100000}},
 		{opEncLookupToken, &response{ID: 7, Addrs: []int{3, 1, 4}}},
@@ -127,9 +124,22 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 		!strings.Contains(err.Error(), "trailing") {
 		t.Errorf("request with trailing byte: %v", err)
 	}
-	// A non-binary op in a binary frame is a protocol violation.
-	if _, err := decodeBinRequest([]byte{byte(opHello), 1, 0}); err == nil {
-		t.Error("binary frame carrying a gob-only op decoded successfully")
+	// A non-binary op in a binary frame is a protocol violation, and so is
+	// the reserved slot 5 (the retired one-row upload): no client frames
+	// it, so the decoder must refuse it like any unknown op.
+	for _, tc := range []struct {
+		name string
+		o    op
+	}{{"gob-only op", opHello}, {"reserved op 5", 5}, {"unassigned op", 200}} {
+		if binaryOp(tc.o) {
+			t.Errorf("binaryOp(%d) = true for a %s", tc.o, tc.name)
+		}
+		if _, err := decodeBinRequest([]byte{byte(tc.o), 1, 0}); err == nil {
+			t.Errorf("binary request frame carrying a %s decoded successfully", tc.name)
+		}
+		if _, _, err := decodeBinResponse([]byte{byte(tc.o), 1, 0}); err == nil {
+			t.Errorf("binary response frame carrying a %s decoded successfully", tc.name)
+		}
 	}
 
 	resp := &response{ID: 3, Rows: []storage.EncRow{{Addr: 1, TupleCT: []byte("ct")}}}
@@ -160,15 +170,16 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 // — the frame body aliases a reused scratch buffer, and both the server's
 // store and the client's technique retain what they are handed.
 func TestBinDecodedFieldsDoNotAliasInput(t *testing.T) {
-	req := &request{Op: opEncAdd, ID: 1, TupleCT: []byte("tuple"), AttrCT: []byte("attr"), Token: []byte("tok")}
+	req := &request{Op: opEncAddBatch, ID: 1, Batch: []EncUpload{{TupleCT: []byte("tuple"), AttrCT: []byte("attr"), Token: []byte("tok")}}}
 	body := appendBinRequest(nil, req)
-	got, err := decodeBinRequest(body)
+	decoded, err := decodeBinRequest(body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range body {
 		body[i] = 0xAA // simulate the scratch being reused for the next frame
 	}
+	got := decoded.Batch[0]
 	if string(got.TupleCT) != "tuple" || string(got.AttrCT) != "attr" || string(got.Token) != "tok" {
 		t.Fatalf("decoded fields alias the frame body: %q %q %q", got.TupleCT, got.AttrCT, got.Token)
 	}

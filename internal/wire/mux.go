@@ -288,6 +288,3 @@ func (c *Client) stickyErr() error {
 	defer c.mu.Unlock()
 	return c.err
 }
-
-// healthy implements member: a Client is routable until poisoned.
-func (c *Client) healthy() bool { return c.stickyErr() == nil }

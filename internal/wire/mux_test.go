@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -437,11 +436,10 @@ func TestServerClosesOnMalformedFrame(t *testing.T) {
 	<-srvDone
 }
 
-// TestMuxConcurrentStress drives one multiplexed connection (and then a
-// pool) from many goroutines — readers fetching specific addresses and
-// checking they get their own rows back, writers adding + flushing new
-// rows, and a loader goroutine interleaving exclusive opPlainLoad — under
-// -race. It is both the demux correctness check (a crossed response would
+// TestMuxConcurrentStress drives one multiplexed connection from many
+// goroutines — readers fetching specific addresses and checking they get
+// their own rows back, writers adding + flushing new rows, and a loader
+// goroutine interleaving exclusive opPlainLoad — under -race. It is both the demux correctness check (a crossed response would
 // return the wrong row) and the concurrency stress for the server's
 // per-connection worker pool.
 func TestMuxConcurrentStress(t *testing.T) {
@@ -454,260 +452,109 @@ func TestMuxConcurrentStress(t *testing.T) {
 	cl.SetConnWorkers(4)
 	go func() { _ = cl.Serve(lis) }()
 
-	newBackend := func(t *testing.T, conns int) Backend {
-		if conns == 1 {
-			c, err := Dial(lis.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c.WithStore(DefaultStore)
-		}
-		p, err := dialPool(lis.Addr().String(), conns)
+	t.Run("single-conn", func(t *testing.T) { // the one arm left; its printed name is pinned
+		c, err := Dial(lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
-		return p.WithStore(DefaultStore)
-	}
+		t.Cleanup(func() { c.Close() })
+		b := c.WithStore(DefaultStore)
 
-	for _, tc := range []struct {
-		name  string
-		conns int
-	}{{"single-conn", 1}, {"pool-3", 3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := newBackend(t, tc.conns)
+		// Seed rows whose payload encodes their address.
+		rowCT := func(addr int) string { return fmt.Sprintf("ct-%04d", addr) }
+		const seeded = 64
+		base := b.Len()
+		for i := 0; i < seeded; i++ {
+			addr := b.Add([]byte(rowCT(base+i)), []byte("attr"), []byte(fmt.Sprintf("tok%d", i%8)))
+			if addr != base+i {
+				t.Fatalf("seed addr = %d, want %d", addr, base+i)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Seed rows whose payload encodes their address.
-			rowCT := func(addr int) string { return fmt.Sprintf("ct-%04d", addr) }
-			const seeded = 64
-			base := b.Len() // cloud is shared across subtests
-			for i := 0; i < seeded; i++ {
-				addr := b.Add([]byte(rowCT(base+i)), []byte("attr"), []byte(fmt.Sprintf("tok%d", i%8)))
-				if addr != base+i {
-					t.Fatalf("seed addr = %d, want %d", addr, base+i)
-				}
-			}
-			if err := b.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		rel := relation.New(relation.MustSchema("T",
+			relation.Column{Name: "K", Kind: relation.KindInt},
+		))
+		for i := 0; i < 10; i++ {
+			rel.MustInsert(relation.Int(int64(i)))
+		}
+		if err := b.Load(rel, "K"); err != nil {
+			t.Fatal(err)
+		}
 
-			rel := relation.New(relation.MustSchema("T",
-				relation.Column{Name: "K", Kind: relation.KindInt},
-			))
-			for i := 0; i < 10; i++ {
-				rel.MustInsert(relation.Int(int64(i)))
+		var wg sync.WaitGroup
+		fail := make(chan error, 64)
+		report := func(format string, args ...any) {
+			select {
+			case fail <- fmt.Errorf(format, args...):
+			default:
 			}
-			if err := b.Load(rel, "K"); err != nil {
-				t.Fatal(err)
-			}
+		}
 
-			var wg sync.WaitGroup
-			fail := make(chan error, 64)
-			report := func(format string, args ...any) {
-				select {
-				case fail <- fmt.Errorf(format, args...):
-				default:
-				}
-			}
-
-			// Readers: fetch a random seeded address, expect that row.
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := mrand.New(mrand.NewPCG(uint64(g), 99))
-					for i := 0; i < 60; i++ {
-						addr := base + rng.IntN(seeded)
-						rows, err := b.Fetch([]int{addr})
-						if err != nil {
-							report("fetch(%d): %v", addr, err)
-							return
-						}
-						if len(rows) != 1 || string(rows[0].TupleCT) != rowCT(addr) {
-							report("fetch(%d) returned %q — crossed responses", addr, rows[0].TupleCT)
-							return
-						}
-						if got := b.Search([]relation.Value{relation.Int(int64(i % 10))}); len(got) != 1 {
-							report("search mid-stress = %d tuples", len(got))
-							return
-						}
-						_ = b.Len()
-					}
-				}(g)
-			}
-			// Writer: grow the store, then read each new row back.
+		// Readers: fetch a random seeded address, expect that row.
+		for g := 0; g < 4; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					addr := b.Add([]byte("w"), nil, nil)
-					if addr < base+seeded {
-						report("writer addr %d collides with seeded range", addr)
+				rng := mrand.New(mrand.NewPCG(uint64(g), 99))
+				for i := 0; i < 60; i++ {
+					addr := base + rng.IntN(seeded)
+					rows, err := b.Fetch([]int{addr})
+					if err != nil {
+						report("fetch(%d): %v", addr, err)
 						return
 					}
-					if err := b.Flush(); err != nil {
-						report("writer flush: %v", err)
+					if len(rows) != 1 || string(rows[0].TupleCT) != rowCT(addr) {
+						report("fetch(%d) returned %q — crossed responses", addr, rows[0].TupleCT)
 						return
 					}
+					if got := b.Search([]relation.Value{relation.Int(int64(i % 10))}); len(got) != 1 {
+						report("search mid-stress = %d tuples", len(got))
+						return
+					}
+					_ = b.Len()
 				}
-			}()
-			// Loader: interleave the exclusive opPlainLoad.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 15; i++ {
-					if err := b.Load(rel, "K"); err != nil {
-						report("load: %v", err)
-						return
-					}
+			}(g)
+		}
+		// Writer: grow the store, then read each new row back.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				addr := b.Add([]byte("w"), nil, nil)
+				if addr < base+seeded {
+					report("writer addr %d collides with seeded range", addr)
+					return
 				}
-			}()
-			wg.Wait()
-			close(fail)
-			for err := range fail {
-				t.Error(err)
+				if err := b.Flush(); err != nil {
+					report("writer flush: %v", err)
+					return
+				}
 			}
-			if err := b.Err(); err != nil {
-				t.Fatalf("sticky transport error after stress: %v", err)
+		}()
+		// Loader: interleave the exclusive opPlainLoad.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				if err := b.Load(rel, "K"); err != nil {
+					report("load: %v", err)
+					return
+				}
 			}
-			if err := b.LogicalErr(); err != nil {
-				t.Fatalf("logical error after stress: %v", err)
-			}
-		})
-	}
-}
-
-// TestPoolBasics covers the pool's read/write routing: buffered uploads
-// on the primary are visible to reads served by other connections, and
-// plain ops work regardless of which connection serves them.
-func TestPoolBasics(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() { _ = NewCloud().Serve(lis) }()
-
-	p, err := dialPool(lis.Addr().String(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := p.WithStore(DefaultStore)
-	defer p.Close()
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d", p.Size())
-	}
-	if err := p.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Enc reads see buffered uploads no matter which conn serves them.
-	if a := v.Add([]byte("ct0"), []byte("a0"), []byte("tok")); a != 0 {
-		t.Fatalf("Add = %d", a)
-	}
-	for i := 0; i < p.Size()+1; i++ { // cycle through every connection
-		if n := v.Len(); n != 1 {
-			t.Fatalf("Len via conn %d = %d, want 1", i, n)
+		}()
+		wg.Wait()
+		close(fail)
+		for err := range fail {
+			t.Error(err)
 		}
-	}
-	if got := v.LookupToken([]byte("tok")); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("LookupToken = %v", got)
-	}
-	rows, err := v.Fetch([]int{0})
-	if err != nil || len(rows) != 1 || string(rows[0].TupleCT) != "ct0" {
-		t.Fatalf("Fetch = %v, %v", rows, err)
-	}
-	if got := v.AttrColumn(); len(got) != 1 || string(got[0].AttrCT) != "a0" {
-		t.Fatalf("AttrColumn = %v", got)
-	}
-	if got := v.Rows(); len(got) != 1 {
-		t.Fatalf("Rows = %v", got)
-	}
-
-	rel := relation.New(relation.MustSchema("T",
-		relation.Column{Name: "K", Kind: relation.KindInt},
-	))
-	rel.MustInsert(relation.Int(1))
-	if err := v.Load(rel, "K"); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Insert(relation.Tuple{ID: 2, Values: []relation.Value{relation.Int(5)}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < p.Size()+1; i++ {
-		if got := v.Search([]relation.Value{relation.Int(5)}); len(got) != 1 {
-			t.Fatalf("Search via conn %d = %v", i, got)
+		if err := b.Err(); err != nil {
+			t.Fatalf("sticky transport error after stress: %v", err)
 		}
-		if got := v.SearchRange(relation.Int(0), relation.Int(9)); len(got) != 2 {
-			t.Fatalf("SearchRange via conn %d = %v", i, got)
+		if err := b.LogicalErr(); err != nil {
+			t.Fatalf("logical error after stress: %v", err)
 		}
-	}
-	if p.Err() != nil || v.LogicalErr() != nil {
-		t.Fatalf("pool errors: %v / %v", p.Err(), v.LogicalErr())
-	}
-}
-
-// TestPoolSkipsPoisonedConnections: after a secondary connection dies,
-// round-robined reads must route around it instead of periodically
-// returning silent zero values.
-func TestPoolSkipsPoisonedConnections(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() { _ = NewCloud().Serve(lis) }()
-
-	p, err := dialPool(lis.Addr().String(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := p.WithStore(DefaultStore)
-	defer p.Close()
-
-	rel := relation.New(relation.MustSchema("T",
-		relation.Column{Name: "K", Kind: relation.KindInt},
-	))
-	rel.MustInsert(relation.Int(1))
-	if err := v.Load(rel, "K"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill one secondary's transport and let its teardown land.
-	p.conns[1].(*Client).conn.Close()
-	for p.conns[1].(*Client).stickyErr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Every read must keep succeeding: the dead conn is skipped.
-	for i := 0; i < 3*p.Size(); i++ {
-		if got := v.Search([]relation.Value{relation.Int(1)}); len(got) != 1 {
-			t.Fatalf("read %d routed to poisoned conn: %v", i, got)
-		}
-	}
-	// A dead secondary is degradation, not failure: the pool stays
-	// healthy (queries keep working), and the capacity loss is visible.
-	if err := p.Err(); err != nil {
-		t.Fatalf("dead secondary failed the pool: %v", err)
-	}
-	if got := p.Alive(); got != 2 {
-		t.Fatalf("Alive = %d, want 2", got)
-	}
-	// A dead primary, by contrast, is a pool failure: writes and flushes
-	// depend on it.
-	p.conns[0].(*Client).conn.Close()
-	for p.conns[0].(*Client).stickyErr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-	if p.Err() == nil {
-		t.Fatal("dead primary not reported by pool Err()")
-	}
-}
-
-// TestDialPoolUnreachable: a failed dial cleans up already-open conns.
-func TestDialPoolUnreachable(t *testing.T) {
-	if _, err := dialPool("127.0.0.1:1", 2); err == nil {
-		t.Fatal("DialPool to unreachable addr succeeded")
-	}
+	})
 }

@@ -5,8 +5,8 @@
 // number of named store pairs (clear-text + encrypted), and one client
 // view type — StoreClient — that plugs into the owner as a
 // cloud.PlainBackend and into any technique as a technique.EncStore,
-// whatever carries its requests: a Client (one connection), a
-// Reconnector (a connection that heals itself) or a Pool of either.
+// whatever carries its requests: a Client (one connection) or a
+// Reconnector (a connection that heals itself).
 //
 // Every request carries a client-assigned ID echoed by its response, so
 // many calls can be in flight on one connection at once: the client runs
@@ -16,14 +16,13 @@
 // concurrently through a bounded worker pool, serialising only the
 // response frames. Responses may therefore arrive in any order; ordering
 // guarantees come from callers blocking on their own response, not from
-// the transport. For CPU-bound encrypted scans a small connection pool
-// (Pool) spreads calls over several multiplexed connections.
+// the transport.
 //
 // Namespaces: every request addresses a named store, so one cloud serves
 // any number of independently keyed relations side by side (the
 // multi-relation outsourcing model of the paper's successors). A
-// connection is shared across namespaces — WithStore on a Client, a
-// Reconnector or a Pool returns the namespace's *StoreClient, the only
+// connection is shared across namespaces — WithStore on a Client or a
+// Reconnector returns the namespace's *StoreClient, the only
 // Backend implementation in this package, which owns everything that is
 // per namespace (upload buffer, address arithmetic, owner token, replay
 // mirror, logical-error record) and reaches the cloud through the link
@@ -53,10 +52,9 @@
 // derived from the owner's master key (OwnerToken; the cloud stores only
 // its hash, claimed by the namespace's first write), a Reconnector that
 // survives transport failure by redialing, re-handshaking and having each
-// view homed on it restore its namespace (retained uploads replay exactly
-// once), and two-level dispatch admission
-// (per-connection plus per-namespace) so tenants sharing a connection
-// cannot starve each other.
+// view derived from it restore its namespace (retained uploads replay
+// exactly once), and two-level dispatch admission (per-connection plus
+// per-namespace) so tenants sharing a connection cannot starve each other.
 //
 // The protocol deliberately mirrors what the paper's adversary observes:
 // the clear-text side travels in the clear (the cloud owns that data
@@ -111,7 +109,7 @@ const (
 	opPlainSearch
 	opPlainSearchRange
 	opPlainInsert
-	opEncAdd
+	_ // 5 was opEncAdd (one row per frame): reserved, every upload is an opEncAddBatch
 	opEncAddBatch
 	opEncLen
 	opEncAttrColumn
@@ -220,11 +218,9 @@ type request struct {
 	Tuple  relation.Tuple
 
 	// Encrypted store fields.
-	TupleCT []byte
-	AttrCT  []byte
-	Token   []byte
-	Batch   []EncUpload
-	Addrs   []int
+	Token []byte
+	Batch []EncUpload
+	Addrs []int
 	// AddrBatches is one address list per query (opEncFetchBatch).
 	AddrBatches [][]int
 

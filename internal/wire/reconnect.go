@@ -17,9 +17,9 @@ import (
 //
 //  1. redial with capped exponential backoff,
 //  2. re-run the opHello handshake and probe liveness with opPing,
-//  3. call the restore hook of every view homed on it (StoreClient.restore:
-//     re-Load the clear-text replay mirror, reconcile the encrypted row
-//     count, replay retained uploads exactly once).
+//  3. call the restore hook of every view derived from it
+//     (StoreClient.restore: re-Load the clear-text replay mirror, reconcile
+//     the encrypted row count, replay retained uploads exactly once).
 //
 // Nothing migrates between connections: the views own their buffers and
 // mirrors, the Reconnector only decides which *Client they get next.
@@ -92,7 +92,8 @@ type Reconnector struct {
 	permErr      error         // unrecoverable failure, sticky
 	closedCh     chan struct{} // closed by Close: aborts backoff sleeps
 
-	// stores are the views homed here: the ones a reconnect cycle restores.
+	// stores are the views derived from this Reconnector: the ones a
+	// reconnect cycle restores.
 	stores views
 }
 
@@ -126,14 +127,9 @@ func DialReconnect(addr string, opts ReconnectOptions) (*Reconnector, error) {
 
 // WithStore returns the reconnect-surviving view of the named namespace
 // ("" means DefaultStore). The same name always yields the same view.
-func (rc *Reconnector) WithStore(name string) *StoreClient { return rc.view(name, rc) }
-
-// view implements member: the namespace's view homed on — restored by —
-// this Reconnector, reaching the cloud through over (the Reconnector
-// itself unless pooled).
-func (rc *Reconnector) view(name string, over link) *StoreClient {
+func (rc *Reconnector) WithStore(name string) *StoreClient {
 	return rc.stores.get(name, func(name string) *StoreClient {
-		return &StoreClient{store: name, link: over, replays: true}
+		return &StoreClient{store: name, link: rc, replays: true}
 	})
 }
 
@@ -170,16 +166,6 @@ func (rc *Reconnector) Err() error {
 	return rc.permErr
 }
 
-// healthy implements member: a Reconnector is routable until it fails
-// permanently (redial exhaustion, unreconcilable resync) or is closed —
-// transient connection death is its own problem to fix, so a pool keeps
-// routing to it and the routed ops block through the reconnect cycle.
-func (rc *Reconnector) healthy() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.permErr == nil && !rc.closed
-}
-
 // budget implements link: retry cycles per operation.
 func (rc *Reconnector) budget() int { return rc.opts.maxRetries() }
 
@@ -188,7 +174,7 @@ func (rc *Reconnector) budget() int { return rc.opts.maxRetries() }
 func (rc *Reconnector) Ping() error {
 	var lastErr error
 	for i := 0; i < rc.budget(); i++ {
-		c, err := rc.acquire(false)
+		c, err := rc.acquire()
 		if err != nil {
 			return err
 		}
@@ -204,7 +190,7 @@ func (rc *Reconnector) Ping() error {
 // acquire implements link: it returns a healthy connection, running (or
 // waiting on) a reconnect cycle when the current one is poisoned. It
 // fails only on Close or a permanent error.
-func (rc *Reconnector) acquire(bool) (*Client, error) {
+func (rc *Reconnector) acquire() (*Client, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	for {
@@ -243,7 +229,7 @@ func (rc *Reconnector) acquire(bool) (*Client, error) {
 
 // reconnect runs one full cycle: bury the dead connection, then redial
 // with capped exponential backoff until a connection passes the
-// handshake, the liveness probe and every homed view's restore. Transient
+// handshake, the liveness probe and every view's restore. Transient
 // failures consume attempts; a restore the cloud itself refuses (an
 // unreconcilable count, a rejected replay) aborts the cycle with a
 // permanent error.
@@ -251,7 +237,7 @@ func (rc *Reconnector) reconnect(old *Client) (*Client, error) {
 	if old != nil {
 		old.Close()
 	}
-	homed := rc.stores.list()
+	vs := rc.stores.list()
 
 	// Jittered capped exponential backoff: each sleep is drawn uniformly
 	// from [delay/2, delay], so N clients orphaned by one node crash
@@ -290,7 +276,7 @@ func (rc *Reconnector) reconnect(old *Client) (*Client, error) {
 			lastErr = err
 			continue
 		}
-		if err := restoreAll(c, homed); err != nil {
+		if err := restoreAll(c, vs); err != nil {
 			// An error on a connection that is still healthy is the cloud's
 			// verdict, and no redial changes it; on a dead one it is just
 			// another transport failure.
@@ -307,9 +293,9 @@ func (rc *Reconnector) reconnect(old *Client) (*Client, error) {
 	return nil, fmt.Errorf("wire: reconnect: gave up after %d attempts: %w", rc.opts.maxRetries(), lastErr)
 }
 
-// restoreAll runs every homed view's restore hook against c.
-func restoreAll(c *Client, homed []*StoreClient) error {
-	for _, s := range homed {
+// restoreAll runs every view's restore hook against c.
+func restoreAll(c *Client, vs []*StoreClient) error {
+	for _, s := range vs {
 		if err := s.restore(c); err != nil {
 			return err
 		}

@@ -669,7 +669,7 @@ func (c *Cloud) dispatch(req *request) response {
 	// append rows into, or replace the plain partition of, tenant A's
 	// claimed store.
 	switch req.Op {
-	case opPlainLoad, opPlainInsert, opEncAdd, opEncAddBatch:
+	case opPlainLoad, opPlainInsert, opEncAddBatch:
 		if len(req.AdminToken) != 0 {
 			st.ClaimOwner(hashToken(req.AdminToken))
 		}
@@ -736,8 +736,6 @@ func (c *Cloud) dispatch(req *request) response {
 			return response{Err: err.Error()}
 		}
 		return response{}
-	case opEncAdd:
-		return response{Addr: encStore.Add(req.TupleCT, req.AttrCT, req.Token)}
 	case opEncAddBatch:
 		// Validate before applying anything: the client's flush-retry
 		// logic relies on a rejected batch being all-or-nothing (a

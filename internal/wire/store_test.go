@@ -28,14 +28,6 @@ func startCloudListener(t *testing.T) (*Cloud, string) {
 	return cl, lis.Addr().String()
 }
 
-// dialPool pools n plain connections to the cloud at addr.
-func dialPool(addr string, n int) (*Pool, error) {
-	return DialPool(n, func() (*Client, error) { return Dial(addr) })
-}
-
-// homeOf returns the pool member a pooled view's writes are pinned to.
-func homeOf(v *StoreClient) member { return v.link.(poolLink).home }
-
 // TestHelloRejectsLegacyClient: a pre-namespace (v1) client never sends
 // opHello; its first op must be answered with an explicit
 // version-mismatch error — not executed, not a corrupted frame — and the
@@ -308,113 +300,19 @@ func TestLogicalRecordIsPerNamespace(t *testing.T) {
 	}
 }
 
-// TestPoolPinsWritesPerStore: with two connections, two namespaces get
-// two different home connections — mutations no longer serialise on a
-// single pool-wide primary — while the default store keeps conns[0].
-func TestPoolPinsWritesPerStore(t *testing.T) {
-	_, addr := startCloudListener(t)
-	p, err := dialPool(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	a := p.WithStore("tenant-a")
-	b := p.WithStore("tenant-b")
-	if homeOf(a) == homeOf(b) {
-		t.Fatal("two namespaces share one home connection on a 2-conn pool")
-	}
-	if homeOf(p.WithStore("")) != p.conns[0] {
-		t.Fatal("default store not homed on the first connection")
-	}
-	// Same name, same view.
-	if p.WithStore("tenant-a") != a {
-		t.Fatal("WithStore not idempotent")
-	}
-
-	// Writes land in the right namespaces through their pinned conns, and
-	// reads see them from every connection.
-	if addr := a.Add([]byte("a-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-a addr = %d", addr)
-	}
-	if addr := b.Add([]byte("b-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-b addr = %d", addr)
-	}
-	for i := 0; i < 2*p.Size(); i++ { // cycle the read round-robin
-		rowsA, err := a.Fetch([]int{0})
-		if err != nil || string(rowsA[0].TupleCT) != "a-ct" {
-			t.Fatalf("tenant-a read %d = %v, %v", i, rowsA, err)
-		}
-		rowsB, err := b.Fetch([]int{0})
-		if err != nil || string(rowsB[0].TupleCT) != "b-ct" {
-			t.Fatalf("tenant-b read %d = %v, %v", i, rowsB, err)
-		}
-	}
-}
-
-// TestPoolStoreSurvivesOtherHomeDeath: killing tenant-a's home connection
-// must not break tenant-b's writes (they are pinned elsewhere), and
-// tenant-a's view reports the failure through its Err while the pool
-// routes its reads around the corpse.
-func TestPoolStoreSurvivesOtherHomeDeath(t *testing.T) {
-	_, addr := startCloudListener(t)
-	p, err := dialPool(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	a, b := p.WithStore("tenant-a"), p.WithStore("tenant-b") // homes: conns[1], conns[0] (default took conns[0])
-	if addr := b.Add([]byte("b-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-b addr = %d", addr)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill tenant-a's home.
-	homeOf(a).(*Client).conn.Close()
-	for homeOf(a).(*Client).stickyErr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-
-	// tenant-b keeps writing and reading.
-	if addr := b.Add([]byte("b-ct2"), nil, nil); addr != 1 {
-		t.Fatalf("tenant-b addr after other home died = %d", addr)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatalf("tenant-b flush after other home died: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		if n := b.Len(); n != 2 {
-			t.Fatalf("tenant-b Len = %d", n)
-		}
-	}
-	// tenant-a's mutations fail loudly through its view.
-	if a.Err() == nil {
-		t.Fatal("tenant-a view hides its dead home connection")
-	}
-	if addr := a.Add([]byte("a-ct"), nil, nil); addr != -1 {
-		t.Fatalf("tenant-a Add on dead home = %d", addr)
-	}
-}
-
-// transportStacks is every way a namespace view can reach a cloud: the
-// four link stacks the conformance table and the concurrency stress both
-// run over. home returns the self-healing link a view's writes ride (nil
-// on the fail-fast stacks).
+// transportStacks is every way a namespace view can reach one cloud: the
+// two link stacks the conformance table and the concurrency stress both
+// run over (the names say what both have always had: one connection).
+// home returns the self-healing link the view rides (nil on the fail-fast
+// stack).
 var transportStacks = []struct {
 	name string
 	open func(addr string) (Transport, error)
 	home func(v *StoreClient) *Reconnector
 }{
 	{"conns=1", func(addr string) (Transport, error) { return Dial(addr) }, nil},
-	{"conns=3", func(addr string) (Transport, error) { return dialPool(addr, 3) }, nil},
 	{"reconnect,conns=1", func(addr string) (Transport, error) { return DialReconnect(addr, fastOpts) },
 		func(v *StoreClient) *Reconnector { return v.link.(*Reconnector) }},
-	{"reconnect,conns=2", func(addr string) (Transport, error) {
-		return DialPool(2, func() (*Reconnector, error) { return DialReconnect(addr, fastOpts) })
-	}, func(v *StoreClient) *Reconnector { return homeOf(v).(*Reconnector) }},
 }
 
 // killCurrent severs a Reconnector's live connection and waits for the
@@ -437,8 +335,8 @@ func killCurrent(rc *Reconnector) {
 // against its own fresh cloud, and requires identical answers AND an
 // identical per-namespace server-side op count: what the cloud — the
 // adversary — observes must not depend on how requests reach it. The
-// self-healing stacks then lose their connection between Add and Flush
-// and must land the buffered rows exactly once.
+// self-healing stack then loses its connection between Add and Flush and
+// must land the buffered rows exactly once.
 func TestTransportConformance(t *testing.T) {
 	const ns = "conformance"
 	tok := OwnerToken([]byte("conformance master key"), ns)

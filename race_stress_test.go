@@ -144,12 +144,11 @@ func TestTwoNamespaceCloudStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, err := NewClient(Config{
-			MasterKey:  []byte("stress tenant " + store),
-			Attr:       workload.Attr,
-			Seed:       seed(genSeed),
-			CloudAddr:  addr,
-			Store:      store,
-			CloudConns: 2,
+			MasterKey: []byte("stress tenant " + store),
+			Attr:      workload.Attr,
+			Seed:      seed(genSeed),
+			CloudAddr: addr,
+			Store:     store,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -48,9 +48,9 @@ func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, 
 // whole batch where the sequential loop pays one pair per query, so the
 // batched sub-benchmarks win even on a single CPU; extra workers
 // additionally parallelise the plaintext fetches against the server-side
-// dispatch pool on multi-core. The pool holds min(workers, GOMAXPROCS)
-// connections. These are numbers to read while working; the gated
-// equivalent is batch_qps in `go run ./bench`.
+// dispatch pool on multi-core. Each transport arm is one wire.Client.
+// These are numbers to read while working; the gated equivalent is
+// batch_qps in `go run ./bench`.
 //
 // The owner-side version cache runs in its library-default state (on):
 // after the first pull, each sequential query revalidates the decrypted
@@ -62,11 +62,6 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 	queries := workload.QueryStream(ds, workload.QuerySpec{Queries: 64, Seed: 9})
 	const batch = 256
 	ws := slices.Repeat(queries, batch/len(queries))
-
-	poolSize := runtime.GOMAXPROCS(0)
-	if poolSize > 4 {
-		poolSize = 4
-	}
 
 	sweep := func(b *testing.B, mk func(b *testing.B) wire.Backend) {
 		b.Helper()
@@ -116,15 +111,11 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 
 	b.Run("pipe", func(b *testing.B) {
 		sweep(b, func(b *testing.B) wire.Backend {
-			cloud := wire.NewCloud()
-			conns := make([]*wire.Client, poolSize)
-			for i := range conns {
-				cend, send := net.Pipe()
-				go cloud.ServeConn(send)
-				conns[i] = wire.NewClient(cend)
-				b.Cleanup(func(c *wire.Client) func() { return func() { c.Close() } }(conns[i]))
-			}
-			return wire.NewPool(conns).WithStore(wire.DefaultStore)
+			cend, send := net.Pipe()
+			go wire.NewCloud().ServeConn(send)
+			c := wire.NewClient(cend)
+			b.Cleanup(func() { c.Close() })
+			return c.WithStore(wire.DefaultStore)
 		})
 	})
 
@@ -136,12 +127,12 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 			}
 			b.Cleanup(func() { lis.Close() })
 			go func() { _ = wire.NewCloud().Serve(lis) }()
-			pool, err := wire.DialPool(poolSize, func() (*wire.Client, error) { return wire.Dial(lis.Addr().String()) })
+			c, err := wire.Dial(lis.Addr().String())
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Cleanup(func() { pool.Close() })
-			return pool.WithStore(wire.DefaultStore)
+			b.Cleanup(func() { c.Close() })
+			return c.WithStore(wire.DefaultStore)
 		})
 	})
 }
