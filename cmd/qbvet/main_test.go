@@ -87,3 +87,54 @@ func TestWireHasTwoLinks(t *testing.T) {
 		t.Fatalf("link implementations in internal/wire = %v, want %v", impls, want)
 	}
 }
+
+// TestWireHasOneCodec pins the single wire codec: no type declared in
+// internal/wire holds state from encoding/gob. Since protocol v7 every op,
+// the hello included, rides the field-wise binary codec; gob is left only
+// for formats at rest (snapshot files, storeSnapshot blobs), which are
+// encoded into local buffers, never kept on a connection.
+func TestWireHasOneCodec(t *testing.T) {
+	// fromGob reports whether a type is, or is built from, an encoding/gob
+	// named type.
+	var fromGob func(types.Type) bool
+	fromGob = func(typ types.Type) bool {
+		switch t := typ.(type) {
+		case *types.Named:
+			return t.Obj().Pkg() != nil && t.Obj().Pkg().Path() == "encoding/gob"
+		case *types.Pointer:
+			return fromGob(t.Elem())
+		case *types.Slice:
+			return fromGob(t.Elem())
+		case *types.Array:
+			return fromGob(t.Elem())
+		case *types.Map:
+			return fromGob(t.Key()) || fromGob(t.Elem())
+		case *types.Chan:
+			return fromGob(t.Elem())
+		}
+		return false
+	}
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/wire" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); fromGob(f.Type()) {
+					t.Errorf("wire.%s.%s is a %s: connections speak one codec", name, f.Name(), f.Type())
+				}
+			}
+		}
+		return
+	}
+	t.Fatal("repro/internal/wire not loaded")
+}

@@ -70,16 +70,7 @@ func (c *Cloud) dispatchAdmin(req *request) response {
 	}
 	switch req.Op {
 	case opAdminStats:
-		s := StoreStats{
-			EncRows:  st.Enc().Len(),
-			Ops:      c.opCounter(name).Load(),
-			CondHits: c.condCounter(name).Load(),
-			Workers:  c.StoreWorkersFor(name),
-		}
-		if ps := st.Plain(); ps != nil {
-			s.PlainTuples = ps.Len()
-		}
-		return response{Stats: s}
+		return response{Stats: c.storeStats(name, st)}
 	case opAdminDrop:
 		c.stores.Drop(name)
 		// The counters describe the destroyed state; a recreated namespace

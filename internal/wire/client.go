@@ -2,11 +2,9 @@ package wire
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -42,22 +40,6 @@ import (
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader // readLoop's buffered view of conn
-
-	// Persistent gob codecs: wired directly to the transport during the
-	// handshake (the v2 wire image), then fed one frame body at a time
-	// once framed. The source implements io.ByteReader, so gob consumes
-	// exactly one self-delimited message per Decode and its stream state
-	// survives inside discrete frames.
-	gobIn  *gobSource
-	gobOut *gobSink
-	enc    *gob.Encoder // owned by writeLoop
-	dec    *gob.Decoder // owned by readLoop
-
-	// framed flips after a successful v3 hello: set by readLoop before
-	// the hello response is delivered (the hello is the only op in
-	// flight until ensureHello returns, so no send can race the switch),
-	// read by writeLoop before framing each request.
-	framed atomic.Bool
 
 	// readBuf is readLoop's frame scratch, grown to the largest frame
 	// seen and reused; decoded frames are arena-copied out of it.
@@ -100,10 +82,6 @@ func NewClient(conn net.Conn) *Client {
 		dead:     make(chan struct{}),
 		inflight: make(map[uint64]chan *response),
 	}
-	c.gobIn = &gobSource{direct: c.br}
-	c.gobOut = &gobSink{direct: conn}
-	c.enc = gob.NewEncoder(c.gobOut)
-	c.dec = gob.NewDecoder(c.gobIn)
 	c.start()
 	return c
 }

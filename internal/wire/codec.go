@@ -9,194 +9,501 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the hand-rolled binary codec for the hot data-plane ops —
-// the encode/decode work that dominated the remote path under gob (gob
-// re-walks struct types reflectively and allocates per field; the remote
-// benchmark spent ~290k allocs per 256-query batch on it). The layouts
-// are positional, so a frame costs a handful of appends to build and one
-// linear scan (plus a single arena allocation) to decode.
+// This file is the wire codec: one binary encoding for every request and
+// every response, whatever the op. It encodes the envelope's fields, not
+// its ops, so adding an op never touches it; adding a field adds one line
+// to request.fields or response.fields. Compared with gob (which re-walks
+// struct types reflectively and allocates per field — ~290k allocs per
+// 256-query remote batch when it carried the hot ops) a frame costs a
+// handful of appends to build and one linear scan, plus a single arena
+// allocation, to decode.
 //
-// Request body (inside a tagBinReq frame):
+// Request body (inside one frame):
 //
-//	op uint8 | ID uvarint | len(store) uvarint | store | op-specific fields
+//	op uint8 | ID uvarint | len(store) uvarint | store | fields
 //
-// Response body (inside a tagBinResp frame):
+// Response body:
 //
-//	op uint8 | ID uvarint | flags uint8 | error string OR op-specific fields
+//	ID uvarint | flags uint8 | fields
 //
-// The response carries the op because, unlike gob's self-describing
-// envelope, the payload shape is implicit in it. flags bit 0 marks an
-// error (the body is then just the message); bit 1 marks a partial chunk
-// of a streamed row response — the reader accumulates chunks by ID until
-// a frame without the bit arrives (see serverStream.writeChunkedRows).
+// fields is every non-zero field of the envelope as `tag uvarint | value`,
+// tags strictly ascending in declaration order (the walk order of
+// request.fields/response.fields, starting at 1). An unknown, repeated or
+// out-of-order tag is a corrupt frame, and so is a request for an op
+// outside the op table, so every envelope has exactly one encoding.
 //
-// Byte-string fields are nil-aware (0 encodes nil, n+1 encodes n bytes):
-// the encrypted store indexes a row's token only when it is non-nil, so
-// the distinction must survive the wire. Addresses travel as zigzag
-// varints; values and tuples reuse the relation package's binary codec.
-const (
-	respFlagErr     byte = 1 << 0
-	respFlagPartial byte = 1 << 1
-)
+// Values: every integer field is a zigzag varint, so the negative
+// sentinels ride as they are (Have -1 = unconditional, Addr -1 = empty
+// batch, StoreInfo.PlainTuples -1 = no relation); a bool field is a tag
+// with no value. Byte strings are nil-aware (0 encodes nil, n+1 encodes n
+// bytes): the encrypted store indexes a row's token only when it is
+// non-nil, so the distinction must survive the wire. Values and tuples
+// reuse the relation package's binary codec. Lists are a uvarint count
+// then the elements; Schema, StoreStats, StoreInfo, rows and uploads are
+// positional sub-records.
+//
+// flags bit 0 marks a partial chunk of a streamed row response — the
+// reader accumulates chunks by ID until a frame without the bit arrives
+// (see serverStream.writeChunkedRows). An error response is just a
+// response whose Err field is set.
+const respFlagPartial byte = 1 << 0
 
-// binaryOp reports whether an op's requests and responses travel in the
-// binary codec once a connection is framed. Hot data-plane ops only:
-// everything else (plain load, hello, admin) keeps gob's self-describing
-// flexibility at negligible cost.
-func binaryOp(o op) bool {
-	switch o {
-	case opPing, opPlainSearch, opPlainSearchRange, opPlainInsert,
-		opEncAddBatch, opEncLen, opEncAttrColumn, opEncFetch,
-		opEncLookupToken, opEncRows, opEncFetchBatch,
-		opEncVersion, opEncAttrColumnIf, opEncRowsIf:
+var errCorruptFrame = errors.New("wire: corrupt frame")
+
+// fields walks the request's fields in tag order.
+func (q *request) fields(c *codec) {
+	if c.field(q.Version != 0) {
+		c.int(&q.Version)
+	}
+	if c.field(q.AdminToken != nil) {
+		c.bytes(&q.AdminToken)
+	}
+	if c.field(q.Schema.Name != "" || len(q.Schema.Columns) > 0) {
+		c.schema(&q.Schema)
+	}
+	if c.field(len(q.Tuples) > 0) {
+		list(c, &q.Tuples, 2, c.tuple)
+	}
+	if c.field(q.Attr != "") {
+		c.str(&q.Attr)
+	}
+	if c.field(len(q.Values) > 0) {
+		list(c, &q.Values, 1, c.value)
+	}
+	if c.field(q.Lo != relation.Value{}) {
+		c.value(&q.Lo)
+	}
+	if c.field(q.Hi != relation.Value{}) {
+		c.value(&q.Hi)
+	}
+	if c.field(q.Tuple.ID != 0 || q.Tuple.Values != nil) {
+		c.tuple(&q.Tuple)
+	}
+	if c.field(q.Token != nil) {
+		c.bytes(&q.Token)
+	}
+	if c.field(len(q.Batch) > 0) {
+		list(c, &q.Batch, 3, c.upload)
+	}
+	if c.field(len(q.Addrs) > 0) {
+		list(c, &q.Addrs, 1, c.int)
+	}
+	if c.field(len(q.AddrBatches) > 0) {
+		list(c, &q.AddrBatches, 1, c.addrs)
+	}
+	if c.field(q.CondEpoch != 0) {
+		c.uint(&q.CondEpoch)
+	}
+	if c.field(q.CondN != 0) {
+		c.uint(&q.CondN)
+	}
+	if c.field(q.Have != 0) {
+		c.int(&q.Have)
+	}
+	if c.field(q.Workers != 0) {
+		c.int(&q.Workers)
+	}
+	if c.field(q.RingToken != nil) {
+		c.bytes(&q.RingToken)
+	}
+	if c.field(q.Blob != nil) {
+		c.bytes(&q.Blob)
+	}
+}
+
+// fields walks the response's fields in tag order.
+func (p *response) fields(c *codec) {
+	if c.field(p.Err != "") {
+		c.str(&p.Err)
+	}
+	if c.field(p.Addr != 0) {
+		c.int(&p.Addr)
+	}
+	if c.field(p.N != 0) {
+		c.int(&p.N)
+	}
+	if c.field(len(p.Tuples) > 0) {
+		list(c, &p.Tuples, 2, c.tuple)
+	}
+	if c.field(len(p.Rows) > 0) {
+		c.rows(&p.Rows)
+	}
+	if c.field(len(p.Addrs) > 0) {
+		list(c, &p.Addrs, 1, c.int)
+	}
+	if c.field(len(p.RowBatches) > 0) {
+		list(c, &p.RowBatches, 1, c.rows)
+	}
+	if c.field(p.Version != 0) {
+		c.int(&p.Version)
+	}
+	if c.field(len(p.Names) > 0) {
+		list(c, &p.Names, 1, c.str)
+	}
+	if c.field(p.Stats != StoreStats{}) {
+		c.stats(&p.Stats)
+	}
+	if c.field(p.VerEpoch != 0) {
+		c.uint(&p.VerEpoch)
+	}
+	if c.field(p.VerN != 0) {
+		c.uint(&p.VerN)
+	}
+	if c.field(p.Delta) && !c.enc {
+		p.Delta = true
+	}
+	if c.field(p.Blob != nil) {
+		c.bytes(&p.Blob)
+	}
+	if c.field(p.Info != StoreInfo{}) {
+		c.info(&p.Info)
+	}
+}
+
+// appendRequest appends the encoding of req.
+func appendRequest(buf []byte, req *request) []byte {
+	c := codec{enc: true, buf: append(buf, byte(req.Op))}
+	c.buf = binary.AppendUvarint(c.buf, req.ID)
+	c.str(&req.Store)
+	req.fields(&c)
+	return c.buf
+}
+
+// appendResponse appends the encoding of resp; flags is the flags byte
+// (respFlagPartial for a streamed chunk, else 0).
+func appendResponse(buf []byte, resp *response, flags byte) []byte {
+	c := codec{enc: true, buf: append(binary.AppendUvarint(buf, resp.ID), flags)}
+	resp.fields(&c)
+	return c.buf
+}
+
+// decodeRequest parses a request frame body. Every byte field is copied
+// out of the body (which aliases the reader's reused scratch); malformed
+// input returns an error, never panics, and cannot allocate more than a
+// small multiple of the body's length.
+func decodeRequest(body []byte) (*request, error) {
+	c := codec{b: body, a: arena{size: len(body)}}
+	req := &request{Op: op(c.byte())}
+	if c.err == nil && !req.Op.known() {
+		return nil, fmt.Errorf("wire: op %d is not in the op table", req.Op)
+	}
+	req.ID = c.uvarint()
+	c.str(&req.Store)
+	req.fields(&c)
+	if err := c.done(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeResponse parses a response frame body; partial reports whether
+// this is a non-final chunk of a streamed row response. The same safety
+// contract as decodeRequest applies.
+func decodeResponse(body []byte) (resp *response, partial bool, err error) {
+	c := codec{b: body, a: arena{size: len(body)}}
+	resp = &response{ID: c.uvarint()}
+	flags := c.byte()
+	if flags&^respFlagPartial != 0 {
+		c.fail()
+	}
+	resp.fields(&c)
+	if err := c.done(); err != nil {
+		return nil, false, err
+	}
+	return resp, flags&respFlagPartial != 0, nil
+}
+
+// --- the codec -------------------------------------------------------------
+
+// codec runs one envelope walk in one direction: appending to buf (enc)
+// or reading from b. Each value method below serves both directions, so
+// a field's encoding and its decoding are one line and cannot drift
+// apart. Decoding keeps the first error and turns every later read into
+// a zero-value no-op, so a walk runs straight-line and checks once at the
+// end.
+type codec struct {
+	enc bool
+	buf []byte
+
+	b    []byte
+	err  error
+	a    arena
+	slab []relation.Value // tuple Values backing for the whole frame
+
+	tag  uint64 // the field being visited
+	next uint64 // decode: the tag read off the wire and not yet matched (0 = none)
+}
+
+// field advances the walk to the next tag and reports whether that field
+// is on the wire: when encoding, whether it is non-zero (its tag is then
+// written); when decoding, whether the next tag in the body is this one.
+func (c *codec) field(nonZero bool) bool {
+	c.tag++
+	if c.enc {
+		if nonZero {
+			c.buf = binary.AppendUvarint(c.buf, c.tag)
+		}
+		return nonZero
+	}
+	if c.next == 0 && len(c.b) > 0 && c.err == nil {
+		if c.next = c.uvarint(); c.next == 0 {
+			c.fail()
+		}
+	}
+	switch {
+	case c.next == c.tag:
+		c.next = 0
 		return true
+	case c.next != 0 && c.next < c.tag:
+		c.fail() // repeated or out of order: the walk has passed it
 	}
 	return false
 }
 
-// --- encode --------------------------------------------------------------
-
-// appendHave appends a mutation op's length CAS shifted by one, so the
-// unconditional sentinel (-1, and any other negative) rides the wire as a
-// plain zero uvarint.
-func appendHave(buf []byte, have int) []byte {
-	if have < 0 {
-		return append(buf, 0)
+// done ends a decoding walk: a tag the walk never reached is unknown.
+func (c *codec) done() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.next != 0:
+		return fmt.Errorf("wire: unknown field tag %d", c.next)
+	case len(c.b) != 0:
+		return fmt.Errorf("wire: %d trailing bytes after the last field", len(c.b))
 	}
-	return binary.AppendUvarint(buf, uint64(have)+1)
+	return nil
 }
 
-// appendBytes appends a nil-aware length-prefixed byte string.
-func appendBytes(buf, p []byte) []byte {
-	if p == nil {
-		return append(buf, 0)
+func (c *codec) fail() {
+	if c.err == nil {
+		c.err = errCorruptFrame
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p))+1)
-	return append(buf, p...)
 }
 
-func appendAddrs(buf []byte, addrs []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
-	for _, a := range addrs {
-		buf = binary.AppendVarint(buf, int64(a))
+func (c *codec) byte() byte {
+	if c.err != nil || len(c.b) == 0 {
+		c.fail()
+		return 0
 	}
-	return buf
+	v := c.b[0]
+	c.b = c.b[1:]
+	return v
 }
 
-func appendRows(buf []byte, rows []storage.EncRow) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for i := range rows {
-		row := &rows[i]
-		buf = binary.AppendVarint(buf, int64(row.Addr))
-		buf = appendBytes(buf, row.TupleCT)
-		buf = appendBytes(buf, row.AttrCT)
-		buf = appendBytes(buf, row.Token)
+func (c *codec) uvarint() uint64 {
+	if c.err != nil {
+		return 0
 	}
-	return buf
+	v, w := binary.Uvarint(c.b)
+	if w <= 0 {
+		c.fail()
+		return 0
+	}
+	c.b = c.b[w:]
+	return v
 }
 
-// appendBinRequest appends the binary encoding of req; req.Op must
-// satisfy binaryOp.
-func appendBinRequest(buf []byte, req *request) []byte {
-	buf = append(buf, byte(req.Op))
-	buf = binary.AppendUvarint(buf, req.ID)
-	buf = binary.AppendUvarint(buf, uint64(len(req.Store)))
-	buf = append(buf, req.Store...)
-	switch req.Op {
-	case opPing, opEncLen, opEncAttrColumn, opEncRows, opEncVersion:
-		// No payload.
-	case opEncAttrColumnIf, opEncRowsIf:
-		buf = binary.AppendUvarint(buf, req.CondEpoch)
-		buf = binary.AppendUvarint(buf, req.CondN)
-		buf = binary.AppendUvarint(buf, uint64(req.Have))
-	case opPlainSearch:
-		buf = binary.AppendUvarint(buf, uint64(len(req.Values)))
-		for _, v := range req.Values {
-			buf = v.AppendEncode(buf)
-		}
-	case opPlainSearchRange:
-		buf = req.Lo.AppendEncode(buf)
-		buf = req.Hi.AppendEncode(buf)
-	case opPlainInsert:
-		buf = appendBytes(buf, req.AdminToken)
-		buf = appendHave(buf, req.Have)
-		buf = relation.AppendEncodeTuple(buf, req.Tuple)
-	case opEncAddBatch:
-		buf = appendBytes(buf, req.AdminToken)
-		buf = appendHave(buf, req.Have)
-		buf = binary.AppendUvarint(buf, uint64(len(req.Batch)))
-		for i := range req.Batch {
-			u := &req.Batch[i]
-			buf = appendBytes(buf, u.TupleCT)
-			buf = appendBytes(buf, u.AttrCT)
-			buf = appendBytes(buf, u.Token)
-		}
-	case opEncFetch:
-		buf = appendAddrs(buf, req.Addrs)
-	case opEncFetchBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(req.AddrBatches)))
-		for _, addrs := range req.AddrBatches {
-			buf = appendAddrs(buf, addrs)
-		}
-	case opEncLookupToken:
-		buf = appendBytes(buf, req.Token)
+// count reads a list length and bounds it by the bytes left (every element
+// costs at least minBytes), so a lying count cannot force a huge
+// allocation.
+func (c *codec) count(minBytes int) int {
+	n := c.uvarint()
+	if c.err == nil && n > uint64(len(c.b))/uint64(minBytes) {
+		c.fail()
 	}
-	return buf
+	if c.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
-// appendBinResponse appends the binary encoding of resp to an op-o
-// request; extra is OR-ed into the flags byte (respFlagPartial for
-// streamed chunks).
-func appendBinResponse(buf []byte, o op, resp *response, extra byte) []byte {
-	buf = append(buf, byte(o))
-	buf = binary.AppendUvarint(buf, resp.ID)
-	if resp.Err != "" {
-		buf = append(buf, extra|respFlagErr)
-		buf = binary.AppendUvarint(buf, uint64(len(resp.Err)))
-		return append(buf, resp.Err...)
+// take reads n raw bytes, aliasing the body.
+func (c *codec) take(n uint64) []byte {
+	if c.err == nil && n > uint64(len(c.b)) {
+		c.fail()
 	}
-	buf = append(buf, extra)
-	switch o {
-	case opPing, opPlainInsert:
-		// No payload.
-	case opPlainSearch, opPlainSearchRange:
-		buf = binary.AppendUvarint(buf, uint64(len(resp.Tuples)))
-		for _, t := range resp.Tuples {
-			buf = relation.AppendEncodeTuple(buf, t)
-		}
-	case opEncAddBatch:
-		buf = binary.AppendVarint(buf, int64(resp.Addr))
-		buf = binary.AppendUvarint(buf, uint64(resp.N))
-	case opEncLen:
-		buf = binary.AppendUvarint(buf, uint64(resp.N))
-	case opEncLookupToken:
-		buf = appendAddrs(buf, resp.Addrs)
-	case opEncAttrColumn, opEncRows, opEncFetch:
-		buf = appendRows(buf, resp.Rows)
-	case opEncVersion:
-		buf = binary.AppendUvarint(buf, resp.VerEpoch)
-		buf = binary.AppendUvarint(buf, resp.VerN)
-	case opEncAttrColumnIf, opEncRowsIf:
-		buf = binary.AppendUvarint(buf, resp.VerEpoch)
-		buf = binary.AppendUvarint(buf, resp.VerN)
-		var d byte
-		if resp.Delta {
-			d = 1
-		}
-		buf = append(buf, d)
-		buf = appendRows(buf, resp.Rows)
-	case opEncFetchBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(resp.RowBatches)))
-		for _, rows := range resp.RowBatches {
-			buf = appendRows(buf, rows)
-		}
+	if c.err != nil {
+		return nil
 	}
-	return buf
+	p := c.b[:n]
+	c.b = c.b[n:]
+	return p
 }
 
-// --- decode --------------------------------------------------------------
+// list walks a list: its count, then each element through elem. A
+// decoded empty list is nil.
+func list[T any](c *codec, p *[]T, minBytes int, elem func(*T)) {
+	if c.enc {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+		for i := range *p {
+			elem(&(*p)[i])
+		}
+		return
+	}
+	n := c.count(minBytes)
+	if n == 0 {
+		return
+	}
+	s := make([]T, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		elem(&s[i])
+	}
+	*p = s
+}
 
-var errCorruptFrame = errors.New("wire: corrupt binary frame")
+// varint walks one signed varint: it appends v, or returns the decoded
+// value. Like every value method it never writes through its argument
+// when encoding — the envelope's slices may be shared with the store.
+func (c *codec) varint(v int64) int64 {
+	if c.enc {
+		c.buf = binary.AppendVarint(c.buf, v)
+		return v
+	}
+	if c.err != nil {
+		return 0
+	}
+	v, w := binary.Varint(c.b)
+	if w <= 0 {
+		c.fail()
+		return 0
+	}
+	c.b = c.b[w:]
+	return v
+}
+
+func (c *codec) int(p *int) {
+	if v := c.varint(int64(*p)); !c.enc {
+		*p = int(v)
+	}
+}
+
+// uint carries a uint64 (versions, epochs) through the signed varint.
+func (c *codec) uint(p *uint64) {
+	if v := c.varint(int64(*p)); !c.enc {
+		*p = uint64(v)
+	}
+}
+
+func (c *codec) bool(p *bool) {
+	var v int64
+	if *p {
+		v = 1
+	}
+	if v = c.varint(v); !c.enc {
+		*p = v == 1
+		if v != 0 && v != 1 {
+			c.fail()
+		}
+	}
+}
+
+// bytes walks a nil-aware byte string (0 = nil, n+1 = n bytes); decoded
+// bytes are arena copies.
+func (c *codec) bytes(p *[]byte) {
+	switch {
+	case c.enc && *p == nil:
+		c.buf = append(c.buf, 0)
+	case c.enc:
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p))+1)
+		c.buf = append(c.buf, *p...)
+	default:
+		if n := c.uvarint(); n > 0 {
+			if raw := c.take(n - 1); c.err == nil {
+				*p = c.a.copy(raw)
+			}
+		}
+	}
+}
+
+func (c *codec) str(p *string) {
+	if c.enc {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+		c.buf = append(c.buf, *p...)
+		return
+	}
+	*p = string(c.take(c.uvarint()))
+}
+
+func (c *codec) value(p *relation.Value) {
+	if c.enc {
+		c.buf = p.AppendEncode(c.buf)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	v, rest, err := relation.DecodeValue(c.b)
+	if err != nil {
+		c.err = err
+		return
+	}
+	*p, c.b = v, rest
+}
+
+// tuple walks one tuple, drawing its Values backing from the frame's slab
+// so a frame full of search results costs O(log n) value allocations
+// instead of one per tuple — the single largest allocation source in the
+// remote query profile before slabbing.
+func (c *codec) tuple(p *relation.Tuple) {
+	if c.enc {
+		c.buf = relation.AppendEncodeTuple(c.buf, *p)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	t, rest, err := relation.DecodeTupleSlab(c.b, &c.slab)
+	if err != nil {
+		c.err = err
+		return
+	}
+	*p, c.b = t, rest
+}
+
+func (c *codec) addrs(p *[]int) { list(c, p, 1, c.int) }
+
+func (c *codec) upload(u *EncUpload) {
+	c.bytes(&u.TupleCT)
+	c.bytes(&u.AttrCT)
+	c.bytes(&u.Token)
+}
+
+// rows walks a row list; a row is its address plus three length bytes,
+// minimum.
+func (c *codec) rows(p *[]storage.EncRow) {
+	list(c, p, 4, func(r *storage.EncRow) {
+		c.int(&r.Addr)
+		c.bytes(&r.TupleCT)
+		c.bytes(&r.AttrCT)
+		c.bytes(&r.Token)
+	})
+}
+
+func (c *codec) schema(s *relation.Schema) {
+	c.str(&s.Name)
+	list(c, &s.Columns, 2, func(col *relation.Column) {
+		c.str(&col.Name)
+		if k := c.varint(int64(col.Kind)); !c.enc {
+			col.Kind = relation.Kind(k)
+		}
+	})
+}
+
+func (c *codec) stats(s *StoreStats) {
+	c.uint(&s.Ops)
+	c.int(&s.PlainTuples)
+	c.int(&s.EncRows)
+	c.uint(&s.CondHits)
+	c.int(&s.Workers)
+}
+
+func (c *codec) info(i *StoreInfo) {
+	c.bool(&i.Exists)
+	c.int(&i.PlainTuples)
+	c.int(&i.EncRows)
+	c.uint(&i.VerEpoch)
+	c.uint(&i.VerN)
+	c.bool(&i.Claimed)
+}
 
 // arena hands out copies of decoded byte fields from one backing
 // allocation sized to the frame body. The copies are mandatory — the
@@ -223,322 +530,4 @@ func (a *arena) copy(p []byte) []byte {
 	out := a.buf[n : n+len(p) : n+len(p)]
 	copy(out, p)
 	return out
-}
-
-// binReader is a cursor over one binary frame body. The first decode
-// error sticks and every later read returns zero values, so decode code
-// runs straight-line and checks once at the end.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = errCorruptFrame
-	}
-}
-
-func (r *binReader) byte() byte {
-	if r.err != nil || len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, w := binary.Varint(r.b)
-	if w <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-// have reads a mutation op's length CAS: zero on the wire is the
-// unconditional sentinel (-1), anything else is the expected length
-// shifted by one (see appendHave).
-func (r *binReader) have() int {
-	h := r.uvarint()
-	switch {
-	case h == 0:
-		return -1
-	case h-1 <= uint64(int(^uint(0)>>1)):
-		return int(h - 1)
-	default:
-		r.fail()
-		return -1
-	}
-}
-
-// count reads a collection length and bounds it by the bytes left (every
-// element costs at least minBytes), so a lying count cannot force a huge
-// allocation.
-func (r *binReader) count(minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.b))/uint64(minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a nil-aware byte string into the arena.
-func (r *binReader) bytes(a *arena) []byte {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	out := a.copy(r.b[:n])
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *binReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *binReader) value() relation.Value {
-	if r.err != nil {
-		return relation.Value{}
-	}
-	v, rest, err := relation.DecodeValue(r.b)
-	if err != nil {
-		r.err = err
-		return relation.Value{}
-	}
-	r.b = rest
-	return v
-}
-
-// tuple decodes one tuple, drawing its Values backing from slab so a
-// frame full of search results costs O(log n) value allocations instead
-// of one per tuple — the single largest allocation source in the remote
-// query profile before slabbing.
-func (r *binReader) tuple(slab *[]relation.Value) relation.Tuple {
-	if r.err != nil {
-		return relation.Tuple{}
-	}
-	t, rest, err := relation.DecodeTupleSlab(r.b, slab)
-	if err != nil {
-		r.err = err
-		return relation.Tuple{}
-	}
-	r.b = rest
-	return t
-}
-
-func (r *binReader) addrs() []int {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, int(r.varint()))
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *binReader) rows(a *arena) []storage.EncRow {
-	n := r.count(4) // addr varint plus three length bytes, minimum
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]storage.EncRow, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, storage.EncRow{
-			Addr:    int(r.varint()),
-			TupleCT: r.bytes(a),
-			AttrCT:  r.bytes(a),
-			Token:   r.bytes(a),
-		})
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-// decodeBinRequest parses a tagBinReq frame body. Every byte field is
-// copied out of the body (which aliases the reader's reused scratch);
-// malformed input returns an error, never panics, and cannot allocate
-// more than a small multiple of the body's length.
-func decodeBinRequest(body []byte) (*request, error) {
-	r := binReader{b: body}
-	req := &request{Op: op(r.byte())}
-	if r.err == nil && !binaryOp(req.Op) {
-		return nil, fmt.Errorf("wire: op %d is not a binary-codec op", req.Op)
-	}
-	req.ID = r.uvarint()
-	req.Store = r.str()
-	a := arena{size: len(body)}
-	switch req.Op {
-	case opPing, opEncLen, opEncAttrColumn, opEncRows, opEncVersion:
-		// No payload.
-	case opEncAttrColumnIf, opEncRowsIf:
-		req.CondEpoch = r.uvarint()
-		req.CondN = r.uvarint()
-		if have := r.uvarint(); have <= uint64(int(^uint(0)>>1)) {
-			req.Have = int(have)
-		} else {
-			r.fail()
-		}
-	case opPlainSearch:
-		if n := r.count(1); n > 0 {
-			req.Values = make([]relation.Value, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				req.Values = append(req.Values, r.value())
-			}
-		}
-	case opPlainSearchRange:
-		req.Lo = r.value()
-		req.Hi = r.value()
-	case opPlainInsert:
-		req.AdminToken = r.bytes(&a)
-		req.Have = r.have()
-		var slab []relation.Value
-		req.Tuple = r.tuple(&slab)
-	case opEncAddBatch:
-		req.AdminToken = r.bytes(&a)
-		req.Have = r.have()
-		if n := r.count(3); n > 0 {
-			req.Batch = make([]EncUpload, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				req.Batch = append(req.Batch, EncUpload{
-					TupleCT: r.bytes(&a), AttrCT: r.bytes(&a), Token: r.bytes(&a),
-				})
-			}
-		}
-	case opEncFetch:
-		req.Addrs = r.addrs()
-	case opEncFetchBatch:
-		if n := r.count(1); n > 0 {
-			req.AddrBatches = make([][]int, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				req.AddrBatches = append(req.AddrBatches, r.addrs())
-			}
-		}
-	case opEncLookupToken:
-		req.Token = r.bytes(&a)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after binary request", len(r.b))
-	}
-	return req, nil
-}
-
-// decodeBinResponse parses a tagBinResp frame body; partial reports
-// whether this is a non-final chunk of a streamed row response. The same
-// safety contract as decodeBinRequest applies.
-func decodeBinResponse(body []byte) (resp *response, partial bool, err error) {
-	r := binReader{b: body}
-	o := op(r.byte())
-	if r.err == nil && !binaryOp(o) {
-		return nil, false, fmt.Errorf("wire: response op %d is not a binary-codec op", o)
-	}
-	resp = &response{ID: r.uvarint()}
-	flags := r.byte()
-	partial = flags&respFlagPartial != 0
-	a := arena{size: len(body)}
-	if flags&respFlagErr != 0 {
-		resp.Err = r.str()
-		if r.err == nil && resp.Err == "" {
-			r.fail() // an error flag with no message is not a valid frame
-		}
-	} else {
-		switch o {
-		case opPing, opPlainInsert:
-			// No payload.
-		case opPlainSearch, opPlainSearchRange:
-			if n := r.count(2); n > 0 { // uvarint ID plus uvarint arity, minimum
-				resp.Tuples = make([]relation.Tuple, 0, n)
-				var slab []relation.Value
-				for i := 0; i < n && r.err == nil; i++ {
-					resp.Tuples = append(resp.Tuples, r.tuple(&slab))
-				}
-			}
-		case opEncAddBatch:
-			resp.Addr = int(r.varint())
-			resp.N = int(r.uvarint())
-		case opEncLen:
-			resp.N = int(r.uvarint())
-		case opEncLookupToken:
-			resp.Addrs = r.addrs()
-		case opEncAttrColumn, opEncRows, opEncFetch:
-			resp.Rows = r.rows(&a)
-		case opEncVersion:
-			resp.VerEpoch = r.uvarint()
-			resp.VerN = r.uvarint()
-		case opEncAttrColumnIf, opEncRowsIf:
-			resp.VerEpoch = r.uvarint()
-			resp.VerN = r.uvarint()
-			switch r.byte() {
-			case 0:
-			case 1:
-				resp.Delta = true
-			default:
-				r.fail() // non-canonical delta byte
-			}
-			resp.Rows = r.rows(&a)
-		case opEncFetchBatch:
-			if n := r.count(1); n > 0 {
-				resp.RowBatches = make([][]storage.EncRow, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					resp.RowBatches = append(resp.RowBatches, r.rows(&a))
-				}
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, false, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, false, fmt.Errorf("wire: %d trailing bytes after binary response", len(r.b))
-	}
-	return resp, partial, nil
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,28 +8,19 @@ import (
 	"sync"
 )
 
-// This file is the framing layer underneath the protocol: after a
-// successful v3 handshake (which travels as plain gob, the v2 wire image,
-// so generation skew fails with an explicit version error in both
-// directions), every message in both directions rides one frame:
+// This file is the framing layer underneath the protocol: every message
+// in both directions, the opening hello included, rides one frame whose
+// body is one request or response in the codec of codec.go:
 //
-//	+--------------------+-----+------------------------+
-//	| length uint32 (BE) | tag | body (length - 1 bytes)|
-//	+--------------------+-----+------------------------+
+//	+--------------------+---------------------+
+//	| length uint32 (BE) | body (length bytes) |
+//	+--------------------+---------------------+
 //
-// The length counts tag plus body. The tag selects the body codec:
-// tagGob frames carry one message of the connection's persistent gob
-// stream (cold ops — load, admin, duplicate hellos — keep gob's
-// self-describing flexibility), tagBinReq/tagBinResp carry the
-// hand-rolled binary encoding of the hot data-plane ops (see codec.go).
+// The direction says which envelope the body holds, so there is nothing
+// else to tag. A gob-era (≤ v6) peer's opening bytes read as a length far
+// past maxFramePayload, so either side refuses it at the first read.
 const (
-	tagGob     byte = 0x01
-	tagBinReq  byte = 0x02
-	tagBinResp byte = 0x03
-)
-
-const (
-	// maxFramePayload bounds one frame's tag+body. Far above any frame a
+	// maxFramePayload bounds one frame's body. Far above any frame a
 	// cooperative peer produces (large row pulls are chunked near
 	// chunkTarget), it exists so a corrupt or hostile length prefix fails
 	// explicitly instead of driving allocation.
@@ -62,9 +52,9 @@ func putFrameBuf(bp *[]byte) {
 }
 
 // beginFrame starts assembling a frame in buf: a placeholder for the
-// length prefix, then the tag.
-func beginFrame(buf []byte, tag byte) []byte {
-	return append(buf[:0], 0, 0, 0, 0, tag)
+// length prefix.
+func beginFrame(buf []byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0)
 }
 
 // finishFrame patches the length prefix and writes the whole frame in one
@@ -79,22 +69,22 @@ func finishFrame(w io.Writer, buf []byte) error {
 }
 
 // readFrame reads one frame into *scratch (grown to the largest frame seen
-// and reused — each reader goroutine owns its scratch) and returns the tag
-// and body, both aliasing the scratch until the next call. The buffer is
+// and reused — each reader goroutine owns its scratch) and returns the
+// body, aliasing the scratch until the next call. The buffer is
 // grown towards the declared length in bounded steps, each requiring the
 // peer to actually deliver the previous step, so a lying length prefix
 // cannot balloon memory.
-func readFrame(r io.Reader, scratch *[]byte) (tag byte, body []byte, err error) {
+func readFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 {
-		return 0, nil, errors.New("wire: zero-length frame")
+		return nil, errors.New("wire: zero-length frame")
 	}
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte limit", n, maxFramePayload)
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte limit", n, maxFramePayload)
 	}
 	buf := *scratch
 	got := 0
@@ -113,60 +103,9 @@ func readFrame(r io.Reader, scratch *[]byte) (tag byte, body []byte, err error) 
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return 0, nil, err
+			return nil, err
 		}
 	}
 	*scratch = buf
-	return buf[0], buf[1:n], nil
-}
-
-// gobSource feeds a persistent gob.Decoder either directly from the
-// connection (handshake mode) or from one frame body at a time (framed
-// mode). It implements io.ByteReader, which makes gob consume exactly one
-// self-delimited message per Decode with no internal read-ahead — the
-// property that lets one gob stream's state survive inside discrete
-// frames.
-type gobSource struct {
-	direct *bufio.Reader // handshake mode; nil once framed
-	buf    []byte        // current frame body in framed mode
-}
-
-func (s *gobSource) Read(p []byte) (int, error) {
-	if s.direct != nil {
-		return s.direct.Read(p)
-	}
-	if len(s.buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
-}
-
-func (s *gobSource) ReadByte() (byte, error) {
-	if s.direct != nil {
-		return s.direct.ReadByte()
-	}
-	if len(s.buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := s.buf[0]
-	s.buf = s.buf[1:]
-	return b, nil
-}
-
-// gobSink receives a persistent gob.Encoder's output either directly into
-// the connection (handshake mode) or into the frame buffer being
-// assembled (framed mode).
-type gobSink struct {
-	direct io.Writer // handshake mode; nil once framed
-	buf    *[]byte   // frame buffer in framed mode
-}
-
-func (s *gobSink) Write(p []byte) (int, error) {
-	if s.direct != nil {
-		return s.direct.Write(p)
-	}
-	*s.buf = append(*s.buf, p...)
-	return len(p), nil
+	return buf[:n], nil
 }

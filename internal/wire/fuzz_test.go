@@ -17,23 +17,44 @@ import (
 // build; `make fuzz` (and CI's fuzz smoke) runs each target's mutation
 // engine for a bounded time.
 
-// seedRequests is a spread of valid request encodings whose mutations
-// explore the decoder's field structure.
+// seedRequests is a spread of valid request encodings — one per op in
+// the table — whose mutations explore the decoder's field structure.
 func seedRequests() [][]byte {
+	batch := []EncUpload{{TupleCT: []byte("r")}}
 	reqs := []*request{
 		{Op: opPing, ID: 1},
 		{Op: opEncLen, ID: 2, Store: "tenant"},
 		{Op: opPlainSearch, ID: 3, Values: []relation.Value{relation.Int(7), relation.Str("q")}},
 		{Op: opPlainSearchRange, ID: 4, Lo: relation.Int(-5), Hi: relation.Int(5)},
 		{Op: opPlainInsert, ID: 5, AdminToken: []byte("o"), Tuple: relation.Tuple{ID: 1, Values: []relation.Value{relation.Int(9)}}},
-		{Op: opEncAddBatch, ID: 7, AdminToken: []byte("o"), Batch: []EncUpload{{TupleCT: []byte("r")}}},
+		{Op: opEncAddBatch, ID: 7, AdminToken: []byte("o"), Batch: batch, Have: -1},
 		{Op: opEncFetch, ID: 8, Addrs: []int{0, 1, 2}},
 		{Op: opEncFetchBatch, ID: 9, AddrBatches: [][]int{{1}, {2, 3}}},
 		{Op: opEncLookupToken, ID: 10, Token: []byte("needle")},
+		{Op: opEncAttrColumnIf, ID: 11, CondEpoch: 3, CondN: 2, Have: -1},
+		{Op: opEncRowsIf, ID: 25, CondEpoch: 3, CondN: 2, Have: 1},
+		{Op: opEncAttrColumn, ID: 26},
+		{Op: opEncRows, ID: 27, Store: "s"},
+		{Op: opEncVersion, ID: 28},
+		{Op: opPlainLoad, ID: 12, AdminToken: []byte("o"), Attr: "K",
+			Schema: relation.MustSchema("T", relation.Column{Name: "K", Kind: relation.KindInt}),
+			Tuples: []relation.Tuple{{ID: 1, Values: []relation.Value{relation.Int(9)}}}},
+		{Op: opHello, ID: 13, Version: ProtocolVersion},
+		{Op: opAdminList, ID: 14},
+		{Op: opAdminStats, ID: 15, Store: "s", AdminToken: []byte("o")},
+		{Op: opAdminDrop, ID: 16, Store: "s", AdminToken: []byte("o")},
+		{Op: opAdminCompact, ID: 17, Store: "s", AdminToken: []byte("o")},
+		{Op: opAdminSetWorkers, ID: 18, Store: "s", AdminToken: []byte("o"), Workers: 4},
+		{Op: opRingDirectory, ID: 19, CondN: 2},
+		{Op: opStoreInfo, ID: 20, Store: "s"},
+		{Op: opStoreSnapshot, ID: 21, Store: "s"},
+		{Op: opStoreRestore, ID: 22, Store: "s", Blob: []byte("blob"), RingToken: []byte("ring")},
+		{Op: opRepairAppend, ID: 23, Store: "s", Batch: batch, Have: 5, RingToken: []byte("ring")},
+		{Op: opRingRepair, ID: 24, Store: "s"},
 	}
-	out := make([][]byte, 0, len(reqs))
+	out := make([][]byte, 0, len(reqs)+1)
 	for _, r := range reqs {
-		out = append(out, appendBinRequest(nil, r))
+		out = append(out, appendRequest(nil, r))
 	}
 	// The retired one-row upload, as its frames used to look (op 5, ID 6,
 	// default store, no owner token, "ct"/"a"/"t"): the slot is reserved,
@@ -46,24 +67,37 @@ func seedRequests() [][]byte {
 func seedResponses() [][]byte {
 	rows := []storage.EncRow{{Addr: 1, TupleCT: []byte("ct"), AttrCT: []byte("a"), Token: []byte("t")}}
 	type rc struct {
-		o    op
 		resp *response
 		x    byte
 	}
 	cases := []rc{
-		{opPing, &response{ID: 1}, 0},
-		{opPlainSearch, &response{ID: 2, Tuples: []relation.Tuple{{ID: 1, Values: []relation.Value{relation.Int(3)}}}}, 0},
-		{op(5), &response{ID: 3}, 0}, // the reserved slot: refused, like the request
-		{opEncAddBatch, &response{ID: 4, Addr: 9, N: 2}, 0},
-		{opEncLen, &response{ID: 5, N: 44}, 0},
-		{opEncLookupToken, &response{ID: 6, Addrs: []int{1, 2}}, 0},
-		{opEncFetch, &response{ID: 7, Rows: rows}, 0},
-		{opEncRows, &response{ID: 8, Rows: rows}, respFlagPartial},
-		{opEncLen, &response{ID: 9, Err: "wire: boom"}, 0},
+		{&response{ID: 1}, 0},
+		{&response{ID: 2, Tuples: []relation.Tuple{{ID: 1, Values: []relation.Value{relation.Int(3)}}}}, 0},
+		{&response{ID: 4, Addr: 9, N: 2}, 0},
+		{&response{ID: 5, N: 44}, 0},
+		{&response{ID: 6, Addrs: []int{1, 2}}, 0},
+		{&response{ID: 7, Rows: rows}, 0},
+		{&response{ID: 8, Rows: rows}, respFlagPartial},
+		{&response{ID: 9, Err: "wire: boom"}, 0},
+		{&response{ID: 10, VerEpoch: 3, VerN: 2, Delta: true, Rows: rows}, 0},
+		{&response{ID: 11, RowBatches: [][]storage.EncRow{rows, nil}}, 0},
+		{&response{ID: 12, N: 1}, 0},                                           // opPlainLoad
+		{&response{ID: 13, Version: ProtocolVersion}, 0},                       // opHello
+		{&response{ID: 14, Names: []string{"a", "b"}}, 0},                      // opAdminList
+		{&response{ID: 15, Stats: StoreStats{Ops: 1, EncRows: 2}}, 0},          // opAdminStats
+		{&response{ID: 16}, 0},                                                 // opAdminDrop
+		{&response{ID: 17, N: 3}, 0},                                           // opAdminCompact
+		{&response{ID: 18, N: 4}, 0},                                           // opAdminSetWorkers
+		{&response{ID: 19, VerN: 2, Blob: []byte("dir")}, 0},                   // opRingDirectory
+		{&response{ID: 20, Info: StoreInfo{Exists: true, PlainTuples: -1}}, 0}, // opStoreInfo
+		{&response{ID: 21, Blob: []byte("snap"), N: 4}, 0},                     // opStoreSnapshot
+		{&response{ID: 22, N: 5}, 0},                                           // opStoreRestore
+		{&response{ID: 23, N: 6, Err: "wire: ring: cas"}, 0},                   // opRepairAppend
+		{&response{ID: 24}, 0},                                                 // opRingRepair
 	}
 	out := make([][]byte, 0, len(cases))
 	for _, c := range cases {
-		out = append(out, appendBinResponse(nil, c.o, c.resp, c.x))
+		out = append(out, appendResponse(nil, c.resp, c.x))
 	}
 	return out
 }
@@ -82,20 +116,20 @@ func FuzzDecodeBinRequest(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add(binary.AppendUvarint([]byte{byte(opEncFetch), 1, 0}, 1<<40)) // lying count
+	f.Add(binary.AppendUvarint([]byte{byte(opEncFetch), 1, 0, 12}, 1<<40)) // lying count
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeBinRequest(body)
+		req, err := decodeRequest(body)
 		if err == nil && req == nil {
 			t.Fatal("nil request with nil error")
 		}
 		if err == nil {
-			if !binaryOp(req.Op) {
-				t.Fatalf("decoded a request for op %d, which is not a binary-codec op", req.Op)
+			if !req.Op.known() {
+				t.Fatalf("decoded a request for op %d, which is not in the op table", req.Op)
 			}
 			// A frame that decodes must survive a re-encode/re-decode cycle
 			// unchanged (byte equality is too strong: varints admit
-			// non-minimal encodings the decoder tolerates).
-			again, err := decodeBinRequest(appendBinRequest(nil, req))
+			// non-minimal encodings, and a zero field may be spelled out).
+			again, err := decodeRequest(appendRequest(nil, req))
 			if err != nil {
 				t.Fatalf("re-encoded request does not decode: %v", err)
 			}
@@ -117,22 +151,18 @@ func FuzzDecodeBinResponse(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
-	f.Add([]byte{byte(opEncLen), 1, respFlagErr}) // error flag, no message
+	f.Add([]byte{1, 0xff}) // undefined flag bits
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, partial, err := decodeBinResponse(body)
+		resp, partial, err := decodeResponse(body)
 		if err == nil && resp == nil {
 			t.Fatal("nil response with nil error")
 		}
 		if err == nil {
-			var extra byte
+			var flags byte
 			if partial {
-				extra = respFlagPartial
+				flags = respFlagPartial
 			}
-			o := op(body[0])
-			if !binaryOp(o) {
-				t.Fatalf("decoded a response for op %d, which is not a binary-codec op", o)
-			}
-			again, partial2, err := decodeBinResponse(appendBinResponse(nil, o, resp, extra))
+			again, partial2, err := decodeResponse(appendResponse(nil, resp, flags))
 			if err != nil {
 				t.Fatalf("re-encoded response does not decode: %v", err)
 			}
@@ -148,25 +178,23 @@ func FuzzDecodeBinResponse(f *testing.F) {
 // a lying length prefix starves against io.ReadFull instead of
 // ballooning memory.
 func FuzzReadFrame(f *testing.F) {
-	frame := func(tag byte, body []byte) []byte {
+	frame := func(body []byte) []byte {
 		var buf bytes.Buffer
-		b := beginFrame(nil, tag)
-		b = append(b, body...)
-		if err := finishFrame(&buf, b); err != nil {
+		if err := finishFrame(&buf, append(beginFrame(nil), body...)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	f.Add(frame(tagBinReq, seedRequests()[0]))
-	f.Add(frame(tagGob, []byte("not actually gob")))
+	f.Add(frame(seedRequests()[0]))
+	f.Add(append(frame(seedRequests()[1]), frame(seedResponses()[1])...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01}) // giant length, no body
-	f.Add([]byte{0, 0, 0, 0})                   // length below the tag byte
+	f.Add([]byte{0, 0, 0, 0})                   // zero-length frame
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var scratch []byte
 		r := bytes.NewReader(stream)
 		for {
-			_, body, err := readFrame(r, &scratch)
+			body, err := readFrame(r, &scratch)
 			if err != nil {
 				return // every malformed stream must end in an error, not a panic
 			}

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // This file is the client-side multiplexing core: one writer goroutine
@@ -34,20 +33,14 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	return c.rawRoundTrip(req)
 }
 
-// ensureHello performs the version handshake exactly once. A mismatch —
-// including a pre-namespace (v1) server that answers "unknown op" —
-// poisons the client with an explicit version-mismatch error so every
-// later call fails loudly rather than risking misrouted frames.
+// ensureHello performs the version handshake exactly once. A server
+// answering with another version poisons the client with an explicit
+// version-mismatch error so every later call fails loudly rather than
+// risking misrouted frames.
 func (c *Client) ensureHello() error {
 	c.helloOnce.Do(func() {
 		resp, err := c.rawRoundTrip(&request{Op: opHello, Version: ProtocolVersion})
 		switch {
-		case err != nil && strings.Contains(err.Error(), "unknown op"):
-			// A v1 server dispatched the hello and did not recognise it.
-			c.helloErr = fmt.Errorf(
-				"wire: protocol version mismatch: client speaks v%d but the server predates the handshake (v1, single implicit store): %w",
-				ProtocolVersion, err)
-			c.fail(c.helloErr)
 		case err != nil:
 			c.helloErr = err
 		case resp.Version != ProtocolVersion:
@@ -121,9 +114,8 @@ func (c *Client) takeInflightErr(id uint64, ch chan *response) error {
 	return err
 }
 
-// writeLoop frames queued requests in submission order. It owns the gob
-// encoder and the outgoing half of the connection; nothing else may touch
-// them.
+// writeLoop frames queued requests in submission order. It owns the
+// outgoing half of the connection; nothing else may touch it.
 func (c *Client) writeLoop() {
 	for {
 		select {
@@ -138,31 +130,10 @@ func (c *Client) writeLoop() {
 	}
 }
 
-// writeRequest frames one request. Before the handshake completes it is
-// plain gob straight on the connection — the v2 wire image, so a
-// generation-skewed server sees a well-formed hello, not unparseable
-// frames. After it, every request rides a length-prefixed frame assembled
-// in a pooled buffer: the binary codec for hot ops, a gob message for the
-// rest.
+// writeRequest frames one request, assembled in a pooled buffer.
 func (c *Client) writeRequest(req *request) error {
-	if !c.framed.Load() {
-		return c.enc.Encode(req)
-	}
 	bp := getFrameBuf()
-	var buf []byte
-	if binaryOp(req.Op) {
-		buf = appendBinRequest(beginFrame(*bp, tagBinReq), req)
-	} else {
-		buf = beginFrame(*bp, tagGob)
-		c.gobOut.buf = &buf
-		err := c.enc.Encode(req)
-		c.gobOut.buf = nil
-		if err != nil {
-			*bp = buf
-			putFrameBuf(bp)
-			return err
-		}
-	}
+	buf := appendRequest(beginFrame(*bp), req)
 	err := finishFrame(c.conn, buf)
 	*bp = buf
 	putFrameBuf(bp)
@@ -170,8 +141,8 @@ func (c *Client) writeRequest(req *request) error {
 }
 
 // readLoop decodes response frames and demultiplexes them by ID to the
-// waiting caller. It owns the gob decoder, the frame scratch and the
-// incoming half of the connection; nothing else may touch them.
+// waiting caller. It owns the frame scratch and the incoming half of the
+// connection; nothing else may touch them.
 func (c *Client) readLoop() {
 	// partials accumulates chunked row responses by ID until their final
 	// frame (respFlagPartial clear) arrives; chunks of one response are
@@ -203,63 +174,28 @@ func (c *Client) readLoop() {
 	}
 }
 
-// readResponse reads one message off the connection: plain gob before the
-// handshake completes, one frame after. It returns (nil, nil) when the
-// frame was a partial chunk that was absorbed into partials.
+// readResponse reads one frame off the connection. It returns (nil, nil)
+// when the frame was a partial chunk that was absorbed into partials.
 func (c *Client) readResponse(partials map[uint64]*response) (*response, error) {
-	if !c.framed.Load() {
-		resp := new(response)
-		if err := c.dec.Decode(resp); err != nil {
-			return nil, err
-		}
-		if resp.Err == "" && resp.Version == ProtocolVersion {
-			// The v3 hello succeeded: everything after this message, in
-			// both directions, is framed. The hello is the only op in
-			// flight until ensureHello returns, so the writer cannot be
-			// mid-encode while the sink is repointed.
-			c.gobIn.direct = nil
-			c.gobOut.direct = nil
-			c.framed.Store(true)
-		}
-		return resp, nil
-	}
-	tag, body, err := readFrame(c.br, &c.readBuf)
+	body, err := readFrame(c.br, &c.readBuf)
 	if err != nil {
 		return nil, err
 	}
-	switch tag {
-	case tagGob:
-		c.gobIn.buf = body
-		resp := new(response)
-		err := c.dec.Decode(resp)
-		left := len(c.gobIn.buf)
-		c.gobIn.buf = nil
-		if err != nil {
-			return nil, err
-		}
-		if left != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes after gob response frame", left)
-		}
-		return resp, nil
-	case tagBinResp:
-		resp, partial, err := decodeBinResponse(body)
-		if err != nil {
-			return nil, err
-		}
-		if prev, ok := partials[resp.ID]; ok {
-			prev.Rows = append(prev.Rows, resp.Rows...)
-			prev.Err = resp.Err
-			resp = prev
-		}
-		if partial {
-			partials[resp.ID] = resp
-			return nil, nil
-		}
-		delete(partials, resp.ID)
-		return resp, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown frame tag 0x%02x", tag)
+	resp, partial, err := decodeResponse(body)
+	if err != nil {
+		return nil, err
 	}
+	if prev, ok := partials[resp.ID]; ok {
+		prev.Rows = append(prev.Rows, resp.Rows...)
+		prev.Err = resp.Err
+		resp = prev
+	}
+	if partial {
+		partials[resp.ID] = resp
+		return nil, nil
+	}
+	delete(partials, resp.ID)
+	return resp, nil
 }
 
 // fail records the first transport error, closes the dead channel so

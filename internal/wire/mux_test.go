@@ -13,9 +13,9 @@ import (
 )
 
 // pipeClient wires a Client to a scripted peer over net.Pipe. The script
-// side speaks through a serverStream — the same framing state machine the
-// real server uses — so scripted tests exercise the gob handshake and the
-// framed binary codec exactly as deployed.
+// side speaks through a serverStream — the same framing the real server
+// uses — so scripted tests exercise the handshake and the codec exactly
+// as deployed.
 func pipeClient(t *testing.T) (*Client, *serverStream) {
 	t.Helper()
 	cend, send := net.Pipe()
@@ -24,20 +24,15 @@ func pipeClient(t *testing.T) (*Client, *serverStream) {
 	return c, newServerStream(send)
 }
 
-// serveHello answers the client's handshake from a scripted server and
-// switches the script side to framed mode. It returns false if the frame
-// was not the expected opHello or the reply could not be written (the
-// script should bail out).
+// serveHello answers the client's handshake from a scripted server. It
+// returns false if the frame was not the expected opHello or the reply
+// could not be written (the script should bail out).
 func serveHello(ss *serverStream) bool {
 	req, err := ss.readRequest()
 	if err != nil || req.Op != opHello {
 		return false
 	}
-	if ss.writeResponse(opHello, &response{ID: req.ID, Version: ProtocolVersion}) != nil {
-		return false
-	}
-	ss.setFramed()
-	return true
+	return ss.writeResponse(opHello, &response{ID: req.ID, Version: ProtocolVersion}) == nil
 }
 
 // TestMuxOutOfOrderResponses proves the demux: two calls go out on one
@@ -230,9 +225,6 @@ func TestFlushFailureRetainsPending(t *testing.T) {
 				done <- err
 				return
 			}
-			if req.Op == opHello {
-				ss.setFramed()
-			}
 		}
 	}()
 
@@ -307,9 +299,6 @@ func TestFlushPartialApplicationPoisons(t *testing.T) {
 			}
 			if err := ss.writeResponse(req.Op, &resp); err != nil {
 				return
-			}
-			if req.Op == opHello {
-				ss.setFramed()
 			}
 		}
 	}()
@@ -423,7 +412,7 @@ func TestServerClosesOnMalformedFrame(t *testing.T) {
 	srvDone := make(chan struct{})
 	go func() { cl.ServeConn(send); close(srvDone) }()
 
-	if _, err := cend.Write([]byte("\x13garbage that is not a gob frame")); err != nil {
+	if _, err := cend.Write([]byte("\x13garbage that is not a frame")); err != nil {
 		t.Fatal(err)
 	}
 	// The server must close the conn; the read observes EOF/closed rather

@@ -1,12 +1,11 @@
 // Package wire implements a multiplexed owner↔cloud network protocol so
 // the untrusted cloud can run as a separate process: length-prefixed
-// frames over any net.Conn carrying a hand-rolled binary codec for the
-// hot data-plane ops (and gob for the cold ones), a server hosting any
-// number of named store pairs (clear-text + encrypted), and one client
-// view type — StoreClient — that plugs into the owner as a
-// cloud.PlainBackend and into any technique as a technique.EncStore,
-// whatever carries its requests: a Client (one connection) or a
-// Reconnector (a connection that heals itself).
+// frames over any net.Conn carrying one field-wise binary codec for every
+// op (codec.go), a server hosting any number of named store pairs
+// (clear-text + encrypted), and one client view type — StoreClient —
+// that plugs into the owner as a cloud.PlainBackend and into any
+// technique as a technique.EncStore, whatever carries its requests: a
+// Client (one connection) or a Reconnector (a self-healing connection).
 //
 // Every request carries a client-assigned ID echoed by its response, so
 // many calls can be in flight on one connection at once: the client runs
@@ -30,17 +29,16 @@
 // per-store locks, so tenants never contend except on the transport
 // itself.
 //
-// The protocol is versioned: the first message on every connection must
-// be an opHello carrying ProtocolVersion, exchanged as plain gob exactly
-// like earlier generations. A server refuses to dispatch anything before
-// a matching hello (it answers with an explicit version-mismatch error
-// instead of misrouting the op into a default namespace), and a client
-// refuses to proceed against a server that cannot echo its version — so
-// mixing protocol generations fails loudly at the first call rather than
-// corrupting either side's stores. Only after a successful v3↔v3 hello do
-// both directions switch to length-prefixed frames: the binary codec
-// (codec.go) for hot ops, gob frames for the rest, with large row pulls
-// streamed in bounded chunks (see frame.go).
+// The protocol is versioned: every connection opens with an opHello
+// carrying ProtocolVersion, an ordinary frame in the one codec. A server
+// refuses to dispatch anything before a matching hello (it answers with
+// an explicit version-mismatch error instead of misrouting the op into a
+// default namespace), and a client refuses to proceed against a server
+// that cannot echo its version — so mixing protocol generations fails at
+// the first call rather than corrupting either side's stores. A gob-era
+// (≤ v6) peer cannot parse a frame at all: its first message reads as an
+// oversized length prefix, so either side just closes the connection.
+// Large row pulls stream in bounded chunks (see frame.go).
 //
 // Reads come in batched flavours too: opEncFetchBatch serves one address
 // list per query of a batched search in a single round trip, which is how
@@ -71,10 +69,15 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 6 made the
-// client mutation ops conditional: opPlainInsert and opEncAddBatch carry
-// the length the writer expects the partition to hold (request.Have) and
-// the server applies them only if it still does, so a mutation that races
+// ProtocolVersion is the wire protocol generation. Version 7 moved every
+// op — the hello, the clear-text load, the admin and ring planes — onto
+// one field-wise binary codec and deleted the per-connection gob stream
+// and the raw gob hello, so the hello is an ordinary first frame and
+// version skew against a gob-era peer shows up as a closed connection
+// rather than a version message. Version 6 made the client mutation ops
+// conditional: opPlainInsert and opEncAddBatch carry the length the
+// writer expects the partition to hold (request.Have) and the server
+// applies them only if it still does, so a mutation that races
 // anti-entropy repair — a tail copy or snapshot restore landing between
 // the writer learning the length and the write arriving — is refused
 // cleanly instead of appending rows the repaired state already contains.
@@ -87,14 +90,11 @@ import (
 // namespace version counters and the conditional column/row pulls built
 // on them (opEncVersion, opEncAttrColumnIf, opEncRowsIf) plus the
 // per-namespace admission override (opAdminSetWorkers); version 3
-// introduced the framed transport (binary codec for hot ops, chunked row
+// introduced length-prefixed frames (binary codec for hot ops, chunked row
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
-// 1 (no handshake, single implicit store) is refused with an explicit
-// error. The hello itself stays plain gob across generations, so any
-// cross-generation skew fails with an explicit version error in both
-// directions rather than unparseable frames.
-const ProtocolVersion = 6
+// 1 had no handshake and a single implicit store.
+const ProtocolVersion = 7
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -109,7 +109,7 @@ const (
 	opPlainSearch
 	opPlainSearchRange
 	opPlainInsert
-	_ // 5 was opEncAdd (one row per frame): reserved, every upload is an opEncAddBatch
+	opRetired // 5 was opEncAdd (one row per frame): reserved, every upload is an opEncAddBatch
 	opEncAddBatch
 	opEncLen
 	opEncAttrColumn
@@ -186,7 +186,13 @@ const (
 	// anyway, and the repair transfer itself is still ring-token-guarded
 	// node-side.
 	opRingRepair
+
+	opEnd // one past the last op: new ops go above this line
 )
+
+// known reports whether o is in the op table; the codec refuses anything
+// else, the reserved slot included.
+func (o op) known() bool { return o >= opPlainLoad && o < opEnd && o != opRetired }
 
 // request is the single wire request envelope; fields are populated
 // according to Op.

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the ring plane (protocol v5): the ops a qbring coordinator
-// and its qbcloud nodes speak among themselves, riding the same framed
-// protocol as everything else.
+// and its qbcloud nodes speak among themselves, riding the same frames
+// and codec as everything else.
 //
 // Two trust domains meet here and stay separate. Tenants authenticate
 // writes and admin ops with per-namespace owner tokens; the ring

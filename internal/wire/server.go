@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"crypto/hmac"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -34,8 +33,8 @@ import (
 //
 // Connections must open with an opHello carrying ProtocolVersion; any
 // other first frame is answered with an explicit version-mismatch error
-// and the connection is closed, so a pre-namespace client fails loudly
-// instead of having its ops misrouted into the default store.
+// and the connection is closed, so a client that skips the handshake
+// fails loudly instead of having its ops misrouted into the default store.
 type Cloud struct {
 	mu     sync.RWMutex // exclusive for Save/Restore, shared by dispatch
 	stores *storage.StoreSet
@@ -299,22 +298,25 @@ type StoreStats struct {
 func (c *Cloud) Stats() map[string]StoreStats {
 	out := make(map[string]StoreStats)
 	for _, name := range c.stores.Names() {
-		st, ok := c.stores.Get(name)
-		if !ok {
-			continue
+		if st, ok := c.stores.Get(name); ok {
+			out[name] = c.storeStats(name, st)
 		}
-		s := StoreStats{
-			EncRows:  st.Enc().Len(),
-			Ops:      c.opCounter(name).Load(),
-			CondHits: c.condCounter(name).Load(),
-			Workers:  c.StoreWorkersFor(name),
-		}
-		if ps := st.Plain(); ps != nil {
-			s.PlainTuples = ps.Len()
-		}
-		out[name] = s
 	}
 	return out
+}
+
+// storeStats is one namespace's accounting, for Stats and opAdminStats.
+func (c *Cloud) storeStats(name string, st *storage.Store) StoreStats {
+	s := StoreStats{
+		EncRows:  st.Enc().Len(),
+		Ops:      c.opCounter(name).Load(),
+		CondHits: c.condCounter(name).Load(),
+		Workers:  c.StoreWorkersFor(name),
+	}
+	if ps := st.Plain(); ps != nil {
+		s.PlainTuples = ps.Len()
+	}
+	return s
 }
 
 // opCounter returns the op counter for a namespace, creating it on first
@@ -364,127 +366,50 @@ func (c *Cloud) Serve(lis net.Listener) error {
 }
 
 // errNoHello is the explicit refusal sent to a connection whose first
-// frame is not a matching opHello — the pre-namespace (v1) client case.
+// frame is a well-formed op other than opHello.
 var errNoHello = fmt.Sprintf(
-	"wire: protocol version mismatch: server speaks v%d and requires an opHello handshake before any op (a v1 client predates store namespaces); upgrade the client",
+	"wire: protocol version mismatch: server speaks v%d and requires an opHello handshake as the first frame; upgrade the client",
 	ProtocolVersion)
 
-// serverStream is the server side of one connection's transport framing:
-// persistent gob codecs shared between the handshake and later gob
-// frames, a reader-owned frame scratch, and pooled frame assembly on the
-// send path. Sends from concurrent dispatch workers are serialised by
-// sendMu; the read side is touched only by the decode loop.
+// serverStream is the server side of one connection's framing: a
+// reader-owned frame scratch, and pooled frame assembly on the send path.
+// Sends from concurrent dispatch workers are serialised by sendMu; the
+// read side is touched only by the decode loop.
 type serverStream struct {
-	conn net.Conn
-	br   *bufio.Reader
-
-	gobIn   *gobSource
-	dec     *gob.Decoder
+	conn    net.Conn
+	br      *bufio.Reader
 	readBuf []byte
-
-	sendMu sync.Mutex
-	gobOut *gobSink
-	enc    *gob.Encoder
-
-	// framed flips after the hello exchange, strictly before any
-	// dispatch goroutine exists, so no synchronisation is needed.
-	framed bool
+	sendMu  sync.Mutex
 }
 
 func newServerStream(conn net.Conn) *serverStream {
-	s := &serverStream{conn: conn, br: bufio.NewReader(conn)}
-	s.gobIn = &gobSource{direct: s.br}
-	s.dec = gob.NewDecoder(s.gobIn)
-	s.gobOut = &gobSink{direct: conn}
-	s.enc = gob.NewEncoder(s.gobOut)
-	return s
+	return &serverStream{conn: conn, br: bufio.NewReader(conn)}
 }
 
-// setFramed switches both directions to length-prefixed frames; called
-// once, after a successful hello, while the connection is still handled
-// sequentially.
-func (s *serverStream) setFramed() {
-	s.gobIn.direct = nil
-	s.gobOut.direct = nil
-	s.framed = true
-}
-
-// readRequest decodes one request: plain gob before the handshake, one
-// frame after it.
+// readRequest decodes one request frame.
 func (s *serverStream) readRequest() (*request, error) {
-	if !s.framed {
-		req := new(request)
-		if err := s.dec.Decode(req); err != nil {
-			return nil, err
-		}
-		return req, nil
-	}
-	tag, body, err := readFrame(s.br, &s.readBuf)
+	body, err := readFrame(s.br, &s.readBuf)
 	if err != nil {
 		return nil, err
 	}
-	switch tag {
-	case tagGob:
-		s.gobIn.buf = body
-		req := new(request)
-		err := s.dec.Decode(req)
-		left := len(s.gobIn.buf)
-		s.gobIn.buf = nil
-		if err != nil {
-			return nil, err
-		}
-		if left != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes after gob request frame", left)
-		}
-		return req, nil
-	case tagBinReq:
-		return decodeBinRequest(body)
-	default:
-		return nil, fmt.Errorf("wire: unknown frame tag 0x%02x", tag)
-	}
+	return decodeRequest(body)
 }
 
-// writeResponse sends one response to an op-o request, framing per the
-// connection mode and streaming large row sets in bounded chunks.
+// writeResponse sends one response to an op-o request, streaming large
+// row sets in bounded chunks.
 func (s *serverStream) writeResponse(o op, resp *response) error {
-	if !s.framed {
-		s.sendMu.Lock()
-		defer s.sendMu.Unlock()
-		return s.enc.Encode(resp)
-	}
-	if !binaryOp(o) {
-		return s.writeGobFrame(resp)
-	}
 	switch o {
 	case opEncAttrColumn, opEncRows, opEncAttrColumnIf, opEncRowsIf:
 		if resp.Err == "" && len(resp.Rows) > 0 {
-			return s.writeChunkedRows(o, resp)
+			return s.writeChunkedRows(resp)
 		}
 	}
-	return s.writeBinFrame(o, resp, 0)
+	return s.writeFrame(resp, 0)
 }
 
-func (s *serverStream) writeGobFrame(resp *response) error {
+func (s *serverStream) writeFrame(resp *response, flags byte) error {
 	bp := getFrameBuf()
-	buf := beginFrame(*bp, tagGob)
-	// The gob encode runs under sendMu: the persistent encoder's stream
-	// state must match the order frames hit the wire.
-	s.sendMu.Lock()
-	s.gobOut.buf = &buf
-	err := s.enc.Encode(resp)
-	s.gobOut.buf = nil
-	if err == nil {
-		err = finishFrame(s.conn, buf)
-	}
-	s.sendMu.Unlock()
-	*bp = buf
-	putFrameBuf(bp)
-	return err
-}
-
-func (s *serverStream) writeBinFrame(o op, resp *response, flags byte) error {
-	bp := getFrameBuf()
-	buf := appendBinResponse(beginFrame(*bp, tagBinResp), o, resp, flags)
+	buf := appendResponse(beginFrame(*bp), resp, flags)
 	s.sendMu.Lock()
 	err := finishFrame(s.conn, buf)
 	s.sendMu.Unlock()
@@ -498,7 +423,7 @@ func (s *serverStream) writeBinFrame(o op, resp *response, flags byte) error {
 // taken per chunk, so responses to other in-flight ops may interleave
 // between chunks — a big column pull does not head-of-line-block the
 // connection; the client reassembles by ID.
-func (s *serverStream) writeChunkedRows(o op, resp *response) error {
+func (s *serverStream) writeChunkedRows(resp *response) error {
 	rows := resp.Rows
 	for {
 		n, size := 0, 0
@@ -507,16 +432,15 @@ func (s *serverStream) writeChunkedRows(o op, resp *response) error {
 			size += 16 + len(r.TupleCT) + len(r.AttrCT) + len(r.Token)
 			n++
 		}
-		// Version fields ride every chunk (the client keeps the first
-		// chunk's values); zero for the unconditional ops.
-		chunk := response{ID: resp.ID, Rows: rows[:n],
-			VerEpoch: resp.VerEpoch, VerN: resp.VerN, Delta: resp.Delta}
-		rows = rows[n:]
+		// Every other field rides every chunk (the client keeps the first
+		// chunk's values).
+		chunk := *resp
+		chunk.Rows, rows = rows[:n], rows[n:]
 		var flags byte
 		if len(rows) > 0 {
 			flags = respFlagPartial
 		}
-		if err := s.writeBinFrame(o, &chunk, flags); err != nil {
+		if err := s.writeFrame(&chunk, flags); err != nil {
 			return err
 		}
 		if len(rows) == 0 {
@@ -526,12 +450,9 @@ func (s *serverStream) writeChunkedRows(o op, resp *response) error {
 }
 
 // ServeConn serves one established connection (e.g. net.Pipe in tests and
-// benchmarks) until it fails or closes, then closes it. The first message
-// must be a version-matched opHello — exchanged as plain gob, the wire
-// image every protocol generation shares, so skewed peers get an explicit
-// version error. After it both directions switch to framed mode and
-// decoded requests are dispatched concurrently through the per-connection
-// worker pool.
+// benchmarks) until it fails or closes, then closes it. The first frame
+// must be a version-matched opHello; after it decoded requests are
+// dispatched concurrently through the per-connection worker pool.
 func (c *Cloud) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	s := newServerStream(conn)
@@ -540,9 +461,10 @@ func (c *Cloud) ServeConn(conn net.Conn) {
 	// so no op can race past it.
 	req, err := s.readRequest()
 	if err != nil {
-		// io.EOF is a clean shutdown; anything else means the stream is
-		// desynchronised. Either way no reply can safely be written —
-		// only well-formed messages (with an ID to echo) get responses.
+		// io.EOF is a clean shutdown; anything else — a gob-era peer's
+		// opening bytes included — means the stream is not ours. Either
+		// way no reply can safely be written: only well-formed frames
+		// (with an ID to echo) get responses.
 		return
 	}
 	if req.Op != opHello {
@@ -558,7 +480,6 @@ func (c *Cloud) ServeConn(conn net.Conn) {
 	if err := s.writeResponse(opHello, &response{ID: req.ID, Version: ProtocolVersion}); err != nil {
 		return
 	}
-	s.setFramed()
 
 	sem := make(chan struct{}, c.workersPerConn())
 	// inflight is the decode loop's flood bound: it caps live request

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -28,25 +30,46 @@ func startCloudListener(t *testing.T) (*Cloud, string) {
 	return cl, lis.Addr().String()
 }
 
-// TestHelloRejectsLegacyClient: a pre-namespace (v1) client never sends
-// opHello; its first op must be answered with an explicit
-// version-mismatch error — not executed, not a corrupted frame — and the
-// connection closed.
-func TestHelloRejectsLegacyClient(t *testing.T) {
-	_, addr := startCloudListener(t)
+// sendFrame writes one request frame straight onto a raw connection.
+func sendFrame(t *testing.T, conn net.Conn, req *request) {
+	t.Helper()
+	if err := finishFrame(conn, appendRequest(beginFrame(nil), req)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recvFrame reads one response frame off a raw connection.
+func recvFrame(conn net.Conn) (*response, error) {
+	var scratch []byte
+	body, err := readFrame(conn, &scratch)
+	if err != nil {
+		return nil, err
+	}
+	resp, _, err := decodeResponse(body)
+	return resp, err
+}
+
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
 
-	// A v1 client's opening frame: some real op, no handshake.
-	if err := enc.Encode(&request{ID: 7, Op: opEncLen}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
+// TestHelloRejectsLegacyClient: a client that opens with any op but
+// opHello gets an explicit version-mismatch refusal — its op not
+// executed — and the connection closed. A gob-era (≤ v6) client, whose
+// hello is not a frame at all, gets the connection closed with nothing
+// executed either.
+func TestHelloRejectsLegacyClient(t *testing.T) {
+	cl, addr := startCloudListener(t)
+	conn := dialRaw(t, addr)
+	sendFrame(t, conn, &request{ID: 7, Op: opEncLen, Store: "skipped-hello"})
+	resp, err := recvFrame(conn)
+	if err != nil {
 		t.Fatalf("no explicit refusal frame: %v", err)
 	}
 	if resp.ID != 7 {
@@ -55,11 +78,24 @@ func TestHelloRejectsLegacyClient(t *testing.T) {
 	if !strings.Contains(resp.Err, "protocol version mismatch") {
 		t.Fatalf("refusal error = %q, want a version-mismatch message", resp.Err)
 	}
-	// The server hangs up after refusing: the next decode observes EOF,
+	// The server hangs up after refusing: the next read observes EOF,
 	// not another frame.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
-		t.Fatal("server kept serving a pre-handshake connection")
+	if _, err := recvFrame(conn); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server kept serving a pre-handshake connection: %v", err)
+	}
+
+	legacy := dialRaw(t, addr)
+	enc := gob.NewEncoder(legacy)
+	_ = enc.Encode(&request{ID: 1, Op: opHello, Version: 6})
+	_ = enc.Encode(&request{ID: 2, Op: opEncAddBatch, Store: "gob-era", Have: -1,
+		Batch: []EncUpload{{TupleCT: []byte("ct")}}})
+	legacy.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := legacy.Read(make([]byte, 64)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("gob hello: read %d bytes, err %v; want the connection closed", n, err)
+	}
+	if names := cl.StoreNames(); len(names) != 0 {
+		t.Fatalf("refused connections executed ops: stores %v", names)
 	}
 }
 
@@ -67,89 +103,77 @@ func TestHelloRejectsLegacyClient(t *testing.T) {
 // refused explicitly with both versions named.
 func TestHelloRejectsVersionSkew(t *testing.T) {
 	_, addr := startCloudListener(t)
-	conn, err := net.Dial("tcp", addr)
+	conn := dialRaw(t, addr)
+	sendFrame(t, conn, &request{ID: 1, Op: opHello, Version: ProtocolVersion + 5})
+	resp, err := recvFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(&request{ID: 1, Op: opHello, Version: ProtocolVersion + 5}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Err, "version mismatch") || resp.Version != ProtocolVersion {
+	if !strings.Contains(resp.Err, "version mismatch") || resp.Version != ProtocolVersion ||
+		!strings.Contains(resp.Err, fmt.Sprintf("v%d", ProtocolVersion)) ||
+		!strings.Contains(resp.Err, fmt.Sprintf("v%d", ProtocolVersion+5)) {
 		t.Fatalf("skewed hello answered %+v", resp)
 	}
 }
 
-// TestClientRejectsLegacyServer: a client handshaking with a v1 server
-// (which answers opHello with "unknown op") must poison itself with an
-// explicit version-mismatch error instead of proceeding.
-func TestClientRejectsLegacyServer(t *testing.T) {
-	cend, send := net.Pipe()
-	c := NewClient(cend)
-	t.Cleanup(func() { c.Close(); send.Close() })
-	go func() {
-		dec, enc := gob.NewDecoder(send), gob.NewEncoder(send)
+// gobPeer plays a gob-era (≤ v6) server on the far end of a pipe: plain
+// gob both ways, the hello answered with version (0 answers every op
+// "unknown op", as v1 did), and the connection closed on the first
+// message it cannot decode, as those servers' ServeConn did.
+func gobPeer(conn net.Conn, version int) {
+	defer conn.Close()
+	dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		// What the v1 dispatch switch answered for any unknown op.
-		_ = enc.Encode(response{ID: req.ID, Err: "wire: unknown op"})
-	}()
-
-	err := c.Ping()
-	if err == nil || !strings.Contains(err.Error(), "version mismatch") {
-		t.Fatalf("ping against v1 server = %v, want version-mismatch", err)
-	}
-	// The mismatch is sticky and explicit for every later call.
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "version mismatch") {
-		t.Fatalf("Err = %v, want sticky version mismatch", err)
-	}
-	if _, err := c.WithStore(DefaultStore).Fetch([]int{0}); err == nil {
-		t.Fatal("fetch proceeded against a version-mismatched server")
+		resp := response{ID: req.ID}
+		if req.Op == opHello && version > 0 {
+			resp.Version = version
+		} else {
+			resp.Err = "wire: unknown op"
+		}
+		if err := enc.Encode(resp); err != nil {
+			return
+		}
 	}
 }
 
-// TestClientRejectsV2Server: a v3 client handshaking with a v2 server —
-// which speaks unframed gob and answers the hello with its own version —
-// must fail its first op with an explicit mismatch naming both versions,
-// not hang and not attempt framed traffic against a gob peer.
-func TestClientRejectsV2Server(t *testing.T) {
+// rejectsGobPeer: a client facing a gob-era server fails its first call
+// within 2 s, is poisoned, and lets no later op proceed. The v7 client
+// cannot name the peer's version — the peer cannot parse a frame, so the
+// failure is the closed connection, not a version message.
+func rejectsGobPeer(t *testing.T, version int) {
 	cend, send := net.Pipe()
 	c := NewClient(cend)
 	t.Cleanup(func() { c.Close(); send.Close() })
-	go func() {
-		// A v2 server: plain gob both ways, never switches to frames.
-		dec, enc := gob.NewDecoder(send), gob.NewEncoder(send)
-		for {
-			var req request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			resp := response{ID: req.ID}
-			if req.Op == opHello {
-				resp.Version = ProtocolVersion - 1
-			}
-			if err := enc.Encode(resp); err != nil {
-				return
-			}
-		}
-	}()
+	go gobPeer(send, version)
 
-	err := c.Ping()
-	if err == nil || !strings.Contains(err.Error(), "version mismatch") ||
-		!strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtocolVersion-1)) {
-		t.Fatalf("ping against v2 server = %v, want explicit version mismatch", err)
+	errc := make(chan error, 1)
+	go func() { errc <- c.Ping() }()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("ping against a gob-era server succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ping against a gob-era server hung")
 	}
-	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "version mismatch") {
-		t.Fatalf("Err = %v, want sticky version mismatch", err)
+	if c.Err() == nil {
+		t.Fatal("client not poisoned by a gob-era server")
+	}
+	if _, err := c.WithStore(DefaultStore).Fetch([]int{0}); err == nil {
+		t.Fatal("fetch proceeded against a gob-era server")
 	}
 }
+
+// TestClientRejectsLegacyServer: against a v1 server (no handshake, gob).
+func TestClientRejectsLegacyServer(t *testing.T) { rejectsGobPeer(t, 0) }
+
+// TestClientRejectsV2Server: against a v2 server, which speaks raw
+// gob and answers the hello with its own version.
+func TestClientRejectsV2Server(t *testing.T) { rejectsGobPeer(t, 2) }
 
 // TestPingCreatesNoStore: store-less ops (the handshake, Ping) must not
 // materialise a phantom "default" namespace in the registry, the stats
@@ -397,6 +421,16 @@ func TestTransportConformance(t *testing.T) {
 			check(v.Flush())
 			got.TailRows, _, got.TailDelta, err = v.AttrColumnSince(ver, 6)
 			check(err)
+			// A negative have is a full resend, as storage documents it — and
+			// must not poison the connection: the ops below ride it.
+			full, _, fullDelta, err := v.AttrColumnSince(ver, -1)
+			check(err)
+			fullRows, _, rowsDelta, err := v.RowsSince(ver, -1)
+			check(err)
+			if len(full) != 8 || len(fullRows) != 8 || fullDelta || rowsDelta {
+				t.Fatalf("have=-1 pulls: %d/%d rows, delta %v/%v; want the full 8, no delta",
+					len(full), len(fullRows), fullDelta, rowsDelta)
+			}
 			check(v.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}))
 			got.Len = v.Len()
 			if v.LogicalErrCount() != 0 || v.Err() != nil {
