@@ -11,40 +11,30 @@ type BatchResult = owner.BatchResult
 // technique in a single batched search (scan-shaped techniques pull the
 // attribute column or scan their table once per batch instead of once per
 // query; on a remote cloud, one round trip serves the whole batch's bin
-// fetches), while the plaintext bin fetches fan out over a bounded worker
-// pool. It returns one answer slice per query, indexed like ws.
+// fetches), while the plaintext bin fetches fan out over a GOMAXPROCS
+// worker pool. It returns one answer slice per query, indexed like ws.
 //
 // The batch is observationally equivalent to looping Query sequentially:
 // per-query results are identical and the adversarial views are logged in
 // input order, so AdversarialViews is deterministic. On failure the error
-// of the lowest-index failing query is returned.
+// of the lowest-index failing query is returned. With a remote cloud the
+// batch keeps many calls in flight on the one multiplexed connection, and
+// a remote failure mid-batch fails the batch rather than thinning its
+// results.
 func (c *Client) QueryBatch(ws []Value) ([][]Tuple, error) {
-	return c.QueryBatchN(ws, 0)
+	out, _, err := c.QueryBatchWithStats(ws)
+	return out, err
 }
 
-// QueryBatchN is QueryBatch with an explicit worker count (<= 0 selects
-// GOMAXPROCS). The count bounds the plaintext-side fan-out, and the
-// per-query concurrency when a shared-path failure forces the batch onto
-// the per-query engine. It does not reach inside the technique: an
-// index-shaped technique's internal per-query fallback runs at
-// GOMAXPROCS. With a remote cloud the batch keeps many calls in flight on
-// the one multiplexed connection, and a remote failure mid-batch fails the
-// batch rather than thinning its results.
-func (c *Client) QueryBatchN(ws []Value, workers int) ([][]Tuple, error) {
-	return withRemoteCheck(c, func() ([][]Tuple, error) {
-		out, _, err := c.owner.QueryBatch(ws, workers)
-		return out, err
-	})
-}
-
-// QueryBatchWithStats is QueryBatchN plus the per-query cost breakdowns.
+// QueryBatchWithStats is QueryBatch plus the per-query cost breakdowns.
 // On the batched path each QueryStats.Enc is the query's attributable
 // slice of the shared batch search — its access pattern and result
 // transfers — with work shared across the batch (the column pull or table
-// scan) counted once at the technique level rather than per query.
-func (c *Client) QueryBatchWithStats(ws []Value, workers int) ([][]Tuple, []*QueryStats, error) {
+// scan, and its round trips) counted once at the technique level rather
+// than per query.
+func (c *Client) QueryBatchWithStats(ws []Value) ([][]Tuple, []*QueryStats, error) {
 	before := c.remoteLogicalCount()
-	out, stats, err := c.owner.QueryBatch(ws, workers)
+	out, stats, err := c.owner.QueryBatch(ws, 0)
 	return out, stats, c.finishRemote(before, err)
 }
 
@@ -57,20 +47,16 @@ func (c *Client) QueryBatchWithStats(ws []Value, workers int) ([][]Tuple, []*Que
 // not its order — identical to a sequential loop. The caller must drain
 // the channel until it closes (e.g. with range), even after seeing an
 // error: abandoning it mid-stream blocks the worker pool forever.
+//
+// With a remote cloud, a backend failure is folded into the stream
+// conservatively: every result delivered after the failure was detected
+// carries it as Err, even one whose own query had already completed — the
+// failure window cannot be attributed per-query from outside the engine,
+// and erring towards flagging beats silently trusting results produced
+// around a dying connection.
 func (c *Client) QueryAsync(ws []Value) <-chan BatchResult {
-	return c.QueryAsyncN(ws, 0)
-}
-
-// QueryAsyncN is QueryAsync with an explicit worker count (<= 0 selects
-// GOMAXPROCS). With a remote cloud, a backend failure is folded into the
-// stream conservatively: every result delivered after the failure was
-// detected carries it as Err, even one whose own query had already
-// completed — the failure window cannot be attributed per-query from
-// outside the engine, and erring towards flagging beats silently
-// trusting results produced around a dying connection.
-func (c *Client) QueryAsyncN(ws []Value, workers int) <-chan BatchResult {
 	before := c.remoteLogicalCount()
-	ch := c.owner.QueryAsync(ws, workers)
+	ch := c.owner.QueryAsync(ws)
 	if c.remote == nil {
 		return ch
 	}

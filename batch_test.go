@@ -84,7 +84,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("sequential run recorded %d views, want %d", len(seqViews), len(ws))
 				}
 
-				batch, err := c.QueryBatchN(ws, 4)
+				batch, err := c.QueryBatch(ws)
 				if err != nil {
 					t.Fatalf("QueryBatch: %v", err)
 				}
@@ -229,7 +229,7 @@ func TestQueryBatchMidInsertInterleaving(t *testing.T) {
 	}()
 
 	for i := 0; i < 4; i++ {
-		if _, err := c.QueryBatchN(ws, 4); err != nil {
+		if _, err := c.QueryBatch(ws); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestQueryBatchMidInsertInterleaving(t *testing.T) {
 func TestQueryBatchWithStats(t *testing.T) {
 	c, ds := datasetClient(t, TechNoInd, 11)
 	ws := batchWorkload(ds, 8, 111)
-	out, stats, err := c.QueryBatchWithStats(ws, 2)
+	out, stats, err := c.QueryBatchWithStats(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/ast"
 	"go/types"
 	"os/exec"
 	"path/filepath"
@@ -137,4 +138,45 @@ func TestWireHasOneCodec(t *testing.T) {
 		return
 	}
 	t.Fatal("repro/internal/wire not loaded")
+}
+
+// TestOwnerHasOneExecutor pins the one query path: outside its tests, the
+// QB owner (the *Owner methods and the package's plain functions) reaches
+// a technique's search (Search or SearchBatch) from one function,
+// searchEnc, which the one executor, executeViewBatch, calls. A second
+// caller means a second executor, with its own merge, view and failure
+// semantics. Other owners are out of scope: VerticalOwner's column fetch
+// logs no view and merges nothing, so it calls its column store directly.
+func TestOwnerHasOneExecutor(t *testing.T) {
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/owner" {
+			continue
+		}
+		callers := map[string]bool{}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || (fn.Recv != nil && types.ExprString(fn.Recv.List[0].Type) != "*Owner") {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal &&
+						s.Obj().Pkg().Path() == "repro/internal/technique" &&
+						(s.Obj().Name() == "Search" || s.Obj().Name() == "SearchBatch") {
+						callers[fn.Name.Name] = true
+					}
+					return true
+				})
+			}
+		}
+		if want := map[string]bool{"searchEnc": true}; !reflect.DeepEqual(callers, want) {
+			t.Fatalf("functions of internal/owner calling a technique search = %v, want only searchEnc", callers)
+		}
+		return
+	}
+	t.Fatal("repro/internal/owner not loaded")
 }

@@ -11,15 +11,16 @@ import (
 	"repro/internal/technique"
 )
 
-// This file implements the concurrent batch query engine. A batch executes
-// through executeViewBatch: the encrypted side of every query goes to the
-// cloud as ONE technique.SearchBatch call — scan-shaped techniques share
-// their column pull / table scan across the whole batch instead of
-// re-doing it per query — while the plaintext bin fetches fan out over a
-// bounded worker pool concurrently with it. Batch execution is
-// observationally equivalent to a sequential loop over Query: the same
-// result per query, and — because views are detached from execution and
-// logged in input order — the same adversarial-view log.
+// This file implements the one query executor, executeViewBatch. Every
+// selection runs through it, a single one as a batch of one (executeOne):
+// the encrypted side of every query goes to the cloud as ONE technique
+// call (searchEnc) — scan-shaped techniques share their column pull /
+// table scan across the whole batch instead of re-doing it per query —
+// while the plaintext bin fetches fan out over a bounded worker pool
+// concurrently with it. Batch execution is observationally equivalent to a
+// sequential loop over Query: the same result per query, and — because
+// views are detached from execution and logged in input order — the same
+// adversarial-view log.
 
 // BatchResult is one completed query of a streaming batch.
 type BatchResult struct {
@@ -54,12 +55,13 @@ func normalizeWorkers(workers, n int) int {
 	return workers
 }
 
-// runPool fans f over the indices [0, n) using the given number of worker
-// goroutines and blocks until all have finished.
-func runPool(n, workers int, f func(i int)) {
+// startPool fans f over the indices [0, n) on at most the given number of
+// worker goroutines and returns at once; Wait on the result blocks until
+// all have finished.
+func startPool(n, workers int, f func(i int)) *sync.WaitGroup {
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	wg := new(sync.WaitGroup)
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -72,13 +74,13 @@ func runPool(n, workers int, f func(i int)) {
 			}
 		}()
 	}
-	wg.Wait()
+	return wg
 }
 
 // QueryBatch executes the selections ws as one batch, sharing cloud-side
-// work across them: every query's sensitive bin goes to the technique in a
-// single SearchBatch call (so NoInd pulls the attribute column once per
-// batch, DPF-PIR and ShamirScan scan their tables once per batch), the
+// work across them: every query's sensitive bin goes to the technique in
+// one call (searchEnc; so NoInd pulls the attribute column once per batch,
+// DPF-PIR and ShamirScan scan their tables once per batch), the
 // matched tuples come back in one batched fetch round trip on remote
 // backends, and the plaintext bin fetches fan out over a bounded worker
 // pool (workers <= 0 selects GOMAXPROCS). It returns the per-query answers
@@ -154,13 +156,13 @@ func (o *Owner) queryBatchShared(ws []relation.Value, workers int) ([][]relation
 func (o *Owner) queryBatchPerQuery(ws []relation.Value, workers int) ([][]relation.Tuple, []*QueryStats, error) {
 	n := len(ws)
 	results := make([]BatchResult, n)
-	runPool(n, normalizeWorkers(workers, n), func(i int) {
+	startPool(n, normalizeWorkers(workers, n), func(i int) {
 		ts, st, view, err := o.QueryDetached(ws[i])
 		results[i] = BatchResult{Index: i, Query: ws[i], Tuples: ts, Stats: st, Err: err}
 		if err == nil {
 			results[i].view = view
 		}
-	})
+	}).Wait()
 
 	out := make([][]relation.Tuple, n)
 	stats := make([]*QueryStats, n)
@@ -175,21 +177,57 @@ func (o *Owner) queryBatchPerQuery(ws []relation.Value, workers int) ([][]relati
 	return out, stats, nil
 }
 
-// executeViewBatch is the batched counterpart of executeView: it runs n
-// selections' sub-queries with the encrypted side going through one
-// technique.SearchBatch call — sharing column pulls and table scans across
-// the batch — while the plaintext side fans out over the worker pool
-// concurrently with it, and returns the merged per-query results together
-// with the per-query adversarial views. Must be called with o.mu held
-// (read suffices); views are NOT recorded — the caller logs them in input
-// order so the view log matches a sequential loop.
+// executeOne runs one selection — any match predicate on the searchable
+// attribute over the given sensitive and non-sensitive bin values —
+// through executeViewBatch. Must be called with o.mu held (read suffices);
+// the view is NOT recorded.
+func (o *Owner) executeOne(match func(relation.Value) bool, sensValues, nsValues []relation.Value, st *QueryStats) ([]relation.Tuple, cloud.View, error) {
+	out, views, err := o.executeViewBatch([]func(relation.Value) bool{match},
+		[][]relation.Value{sensValues}, [][]relation.Value{nsValues}, []*QueryStats{st}, 1)
+	if err != nil {
+		return nil, cloud.View{}, err
+	}
+	return out[0], views[0], nil
+}
+
+// searchEnc runs the encrypted half of a batch as one call into tech and
+// returns one payload set and one Stats per query. A batch of one goes
+// through Search, so its Stats is the whole cost of the call — the shared
+// column pull or scan, cache hits and simulated time included — as a
+// single query has always reported it.
+func searchEnc(tech technique.Technique, queries [][]relation.Value) ([][][]byte, []*technique.Stats, error) {
+	if len(queries) == 1 {
+		payloads, st, err := tech.Search(queries[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		return [][][]byte{payloads}, []*technique.Stats{st}, nil
+	}
+	out, st, err := tech.SearchBatch(queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(out) != len(queries) || st == nil || len(st.PerQuery) != len(queries) {
+		return nil, nil, fmt.Errorf("owner: SearchBatch returned %d payload sets and malformed stats for %d queries",
+			len(out), len(queries))
+	}
+	return out, st.PerQuery, nil
+}
+
+// executeViewBatch runs n selections' sub-queries, the encrypted side as
+// one searchEnc call — sharing column pulls and table scans across the
+// batch — and the plaintext side on the worker pool concurrently with it,
+// and returns the merged per-query results together with the per-query
+// adversarial views. Must be called with o.mu held (read suffices); views
+// are NOT recorded — the caller logs them in input order so the view log
+// matches a sequential loop.
 func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues, nsValues [][]relation.Value, sts []*QueryStats, workers int) ([][]relation.Tuple, []cloud.View, error) {
 	n := len(matches)
 	out := make([][]relation.Tuple, n)
 	views := make([]cloud.View, n)
 	var encIdx, plainIdx []int
 	for i := range matches {
-		views[i] = cloudView(nsValues[i], len(sensValues[i]))
+		views[i] = cloud.View{PlainValues: nsValues[i], EncPredicates: len(sensValues[i])}
 		if len(sensValues[i]) > 0 {
 			encIdx = append(encIdx, i)
 		}
@@ -199,10 +237,9 @@ func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues
 	}
 
 	// The plaintext fetches do not depend on the cryptographic work, so
-	// they run on the worker pool concurrently with the batched search
-	// below. Unlike executeView's buffered-channel early return, the pool
-	// is always drained (<-done on every path) so no goroutine outlives
-	// the caller's lock.
+	// they run on the pool concurrently with the encrypted search below.
+	// The pool is waited for on every path, so no worker outlives the
+	// caller's lock.
 	// Queries whose selection values fall in the same non-sensitive bin
 	// issue the exact same whole-bin search (Bins.Retrieve hands out one
 	// shared value slice per bin), so each distinct bin is fetched once
@@ -225,44 +262,32 @@ func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues
 		share[k] = ri
 	}
 	plainShared := make([][]relation.Tuple, len(reps))
-	done := make(chan struct{})
 	srv := o.server
-	go func() {
-		defer close(done)
-		if len(reps) == 0 {
-			return
-		}
-		runPool(len(reps), normalizeWorkers(workers, len(reps)), func(k int) {
-			plainShared[k] = srv.SearchPlain(nsValues[reps[k]])
-		})
-	}()
+	plainPool := startPool(len(reps), normalizeWorkers(workers, len(reps)), func(k int) {
+		plainShared[k] = srv.SearchPlain(nsValues[reps[k]])
+	})
 
 	var payloadBatches [][][]byte
-	var encSt *technique.Stats
+	var encSts []*technique.Stats
 	if len(encIdx) > 0 {
 		queries := make([][]relation.Value, len(encIdx))
 		for k, i := range encIdx {
 			queries[k] = sensValues[i]
 		}
 		var err error
-		payloadBatches, encSt, err = o.tech.SearchBatch(queries)
+		payloadBatches, encSts, err = searchEnc(o.tech, queries)
 		if err != nil {
-			<-done
+			plainPool.Wait()
 			return nil, nil, err
 		}
-		if len(payloadBatches) != len(encIdx) || encSt == nil || len(encSt.PerQuery) != len(encIdx) {
-			<-done
-			return nil, nil, fmt.Errorf("owner: SearchBatch returned %d payload sets and malformed stats for %d queries",
-				len(payloadBatches), len(encIdx))
-		}
 	}
-	<-done
+	plainPool.Wait()
 	for k, i := range plainIdx {
 		plains[i] = plainShared[share[k]]
 	}
 
 	for k, i := range encIdx {
-		per := encSt.PerQuery[k]
+		per := encSts[k]
 		if per == nil {
 			per = &technique.Stats{}
 		}
@@ -285,30 +310,30 @@ func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues
 	return out, views, nil
 }
 
-// QueryAsync streams the batch: it launches the same worker pool as
-// QueryBatch and delivers each BatchResult as soon as its query completes,
-// closing the channel when the whole batch is done. Views are recorded at
-// completion time, so the log order follows delivery order rather than
-// input order — the multiset of views still equals the sequential one.
-// Per-query failures are delivered as BatchResult.Err; the stream keeps
-// going so independent queries still complete.
+// QueryAsync streams the batch: it runs each selection as its own query
+// over a GOMAXPROCS worker pool and delivers each BatchResult as soon as
+// its query completes, closing the channel when the whole batch is done.
+// Views are recorded at completion time, so the log order follows delivery
+// order rather than input order — the multiset of views still equals the
+// sequential one. Per-query failures are delivered as BatchResult.Err; the
+// stream keeps going so independent queries still complete.
 //
 // The caller must drain the channel until it closes: abandoning it
 // mid-stream blocks the workers forever once the buffer fills.
-func (o *Owner) QueryAsync(ws []relation.Value, workers int) <-chan BatchResult {
-	out := make(chan BatchResult, normalizeWorkers(workers, max(len(ws), 1)))
+func (o *Owner) QueryAsync(ws []relation.Value) <-chan BatchResult {
+	workers := normalizeWorkers(0, max(len(ws), 1))
+	// One slot per worker: a worker never blocks on delivery while the
+	// consumer keeps up.
+	out := make(chan BatchResult, workers)
 	go func() {
 		defer close(out)
-		if len(ws) == 0 {
-			return
-		}
-		runPool(len(ws), normalizeWorkers(workers, len(ws)), func(i int) {
+		startPool(len(ws), workers, func(i int) {
 			ts, st, view, err := o.QueryDetached(ws[i])
 			if err == nil {
 				o.RecordView(view)
 			}
 			out <- BatchResult{Index: i, Query: ws[i], Tuples: ts, Stats: st, Err: err}
-		})
+		}).Wait()
 	}()
 	return out
 }

@@ -147,7 +147,7 @@ func TestQueryAsyncDeliversPerQueryErrors(t *testing.T) {
 
 	ws := append(workload.QueryStream(ds, workload.QuerySpec{Queries: 6, Seed: 43}), ft.target)
 	delivered, failures := 0, 0
-	for res := range o.QueryAsync(ws, 3) {
+	for res := range o.QueryAsync(ws) {
 		delivered++
 		if res.Err != nil {
 			failures++

@@ -2,8 +2,8 @@ package owner
 
 import (
 	"fmt"
+	"sort"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/technique"
@@ -108,29 +108,19 @@ func (o *Owner) QueryRange(lo, hi relation.Value) ([]relation.Tuple, *QueryStats
 		lo, hi = hi, lo
 	}
 	st := &QueryStats{}
-
-	sensBins := make(map[int]bool)
-	nsBins := make(map[int]bool)
 	inRange := func(v relation.Value) bool {
 		return v.Compare(lo) >= 0 && v.Compare(hi) <= 0
 	}
-	for _, bin := range o.bins.Sensitive {
-		for _, vc := range bin {
-			if inRange(vc.Value) {
-				if ret, ok := o.bins.Retrieve(vc.Value); ok {
-					if ret.SensBin >= 0 {
-						sensBins[ret.SensBin] = true
-					}
-					if ret.NSBin >= 0 {
-						nsBins[ret.NSBin] = true
-					}
+	// Every in-range value, on either side, pulls in the sensitive and the
+	// non-sensitive bin its own selection would retrieve.
+	sensBins := make(map[int]bool)
+	nsBins := make(map[int]bool)
+	for _, bins := range [][][]relation.ValueCount{o.bins.Sensitive, o.bins.NonSensitive} {
+		for _, bin := range bins {
+			for _, vc := range bin {
+				if !inRange(vc.Value) {
+					continue
 				}
-			}
-		}
-	}
-	for _, bin := range o.bins.NonSensitive {
-		for _, vc := range bin {
-			if inRange(vc.Value) {
 				if ret, ok := o.bins.Retrieve(vc.Value); ok {
 					if ret.SensBin >= 0 {
 						sensBins[ret.SensBin] = true
@@ -143,23 +133,7 @@ func (o *Owner) QueryRange(lo, hi relation.Value) ([]relation.Tuple, *QueryStats
 		}
 	}
 
-	var sensValues, nsValues []relation.Value
-	for i := range o.bins.Sensitive {
-		if sensBins[i] {
-			for _, vc := range o.bins.Sensitive[i] {
-				sensValues = append(sensValues, vc.Value)
-			}
-		}
-	}
-	for i := range o.bins.NonSensitive {
-		if nsBins[i] {
-			for _, vc := range o.bins.NonSensitive[i] {
-				nsValues = append(nsValues, vc.Value)
-			}
-		}
-	}
-
-	out, view, err := o.executeView(inRange, sensValues, nsValues, st)
+	out, view, err := o.executeOne(inRange, binValues(o.bins.Sensitive, sensBins), binValues(o.bins.NonSensitive, nsBins), st)
 	o.mu.RUnlock()
 	if err != nil {
 		return nil, nil, err
@@ -168,56 +142,22 @@ func (o *Owner) QueryRange(lo, hi relation.Value) ([]relation.Tuple, *QueryStats
 	return out, st, nil
 }
 
-// executeView runs the two sub-queries for a selection with an arbitrary
-// match predicate on the searchable attribute, fanning the encrypted and
-// plaintext retrievals out in parallel (they are independent bin fetches),
-// and returns the merged result together with the adversarial view of the
-// execution. Must be called with o.mu held (read suffices); the view is
-// NOT recorded — callers hand it to RecordView so batch engines can
-// control the log order.
-func (o *Owner) executeView(match func(relation.Value) bool, sensValues, nsValues []relation.Value, st *QueryStats) ([]relation.Tuple, cloud.View, error) {
-	var out []relation.Tuple
-	view := cloudView(nsValues, len(sensValues))
-
-	// The plaintext fetch does not depend on the cryptographic work, so it
-	// runs concurrently with the encrypted-side search below. The channel
-	// is buffered: an encrypted-side error can return early without
-	// leaking the goroutine. The server pointer is captured here because
-	// on that early return the goroutine may outlive the caller's lock —
-	// it must not re-read the field a concurrent Outsource could swap.
-	var plainCh chan []relation.Tuple
-	if len(nsValues) > 0 {
-		plainCh = make(chan []relation.Tuple, 1)
-		srv := o.server
-		go func() { plainCh <- srv.SearchPlain(nsValues) }()
-	}
-
-	if len(sensValues) > 0 {
-		payloads, encSt, err := o.tech.Search(sensValues)
-		if err != nil {
-			return nil, cloud.View{}, err
-		}
-		st.Enc = *encSt
-		view.EncResultAddrs = encSt.ReturnedAddrs
-		out, err = o.mergeEnc(payloads, match, st, out)
-		if err != nil {
-			return nil, cloud.View{}, err
+// binValues lists, in bin order, the values of the bins picked.
+func binValues(bins [][]relation.ValueCount, picked map[int]bool) []relation.Value {
+	var out []relation.Value
+	for i, bin := range bins {
+		if picked[i] {
+			for _, vc := range bin {
+				out = append(out, vc.Value)
+			}
 		}
 	}
-	if plainCh != nil {
-		plain := <-plainCh
-		view.PlainResults = plain
-		out = o.mergePlain(plain, match, st, out)
-	}
-	relation.SortByID(out)
-	st.Result = len(out)
-	return out, view, nil
+	return out
 }
 
 // mergeEnc is the encrypted half of q_merge for one query: it decodes the
 // technique's payloads, discards fakes and bin co-residents, and appends
-// the matches to out. Shared by the sequential and batched paths so their
-// merge semantics cannot diverge.
+// the matches to out.
 func (o *Owner) mergeEnc(payloads [][]byte, match func(relation.Value) bool, st *QueryStats, out []relation.Tuple) ([]relation.Tuple, error) {
 	var slab []relation.Value
 	for _, p := range payloads {
@@ -239,8 +179,7 @@ func (o *Owner) mergeEnc(payloads [][]byte, match func(relation.Value) bool, st 
 }
 
 // mergePlain is the clear-text half of q_merge for one query: it filters
-// the non-sensitive bin's tuples down to the actual matches. Shared by the
-// sequential and batched paths.
+// the non-sensitive bin's tuples down to the actual matches.
 func (o *Owner) mergePlain(plain []relation.Tuple, match func(relation.Value) bool, st *QueryStats, out []relation.Tuple) []relation.Tuple {
 	st.PlainTuples = len(plain)
 	for _, t := range plain {
@@ -289,15 +228,7 @@ func (o *Owner) QueryAggregate(w relation.Value, col string, op AggOp) (int64, e
 		o.mu.RUnlock()
 		return 0, fmt.Errorf("owner: column %q is not integer-valued", col)
 	}
-	var (
-		tuples []relation.Tuple
-		view   cloud.View
-		err    error
-	)
-	if ret, hit := o.bins.Retrieve(w); hit {
-		eq := func(v relation.Value) bool { return v.Equal(w) }
-		tuples, view, err = o.executeView(eq, ret.SensValues, ret.NSValues, &QueryStats{})
-	}
+	tuples, view, err := o.selectLocked(w, &QueryStats{})
 	o.mu.RUnlock()
 	if err != nil {
 		return 0, err
@@ -337,57 +268,58 @@ type JoinPair struct {
 }
 
 // Join computes the equi-join of this relation with other on their
-// searchable attributes, entirely through QB retrievals: every join value
-// known to either owner is queried through its bins on both relations and
-// the matches are paired owner-side. The adversarial views remain
-// bin-shaped on both relations, so the join leaks no more than the
-// constituent selections.
+// searchable attributes, entirely through QB retrievals: the join values
+// known to both owners, in sorted order, run as one QueryBatch on each
+// relation and the matches are paired owner-side. The adversarial views
+// remain bin-shaped on both relations, and each view log is the one a
+// sequential Query loop over the sorted values would leave, so the join
+// leaks no more than the constituent selections.
 func (o *Owner) Join(other *Owner) ([]JoinPair, error) {
 	// Join candidates: values present in both relations' metadata. Each
 	// side is snapshotted under its own read lock, released before the
-	// queries run (Query re-acquires it).
-	values := make(map[string]relation.Value)
-	side := func(ow *Owner) (map[string]bool, bool) {
+	// queries run (QueryBatch re-acquires it).
+	side := func(ow *Owner) (map[string]relation.Value, bool) {
 		ow.mu.RLock()
 		defer ow.mu.RUnlock()
 		if ow.bins == nil {
 			return nil, false
 		}
-		s := make(map[string]bool, len(ow.sensCounts)+len(ow.nsCounts))
-		for k, vc := range ow.sensCounts {
-			s[k] = true
-			values[k] = vc.Value
-		}
-		for k, vc := range ow.nsCounts {
-			s[k] = true
-			values[k] = vc.Value
+		s := make(map[string]relation.Value, len(ow.sensCounts)+len(ow.nsCounts))
+		for _, counts := range []map[string]*relation.ValueCount{ow.sensCounts, ow.nsCounts} {
+			for k, vc := range counts {
+				s[k] = vc.Value
+			}
 		}
 		return s, true
 	}
-	l1, ok := side(o)
+	l, ok := side(o)
 	if !ok {
 		return nil, ErrNotOutsourced
 	}
-	r1, ok := side(other)
+	r, ok := side(other)
 	if !ok {
 		return nil, ErrNotOutsourced
 	}
+	var values []relation.Value
+	for k, v := range l {
+		if _, ok := r[k]; ok {
+			values = append(values, v)
+		}
+	}
+	sort.Slice(values, func(i, j int) bool { return values[i].Less(values[j]) })
 
+	left, _, err := o.QueryBatch(values, 0)
+	if err != nil {
+		return nil, err
+	}
+	right, _, err := other.QueryBatch(values, 0)
+	if err != nil {
+		return nil, err
+	}
 	var out []JoinPair
-	for k, v := range values {
-		if !l1[k] || !r1[k] {
-			continue
-		}
-		left, _, err := o.Query(v)
-		if err != nil {
-			return nil, err
-		}
-		right, _, err := other.Query(v)
-		if err != nil {
-			return nil, err
-		}
-		for _, lt := range left {
-			for _, rt := range right {
+	for i := range values {
+		for _, lt := range left[i] {
+			for _, rt := range right[i] {
 				out = append(out, JoinPair{Left: lt, Right: rt})
 			}
 		}

@@ -7,11 +7,14 @@
 //
 // All exported methods are safe for concurrent use: queries share a read
 // lock and run in parallel, mutations serialise behind the write lock.
-// Batches (QueryBatch, QueryAsync) are observationally equivalent to a
-// sequential Query loop — identical per-query answers and an identical
-// adversarial-view log — with QueryBatch executing the encrypted side of
-// the whole batch as one technique.SearchBatch call so scan-shaped
-// techniques do their store scan once per batch (see batch.go).
+// Every query shape — Query, QueryNaive, QueryRange, QueryAggregate, Join
+// and the batches — runs through one executor, executeViewBatch, a single
+// selection as a batch of one (see batch.go). Batches (QueryBatch,
+// QueryAsync) are observationally equivalent to a sequential Query loop —
+// identical per-query answers and an identical adversarial-view log — with
+// QueryBatch executing the encrypted side of the whole batch as one
+// technique call so scan-shaped techniques do their store scan once per
+// batch.
 package owner
 
 import (
@@ -55,8 +58,9 @@ type QueryStats struct {
 // lock and execute in parallel — the stores, the techniques and the cloud
 // view log synchronise internally — while mutations (Outsource, Insert,
 // metadata load) take the write lock and serialise against everything
-// else. The batch engine in batch.go builds on this by fanning many
-// selections out across a worker pool.
+// else. The batch engine in batch.go builds on this by running the
+// plaintext bin fetches of a batch, and QueryAsync's selections, on a
+// worker pool.
 type Owner struct {
 	mu      sync.RWMutex
 	attr    string
@@ -271,18 +275,23 @@ func (o *Owner) QueryDetached(w relation.Value) ([]relation.Tuple, *QueryStats, 
 		return nil, nil, cloud.View{}, ErrNotOutsourced
 	}
 	st := &QueryStats{}
-	ret, ok := o.bins.Retrieve(w)
-	if !ok {
-		// Value absent from both partitions: nothing to fetch; the cloud
-		// still observes an (empty) interaction.
-		return nil, st, cloud.View{}, nil
-	}
-	eq := func(v relation.Value) bool { return v.Equal(w) }
-	ts, view, err := o.executeView(eq, ret.SensValues, ret.NSValues, st)
+	ts, view, err := o.selectLocked(w, st)
 	if err != nil {
 		return nil, nil, cloud.View{}, err
 	}
 	return ts, st, view, nil
+}
+
+// selectLocked runs the QB selection attr = w through its two bins. A value
+// absent from both partitions fetches nothing; the cloud still observes an
+// (empty) interaction. The caller holds o.mu (read suffices).
+func (o *Owner) selectLocked(w relation.Value, st *QueryStats) ([]relation.Tuple, cloud.View, error) {
+	ret, ok := o.bins.Retrieve(w)
+	if !ok {
+		return nil, cloud.View{}, nil
+	}
+	eq := func(v relation.Value) bool { return v.Equal(w) }
+	return o.executeOne(eq, ret.SensValues, ret.NSValues, st)
 }
 
 // RecordView appends a view produced by QueryDetached to the cloud's log.
@@ -305,18 +314,13 @@ func (o *Owner) QueryNaive(w relation.Value) ([]relation.Tuple, *QueryStats, err
 	}
 	st := &QueryStats{}
 	eq := func(v relation.Value) bool { return v.Equal(w) }
-	ts, view, err := o.executeView(eq, []relation.Value{w}, []relation.Value{w}, st)
+	ts, view, err := o.executeOne(eq, []relation.Value{w}, []relation.Value{w}, st)
 	o.mu.RUnlock()
 	if err != nil {
 		return nil, nil, err
 	}
 	o.RecordView(view)
 	return ts, st, nil
-}
-
-// cloudView builds the Inc part of an adversarial view.
-func cloudView(nsValues []relation.Value, encPredicates int) cloud.View {
-	return cloud.View{PlainValues: nsValues, EncPredicates: encPredicates}
 }
 
 func (o *Owner) bumpCount(m map[string]*relation.ValueCount, v relation.Value) {

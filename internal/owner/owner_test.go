@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/relation"
+	"repro/internal/storage"
 	"repro/internal/technique"
 	"repro/internal/workload"
 )
@@ -316,8 +317,9 @@ func TestQueryRange(t *testing.T) {
 }
 
 func TestJoin(t *testing.T) {
-	// Two small relations sharing EId-like keys.
-	mk := func(name string, keys []int64, sensEvery int) (*Owner, *relation.Relation) {
+	// Two small relations sharing EId-like keys, each over a NoInd whose
+	// store counts column pulls.
+	mk := func(name string, keys []int64, sensEvery int) (*Owner, *relation.Relation, *countingStore) {
 		s := relation.MustSchema(name,
 			relation.Column{Name: "K", Kind: relation.KindInt},
 			relation.Column{Name: "P", Kind: relation.KindInt},
@@ -326,18 +328,28 @@ func TestJoin(t *testing.T) {
 		for i, k := range keys {
 			r.MustInsert(relation.Int(k), relation.Int(int64(i)))
 		}
-		o := New(newNoInd(t), "K")
+		cs := &countingStore{EncryptedStore: storage.NewEncryptedStore()}
+		tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("owner test")), cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := New(tech, "K")
 		pred := func(tp relation.Tuple) bool { return int(tp.Values[0].Int())%sensEvery == 0 }
 		if err := o.Outsource(r.Clone(), pred, seededOpts(23)); err != nil {
 			t.Fatal(err)
 		}
-		return o, r
+		return o, r, cs
 	}
-	left, lr := mk("L", []int64{1, 2, 3, 4, 5, 5}, 2)
-	right, rr := mk("R", []int64{3, 4, 5, 6, 7}, 3)
+	left, lr, lcs := mk("L", []int64{1, 2, 3, 4, 5, 5}, 2)
+	right, rr, rcs := mk("R", []int64{3, 4, 5, 6, 7}, 3)
 	pairs, err := left.Join(right)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One batch per side: each side's encrypted column is pulled once per
+	// join, not once per join value.
+	if l, r := lcs.attrPulls.Load(), rcs.attrPulls.Load(); l != 1 || r != 1 {
+		t.Errorf("join pulled the left column %d times and the right %d, want once each", l, r)
 	}
 	// Expected: keys 3, 4, 5 match; key 5 appears twice on the left.
 	want := 0
@@ -354,6 +366,36 @@ func TestJoin(t *testing.T) {
 	for _, p := range pairs {
 		if !p.Left.Values[0].Equal(p.Right.Values[0]) {
 			t.Errorf("join pair keys differ: %v vs %v", p.Left.Values[0], p.Right.Values[0])
+		}
+	}
+
+	// The pair order does not depend on map iteration.
+	again, err := left.Join(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, pairs) {
+		t.Errorf("two joins returned different pair orders:\n%v\n%v", pairs, again)
+	}
+
+	// Each side's view log of a join is a sequential Query loop's over the
+	// sorted join values.
+	values := []relation.Value{relation.Int(3), relation.Int(4), relation.Int(5)}
+	for _, o := range []*Owner{left, right} {
+		joined := len(o.Server().Views())
+		for _, v := range values {
+			if _, _, err := o.Query(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		views := o.Server().Views()
+		joinViews, seqViews := views[joined-len(values):joined], views[joined:]
+		for i := range values {
+			jv, sv := joinViews[i], seqViews[i]
+			jv.QueryID, sv.QueryID = 0, 0
+			if !reflect.DeepEqual(jv, sv) {
+				t.Errorf("%s view %d: join %+v, sequential %+v", o.schema.Name, i, jv, sv)
+			}
 		}
 	}
 }

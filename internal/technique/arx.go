@@ -93,7 +93,7 @@ func (a *Arx) Outsource(rows []Row) (*Stats, error) {
 }
 
 // Search implements Technique: the owner regenerates all occurrence tokens
-// for each predicate and probes the index once per token.
+// for each predicate, probes the index once per token, then fetches once.
 func (a *Arx) Search(values []relation.Value) ([][]byte, *Stats, error) {
 	st := &Stats{Rounds: 1}
 	var addrs []int
@@ -103,6 +103,7 @@ func (a *Arx) Search(values []relation.Value) ([][]byte, *Stats, error) {
 		a.mu.RUnlock()
 		for _, token := range a.tok.Tokens(v.Encode(), n) {
 			st.EncOps++
+			st.Rounds++
 			hits := a.store.LookupToken(token)
 			st.TuplesScanned += len(hits)
 			addrs = append(addrs, hits...)

@@ -10,11 +10,26 @@ import (
 	"repro/internal/storage"
 )
 
-// This file holds the batch-search plumbing shared by the technique
-// implementations. The scan-shaped techniques (NoInd, DPF-PIR, ShamirScan)
-// implement SearchBatch with real cross-query sharing in their own files;
-// the index-shaped ones (Arx, DetIndex) and the simulated cost models have
-// nothing to amortise and delegate to fallbackSearchBatch.
+// This file holds the two adapters between the per-query and the batched
+// form of a search. Each technique implements the form it does natively
+// and derives the other from one of them: the scan-shaped techniques
+// (NoInd, DPF-PIR, ShamirScan) share their scan across a batch and answer
+// a single Search through searchOne; the index-shaped ones (Arx, DetIndex)
+// and the simulated cost models are per-query by nature and answer a batch
+// through fallbackSearchBatch.
+
+// searchOne answers one selection as a batch of one. The batch-level
+// counters already hold the whole cost of the call; the query's access
+// pattern moves up from PerQuery[0].
+func searchOne(t Technique, values []relation.Value) ([][]byte, *Stats, error) {
+	out, st, err := t.SearchBatch([][]relation.Value{values})
+	if err != nil {
+		return nil, nil, err
+	}
+	st.ReturnedAddrs = st.PerQuery[0].ReturnedAddrs
+	st.PerQuery = nil
+	return out[0], st, nil
+}
 
 // fallbackSearchBatch implements SearchBatch for techniques with no
 // cross-query work to share: every query runs through Search, concurrently
@@ -62,11 +77,35 @@ func fallbackSearchBatch(t Technique, queries [][]relation.Value) ([][][]byte, *
 	return out, agg, nil
 }
 
+// binReps maps each query to the lowest index carrying the same predicate
+// slice. Bins.Retrieve hands out one shared value slice per bin, so such
+// queries are one bin retrieval: a scan-shaped technique matches and
+// fetches it once and shares the rows. Distinct bins never share a first
+// element address.
+func binReps(queries [][]relation.Value) []int {
+	rep := make([]int, len(queries))
+	firstFor := make(map[*relation.Value]int, len(queries))
+	for i, q := range queries {
+		rep[i] = i
+		if len(q) == 0 {
+			continue
+		}
+		if j, ok := firstFor[&q[0]]; ok {
+			rep[i] = j
+		} else {
+			firstFor[&q[0]] = i
+		}
+	}
+	return rep
+}
+
 // fetchBatch retrieves each address list's rows: in one batched round trip
 // when the store supports it (BatchEncStore — in particular the wire
-// backends), and with one Fetch per list otherwise.
-func fetchBatch(store EncStore, addrBatches [][]int) ([][]storage.EncRow, error) {
+// backends), and with one Fetch per list otherwise. Every store call is
+// counted into st.Rounds.
+func fetchBatch(store EncStore, addrBatches [][]int, st *Stats) ([][]storage.EncRow, error) {
 	if bs, ok := store.(BatchEncStore); ok {
+		st.Rounds++
 		out, err := bs.FetchBatch(addrBatches)
 		if err != nil {
 			return nil, err
@@ -78,6 +117,7 @@ func fetchBatch(store EncStore, addrBatches [][]int) ([][]storage.EncRow, error)
 	}
 	out := make([][]storage.EncRow, len(addrBatches))
 	for i, addrs := range addrBatches {
+		st.Rounds++
 		rows, err := store.Fetch(addrs)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,8 @@ package technique
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/relation"
@@ -23,56 +24,83 @@ func batchQueries() [][]relation.Value {
 	}
 }
 
-// TestSearchBatchMatchesSearch is the technique-level equivalence property:
-// for every technique, SearchBatch returns exactly the payloads (same
-// values, same order) and the same per-query access pattern as a
-// sequential loop over Search.
+// definition is the clear-text answer to a selection over testRows(): the
+// sorted payloads of the rows whose attribute is in values, and their
+// positions, which are the rows' cloud addresses.
+func definition(values []relation.Value) (payloads []string, addrs []int) {
+	want := make(map[relation.Value]bool, len(values))
+	for _, v := range values {
+		want[v] = true
+	}
+	for i, r := range testRows() {
+		if want[r.Attr] {
+			payloads = append(payloads, string(r.Payload))
+			addrs = append(addrs, i)
+		}
+	}
+	sort.Strings(payloads)
+	return payloads, addrs
+}
+
+// TestSearchBatchMatchesSearch is the technique-level equivalence property,
+// checked against the definition rather than between two engines (three
+// techniques answer Search with their SearchBatch): for every technique,
+// Search and SearchBatch each return the payload multiset of the rows
+// whose attribute is in the query, and as a sorted set of ReturnedAddrs
+// exactly those rows' positions — none for DPF-PIR, which hides the
+// access pattern. The two forms also agree on the payload order.
 func TestSearchBatchMatchesSearch(t *testing.T) {
+	// check compares one answer with the definition.
+	check := func(t *testing.T, tech Technique, form string, q []relation.Value, got [][]byte, st *Stats) {
+		t.Helper()
+		wantPayloads, wantAddrs := definition(q)
+		gotPayloads := bytesToStrings(got)
+		sort.Strings(gotPayloads)
+		if !slices.Equal(gotPayloads, wantPayloads) {
+			t.Errorf("%s(%v) payloads %q, want %q", form, q, gotPayloads, wantPayloads)
+		}
+		gotAddrs := slices.Compact(slices.Sorted(slices.Values(st.ReturnedAddrs)))
+		if tech.Name() == "DPF-PIR" {
+			wantAddrs = nil
+		}
+		if !slices.Equal(gotAddrs, wantAddrs) {
+			t.Errorf("%s(%v) access pattern %v, want %v", form, q, gotAddrs, wantAddrs)
+		}
+	}
 	for name, tech := range allTechniques(t) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := tech.Outsource(testRows()); err != nil {
 				t.Fatal(err)
 			}
 			queries := batchQueries()
-
-			seqPayloads := make([][][]byte, len(queries))
-			seqStats := make([]*Stats, len(queries))
-			for i, q := range queries {
-				p, st, err := tech.Search(q)
-				if err != nil {
-					t.Fatalf("sequential Search(%v): %v", q, err)
-				}
-				seqPayloads[i], seqStats[i] = p, st
-			}
-
 			batch, agg, err := tech.SearchBatch(queries)
 			if err != nil {
 				t.Fatalf("SearchBatch: %v", err)
 			}
-			if len(batch) != len(queries) {
-				t.Fatalf("SearchBatch returned %d payload sets, want %d", len(batch), len(queries))
+			if len(batch) != len(queries) || agg == nil || len(agg.PerQuery) != len(queries) {
+				t.Fatalf("SearchBatch returned %d payload sets and stats %+v for %d queries", len(batch), agg, len(queries))
 			}
-			if agg == nil || len(agg.PerQuery) != len(queries) {
-				t.Fatalf("SearchBatch stats: %+v, want %d PerQuery entries", agg, len(queries))
-			}
-			for i := range queries {
-				if len(batch[i]) != len(seqPayloads[i]) {
-					t.Fatalf("query %d: batch returned %d payloads, sequential %d",
-						i, len(batch[i]), len(seqPayloads[i]))
+			for i, q := range queries {
+				single, st, err := tech.Search(q)
+				if err != nil {
+					t.Fatalf("Search(%v): %v", q, err)
 				}
-				for j := range batch[i] {
-					if string(batch[i][j]) != string(seqPayloads[i][j]) {
-						t.Errorf("query %d payload %d: batch %q != sequential %q",
-							i, j, batch[i][j], seqPayloads[i][j])
-					}
-				}
-				if !reflect.DeepEqual(agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs) {
-					t.Errorf("query %d: batch access pattern %v != sequential %v",
-						i, agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs)
+				check(t, tech, "Search", q, single, st)
+				check(t, tech, "SearchBatch", q, batch[i], agg.PerQuery[i])
+				if !slices.Equal(bytesToStrings(single), bytesToStrings(batch[i])) {
+					t.Errorf("query %d: Search payload order %q, SearchBatch %q", i, single, batch[i])
 				}
 			}
 		})
 	}
+}
+
+func bytesToStrings(bs [][]byte) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = string(b)
+	}
+	return out
 }
 
 // TestSearchBatchSharesScans is the cost property the batched path exists

@@ -338,7 +338,7 @@ func (c *Cache) payloadPut(epoch uint64, addr int, pt []byte, ctLen int) {
 // every address is cached (no round trip at all); otherwise only the holes
 // are fetched from store, decrypted, cached for the next query and filled
 // in — addrs order either way, exactly what the uncached Fetch path
-// returns. Decryptions and avoided bytes are counted into st; fetched, nil
+// returns. The Fetch, decryptions and avoided bytes are counted into st; fetched, nil
 // when there was no hole, holds the ciphertext size of each payload this
 // call transferred (0 where the cache served it) for the caller to
 // attribute (Stats.addFetched, or per query in a batch).
@@ -357,6 +357,7 @@ func (c *Cache) fetchPayloads(store EncStore, prob *crypto.Probabilistic, st *St
 			need = append(need, a)
 		}
 	}
+	st.Rounds++
 	rows, err := store.Fetch(need)
 	if err != nil {
 		return nil, nil, err

@@ -91,12 +91,13 @@ func (d *DetIndex) SetCache(c *Cache) {
 	d.cache, d.vstore = nil, nil
 }
 
-// Search implements Technique: one index probe per predicate.
+// Search implements Technique: one index probe per predicate, then one
+// fetch.
 func (d *DetIndex) Search(values []relation.Value) ([][]byte, *Stats, error) {
 	if d.cache != nil {
 		return d.searchCached(values)
 	}
-	st := &Stats{Rounds: 1}
+	st := &Stats{Rounds: 1 + len(values)}
 	var addrs []int
 	for _, v := range values {
 		token := d.det.Encrypt(v.Encode())
@@ -131,13 +132,14 @@ func (d *DetIndex) Search(values []relation.Value) ([][]byte, *Stats, error) {
 // decryptions are not cached. Results and ReturnedAddrs are identical to
 // the uncached path; the cloud-observed accesses are a subset of it.
 func (d *DetIndex) searchCached(values []relation.Value) ([][]byte, *Stats, error) {
-	st := &Stats{Rounds: 1}
+	st := &Stats{}
 	if len(values) == 0 {
 		// Nothing to look up: answer locally without a version round trip,
 		// and record neither a hit nor a miss — a no-op query says nothing
 		// about the cache.
 		return [][]byte{}, st, nil
 	}
+	st.Rounds++
 	cur, err := d.vstore.EncVersion()
 	if err != nil {
 		return nil, nil, err
@@ -154,6 +156,7 @@ func (d *DetIndex) searchCached(values []relation.Value) ([][]byte, *Stats, erro
 			st.CacheBytesSaved += len(token) + 8*len(hits)
 		} else {
 			allMemo = false
+			st.Rounds++
 			hits = d.store.LookupToken(token)
 			d.cache.memoPut(cur, string(token), hits)
 		}

@@ -23,7 +23,7 @@ type DPFPIR struct {
 	prob *crypto.Probabilistic
 
 	// mu guards everything below: the padded table is rebuilt lazily on
-	// the first search after an outsource, so Search takes the write lock
+	// the first search after an outsource, so a search takes the write lock
 	// for the rebuild (double-checked) and the read lock for the scan.
 	mu sync.RWMutex
 
@@ -138,24 +138,6 @@ func xorInto(dst, src []byte) {
 	}
 }
 
-// cloudAnswer is one cloud's oblivious scan: XOR of the buckets whose DPF
-// bit evaluates to 1.
-func (d *DPFPIR) cloudAnswer(key crypto.DPFKey, bits int, st *Stats) ([]byte, error) {
-	bitsVec, err := crypto.DPFEvalAll(key, len(d.table), bits)
-	if err != nil {
-		return nil, err
-	}
-	st.EncOps += len(d.table)
-	st.TuplesScanned += d.slots * len(d.table)
-	answer := make([]byte, d.slots*d.slotSize)
-	for j, b := range bitsVec {
-		if b == 1 {
-			xorInto(answer, d.table[j])
-		}
-	}
-	return answer, nil
-}
-
 // lockForScan takes the read lock for a search, first rebuilding the
 // padded table if an outsource dirtied it: the rebuild upgrades to the
 // write lock with a double check (another searcher may have rebuilt in the
@@ -192,62 +174,10 @@ func (d *DPFPIR) chargeTableCache(st *Stats, rebuilt bool) {
 	d.cache.recordHit(0)
 }
 
-// Search implements Technique: one PIR round per predicate.
+// Search implements Technique as a batch of one: a k-value bin shares
+// ⌈k/maxInflightRetrievals⌉ table scans among its k PIR retrievals.
 func (d *DPFPIR) Search(values []relation.Value) ([][]byte, *Stats, error) {
-	rebuilt := d.lockForScan()
-	defer d.mu.RUnlock()
-	st := &Stats{Rounds: 1}
-	if len(d.table) == 0 {
-		return nil, st, nil
-	}
-	d.chargeTableCache(st, rebuilt)
-	bits := crypto.DPFDomainBits(len(d.table))
-	var payloads [][]byte
-
-	// Deterministic order for reproducible stats.
-	sorted := append([]relation.Value(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-
-	for _, v := range sorted {
-		idx, ok := d.valueIdx[v.Key()]
-		if !ok {
-			continue
-		}
-		k0, k1, err := crypto.DPFGen(uint64(idx), bits, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.EncOps += 2
-		a0, err := d.cloudAnswer(k0, bits, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		a1, err := d.cloudAnswer(k1, bits, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		xorInto(a0, a1) // a0 is now bucket idx
-		st.TuplesTransferred += 2 * d.slots
-		st.BytesTransferred += 2 * len(a0)
-		for s := 0; s < d.slots; s++ {
-			off := s * d.slotSize
-			n := binary.BigEndian.Uint32(a0[off : off+4])
-			if n == 0 {
-				continue // padding slot
-			}
-			if int(n) > d.slotSize-4 {
-				return nil, nil, fmt.Errorf("technique: dpfpir corrupt slot length %d", n)
-			}
-			pt, err := d.prob.Decrypt(a0[off+4 : off+4+int(n)])
-			if err != nil {
-				return nil, nil, fmt.Errorf("technique: dpfpir open slot %d: %w", s, err)
-			}
-			st.EncOps++
-			payloads = append(payloads, pt)
-		}
-	}
-	// No ReturnedAddrs: the clouds never learn which rows were touched.
-	return payloads, st, nil
+	return searchOne(d, values)
 }
 
 // maxInflightRetrievals bounds how many PIR retrievals share one table
@@ -271,7 +201,7 @@ func (d *DPFPIR) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, er
 	agg := &Stats{Rounds: 1, PerQuery: make([]*Stats, nq)}
 	out := make([][][]byte, nq)
 	for i := range agg.PerQuery {
-		agg.PerQuery[i] = &Stats{Rounds: 1}
+		agg.PerQuery[i] = &Stats{}
 	}
 	if nq == 0 {
 		return out, agg, nil
@@ -284,9 +214,9 @@ func (d *DPFPIR) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, er
 	d.chargeTableCache(agg, rebuilt)
 	bits := crypto.DPFDomainBits(len(d.table))
 
-	// Plan one PIR retrieval per (query, live value), values in the same
-	// deterministic order Search uses. The plan holds only indices; the
-	// memory-heavy bit vectors and accumulators are materialised per
+	// Plan one PIR retrieval per (query, live value), each query's values
+	// in sorted order for reproducible stats. The plan holds only indices;
+	// the memory-heavy bit vectors and accumulators are materialised per
 	// chunk below.
 	type target struct {
 		qi    int

@@ -79,6 +79,7 @@ func (n *NoInd) SetCache(c *Cache) {
 // reuse — are consistent with.
 func (n *NoInd) cachedColumn(st *Stats) (col *column, cells int, epoch uint64, err error) {
 	col, ver, have, ctBytes := n.cache.colSnapshot()
+	st.Rounds++
 	rows, cur, delta, err := n.vstore.AttrColumnSince(ver, have)
 	if err != nil {
 		return nil, 0, 0, err
@@ -114,29 +115,6 @@ func (n *NoInd) cachedColumn(st *Stats) (col *column, cells int, epoch uint64, e
 	return n.cache.colExtend(col, cur, have, rows, vals), have + len(rows), cur.Epoch, nil
 }
 
-// searchCached is Search with the version cache engaged: round 1 shrinks
-// to a conditional column pull (a constant-size not-modified answer in the
-// steady state), matching costs the predicates' posting lists in the
-// cached column's index rather than a pass over the column, and round 2
-// only fetches addresses whose decryptions are not already cached. Results
-// and ReturnedAddrs are identical to the uncached path; the cloud-observed
-// accesses are a subset of it.
-func (n *NoInd) searchCached(values []relation.Value) ([][]byte, *Stats, error) {
-	st := &Stats{Rounds: 2}
-	col, cells, epoch, err := n.cachedColumn(st)
-	if err != nil {
-		return nil, nil, err
-	}
-	addrs := n.cache.colMatch(col, cells, values)
-	payloads, fetched, err := n.cache.fetchPayloads(n.store, n.prob, st, epoch, addrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.addFetched(fetched)
-	st.ReturnedAddrs = addrs
-	return payloads, st, nil
-}
-
 // Outsource implements Technique: both the attribute cell and the full
 // tuple are probabilistically encrypted, so equal values are
 // indistinguishable at rest.
@@ -159,111 +137,77 @@ func (n *NoInd) Outsource(rows []Row) (*Stats, error) {
 	return st, nil
 }
 
-// Search implements Technique.
+// Search implements Technique as a batch of one.
 func (n *NoInd) Search(values []relation.Value) ([][]byte, *Stats, error) {
-	if n.cache != nil {
-		return n.searchCached(values)
-	}
-	st := &Stats{Rounds: 2}
-	// Values are comparable, so the predicate set is keyed by the value
-	// itself — no per-row Key() string materialisation in the scan below.
-	want := make(map[relation.Value]bool, len(values))
-	for _, v := range values {
-		want[v] = true
-	}
-
-	// Round 1: pull the encrypted attribute column and match locally. The
-	// decrypted cell only lives for one iteration, so one scratch buffer
-	// serves the whole scan.
-	col := n.store.AttrColumn()
-	st.TuplesScanned += len(col)
-	st.TuplesTransferred += len(col)
-	var addrs []int
-	var scratch []byte
-	for _, row := range col {
-		st.BytesTransferred += len(row.AttrCT)
-		pt, err := n.prob.DecryptAppend(scratch[:0], row.AttrCT)
-		if err != nil {
-			return nil, nil, fmt.Errorf("technique: noind attr decrypt addr %d: %w", row.Addr, err)
-		}
-		scratch = pt
-		st.EncOps++
-		v, _, err := relation.DecodeValue(pt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if want[v] {
-			addrs = append(addrs, row.Addr)
-		}
-	}
-
-	// Round 2: fetch the matching tuples by address.
-	rows, err := n.store.Fetch(addrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	payloads := make([][]byte, 0, len(rows))
-	for _, r := range rows {
-		pt, err := n.prob.Decrypt(r.TupleCT)
-		if err != nil {
-			return nil, nil, fmt.Errorf("technique: noind tuple decrypt addr %d: %w", r.Addr, err)
-		}
-		st.EncOps++
-		st.TuplesTransferred++
-		st.BytesTransferred += len(r.TupleCT)
-		payloads = append(payloads, pt)
-	}
-	st.ReturnedAddrs = addrs
-	return payloads, st, nil
+	return searchOne(n, values)
 }
 
 // SearchBatch implements Technique with real cross-query sharing: the
 // encrypted attribute column is pulled and decrypted once for the whole
 // batch (the redundant per-query pull is exactly what batching amortises),
-// each query's matching addresses are found in that single pass, and the
-// matched tuples come back in one batched fetch round trip when the store
-// supports it. A tuple matched by several queries is decrypted once.
+// each distinct bin retrieval is matched and fetched once (binReps), and
+// the matched tuples come back in one batched fetch round trip when the
+// store supports it. A tuple matched by several bins is decrypted once.
 // Shared work — the column scan and each distinct tuple decryption — is
 // counted once in the batch-level Stats; PerQuery[i] carries query i's
 // access pattern and result transfers.
+//
+// With the version cache attached the column pull becomes one conditional
+// round trip, matching goes through the cached column's index, and round 2
+// fetches only addresses whose decryptions are not cached. Results and
+// per-query access patterns are identical either way; the cloud-observed
+// accesses of the cached path are a subset.
 func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error) {
-	if n.cache != nil {
-		return n.searchBatchCached(queries)
-	}
 	nq := len(queries)
-	agg := &Stats{Rounds: 2, PerQuery: make([]*Stats, nq)}
+	agg := &Stats{PerQuery: make([]*Stats, nq)}
 	out := make([][][]byte, nq)
 	if nq == 0 {
 		return out, agg, nil
 	}
-	// Queries carrying the same predicate slice are the same bin retrieval
-	// (Bins.Retrieve hands out one shared value slice per bin): match and
-	// fetch each distinct slice once, then share the rows. rep[i] is the
-	// lowest query index with the same backing slice as query i.
-	rep := make([]int, nq)
-	firstFor := make(map[*relation.Value]int, nq)
-	for i, q := range queries {
-		rep[i] = i
-		if len(q) == 0 {
-			continue
-		}
-		if j, ok := firstFor[&q[0]]; ok {
-			rep[i] = j
-		} else {
-			firstFor[&q[0]] = i
-		}
+	for i := range agg.PerQuery {
+		agg.PerQuery[i] = &Stats{}
 	}
+	rep := binReps(queries)
+	var err error
+	if n.cache != nil {
+		err = n.matchCached(queries, rep, agg, out)
+	} else {
+		err = n.matchScan(queries, rep, agg, out)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// A repeated bin retrieval shares its representative's rows, access
+	// pattern and transfer accounting.
+	for qi, per := range agg.PerQuery {
+		if r := rep[qi]; r != qi {
+			repPer := agg.PerQuery[r]
+			per.TuplesTransferred = repPer.TuplesTransferred
+			per.BytesTransferred = repPer.BytesTransferred
+			per.ReturnedAddrs = repPer.ReturnedAddrs
+			out[qi] = out[r]
+		}
+		agg.TuplesTransferred += per.TuplesTransferred
+		agg.BytesTransferred += per.BytesTransferred
+	}
+	return out, agg, nil
+}
 
+// matchScan is the uncached body of SearchBatch for the representative
+// queries: round 1 pulls and decrypts the whole column once, round 2
+// fetches every representative's matches in one batched call.
+func (n *NoInd) matchScan(queries [][]relation.Value, rep []int, agg *Stats, out [][][]byte) error {
 	// Inverted predicate index: value -> the representative queries
-	// wanting it, so the column pass costs one lookup per row, not one
-	// per (row, query). Values are comparable, so the map is keyed by the
-	// value itself and the scan below never materialises Key() strings.
+	// wanting it, so the column pass costs one lookup per row, not one per
+	// (row, query). Values are comparable, so the map is keyed by the value
+	// itself and the scan below never materialises Key() strings.
 	wantedBy := make(map[relation.Value][]int)
+	reps := 0
 	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
 		if rep[i] != i {
 			continue
 		}
+		reps++
 		for _, v := range q {
 			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
 				wantedBy[v] = append(qs, i)
@@ -271,62 +215,61 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 		}
 	}
 
-	// Round 1, shared: one column pull and one decryption pass serve
-	// every query in the batch. The decrypted cell only lives for one
-	// iteration, so one scratch buffer serves the whole scan.
+	// Round 1: the decrypted cell only lives for one iteration, so one
+	// scratch buffer serves the whole scan.
+	agg.Rounds++
 	col := n.store.AttrColumn()
 	agg.TuplesScanned = len(col)
 	agg.TuplesTransferred = len(col)
-	addrs := make([][]int, nq)
+	addrs := make([][]int, len(queries))
 	var scratch []byte
 	for _, row := range col {
 		agg.BytesTransferred += len(row.AttrCT)
 		pt, err := n.prob.DecryptAppend(scratch[:0], row.AttrCT)
 		if err != nil {
-			return nil, nil, fmt.Errorf("technique: noind attr decrypt addr %d: %w", row.Addr, err)
+			return fmt.Errorf("technique: noind attr decrypt addr %d: %w", row.Addr, err)
 		}
 		scratch = pt
 		agg.EncOps++
 		v, _, err := relation.DecodeValue(pt)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		for _, qi := range wantedBy[v] {
 			addrs[qi] = append(addrs[qi], row.Addr)
 		}
 	}
 
-	// Round 2, batched: one round trip fetches every representative
-	// query's matches (duplicate bin retrievals ride along as empty
-	// address lists and share the representative's decrypted payloads and
-	// transfer accounting).
-	rowBatches, err := fetchBatch(n.store, addrs)
+	// Round 2: repeated bin retrievals ride along as empty address lists,
+	// and a tuple several bins matched is decrypted once (opened). One bin
+	// has nobody to share with, and filling the map for its hundreds of
+	// rows measurably slows a single uncached read
+	// (BenchmarkRemoteQueryBatch/pipe/sequential-nocache).
+	rowBatches, err := fetchBatch(n.store, addrs, agg)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	opened := make(map[int][]byte)
+	var opened map[int][]byte
+	if reps > 1 {
+		opened = make(map[int][]byte)
+	}
 	for qi, rows := range rowBatches {
-		per := agg.PerQuery[qi]
-		if r := rep[qi]; r != qi {
-			repPer := agg.PerQuery[r]
-			per.TuplesTransferred = repPer.TuplesTransferred
-			per.BytesTransferred = repPer.BytesTransferred
-			per.ReturnedAddrs = repPer.ReturnedAddrs
-			out[qi] = out[r]
-			agg.TuplesTransferred += per.TuplesTransferred
-			agg.BytesTransferred += per.BytesTransferred
+		if rep[qi] != qi {
 			continue
 		}
+		per := agg.PerQuery[qi]
 		payloads := make([][]byte, 0, len(rows))
 		for _, r := range rows {
 			pt, ok := opened[r.Addr]
 			if !ok {
 				pt, err = n.prob.Decrypt(r.TupleCT)
 				if err != nil {
-					return nil, nil, fmt.Errorf("technique: noind tuple decrypt addr %d: %w", r.Addr, err)
+					return fmt.Errorf("technique: noind tuple decrypt addr %d: %w", r.Addr, err)
 				}
-				agg.EncOps++ // shared: repeated across queries, opened once
-				opened[r.Addr] = pt
+				agg.EncOps++
+				if opened != nil {
+					opened[r.Addr] = pt
+				}
 			}
 			per.TuplesTransferred++
 			per.BytesTransferred += len(r.TupleCT)
@@ -334,55 +277,45 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 		}
 		per.ReturnedAddrs = addrs[qi]
 		out[qi] = payloads
-		agg.TuplesTransferred += per.TuplesTransferred
-		agg.BytesTransferred += per.BytesTransferred
 	}
-	return out, agg, nil
+	return nil
 }
 
-// searchBatchCached is SearchBatch with the version cache engaged: the
-// shared column pull becomes one conditional round trip, each distinct bin
-// retrieval matches through the cached column's index, and round 2 fetches
-// only the batch-wide union of addresses whose decryptions are not already
-// cached — at most one fetch round trip per batch, none in the steady
-// state. Results and per-query access patterns are identical to the
-// uncached batch; the cloud-observed accesses are a subset of it.
-func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stats, error) {
-	nq := len(queries)
-	agg := &Stats{Rounds: 2, PerQuery: make([]*Stats, nq)}
-	out := make([][][]byte, nq)
-	if nq == 0 {
-		return out, agg, nil
-	}
-	// Round 1, shared and cached: one conditional pull revalidates the
-	// decrypted column for the whole batch.
+// matchCached is the cached body of SearchBatch for the representative
+// queries: one conditional column pull, index matching, and at most one
+// fetch round trip for whatever of the matched addresses is not cached.
+func (n *NoInd) matchCached(queries [][]relation.Value, rep []int, agg *Stats, out [][][]byte) error {
 	col, cells, epoch, err := n.cachedColumn(agg)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	// Identical bin-retrieval sharing as the uncached path: rep[i] is the
-	// lowest query index with the same backing predicate slice as query i,
-	// and only representatives are matched. need is the batch-wide union of
-	// their addresses, slot an address's place in it (an address matched by
-	// several queries is fetched and decrypted once, like the uncached
-	// path's opened map).
-	rep := make([]int, nq)
-	firstFor := make(map[*relation.Value]int, nq)
-	addrs := make([][]int, nq)
-	slot := make(map[int]int)
+	// need is what round 2 asks for: the first matching bin's address list
+	// as it stands and, once a second bin matches, the union of all of
+	// them, slot recording an address's place in it so that an address
+	// several bins share is fetched and decrypted once. A batch of one
+	// never builds the union.
+	addrs := make([][]int, len(queries))
+	first := -1
 	var need []int
+	var slot map[int]int
 	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
-		rep[i] = i
-		if len(q) == 0 {
+		if rep[i] != i || len(q) == 0 {
 			continue
 		}
-		if j, ok := firstFor[&q[0]]; ok {
-			rep[i] = j
+		if addrs[i] = n.cache.colMatch(col, cells, q); len(addrs[i]) == 0 {
 			continue
 		}
-		firstFor[&q[0]] = i
-		addrs[i] = n.cache.colMatch(col, cells, q)
+		if first < 0 {
+			first, need = i, addrs[i]
+			continue
+		}
+		if slot == nil {
+			slot = make(map[int]int, len(need)+len(addrs[i]))
+			for j, a := range need {
+				slot[a] = j
+			}
+			need = append([]int(nil), need...)
+		}
 		for _, a := range addrs[i] {
 			if _, ok := slot[a]; !ok {
 				slot[a] = len(need)
@@ -391,36 +324,34 @@ func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stat
 		}
 	}
 
-	// Round 2: one round trip for whatever of the union is not cached.
-	opened, fetched, err := n.cache.fetchPayloads(n.store, n.prob, agg, epoch, need)
+	payloads, fetched, err := n.cache.fetchPayloads(n.store, n.prob, agg, epoch, need)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for qi := range queries {
-		per := agg.PerQuery[qi]
-		if r := rep[qi]; r != qi {
-			repPer := agg.PerQuery[r]
-			per.TuplesTransferred = repPer.TuplesTransferred
-			per.BytesTransferred = repPer.BytesTransferred
-			per.ReturnedAddrs = repPer.ReturnedAddrs
-			out[qi] = out[r]
-			agg.TuplesTransferred += per.TuplesTransferred
-			agg.BytesTransferred += per.BytesTransferred
+		if rep[qi] != qi {
 			continue
 		}
-		payloads := make([][]byte, len(addrs[qi]))
-		for j, a := range addrs[qi] {
-			i := slot[a]
-			payloads[j] = opened[i]
-			if fetched != nil && fetched[i] > 0 {
-				per.TuplesTransferred++
-				per.BytesTransferred += fetched[i]
-			}
-		}
+		per := agg.PerQuery[qi]
 		per.ReturnedAddrs = addrs[qi]
-		out[qi] = payloads
-		agg.TuplesTransferred += per.TuplesTransferred
-		agg.BytesTransferred += per.BytesTransferred
+		switch {
+		case slot == nil && qi == first:
+			out[qi] = payloads
+			per.addFetched(fetched)
+		case slot == nil:
+			out[qi] = [][]byte{}
+		default:
+			mine := make([][]byte, len(addrs[qi]))
+			for j, a := range addrs[qi] {
+				k := slot[a]
+				mine[j] = payloads[k]
+				if fetched != nil && fetched[k] > 0 {
+					per.TuplesTransferred++
+					per.BytesTransferred += fetched[k]
+				}
+			}
+			out[qi] = mine
+		}
 	}
-	return out, agg, nil
+	return nil
 }

@@ -154,70 +154,19 @@ func (s *ShamirScan) Outsource(rows []Row) (*Stats, error) {
 	return st, nil
 }
 
-// Search implements Technique: every cloud streams its whole share column
-// (a full oblivious scan); the owner reconstructs each attribute digest from
-// Threshold clouds and fetches the matching payloads.
+// Search implements Technique as a batch of one.
 func (s *ShamirScan) Search(values []relation.Value) ([][]byte, *Stats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := &Stats{Rounds: 2}
-	want := make(map[uint64]bool, len(values))
-	for _, v := range values {
-		want[digest(v)] = true
-	}
-	n := len(s.blobs)
-	var addrs []int
-	if s.cache != nil {
-		digs, err := s.cachedDigests(st)
-		if err != nil {
-			return nil, nil, err
-		}
-		for row, dig := range digs {
-			if want[dig] {
-				addrs = append(addrs, row)
-			}
-		}
-	} else {
-		st.TuplesScanned = n * s.NumClouds
-		st.TuplesTransferred = n * s.Threshold
-		st.BytesTransferred = 16 * n * s.Threshold
-		sharesBuf := make([]crypto.Share, s.Threshold)
-		for row := 0; row < n; row++ {
-			for c := 0; c < s.Threshold; c++ {
-				sharesBuf[c] = s.clouds[c][row]
-			}
-			dig, err := crypto.Reconstruct(sharesBuf)
-			if err != nil {
-				return nil, nil, fmt.Errorf("technique: shamir reconstruct row %d: %w", row, err)
-			}
-			st.EncOps++
-			if want[dig] {
-				addrs = append(addrs, row)
-			}
-		}
-	}
-	payloads := make([][]byte, 0, len(addrs))
-	for _, a := range addrs {
-		pt, err := s.prob.Decrypt(s.blobs[a])
-		if err != nil {
-			return nil, nil, fmt.Errorf("technique: shamir open row %d: %w", a, err)
-		}
-		st.EncOps++
-		st.TuplesTransferred++
-		st.BytesTransferred += len(s.blobs[a])
-		payloads = append(payloads, pt)
-	}
-	st.ReturnedAddrs = addrs
-	return payloads, st, nil
+	return searchOne(s, values)
 }
 
 // SearchBatch implements Technique with a shared share-reconstruction
-// scan: each cloud streams its share column once for the whole batch, every
-// row's attribute digest is reconstructed once and matched against every
-// query's predicate set, and a payload matched by several queries is
-// opened once. The scan and the reconstructions are counted once in the
-// batch-level Stats; PerQuery[i] carries query i's access pattern and
-// result transfers.
+// scan: every cloud streams its whole share column (a full oblivious scan)
+// once for the whole batch, the owner reconstructs each row's attribute
+// digest from Threshold clouds once and matches it against every query's
+// predicate set, and a payload matched by several queries is opened once.
+// The scan and the reconstructions are counted once in the batch-level
+// Stats; PerQuery[i] carries query i's access pattern and result
+// transfers.
 func (s *ShamirScan) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	nq := len(queries)
 	agg := &Stats{Rounds: 2, PerQuery: make([]*Stats, nq)}
@@ -229,7 +178,7 @@ func (s *ShamirScan) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats
 	// it, so the scan costs one lookup per row, not one per (row, query).
 	wantedBy := make(map[uint64][]int)
 	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
+		agg.PerQuery[i] = &Stats{}
 		seen := make(map[uint64]bool, len(q))
 		for _, v := range q {
 			d := digest(v)

@@ -7,16 +7,20 @@
 //
 // A Technique owns both the owner-side secrets and the cloud-side encrypted
 // store; the owner hands it plaintext rows to outsource and receives
-// decrypted payloads back from Search, together with cost statistics and the
-// cloud-observable access pattern.
+// decrypted payloads back from a search, together with cost statistics and
+// the cloud-observable access pattern.
 //
-// Every technique also answers whole batches through SearchBatch. The
-// scan-shaped techniques (NoInd, DPF-PIR, ShamirScan) share their column
-// pull or table scan across all queries of a batch — one store scan per
-// batch instead of one per query — while the index-shaped ones (DetIndex,
-// Arx) and the simulated cost models fall back to concurrent per-query
-// probes. Batched results and per-query access patterns are identical to a
-// sequential Search loop; only the cost profile changes.
+// A search comes in two forms, Search for one selection and SearchBatch
+// for many, and each technique implements only the form it does natively.
+// The scan-shaped techniques (NoInd, DPF-PIR, ShamirScan) implement
+// SearchBatch, sharing their column pull or table scan across all queries
+// of a batch, and answer Search as a batch of one. The index-shaped ones
+// (DetIndex, Arx) and the simulated cost models implement Search, a point
+// probe or a per-query setup charge, and answer a batch with concurrent
+// per-query searches. Either way a batch's results and per-query access
+// patterns are identical to a sequential Search loop; only the cost
+// profile changes. One consequence: DPF-PIR's Search over a k-value bin
+// scans its table ⌈k/64⌉ times, not k times.
 package technique
 
 import (
@@ -36,7 +40,11 @@ type Row struct {
 // Stats accumulates the cost and leakage profile of outsourcing or search
 // operations.
 type Stats struct {
-	// Rounds is the number of owner<->cloud round trips.
+	// Rounds is the number of owner<->cloud round trips. For the
+	// techniques over an EncStore it is the number of store calls the
+	// operation made, each a round trip over the wire; ShamirScan and
+	// DPF-PIR keep their clouds in process and charge their protocol's
+	// fixed round count.
 	Rounds int
 	// EncOps counts symmetric cryptographic operations (encrypt/decrypt/
 	// PRF/share evaluations) on either side.
@@ -69,10 +77,10 @@ type Stats struct {
 	// attributable slice of the batch — its ReturnedAddrs (the per-query
 	// access pattern the owner turns into an adversarial view) and its
 	// result-transfer counters. Work shared across the batch (a column
-	// pull or table scan serving every query at once) is counted once, in
-	// the batch-level counters above, and in no PerQuery entry; the
-	// top-level counters are therefore authoritative for total cost.
-	// Add ignores this field.
+	// pull or table scan serving every query at once, and the round trips
+	// carrying it) is counted once, in the batch-level counters above, and
+	// in no PerQuery entry; the top-level counters are therefore
+	// authoritative for total cost. Add ignores this field.
 	PerQuery []*Stats
 }
 
@@ -105,9 +113,9 @@ func (s *Stats) Add(o *Stats) {
 // Technique is a cryptographic mechanism for outsourcing and searching the
 // sensitive relation.
 //
-// Implementations must be safe for concurrent use: Search may be called
-// from many goroutines at once (the batch query engine fans selections
-// out across a worker pool), and Outsource may interleave with in-flight
+// Implementations must be safe for concurrent use: searches may run on
+// many goroutines at once (the owner's streaming batch fans selections out
+// across a worker pool), and Outsource may interleave with in-flight
 // searches (post-outsourcing inserts). Rows are append-only, so a search
 // observes some consistent prefix of the store.
 type Technique interface {
@@ -125,8 +133,8 @@ type Technique interface {
 	// access patterns are identical to calling Search once per element of
 	// queries — batching changes only the cost profile: scan-shaped
 	// techniques (NoInd, DPF-PIR, ShamirScan) perform their column pull /
-	// table scan once for the whole batch, and index-shaped ones fall back
-	// to concurrent per-query probes. The returned Stats is batch-level —
+	// table scan once for the whole batch, and index-shaped ones run
+	// concurrent per-query probes. The returned Stats is batch-level —
 	// shared work counted once in the top-level counters — with one
 	// PerQuery entry per query carrying that query's ReturnedAddrs and
 	// result transfers. On error the whole batch fails; callers needing
@@ -134,12 +142,4 @@ type Technique interface {
 	SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error)
 	// StoredRows reports how many encrypted rows the cloud holds.
 	StoredRows() int
-}
-
-func valueKeySet(values []relation.Value) map[string]bool {
-	set := make(map[string]bool, len(values))
-	for _, v := range values {
-		set[v.Key()] = true
-	}
-	return set
 }

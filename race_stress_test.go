@@ -44,13 +44,13 @@ func TestConcurrentClientStress(t *testing.T) {
 		}
 	}
 
-	// Batch queriers.
+	// Batch queriers, at 1, 2 and 3 workers.
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := c.QueryBatchN(ws, 1+g); err != nil {
+				if _, _, err := c.owner.QueryBatch(ws, 1+g); err != nil {
 					fail(err)
 					return
 				}
@@ -187,13 +187,16 @@ func TestTwoNamespaceCloudStress(t *testing.T) {
 	}
 
 	for _, tn := range []*tenant{ta, tb} {
-		// Batch queriers.
+		// Batch queriers, at 1 and 2 workers.
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func(tn *tenant, g int) {
 				defer wg.Done()
 				for i := 0; i < 3; i++ {
-					got, err := tn.c.QueryBatchN(tn.ws, 1+g)
+					got, err := withRemoteCheck(tn.c, func() ([][]Tuple, error) {
+						out, _, err := tn.c.owner.QueryBatch(tn.ws, 1+g)
+						return out, err
+					})
 					if err != nil {
 						fail(err)
 						return

@@ -336,7 +336,7 @@ func TestRemoteQueryBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("sequential run recorded %d views, want %d", len(seqViews), len(ws))
 			}
 
-			batch, err := c.QueryBatchN(ws, 4)
+			batch, err := c.QueryBatch(ws)
 			if err != nil {
 				t.Fatalf("QueryBatch: %v", err)
 			}
@@ -378,7 +378,7 @@ func TestRemoteQueryAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := []Value{Str("E101"), Str("E259"), Str("E199"), Str("E152"), Str("E000")}
-	for res := range c.QueryAsyncN(ws, 3) {
+	for res := range c.QueryAsync(ws) {
 		if res.Err != nil {
 			t.Fatalf("query %d: %v", res.Index, res.Err)
 		}
@@ -561,7 +561,7 @@ func TestReconnectClientSurvivesCloudKillMidBatch(t *testing.T) {
 			}
 
 			ws := batchWorkload(ds, 48, 97)
-			want, err := ref.QueryBatchN(ws, 4)
+			want, err := ref.QueryBatch(ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -580,7 +580,7 @@ func TestReconnectClientSurvivesCloudKillMidBatch(t *testing.T) {
 				}
 				srv.restart(t, restored)
 			}()
-			got, err := chaos.QueryBatchN(ws, 4)
+			got, err := chaos.QueryBatch(ws)
 			<-killed
 			if err != nil {
 				t.Fatalf("QueryBatch across the kill: %v", err)
