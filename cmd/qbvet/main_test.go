@@ -180,3 +180,59 @@ func TestOwnerHasOneExecutor(t *testing.T) {
 	}
 	t.Fatal("repro/internal/owner not loaded")
 }
+
+// TestTechniqueHasOneStoreContract pins the one encrypted-store contract:
+// outside its tests, internal/technique never asserts or switches a store
+// to a store interface (every store implements all of EncStore, so such a
+// probe guards a fallback nothing runs), never calls AttrColumn (a full
+// column pull is AttrColumnSince from the zero version), and declares
+// BatchEncStore and VersionedEncStore only as aliases of EncStore.
+func TestTechniqueHasOneStoreContract(t *testing.T) {
+	storeNames := map[string]bool{"EncStore": true, "BatchEncStore": true, "VersionedEncStore": true}
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/technique" {
+			continue
+		}
+		// isStore reports whether a type expression denotes one of the store
+		// interfaces, through an alias or not.
+		isStore := func(e ast.Expr) bool {
+			tv, ok := p.TypesInfo.Types[e]
+			if !ok {
+				return false
+			}
+			for _, typ := range []types.Type{tv.Type, types.Unalias(tv.Type)} {
+				if n, ok := typ.(interface{ Obj() *types.TypeName }); ok && n.Obj().Pkg() == p.Types && storeNames[n.Obj().Name()] {
+					return true
+				}
+			}
+			return false
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeAssertExpr:
+					if n.Type != nil && isStore(n.Type) {
+						t.Errorf("%s: type assertion to a store interface", p.Fset.Position(n.Pos()))
+					}
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if isStore(e) {
+							t.Errorf("%s: type switch case on a store interface", p.Fset.Position(e.Pos()))
+						}
+					}
+				case *ast.SelectorExpr:
+					if s := p.TypesInfo.Selections[n]; s != nil && s.Obj().Name() == "AttrColumn" {
+						t.Errorf("%s: AttrColumn called; a full pull is AttrColumnSince from the zero version", p.Fset.Position(n.Pos()))
+					}
+				case *ast.TypeSpec:
+					if (n.Name.Name == "BatchEncStore" || n.Name.Name == "VersionedEncStore") && !n.Assign.IsValid() {
+						t.Errorf("%s: %s is its own type, not an alias of EncStore", p.Fset.Position(n.Pos()), n.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+		return
+	}
+	t.Fatal("repro/internal/technique not loaded")
+}

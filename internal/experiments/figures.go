@@ -67,11 +67,18 @@ func DefaultFig6b() Fig6bSpec {
 	}
 }
 
+// fig6bPasses is how many times Figure6b runs each arm's query stream.
+const fig6bPasses = 3
+
 // Figure6b measures η experimentally: the wall-clock of a QB query (NoInd
 // over the sensitive partition + indexed plaintext search) divided by the
 // wall-clock of the same query over a fully encrypted dataset, for several
 // database sizes and sensitivities. η < 1 for every size reproduces the
 // robustness claim.
+//
+// Both owners are built first. The two arms then run the same query stream
+// alternately, fig6bPasses passes each, and η is the ratio of their fastest
+// passes, so a burst of outside load that slows one pass cannot decide η.
 func Figure6b(spec Fig6bSpec) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 6b: measured eta vs alpha per dataset size (NoInd technique)",
@@ -90,15 +97,32 @@ func Figure6b(spec Fig6bSpec) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tQB, err := avgQueryTime(ds, ds.Sensitive, spec)
-			if err != nil {
-				return nil, err
+			// Arm 0 is QB; arm 1 is full encryption: every tuple is sensitive.
+			var arms [2]*owner.Owner
+			for i, pred := range []relation.Predicate{ds.Sensitive, func(relation.Tuple) bool { return true }} {
+				tech, err := technique.NewNoInd(crypto.DeriveKeys([]byte("fig6b")))
+				if err != nil {
+					return nil, err
+				}
+				arms[i] = owner.New(tech, workload.Attr)
+				if err := arms[i].Outsource(ds.Relation.Clone(), pred, binOpts(uint64(spec.Seed))); err != nil {
+					return nil, err
+				}
 			}
-			// Full encryption: every tuple is sensitive.
-			tFull, err := avgQueryTime(ds, func(relation.Tuple) bool { return true }, spec)
-			if err != nil {
-				return nil, err
+			queries := workload.QueryStream(ds, workload.QuerySpec{Queries: spec.Queries, Seed: spec.Seed + 7})
+			var best [2]time.Duration
+			for pass := 0; pass < fig6bPasses; pass++ {
+				for i, o := range arms {
+					d, err := avgQueryTime(o, queries)
+					if err != nil {
+						return nil, err
+					}
+					if pass == 0 || d < best[i] {
+						best[i] = d
+					}
+				}
 			}
+			tQB, tFull := best[0], best[1]
 			eta := float64(tQB) / float64(tFull)
 			t.AddRow(fmt.Sprintf("%d", size), f2(alpha),
 				tQB.Round(time.Microsecond).String(),
@@ -109,16 +133,9 @@ func Figure6b(spec Fig6bSpec) (*Table, error) {
 	return t, nil
 }
 
-func avgQueryTime(ds *workload.Dataset, pred relation.Predicate, spec Fig6bSpec) (time.Duration, error) {
-	tech, err := technique.NewNoInd(crypto.DeriveKeys([]byte("fig6b")))
-	if err != nil {
-		return 0, err
-	}
-	o := owner.New(tech, workload.Attr)
-	if err := o.Outsource(ds.Relation.Clone(), pred, binOpts(uint64(spec.Seed))); err != nil {
-		return 0, err
-	}
-	queries := workload.QueryStream(ds, workload.QuerySpec{Queries: spec.Queries, Seed: spec.Seed + 7})
+// avgQueryTime runs queries once through o and returns the mean wall-clock
+// per query.
+func avgQueryTime(o *owner.Owner, queries []relation.Value) (time.Duration, error) {
 	start := time.Now()
 	for _, q := range queries {
 		if _, _, err := o.Query(q); err != nil {

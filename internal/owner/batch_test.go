@@ -172,9 +172,11 @@ type countingStore struct {
 	batchRounds atomic.Int64 // batched fetch round trips
 }
 
-func (c *countingStore) AttrColumn() []storage.EncRow {
+// AttrColumnSince serves every column pull, the uncached full one (from
+// the zero version) included.
+func (c *countingStore) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
 	c.attrPulls.Add(1)
-	return c.EncryptedStore.AttrColumn()
+	return c.EncryptedStore.AttrColumnSince(v, have)
 }
 
 func (c *countingStore) Fetch(addrs []int) ([]storage.EncRow, error) {

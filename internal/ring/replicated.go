@@ -461,17 +461,17 @@ func (s *ReplicatedStore) Len() int {
 	return readNoted(s, (*wire.StoreClient).LenErr)
 }
 
-// AttrColumn implements technique.EncStore.
+// AttrColumn implements technique.EncStore as a zero-version pull.
 func (s *ReplicatedStore) AttrColumn() []storage.EncRow {
 	return readNoted(s, (*wire.StoreClient).AttrColumnErr)
 }
 
-// Fetch implements technique.EncStore.
+// Fetch implements technique.EncStore as a fetch batch of one list.
 func (s *ReplicatedStore) Fetch(addrs []int) ([]storage.EncRow, error) {
 	return readFrom(s, func(v *wire.StoreClient) ([]storage.EncRow, error) { return v.Fetch(addrs) })
 }
 
-// FetchBatch implements technique.BatchEncStore.
+// FetchBatch implements technique.EncStore.
 func (s *ReplicatedStore) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
 	return readFrom(s, func(v *wire.StoreClient) ([][]storage.EncRow, error) { return v.FetchBatch(addrBatches) })
 }
@@ -481,12 +481,12 @@ func (s *ReplicatedStore) LookupToken(tok []byte) []int {
 	return readNoted(s, func(v *wire.StoreClient) ([]int, error) { return v.LookupTokenErr(tok) })
 }
 
-// Rows implements technique.EncStore.
+// Rows implements technique.EncStore as a zero-version pull.
 func (s *ReplicatedStore) Rows() []storage.EncRow {
 	return readNoted(s, (*wire.StoreClient).RowsErr)
 }
 
-// EncVersion implements technique.VersionedEncStore. Version epochs are
+// EncVersion implements technique.EncStore. Version epochs are
 // per store INSTANCE, so a failover necessarily changes the observed
 // epoch — exactly the signal the owner-side cache needs to drop state
 // learned from the previous replica.
@@ -510,7 +510,7 @@ func (s *ReplicatedStore) since(f func(*wire.StoreClient) ([]storage.EncRow, sto
 	return p.rows, p.cur, p.delta, err
 }
 
-// AttrColumnSince implements technique.VersionedEncStore. Read stickiness
+// AttrColumnSince implements technique.EncStore. Read stickiness
 // keeps the conditional-fetch protocol effective: the epoch only changes
 // when a failover actually happens.
 func (s *ReplicatedStore) AttrColumnSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
@@ -519,7 +519,7 @@ func (s *ReplicatedStore) AttrColumnSince(ver storage.EncVersion, have int) ([]s
 	})
 }
 
-// RowsSince implements technique.VersionedEncStore.
+// RowsSince implements technique.EncStore.
 func (s *ReplicatedStore) RowsSince(ver storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
 	return s.since(func(v *wire.StoreClient) ([]storage.EncRow, storage.EncVersion, bool, error) {
 		return v.RowsSince(ver, have)

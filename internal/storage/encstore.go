@@ -70,13 +70,13 @@ type tokenShard struct {
 //     LookupToken calls from different queries usually hit different
 //     stripes.
 //
-// Only Add serialises (on the writer mutex plus the touched token
+// Only the writers serialise (on the writer mutex plus the touched token
 // stripe). Rows are append-only, so addresses handed out by a read remain
 // valid afterwards, and a published snapshot never sees a row mutate
 // beneath it.
 type EncryptedStore struct {
-	writeMu sync.Mutex // serialises Add: address assignment + append
-	rows    []EncRow   // owned by Add; readers use snap
+	writeMu sync.Mutex // serialises the writers: address assignment + append
+	rows    []EncRow   // owned by the writers; readers use snap
 
 	// snap is the last published row slice. Appends that grow in place
 	// write only beyond the published length, so a reader holding an
@@ -121,29 +121,36 @@ func (s *EncryptedStore) shard(token []byte) *tokenShard {
 // Add appends a row, assigning its address, and indexes its token if any.
 func (s *EncryptedStore) Add(tupleCT, attrCT, token []byte) int {
 	s.writeMu.Lock()
-	addr := len(s.rows)
-	s.rows = append(s.rows, EncRow{Addr: addr, TupleCT: tupleCT, AttrCT: attrCT, Token: token})
-	// Publish before indexing the token, so an address found through
-	// LookupToken is always fetchable from the row snapshot.
-	rows := s.rows
-	s.snap.Store(&rows)
-	if token != nil {
-		sh := s.shard(token)
-		k := string(token)
-		sh.mu.Lock()
-		sh.m[k] = append(sh.m[k], addr)
-		sh.mu.Unlock()
+	defer s.writeMu.Unlock()
+	return s.appendLocked([]EncRow{{TupleCT: tupleCT, AttrCT: attrCT, Token: token}}) - 1
+}
+
+// appendLocked is the one append, run with writeMu held: it assigns the
+// rows addresses by append position (ignoring their Addr fields) and
+// returns the new row count. The snapshot is published before the tokens
+// are indexed, so an address found through LookupToken is always
+// fetchable; the version grows by one per row only after BOTH include the
+// write, as the ver field comment requires: a reader that observes the new
+// N sees the rows AND the tokens, so a cached search can never memoise a
+// pre-write posting list under a post-write version.
+func (s *EncryptedStore) appendLocked(rows []EncRow) int {
+	base := len(s.rows)
+	for _, r := range rows {
+		s.rows = append(s.rows, EncRow{Addr: len(s.rows), TupleCT: r.TupleCT, AttrCT: r.AttrCT, Token: r.Token})
 	}
-	// Bump the version only after BOTH the row snapshot and the token
-	// index include this write. A reader that observes the new N therefore
-	// sees the row (Version/AttrColumnSince can always fetch it) AND the
-	// token (a cached search that pairs this version with a LookupToken
-	// probe can never memoise a pre-write posting list under a post-write
-	// version, which would serve stale results for as long as the version
-	// stayed current).
-	s.ver.Add(1)
-	s.writeMu.Unlock()
-	return addr
+	published := s.rows
+	s.snap.Store(&published)
+	for i, r := range rows {
+		if r.Token != nil {
+			sh := s.shard(r.Token)
+			k := string(r.Token)
+			sh.mu.Lock()
+			sh.m[k] = append(sh.m[k], base+i)
+			sh.mu.Unlock()
+		}
+	}
+	s.ver.Add(uint64(len(rows)))
+	return len(published)
 }
 
 // snapshot returns the currently published rows; lock-free.
@@ -160,27 +167,16 @@ func (s *EncryptedStore) Rows() []EncRow { return s.snapshot() }
 // AttrColumn returns the encrypted searchable-attribute column with
 // addresses — the first round of the paper's non-indexable search ("retrieve
 // the searching attribute of a sensitive relation at the DB owner side,
-// decrypt, and search").
+// decrypt, and search"). It is AttrColumnSince from the zero version, which
+// no store matches: always the full column.
 func (s *EncryptedStore) AttrColumn() []EncRow {
-	rows := s.snapshot()
-	out := make([]EncRow, len(rows))
-	for i, r := range rows {
-		out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
-	}
-	return out
+	rows, _, _, _ := s.AttrColumnSince(EncVersion{}, 0)
+	return rows
 }
 
 // Fetch returns the full rows at the given addresses — the second round.
 func (s *EncryptedStore) Fetch(addrs []int) ([]EncRow, error) {
-	rows := s.snapshot()
-	out := make([]EncRow, 0, len(addrs))
-	for _, a := range addrs {
-		if a < 0 || a >= len(rows) {
-			return nil, fmt.Errorf("storage: address %d out of range [0,%d)", a, len(rows))
-		}
-		out = append(out, rows[a])
-	}
-	return out, nil
+	return fetchFrom(s.snapshot(), addrs)
 }
 
 // FetchBatch returns the full rows for each address list in addrBatches —
@@ -191,14 +187,23 @@ func (s *EncryptedStore) FetchBatch(addrBatches [][]int) ([][]EncRow, error) {
 	rows := s.snapshot()
 	out := make([][]EncRow, len(addrBatches))
 	for i, addrs := range addrBatches {
-		set := make([]EncRow, 0, len(addrs))
-		for _, a := range addrs {
-			if a < 0 || a >= len(rows) {
-				return nil, fmt.Errorf("storage: address %d out of range [0,%d)", a, len(rows))
-			}
-			set = append(set, rows[a])
+		set, err := fetchFrom(rows, addrs)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = set
+	}
+	return out, nil
+}
+
+// fetchFrom is the one fetch body: the snapshot's rows at addrs, in order.
+func fetchFrom(rows []EncRow, addrs []int) ([]EncRow, error) {
+	out := make([]EncRow, 0, len(addrs))
+	for _, a := range addrs {
+		if a < 0 || a >= len(rows) {
+			return nil, fmt.Errorf("storage: address %d out of range [0,%d)", a, len(rows))
+		}
+		out = append(out, rows[a])
 	}
 	return out, nil
 }
@@ -262,37 +267,35 @@ func (s *EncryptedStore) EncVersion() (EncVersion, error) {
 // the returned rows, so (cached rows + delta, returned version) is always
 // a sound pair to revalidate with later.
 func (s *EncryptedStore) AttrColumnSince(v EncVersion, have int) ([]EncRow, EncVersion, bool, error) {
-	cur := EncVersion{Epoch: s.epoch, N: s.ver.Load()}
-	rows := s.snapshot()
-	if v.Epoch == s.epoch && have >= 0 && have <= len(rows) {
-		tail := rows[have:]
-		out := make([]EncRow, len(tail))
-		for i, r := range tail {
-			out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
-		}
-		return out, cur, true, nil
-	}
-	out := make([]EncRow, len(rows))
-	for i, r := range rows {
-		out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
-	}
-	return out, cur, false, nil
+	return s.since(v, have, true)
 }
 
 // RowsSince is the conditional form of Rows: full rows instead of the
 // attribute column, same delta contract as AttrColumnSince.
 func (s *EncryptedStore) RowsSince(v EncVersion, have int) ([]EncRow, EncVersion, bool, error) {
+	return s.since(v, have, false)
+}
+
+// since is the one projection body of the conditional pulls: the rows past
+// have when v still holds (delta), else all of them, projected onto their
+// addresses and attribute cells when attrOnly. The version is loaded
+// before the snapshot is taken (see the field comment on ver).
+func (s *EncryptedStore) since(v EncVersion, have int, attrOnly bool) ([]EncRow, EncVersion, bool, error) {
 	cur := EncVersion{Epoch: s.epoch, N: s.ver.Load()}
 	rows := s.snapshot()
-	if v.Epoch == s.epoch && have >= 0 && have <= len(rows) {
-		tail := rows[have:]
-		out := make([]EncRow, len(tail))
-		copy(out, tail)
-		return out, cur, true, nil
+	delta := v.Epoch == s.epoch && have >= 0 && have <= len(rows)
+	if delta {
+		rows = rows[have:]
 	}
 	out := make([]EncRow, len(rows))
-	copy(out, rows)
-	return out, cur, false, nil
+	if !attrOnly {
+		copy(out, rows)
+		return out, cur, delta, nil
+	}
+	for i, r := range rows {
+		out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
+	}
+	return out, cur, delta, nil
 }
 
 // AppendIfLen appends rows only if the store currently holds exactly
@@ -302,8 +305,7 @@ func (s *EncryptedStore) RowsSince(v EncVersion, have int) ([]EncRow, EncVersion
 // peer can install that tail atomically, and if an owner write landed in
 // between the CAS fails cleanly (the repairer re-probes next round)
 // instead of interleaving repair rows with live writes at wrong
-// addresses. Rows are installed with Add's ordering guarantees — rows
-// published, tokens indexed, then the version bumped once per row — and
+// addresses. Rows are installed by Add's own append (appendLocked), and
 // the incoming Addr fields are ignored: addresses are assigned by append
 // position, which the expectedLen check has just pinned to the source's.
 func (s *EncryptedStore) AppendIfLen(rows []EncRow, expectedLen int) (int, error) {
@@ -312,23 +314,7 @@ func (s *EncryptedStore) AppendIfLen(rows []EncRow, expectedLen int) (int, error
 	if len(s.rows) != expectedLen {
 		return len(s.rows), fmt.Errorf("storage: append-if-len: store holds %d rows, caller expected %d", len(s.rows), expectedLen)
 	}
-	for _, r := range rows {
-		addr := len(s.rows)
-		s.rows = append(s.rows, EncRow{Addr: addr, TupleCT: r.TupleCT, AttrCT: r.AttrCT, Token: r.Token})
-	}
-	published := s.rows
-	s.snap.Store(&published)
-	for i := range rows {
-		if tok := rows[i].Token; tok != nil {
-			sh := s.shard(tok)
-			k := string(tok)
-			sh.mu.Lock()
-			sh.m[k] = append(sh.m[k], expectedLen+i)
-			sh.mu.Unlock()
-		}
-	}
-	s.ver.Add(uint64(len(rows)))
-	return len(published), nil
+	return s.appendLocked(rows), nil
 }
 
 // SetVersionFloor raises the write counter to at least n. Snapshot restore

@@ -109,7 +109,7 @@ func (a *Arx) Search(values []relation.Value) ([][]byte, *Stats, error) {
 			addrs = append(addrs, hits...)
 		}
 	}
-	rows, err := a.store.Fetch(addrs)
+	rows, err := fetch(a.store, addrs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -99,30 +99,46 @@ func binReps(queries [][]relation.Value) []int {
 	return rep
 }
 
-// fetchBatch retrieves each address list's rows: in one batched round trip
-// when the store supports it (BatchEncStore — in particular the wire
-// backends), and with one Fetch per list otherwise. Every store call is
-// counted into st.Rounds.
+// fetchBatch retrieves each address list's rows in one batched round trip,
+// counted into st.Rounds, and checks the answer (checkFetch).
 func fetchBatch(store EncStore, addrBatches [][]int, st *Stats) ([][]storage.EncRow, error) {
-	if bs, ok := store.(BatchEncStore); ok {
-		st.Rounds++
-		out, err := bs.FetchBatch(addrBatches)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) != len(addrBatches) {
-			return nil, fmt.Errorf("technique: batched fetch returned %d row sets for %d address lists", len(out), len(addrBatches))
-		}
-		return out, nil
+	st.Rounds++
+	out, err := store.FetchBatch(addrBatches)
+	if err != nil {
+		return nil, err
 	}
-	out := make([][]storage.EncRow, len(addrBatches))
+	if len(out) != len(addrBatches) {
+		return nil, fmt.Errorf("technique: batched fetch returned %d row sets for %d address lists", len(out), len(addrBatches))
+	}
 	for i, addrs := range addrBatches {
-		st.Rounds++
-		rows, err := store.Fetch(addrs)
-		if err != nil {
+		if err := checkFetch(addrs, out[i]); err != nil {
 			return nil, err
 		}
-		out[i] = rows
 	}
 	return out, nil
+}
+
+// fetch retrieves one address list's rows and checks the answer.
+func fetch(store EncStore, addrs []int) ([]storage.EncRow, error) {
+	rows, err := store.Fetch(addrs)
+	if err == nil {
+		err = checkFetch(addrs, rows)
+	}
+	return rows, err
+}
+
+// checkFetch is the check every fetch answer passes before a technique
+// uses it: row j is the row at addrs[j], none missing and none extra, so a
+// store that drops or reorders rows cannot turn into a short result or
+// payloads attributed to the wrong address.
+func checkFetch(addrs []int, rows []storage.EncRow) error {
+	if len(rows) != len(addrs) {
+		return fmt.Errorf("technique: fetch returned %d rows for %d addresses", len(rows), len(addrs))
+	}
+	for j, r := range rows {
+		if r.Addr != addrs[j] {
+			return fmt.Errorf("technique: fetch returned address %d where %d was asked for", r.Addr, addrs[j])
+		}
+	}
+	return nil
 }

@@ -23,7 +23,7 @@ const DefaultCacheBytes = 64 << 20
 //
 //   - the decrypted searchable-attribute column (NoInd), held as a value ->
 //     column positions index beside the cells' cloud addresses, revalidated
-//     each query by the store's version counter (VersionedEncStore) — a
+//     each query by the store's version counter (AttrColumnSince) — a
 //     tiny not-modified round trip replaces the full column transfer, and
 //     matching a predicate costs its posting lists, not the column;
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
@@ -358,12 +358,9 @@ func (c *Cache) fetchPayloads(store EncStore, prob *crypto.Probabilistic, st *St
 		}
 	}
 	st.Rounds++
-	rows, err := store.Fetch(need)
+	rows, err := fetch(store, need)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(rows) < len(need) {
-		return nil, nil, fmt.Errorf("technique: cached fetch returned %d rows for %d addresses", len(rows), len(need))
 	}
 	fetched = make([]int, len(addrs))
 	next := 0

@@ -23,11 +23,10 @@ type DetIndex struct {
 	det   *crypto.Deterministic
 	store EncStore
 
-	// cache/vstore are set together by SetCache when the store supports
-	// version counters: searches then memoise token→address lookups at an
-	// exact store version and reuse cached payload decryptions.
-	cache  *Cache
-	vstore VersionedEncStore
+	// cache is set by SetCache: searches then memoise token→address
+	// lookups at an exact store version and reuse cached payload
+	// decryptions.
+	cache *Cache
 }
 
 // NewDetIndex builds the technique over the derived key set.
@@ -80,16 +79,8 @@ func (d *DetIndex) Outsource(rows []Row) (*Stats, error) {
 }
 
 // SetCache attaches (or, with nil, detaches) an owner-side version cache.
-// It takes effect only when the underlying store supports version counters
-// (VersionedEncStore) and must be called before the technique is shared
-// across goroutines.
-func (d *DetIndex) SetCache(c *Cache) {
-	if vs, ok := d.store.(VersionedEncStore); ok && c != nil {
-		d.cache, d.vstore = c, vs
-		return
-	}
-	d.cache, d.vstore = nil, nil
-}
+// It must be called before the technique is shared across goroutines.
+func (d *DetIndex) SetCache(c *Cache) { d.cache = c }
 
 // Search implements Technique: one index probe per predicate, then one
 // fetch.
@@ -106,7 +97,7 @@ func (d *DetIndex) Search(values []relation.Value) ([][]byte, *Stats, error) {
 		st.TuplesScanned += len(hits)
 		addrs = append(addrs, hits...)
 	}
-	rows, err := d.store.Fetch(addrs)
+	rows, err := fetch(d.store, addrs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,7 +131,7 @@ func (d *DetIndex) searchCached(values []relation.Value) ([][]byte, *Stats, erro
 		return [][]byte{}, st, nil
 	}
 	st.Rounds++
-	cur, err := d.vstore.EncVersion()
+	cur, err := d.store.EncVersion()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,17 +18,20 @@ type corruptStore struct {
 	corruptTuple bool
 	failFetch    bool
 	shortFetch   bool // Fetch drops the last row it was asked for
+	swapFetch    bool // Fetch exchanges the first two rows it returns
 }
 
-func (c *corruptStore) AttrColumn() []storage.EncRow {
-	rows := c.EncryptedStore.AttrColumn()
+// AttrColumnSince serves every column pull, the uncached full one (from
+// the zero version) included.
+func (c *corruptStore) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
+	rows, cur, delta, err := c.EncryptedStore.AttrColumnSince(v, have)
 	if c.corruptAttr {
 		for i := range rows {
 			rows[i].AttrCT = append([]byte(nil), rows[i].AttrCT...)
 			rows[i].AttrCT[0] ^= 0xFF
 		}
 	}
-	return rows
+	return rows, cur, delta, err
 }
 
 // FetchBatch routes through the corrupting Fetch so the batched search
@@ -57,6 +60,9 @@ func (c *corruptStore) Fetch(addrs []int) ([]storage.EncRow, error) {
 	if c.shortFetch && len(rows) > 0 {
 		return rows[:len(rows)-1], nil
 	}
+	if c.swapFetch && len(rows) > 1 {
+		rows[0], rows[1] = rows[1], rows[0]
+	}
 	if c.corruptTuple {
 		out := make([]storage.EncRow, len(rows))
 		for i, r := range rows {
@@ -67,6 +73,38 @@ func (c *corruptStore) Fetch(addrs []int) ([]storage.EncRow, error) {
 		return out, nil
 	}
 	return rows, nil
+}
+
+// TestShortFetchIsAnError: a fetch answer that drops a row or swaps two is
+// refused on every search path — cached or not, through Search and
+// SearchBatch — instead of returning fewer payloads than addresses, or
+// payloads attributed to the wrong address.
+func TestShortFetchIsAnError(t *testing.T) {
+	pred := []relation.Value{relation.Int(4)} // five rows
+	for name, build := range onStore() {
+		for _, mode := range []string{"short", "swap"} {
+			for _, form := range []string{"Search", "SearchBatch"} {
+				t.Run(name+"/"+mode+"/"+form, func(t *testing.T) {
+					cs := &corruptStore{EncryptedStore: storage.NewEncryptedStore(), shortFetch: mode == "short", swapFetch: mode == "swap"}
+					tech, err := build(cs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tech.Outsource(testRows()); err != nil {
+						t.Fatal(err)
+					}
+					if form == "Search" {
+						_, _, err = tech.Search(pred)
+					} else {
+						_, _, err = tech.SearchBatch([][]relation.Value{pred})
+					}
+					if err == nil {
+						t.Fatalf("a %s fetch answer was accepted", mode)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestNoIndDetectsTamperedAttrColumn(t *testing.T) {

@@ -23,12 +23,10 @@ type NoInd struct {
 	prob  *crypto.Probabilistic
 	store EncStore
 
-	// cache/vstore are set together by SetCache when the store supports
-	// version counters: searches then revalidate the cached decrypted
-	// column instead of re-pulling it, and reuse cached payload
-	// decryptions. Both stay nil for the classic stateless behaviour.
-	cache  *Cache
-	vstore VersionedEncStore
+	// cache is set by SetCache: searches then revalidate the cached
+	// decrypted column instead of re-pulling it, and reuse cached payload
+	// decryptions. It stays nil for the classic stateless behaviour.
+	cache *Cache
 }
 
 // NewNoInd builds the technique over the derived key set.
@@ -59,16 +57,8 @@ func (n *NoInd) StoredRows() int { return n.store.Len() }
 func (n *NoInd) Store() EncStore { return n.store }
 
 // SetCache attaches (or, with nil, detaches) an owner-side version cache.
-// It takes effect only when the underlying store supports version counters
-// (VersionedEncStore — the in-process store and every wire backend do) and
-// must be called before the technique is shared across goroutines.
-func (n *NoInd) SetCache(c *Cache) {
-	if vs, ok := n.store.(VersionedEncStore); ok && c != nil {
-		n.cache, n.vstore = c, vs
-		return
-	}
-	n.cache, n.vstore = nil, nil
-}
+// It must be called before the technique is shared across goroutines.
+func (n *NoInd) SetCache(c *Cache) { n.cache = c }
 
 // cachedColumn revalidates the cached column by one conditional round
 // trip: only the appended tail (or, on a miss, the whole column) is
@@ -80,7 +70,7 @@ func (n *NoInd) SetCache(c *Cache) {
 func (n *NoInd) cachedColumn(st *Stats) (col *column, cells int, epoch uint64, err error) {
 	col, ver, have, ctBytes := n.cache.colSnapshot()
 	st.Rounds++
-	rows, cur, delta, err := n.vstore.AttrColumnSince(ver, have)
+	rows, cur, delta, err := n.store.AttrColumnSince(ver, have)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -146,8 +136,8 @@ func (n *NoInd) Search(values []relation.Value) ([][]byte, *Stats, error) {
 // encrypted attribute column is pulled and decrypted once for the whole
 // batch (the redundant per-query pull is exactly what batching amortises),
 // each distinct bin retrieval is matched and fetched once (binReps), and
-// the matched tuples come back in one batched fetch round trip when the
-// store supports it. A tuple matched by several bins is decrypted once.
+// the matched tuples come back in one batched fetch round trip. A tuple
+// matched by several bins is decrypted once.
 // Shared work — the column scan and each distinct tuple decryption — is
 // counted once in the batch-level Stats; PerQuery[i] carries query i's
 // access pattern and result transfers.
@@ -215,10 +205,14 @@ func (n *NoInd) matchScan(queries [][]relation.Value, rep []int, agg *Stats, out
 		}
 	}
 
-	// Round 1: the decrypted cell only lives for one iteration, so one
-	// scratch buffer serves the whole scan.
+	// Round 1 pulls the full column (from the zero version): the decrypted
+	// cell only lives for one iteration, so one scratch buffer serves the
+	// whole scan.
 	agg.Rounds++
-	col := n.store.AttrColumn()
+	col, _, _, err := n.store.AttrColumnSince(storage.EncVersion{}, 0)
+	if err != nil {
+		return err
+	}
 	agg.TuplesScanned = len(col)
 	agg.TuplesTransferred = len(col)
 	addrs := make([][]int, len(queries))

@@ -8,8 +8,8 @@ import (
 	"repro/internal/storage"
 )
 
-// callCountingStore counts every call into the store contracts a technique
-// reaches the cloud through (EncStore, BatchEncStore, VersionedEncStore).
+// callCountingStore counts every call into the store contract a technique
+// reaches the cloud through (EncStore).
 // Over the wire each call is one round trip: no call is short-circuited
 // for an empty request.
 type callCountingStore struct {
@@ -67,15 +67,11 @@ func (c *callCountingStore) RowsSince(v storage.EncVersion, have int) ([]storage
 	return c.EncryptedStore.RowsSince(v, have)
 }
 
-// TestRoundsCountStoreCalls is the accounting property behind every
-// round-trip metric: a search's top-level Stats.Rounds equals the store
-// calls it made, for each technique over an EncStore, cached or not,
-// through Search and SearchBatch, on empty, single-value, several-value
-// and absent-value predicate lists. Each list runs twice, so that cached
-// techniques are checked on a miss and on a hit.
-func TestRoundsCountStoreCalls(t *testing.T) {
+// onStore builds each technique that runs over an EncStore, cached and
+// uncached (Arx keeps no owner-side cache).
+func onStore() map[string]func(EncStore) (Technique, error) {
 	cached := func(c interface{ SetCache(*Cache) }) { c.SetCache(NewCache(0)) }
-	for name, build := range map[string]func(EncStore) (Technique, error){
+	return map[string]func(EncStore) (Technique, error){
 		"noind": func(s EncStore) (Technique, error) { return NewNoIndOn(testKeys(), s) },
 		"noind/cached": func(s EncStore) (Technique, error) {
 			n, err := NewNoIndOn(testKeys(), s)
@@ -93,7 +89,17 @@ func TestRoundsCountStoreCalls(t *testing.T) {
 			return d, err
 		},
 		"arx": func(s EncStore) (Technique, error) { return NewArxOn(testKeys(), s) },
-	} {
+	}
+}
+
+// TestRoundsCountStoreCalls is the accounting property behind every
+// round-trip metric: a search's top-level Stats.Rounds equals the store
+// calls it made, for each technique over an EncStore, cached or not,
+// through Search and SearchBatch, on empty, single-value, several-value
+// and absent-value predicate lists. Each list runs twice, so that cached
+// techniques are checked on a miss and on a hit.
+func TestRoundsCountStoreCalls(t *testing.T) {
+	for name, build := range onStore() {
 		t.Run(name, func(t *testing.T) {
 			cs := &callCountingStore{EncryptedStore: storage.NewEncryptedStore()}
 			tech, err := build(cs)

@@ -6,15 +6,14 @@ import (
 )
 
 // Backend is the owner-side view of a remote cloud namespace:
-// cloud.PlainBackend plus technique.BatchEncStore (the encrypted store
-// including the batched read path) plus the lifecycle and error surface.
-// *StoreClient is its one implementation over the network — whatever the
-// link beneath it (one connection or a reconnecting one) — so callers
-// pick self-healing and namespacing without changing anything else.
+// cloud.PlainBackend plus technique.EncStore (the one encrypted-store
+// contract) plus the lifecycle and error surface. *StoreClient is its one
+// implementation over the network — whatever the link beneath it (one
+// connection or a reconnecting one) — so callers pick self-healing and
+// namespacing without changing anything else.
 type Backend interface {
 	cloud.PlainBackend
-	technique.BatchEncStore
-	technique.VersionedEncStore
+	technique.EncStore
 
 	// Lifecycle and errors.
 	Ping() error

@@ -13,7 +13,7 @@ import (
 // Client is one owner-side connection to a remote cloud. It serves any
 // number of namespaces: WithStore returns the per-namespace StoreClient
 // view implementing cloud.PlainBackend for the clear-text partition and
-// technique.BatchEncStore for the encrypted partition, so the standard
+// technique.EncStore for the encrypted partition, so the standard
 // owner and techniques work over the network unchanged. The Client itself
 // holds no namespace state: it is the link its views reach the cloud
 // through, plus the store-less planes (Ping, admin ops, ring ops).
@@ -196,7 +196,7 @@ func (r *views) list() []*StoreClient {
 
 // StoreClient is one namespace's view of a cloud, and the only Backend
 // implementation in this package. It implements the full surface —
-// cloud.PlainBackend plus technique.BatchEncStore — scoped to its store:
+// cloud.PlainBackend plus technique.EncStore — scoped to its store:
 // every request it frames carries the store name, and it owns everything
 // that is per namespace rather than per connection: the owner token, the
 // encrypted upload buffer and client-side address arithmetic, the
@@ -567,16 +567,13 @@ func (s *StoreClient) flushLocked(c *Client) error {
 	}
 	// The batch is conditional on the row count its addresses were
 	// assigned at (protocol v6): pending is never non-empty without a
-	// synced length (Add probes before buffering), and the server applies
-	// the batch only if the store still holds exactly serverLen rows. A
-	// flush racing an anti-entropy repair of this replica — which can
-	// append these very rows, copied from a peer that acked them — is
-	// refused instead of doubling the tail.
-	have := s.serverLen
-	if !s.lenSynced {
-		have = -1
-	}
-	resp, err := c.roundTrip(&request{Op: opEncAddBatch, Store: s.store, Batch: s.pending, AdminToken: s.ownerToken(), Have: have})
+	// synced length (Add probes before buffering, and every path that
+	// drops the length empties pending), and the server applies the batch
+	// only if the store still holds exactly serverLen rows. A flush racing
+	// an anti-entropy repair of this replica — which can append these very
+	// rows, copied from a peer that acked them — is refused instead of
+	// doubling the tail.
+	resp, err := c.roundTrip(&request{Op: opEncAddBatch, Store: s.store, Batch: s.pending, AdminToken: s.ownerToken(), Have: s.serverLen})
 	if err != nil {
 		if c.stickyErr() == nil && IsStaleWrite(err) {
 			// Nothing was applied, but the base address moved: the buffered
@@ -602,15 +599,10 @@ func (s *StoreClient) flushLocked(c *Client) error {
 		// fail the connection loudly rather than let every later Fetch
 		// return the wrong row.
 		if c.stickyErr() == nil {
-			if lenResp, lerr := c.roundTrip(&request{Op: opEncLen, Store: s.store}); lerr == nil {
-				if s.lenSynced && lenResp.N != s.serverLen {
-					c.fail(fmt.Errorf(
-						"wire: flush: store %q length %d after rejected batch, expected %d: batch partially applied, handed-out addresses lost (%w)",
-						s.store, lenResp.N, s.serverLen, err))
-					return err
-				}
-				s.serverLen = lenResp.N
-				s.lenSynced = true
+			if lenResp, lerr := c.roundTrip(&request{Op: opEncLen, Store: s.store}); lerr == nil && lenResp.N != s.serverLen {
+				c.fail(fmt.Errorf(
+					"wire: flush: store %q length %d after rejected batch, expected %d: batch partially applied, handed-out addresses lost (%w)",
+					s.store, lenResp.N, s.serverLen, err))
 			}
 		}
 		return err
@@ -757,18 +749,11 @@ func (s *StoreClient) Len() int {
 	return n
 }
 
-// rows performs a row-returning read.
-func (s *StoreClient) rows(req *request) ([]storage.EncRow, error) {
-	resp, err := s.read(req)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Rows, nil
-}
-
-// AttrColumnErr is AttrColumn with the error surfaced.
+// AttrColumnErr is AttrColumn with the error surfaced: a pull from the
+// zero version, which no namespace matches.
 func (s *StoreClient) AttrColumnErr() ([]storage.EncRow, error) {
-	return s.rows(&request{Op: opEncAttrColumn})
+	rows, _, _, err := s.AttrColumnSince(storage.EncVersion{}, 0)
+	return rows, err
 }
 
 // AttrColumn implements technique.EncStore.
@@ -778,15 +763,21 @@ func (s *StoreClient) AttrColumn() []storage.EncRow {
 	return rows
 }
 
-// Fetch implements technique.EncStore.
+// Fetch implements technique.EncStore as a fetch batch of one list.
 func (s *StoreClient) Fetch(addrs []int) ([]storage.EncRow, error) {
-	return s.rows(&request{Op: opEncFetch, Addrs: addrs})
+	batches, err := s.FetchBatch([][]int{addrs})
+	if err != nil {
+		return nil, err
+	}
+	if len(batches) != 1 {
+		return nil, fmt.Errorf("wire: fetch: store %q answered %d row sets for one address list", s.store, len(batches))
+	}
+	return batches[0], nil
 }
 
-// FetchBatch implements technique.BatchEncStore: a single round trip
-// returns the rows for every address list, so a batched search pays one
-// network latency for the whole batch's bin fetches instead of one per
-// query.
+// FetchBatch implements technique.EncStore: a single round trip returns
+// the rows for every address list, so a batched search pays one network
+// latency for the whole batch's bin fetches instead of one per query.
 func (s *StoreClient) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
 	resp, err := s.read(&request{Op: opEncFetchBatch, AddrBatches: addrBatches})
 	if err != nil {
@@ -811,9 +802,10 @@ func (s *StoreClient) LookupToken(tok []byte) []int {
 	return addrs
 }
 
-// RowsErr is Rows with the error surfaced.
+// RowsErr is Rows with the error surfaced: a pull from the zero version.
 func (s *StoreClient) RowsErr() ([]storage.EncRow, error) {
-	return s.rows(&request{Op: opEncRows})
+	rows, _, _, err := s.RowsSince(storage.EncVersion{}, 0)
+	return rows, err
 }
 
 // Rows implements technique.EncStore.
@@ -823,9 +815,7 @@ func (s *StoreClient) Rows() []storage.EncRow {
 	return rows
 }
 
-// --- technique.VersionedEncStore ----------------------------------------
-
-// EncVersion implements technique.VersionedEncStore: the namespace's
+// EncVersion implements technique.EncStore: the namespace's
 // current version in one tiny round trip. An owner-side cache composes
 // with reconnection for free: it is keyed by the store's version epoch,
 // which survives a transport blip unchanged (same server process) and
@@ -848,7 +838,7 @@ func (s *StoreClient) since(o op, v storage.EncVersion, have int) ([]storage.Enc
 	return resp.Rows, storage.EncVersion{Epoch: resp.VerEpoch, N: resp.VerN}, resp.Delta, nil
 }
 
-// AttrColumnSince implements technique.VersionedEncStore: the conditional
+// AttrColumnSince implements technique.EncStore: the conditional
 // column pull. When the cache version v still matches the namespace's
 // epoch, the response carries only the rows past have (delta=true; empty
 // on a clean hit — a not-modified frame of a few bytes instead of the
@@ -857,7 +847,7 @@ func (s *StoreClient) AttrColumnSince(v storage.EncVersion, have int) ([]storage
 	return s.since(opEncAttrColumnIf, v, have)
 }
 
-// RowsSince implements technique.VersionedEncStore: the conditional full-
+// RowsSince implements technique.EncStore: the conditional full-
 // row pull, same delta contract as AttrColumnSince.
 func (s *StoreClient) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
 	return s.since(opEncRowsIf, v, have)

@@ -33,7 +33,7 @@ import (
 // outside the op table, so every envelope has exactly one encoding.
 //
 // Values: every integer field is a zigzag varint, so the negative
-// sentinels ride as they are (Have -1 = unconditional, Addr -1 = empty
+// sentinels ride as they are (Have -1 = resend everything, Addr -1 = empty
 // batch, StoreInfo.PlainTuples -1 = no relation); a bool field is a tag
 // with no value. Byte strings are nil-aware (0 encodes nil, n+1 encodes n
 // bytes): the encrypted store indexes a row's token only when it is
@@ -84,9 +84,6 @@ func (q *request) fields(c *codec) {
 	}
 	if c.field(len(q.Batch) > 0) {
 		list(c, &q.Batch, 3, c.upload)
-	}
-	if c.field(len(q.Addrs) > 0) {
-		list(c, &q.Addrs, 1, c.int)
 	}
 	if c.field(len(q.AddrBatches) > 0) {
 		list(c, &q.AddrBatches, 1, c.addrs)

@@ -47,17 +47,19 @@ func TestBinRequestRoundTrip(t *testing.T) {
 	reqs := []*request{
 		{Op: opPing, ID: 1},
 		{Op: opEncLen, ID: 2, Store: "tenant"},
-		{Op: opEncAttrColumn, ID: 3, Store: "a/b c"},
-		{Op: opEncRows, ID: 4},
+		// A full column or row pull is the conditional pull from the zero
+		// version.
+		{Op: opEncAttrColumnIf, ID: 3, Store: "a/b c"},
+		{Op: opEncRowsIf, ID: 4},
 		{Op: opPlainSearch, ID: 5, Store: "s", Values: []relation.Value{relation.Int(9), relation.Str("q")}},
 		{Op: opPlainSearchRange, ID: 6, Lo: relation.Int(-100), Hi: relation.Int(100)},
 		{Op: opPlainInsert, ID: 7, Store: "s", AdminToken: []byte("tok"), Tuple: tuple, Have: 3},
-		{Op: opEncAddBatch, ID: 11, AdminToken: []byte("owner"), Have: -1, Batch: []EncUpload{
+		{Op: opEncAddBatch, ID: 11, AdminToken: []byte("owner"), Have: 2, Batch: []EncUpload{
 			{TupleCT: []byte("r0"), AttrCT: []byte("a0"), Token: []byte("t0")},
 			{TupleCT: []byte("r1"), AttrCT: nil, Token: nil},
 			{TupleCT: []byte("r2"), AttrCT: []byte{}, Token: []byte{}},
 		}},
-		{Op: opEncFetch, ID: 12, Addrs: []int{0, 5, 1 << 20}},
+		{Op: opEncFetchBatch, ID: 12, AddrBatches: [][]int{{0, 5, 1 << 20}}}, // a fetch: a batch of one list
 		{Op: opEncFetchBatch, ID: 13, AddrBatches: [][]int{{1, 2}, nil, {3}}},
 		{Op: opEncLookupToken, ID: 14, Store: "s", Token: []byte("needle")},
 		{Op: opEncVersion, ID: 15},
@@ -189,12 +191,12 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 			t.Errorf("request with a %s decoded successfully", name)
 		}
 	}
-	// An op outside the op table is a protocol violation, and so is the
-	// reserved slot 5 (the retired one-row upload): no client frames it.
+	// An op outside the op table is a protocol violation: no client frames
+	// it.
 	for _, tc := range []struct {
 		name string
 		o    op
-	}{{"zero op", 0}, {"reserved op 5", opRetired}, {"op past the table", opEnd}, {"unassigned op", 200}} {
+	}{{"zero op", 0}, {"op past the table", opEnd}, {"unassigned op", 200}} {
 		if tc.o.known() {
 			t.Errorf("op %d (%s) is known", tc.o, tc.name)
 		}
@@ -225,8 +227,8 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 	}
 	// A lying collection count larger than the remaining bytes must be
 	// rejected up front (it is what would otherwise force a huge
-	// allocation). Field 12 is Addrs.
-	lie := []byte{byte(opEncFetch), 1, 0, 12, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	// allocation). Field 12 is AddrBatches.
+	lie := []byte{byte(opEncFetchBatch), 1, 0, 12, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	if _, err := decodeRequest(lie); err == nil {
 		t.Error("request with lying addr count decoded successfully")
 	}

@@ -27,14 +27,14 @@ func seedRequests() [][]byte {
 		{Op: opPlainSearch, ID: 3, Values: []relation.Value{relation.Int(7), relation.Str("q")}},
 		{Op: opPlainSearchRange, ID: 4, Lo: relation.Int(-5), Hi: relation.Int(5)},
 		{Op: opPlainInsert, ID: 5, AdminToken: []byte("o"), Tuple: relation.Tuple{ID: 1, Values: []relation.Value{relation.Int(9)}}},
-		{Op: opEncAddBatch, ID: 7, AdminToken: []byte("o"), Batch: batch, Have: -1},
-		{Op: opEncFetch, ID: 8, Addrs: []int{0, 1, 2}},
+		{Op: opEncAddBatch, ID: 7, AdminToken: []byte("o"), Batch: batch, Have: 4},
+		{Op: opEncFetchBatch, ID: 8, AddrBatches: [][]int{{0, 1, 2}}}, // a fetch: a batch of one list
 		{Op: opEncFetchBatch, ID: 9, AddrBatches: [][]int{{1}, {2, 3}}},
 		{Op: opEncLookupToken, ID: 10, Token: []byte("needle")},
 		{Op: opEncAttrColumnIf, ID: 11, CondEpoch: 3, CondN: 2, Have: -1},
 		{Op: opEncRowsIf, ID: 25, CondEpoch: 3, CondN: 2, Have: 1},
-		{Op: opEncAttrColumn, ID: 26},
-		{Op: opEncRows, ID: 27, Store: "s"},
+		{Op: opEncAttrColumnIf, ID: 26},       // a full column pull: the zero version
+		{Op: opEncRowsIf, ID: 27, Store: "s"}, // a full row pull: the zero version
 		{Op: opEncVersion, ID: 28},
 		{Op: opPlainLoad, ID: 12, AdminToken: []byte("o"), Attr: "K",
 			Schema: relation.MustSchema("T", relation.Column{Name: "K", Kind: relation.KindInt}),
@@ -52,14 +52,14 @@ func seedRequests() [][]byte {
 		{Op: opRepairAppend, ID: 23, Store: "s", Batch: batch, Have: 5, RingToken: []byte("ring")},
 		{Op: opRingRepair, ID: 24, Store: "s"},
 	}
-	out := make([][]byte, 0, len(reqs)+1)
+	// The last frame carries an op number past the table — one the deleted
+	// read ops held before protocol v8 — so the decoder must refuse it
+	// however the rest of the body mutates.
+	reqs = append(reqs, &request{Op: opEnd, ID: 6, Store: "s", AddrBatches: [][]int{{0}}})
+	out := make([][]byte, 0, len(reqs))
 	for _, r := range reqs {
 		out = append(out, appendRequest(nil, r))
 	}
-	// The retired one-row upload, as its frames used to look (op 5, ID 6,
-	// default store, no owner token, "ct"/"a"/"t"): the slot is reserved,
-	// so the decoder must refuse it however the rest of the body mutates.
-	out = append(out, []byte{5, 6, 0, 0, 3, 'c', 't', 2, 'a', 2, 't'})
 	return out
 }
 
@@ -116,7 +116,7 @@ func FuzzDecodeBinRequest(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add(binary.AppendUvarint([]byte{byte(opEncFetch), 1, 0, 12}, 1<<40)) // lying count
+	f.Add(binary.AppendUvarint([]byte{byte(opEncFetchBatch), 1, 0, 12}, 1<<40)) // lying count
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeRequest(body)
 		if err == nil && req == nil {

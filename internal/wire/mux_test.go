@@ -59,8 +59,8 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 		// Reply in reverse order; payload identifies the request it
 		// answers (Fetch addr echoed back as the row address).
 		for i := len(reqs) - 1; i >= 0; i-- {
-			resp := response{ID: reqs[i].ID, Rows: []storage.EncRow{{Addr: reqs[i].Addrs[0], TupleCT: []byte("x")}}}
-			if err := ss.writeResponse(opEncFetch, &resp); err != nil {
+			resp := response{ID: reqs[i].ID, RowBatches: [][]storage.EncRow{{{Addr: reqs[i].AddrBatches[0][0], TupleCT: []byte("x")}}}}
+			if err := ss.writeResponse(opEncFetchBatch, &resp); err != nil {
 				done <- err
 				return
 			}
@@ -74,13 +74,13 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 		wg.Add(1)
 		go func(addr int) {
 			defer wg.Done()
-			resp, err := c.roundTrip(&request{Op: opEncFetch, Addrs: []int{addr}})
+			resp, err := c.roundTrip(&request{Op: opEncFetchBatch, AddrBatches: [][]int{{addr}}})
 			if err != nil {
 				errs[addr] = err
 				return
 			}
-			if len(resp.Rows) != 1 || resp.Rows[0].Addr != addr {
-				errs[addr] = fmt.Errorf("caller %d got response payload %v", addr, resp.Rows)
+			if len(resp.RowBatches) != 1 || len(resp.RowBatches[0]) != 1 || resp.RowBatches[0][0].Addr != addr {
+				errs[addr] = fmt.Errorf("caller %d got response payload %v", addr, resp.RowBatches)
 			}
 		}(i)
 	}

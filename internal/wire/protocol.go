@@ -40,10 +40,12 @@
 // oversized length prefix, so either side just closes the connection.
 // Large row pulls stream in bounded chunks (see frame.go).
 //
-// Reads come in batched flavours too: opEncFetchBatch serves one address
-// list per query of a batched search in a single round trip, which is how
-// StoreClient satisfies technique.BatchEncStore and how a remote
-// QueryBatch avoids paying one network latency per query.
+// Each read shape has one op. opEncFetchBatch serves one address list per
+// query of a batched search in a single round trip, so a remote QueryBatch
+// avoids paying one network latency per query; a single fetch is a batch
+// of one list. opEncAttrColumnIf and opEncRowsIf are the conditional
+// column and row pulls; a full pull is the conditional pull from the zero
+// version, which no store matches.
 //
 // The control plane rides the same protocol: namespace lifecycle ops
 // (list/stats/drop/compact) authenticated by a per-namespace owner token
@@ -69,12 +71,18 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 7 moved every
-// op — the hello, the clear-text load, the admin and ring planes — onto
-// one field-wise binary codec and deleted the per-connection gob stream
-// and the raw gob hello, so the hello is an ordinary first frame and
-// version skew against a gob-era peer shows up as a closed connection
-// rather than a version message. Version 6 made the client mutation ops
+// ProtocolVersion is the wire protocol generation. Version 8 left one op
+// per read shape: the unconditional column and row pulls and the
+// single-list fetch were deleted (their reads ride opEncAttrColumnIf and
+// opEncRowsIf from the zero version and a one-list opEncFetchBatch), the
+// op table was renumbered without the reserved slot 5, and the client
+// mutation ops became conditional only: a Have below zero fails the length
+// CAS like any stale one. Version 7 moved every op — the hello, the
+// clear-text load, the admin and ring planes — onto one field-wise binary
+// codec and deleted the per-connection gob stream and the raw gob hello,
+// so the hello is an ordinary first frame and version skew against a
+// gob-era peer shows up as a closed connection rather than a version
+// message. Version 6 made the client mutation ops
 // conditional: opPlainInsert and opEncAddBatch carry the length the
 // writer expects the partition to hold (request.Have) and the server
 // applies them only if it still does, so a mutation that races
@@ -94,7 +102,7 @@ import (
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
 // 1 had no handshake and a single implicit store.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -109,13 +117,9 @@ const (
 	opPlainSearch
 	opPlainSearchRange
 	opPlainInsert
-	opRetired // 5 was opEncAdd (one row per frame): reserved, every upload is an opEncAddBatch
 	opEncAddBatch
 	opEncLen
-	opEncAttrColumn
-	opEncFetch
 	opEncLookupToken
-	opEncRows
 	opPing
 	// opEncFetchBatch serves a whole batch's bin fetches in one round
 	// trip: one address list per query in, one row set per query out.
@@ -140,11 +144,11 @@ const (
 
 	// Version-validated caching ops (protocol v4). opEncVersion returns the
 	// namespace's current storage.EncVersion. opEncAttrColumnIf and
-	// opEncRowsIf are the conditional forms of opEncAttrColumn/opEncRows:
-	// the request carries the version the client's cache was validated at
-	// plus how many rows it holds, and the server answers with only the
-	// missing suffix (delta) — an empty delta being a tiny not-modified
-	// frame — or the full set when the epoch does not match.
+	// opEncRowsIf are the column and row pulls: the request carries the
+	// version the client's cache was validated at plus how many rows it
+	// holds, and the server answers with only the missing suffix (delta) —
+	// an empty delta being a tiny not-modified frame — or the full set when
+	// the epoch does not match (always, from the zero version).
 	opEncVersion
 	opEncAttrColumnIf
 	opEncRowsIf
@@ -191,8 +195,8 @@ const (
 )
 
 // known reports whether o is in the op table; the codec refuses anything
-// else, the reserved slot included.
-func (o op) known() bool { return o >= opPlainLoad && o < opEnd && o != opRetired }
+// else.
+func (o op) known() bool { return o >= opPlainLoad && o < opEnd }
 
 // request is the single wire request envelope; fields are populated
 // according to Op.
@@ -226,7 +230,6 @@ type request struct {
 	// Encrypted store fields.
 	Token []byte
 	Batch []EncUpload
-	Addrs []int
 	// AddrBatches is one address list per query (opEncFetchBatch).
 	AddrBatches [][]int
 
@@ -235,7 +238,7 @@ type request struct {
 	// The mutation ops reuse Have as their length CAS: opEncAddBatch and
 	// opPlainInsert apply only if the partition still holds exactly Have
 	// rows/tuples, answering a stale-write error (see IsStaleWrite)
-	// otherwise; Have < 0 applies unconditionally.
+	// otherwise — a Have below zero included.
 	CondEpoch uint64
 	CondN     uint64
 	Have      int
@@ -329,8 +332,8 @@ type StoreInfo struct {
 const staleWriteMark = "wire: stale write"
 
 // IsStaleWrite reports whether err is a server's rejection of a
-// conditional mutation (opPlainInsert/opEncAddBatch with Have >= 0) whose
-// expected length no longer matched. Nothing was applied: the server's
+// conditional mutation (opPlainInsert/opEncAddBatch) whose expected length
+// no longer matched. Nothing was applied: the server's
 // partition moved underneath the writer — anti-entropy repair caught the
 // replica up, or another writer shares the namespace — so the addresses
 // the writer computed can no longer be honoured and it must re-learn the

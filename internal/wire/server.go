@@ -399,7 +399,7 @@ func (s *serverStream) readRequest() (*request, error) {
 // row sets in bounded chunks.
 func (s *serverStream) writeResponse(o op, resp *response) error {
 	switch o {
-	case opEncAttrColumn, opEncRows, opEncAttrColumnIf, opEncRowsIf:
+	case opEncAttrColumnIf, opEncRowsIf:
 		if resp.Err == "" && len(resp.Rows) > 0 {
 			return s.writeChunkedRows(resp)
 		}
@@ -638,22 +638,16 @@ func (c *Cloud) dispatch(req *request) response {
 		if plain == nil {
 			return response{Err: "wire: no relation loaded in store " + name}
 		}
-		if req.Have >= 0 {
-			// Length CAS (protocol v6): apply only if the relation is still
-			// where the writer last saw it, so an insert racing a repair
-			// restore cannot re-append a tuple the restored state already
-			// contains.
-			if n, err := plain.InsertIfLen(req.Tuple, req.Have); err != nil {
-				if errors.Is(err, storage.ErrLenMismatch) {
-					return response{Err: fmt.Sprintf(
-						"%s: store %q holds %d tuples, writer expected %d (nothing applied)",
-						staleWriteMark, name, n, req.Have)}
-				}
-				return response{Err: err.Error()}
+		// Length CAS (protocol v6): apply only if the relation is still
+		// where the writer last saw it, so an insert racing a repair
+		// restore cannot re-append a tuple the restored state already
+		// contains.
+		if n, err := plain.InsertIfLen(req.Tuple, req.Have); err != nil {
+			if errors.Is(err, storage.ErrLenMismatch) {
+				return response{Err: fmt.Sprintf(
+					"%s: store %q holds %d tuples, writer expected %d (nothing applied)",
+					staleWriteMark, name, n, req.Have)}
 			}
-			return response{}
-		}
-		if err := plain.Insert(req.Tuple); err != nil {
 			return response{Err: err.Error()}
 		}
 		return response{}
@@ -667,38 +661,23 @@ func (c *Cloud) dispatch(req *request) response {
 				return response{Err: fmt.Sprintf("wire: enc add batch: row %d has empty tuple ciphertext", i)}
 			}
 		}
-		if req.Have >= 0 {
-			// Length CAS (protocol v6): the batch's client-side addresses
-			// were assigned at base Have, so it lands atomically only if the
-			// store is still there — a flush racing an anti-entropy tail
-			// copy of the same rows is refused instead of doubling them.
-			rows := make([]storage.EncRow, len(req.Batch))
-			for i, u := range req.Batch {
-				rows[i] = storage.EncRow{TupleCT: u.TupleCT, AttrCT: u.AttrCT, Token: u.Token}
-			}
-			n, err := encStore.AppendIfLen(rows, req.Have)
-			if err != nil {
-				return response{Err: fmt.Sprintf(
-					"%s: store %q holds %d encrypted rows, writer expected %d (nothing applied)",
-					staleWriteMark, name, n, req.Have)}
-			}
-			return response{Addr: n - 1, N: len(req.Batch)}
+		// Length CAS (protocol v6): the batch's client-side addresses were
+		// assigned at base Have, so it lands atomically only if the store is
+		// still there — a flush racing an anti-entropy tail copy of the same
+		// rows is refused instead of doubling them.
+		rows := make([]storage.EncRow, len(req.Batch))
+		for i, u := range req.Batch {
+			rows[i] = storage.EncRow{TupleCT: u.TupleCT, AttrCT: u.AttrCT, Token: u.Token}
 		}
-		last := -1
-		for _, u := range req.Batch {
-			last = encStore.Add(u.TupleCT, u.AttrCT, u.Token)
+		n, err := encStore.AppendIfLen(rows, req.Have)
+		if err != nil {
+			return response{Err: fmt.Sprintf(
+				"%s: store %q holds %d encrypted rows, writer expected %d (nothing applied)",
+				staleWriteMark, name, n, req.Have)}
 		}
-		return response{Addr: last, N: len(req.Batch)}
+		return response{Addr: n - 1, N: len(req.Batch)}
 	case opEncLen:
 		return response{N: encStore.Len()}
-	case opEncAttrColumn:
-		return response{Rows: encStore.AttrColumn()}
-	case opEncFetch:
-		rows, err := encStore.Fetch(req.Addrs)
-		if err != nil {
-			return response{Err: err.Error()}
-		}
-		return response{Rows: rows}
 	case opEncFetchBatch:
 		batches, err := encStore.FetchBatch(req.AddrBatches)
 		if err != nil {
@@ -707,8 +686,6 @@ func (c *Cloud) dispatch(req *request) response {
 		return response{RowBatches: batches}
 	case opEncLookupToken:
 		return response{Addrs: encStore.LookupToken(req.Token)}
-	case opEncRows:
-		return response{Rows: encStore.Rows()}
 	case opEncVersion:
 		v, _ := encStore.EncVersion()
 		return response{VerEpoch: v.Epoch, VerN: v.N}

@@ -99,6 +99,46 @@ func TestHelloRejectsLegacyClient(t *testing.T) {
 	}
 }
 
+// TestUnconditionalMutationRefused: every client mutation is conditional.
+// A raw opEncAddBatch or opPlainInsert carrying Have -1 — the
+// unconditional form protocol v6 and v7 still applied — fails the length
+// CAS as a stale write against a populated namespace, and neither
+// partition moves.
+func TestUnconditionalMutationRefused(t *testing.T) {
+	cl, addr := startCloudListener(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	master := []byte("unconditional master")
+	loadTenant(t, c, "tenant", master) // 8 tuples, 5 encrypted rows
+	tok := OwnerToken(master, "tenant")
+
+	conn := dialRaw(t, addr)
+	sendFrame(t, conn, &request{ID: 1, Op: opHello, Version: ProtocolVersion})
+	if resp, err := recvFrame(conn); err != nil || resp.Err != "" {
+		t.Fatalf("hello: %+v, %v", resp, err)
+	}
+	for i, req := range []*request{
+		{Op: opEncAddBatch, Batch: []EncUpload{{TupleCT: []byte("ct")}}},
+		{Op: opPlainInsert, Tuple: relation.Tuple{ID: 99, Values: []relation.Value{relation.Int(99)}}},
+	} {
+		req.ID, req.Store, req.AdminToken, req.Have = uint64(2+i), "tenant", tok, -1
+		sendFrame(t, conn, req)
+		resp, err := recvFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(resp.Err, staleWriteMark) {
+			t.Errorf("op %d with Have -1 answered %+v, want a stale-write refusal", req.Op, resp)
+		}
+	}
+	if st := cl.Stats()["tenant"]; st.EncRows != 5 || st.PlainTuples != 8 {
+		t.Fatalf("refused writes moved the namespace: %d rows, %d tuples; want 5, 8", st.EncRows, st.PlainTuples)
+	}
+}
+
 // TestHelloRejectsVersionSkew: an opHello carrying the wrong version is
 // refused explicitly with both versions named.
 func TestHelloRejectsVersionSkew(t *testing.T) {
@@ -372,6 +412,7 @@ func TestTransportConformance(t *testing.T) {
 		VerN                uint64
 		HitRows, TailRows   []storage.EncRow
 		HitDelta, TailDelta bool
+		Column, AllRows     []storage.EncRow
 		Len                 int
 		Stats               StoreStats
 	}
@@ -431,6 +472,12 @@ func TestTransportConformance(t *testing.T) {
 				t.Fatalf("have=-1 pulls: %d/%d rows, delta %v/%v; want the full 8, no delta",
 					len(full), len(fullRows), fullDelta, rowsDelta)
 			}
+			// The unconditional pulls are the conditional ones from the zero
+			// version: the same rows, one server op each, never a cond hit.
+			got.Column, got.AllRows = v.AttrColumn(), v.Rows()
+			if !reflect.DeepEqual(got.Column, full) || !reflect.DeepEqual(got.AllRows, fullRows) {
+				t.Fatalf("AttrColumn/Rows differ from the full conditional pulls: %v / %v", got.Column, got.AllRows)
+			}
 			check(v.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}))
 			got.Len = v.Len()
 			if v.LogicalErrCount() != 0 || v.Err() != nil {
@@ -444,7 +491,8 @@ func TestTransportConformance(t *testing.T) {
 
 			if len(got.Search) != 4 || len(got.Range) != 8 || len(got.Lookup) != 6 || len(got.Batch) != 2 ||
 				!got.HitDelta || len(got.HitRows) != 0 || !got.TailDelta || len(got.TailRows) != 2 ||
-				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 21 {
+				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 21 ||
+				got.Stats.Ops != 18 || got.Stats.CondHits != 2 {
 				t.Fatalf("script answers wrong: %+v", got)
 			}
 			if want == nil {

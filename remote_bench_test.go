@@ -44,7 +44,7 @@ func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, 
 // 256-selection batch against a cloud reached over the multiplexed wire
 // protocol, sequential vs QueryBatch at 1, 4 and GOMAXPROCS workers, on
 // both an in-memory net.Pipe transport and real TCP loopback. QueryBatch
-// pays one opEncAttrColumn and one opEncFetchBatch round trip for the
+// pays one opEncAttrColumnIf and one opEncFetchBatch round trip for the
 // whole batch where the sequential loop pays one pair per query, so the
 // batched sub-benchmarks win even on a single CPU; extra workers
 // additionally parallelise the plaintext fetches against the server-side
