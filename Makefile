@@ -72,11 +72,13 @@ smoke:
 			-read-frac 1 -kill-at 1500ms -restart-after 400ms -check -assert $$arm; \
 	done
 
-# Static analysis. qbvet (the repo's own go/analysis-style suite: sensleak,
-# lockdiscipline, pooldiscipline, cmpconst, nakedclock) is stdlib-only and
-# always runs. staticcheck and govulncheck run when installed — CI installs
-# the pinned versions above; offline sandboxes skip them with a notice.
-lint:
+# Static analysis. go vet (whose copylocks check is the repo's rule against
+# copied mutexes) and qbvet (the repo's own go/analysis-style suite:
+# sensleak, lockdiscipline, pooldiscipline, cmpconst, nakedclock) are
+# stdlib-only and always run. staticcheck and govulncheck run when installed
+# — CI installs the pinned versions above; offline sandboxes skip them with
+# a notice.
+lint: vet
 	$(GO) build -o bin/qbvet ./cmd/qbvet
 	bin/qbvet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -1,6 +1,7 @@
-// Rangejoin: exercises the full-version extensions — range selections over
-// the B+-tree-backed plaintext store, dynamic inserts with fake-tuple
-// rebalancing, and an owner-side equi-join of two QB-partitioned relations.
+// Rangejoin: exercises the full-version extensions — range selections
+// rewritten into searches of their covering bins, dynamic inserts with
+// fake-tuple rebalancing, and an owner-side equi-join of two QB-partitioned
+// relations.
 package main
 
 import (

@@ -97,10 +97,6 @@ func AnalyzeViews(views []cloud.View) *BinGraph {
 // Edges returns the number of observed associations.
 func (g *BinGraph) Edges() int { return len(g.edges) }
 
-// HasEdge reports whether sensitive group si was seen with non-sensitive
-// group ni.
-func (g *BinGraph) HasEdge(si, ni int) bool { return g.edges[[2]int{si, ni}] }
-
 // IsCompleteBipartite reports whether every sensitive footprint has been
 // associated with every non-sensitive footprint — the condition under which
 // all surviving matches are preserved and the adversary learns nothing
@@ -113,18 +109,4 @@ func (g *BinGraph) IsCompleteBipartite() bool {
 // surviving match of bins that leaks information (Figure 4b).
 func (g *BinGraph) DroppedMatches() int {
 	return len(g.SensGroups)*len(g.NSGroups) - len(g.edges)
-}
-
-// SurvivingValueMatches bounds the adversary's knowledge at value
-// granularity: with nSens sensitive and nNS non-sensitive values, a
-// complete bipartite bin graph keeps all nSens*nNS value-level surviving
-// matches; every dropped bin edge removes (values-per-sens-bin ×
-// values-per-ns-bin) candidate matches.
-func (g *BinGraph) SurvivingValueMatches(nSens, nNS int) int {
-	if len(g.SensGroups) == 0 || len(g.NSGroups) == 0 {
-		return nSens * nNS
-	}
-	perSens := (nSens + len(g.SensGroups) - 1) / len(g.SensGroups)
-	perNS := (nNS + len(g.NSGroups) - 1) / len(g.NSGroups)
-	return len(g.edges) * perSens * perNS
 }

@@ -71,17 +71,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// CalleeIs reports whether call invokes the function or method named name
-// declared in package pkgPath (methods match by name regardless of
-// receiver type).
-func CalleeIs(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	obj := CalleeObj(info, call)
-	if obj == nil || obj.Name() != name {
-		return false
-	}
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // IsConversion reports whether call is a type conversion (string(x),
 // []byte(x), T(x)).
 func IsConversion(info *types.Info, call *ast.CallExpr) bool {

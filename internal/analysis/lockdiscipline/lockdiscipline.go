@@ -1,22 +1,24 @@
 // Package lockdiscipline machine-checks the locking conventions
 // docs/ARCHITECTURE.md states in prose:
 //
-//  1. no mutex (or struct containing one) is copied, passed, or returned
-//     by value — a copied lock guards nothing;
-//  2. no field of a lock-guarded object is written while only its read
+//  1. no field of a lock-guarded object is written while only its read
 //     lock is held (RLock regions are read-only);
-//  3. inside internal/storage — the package owning the per-store lock
+//  2. inside internal/storage — the package owning the per-store lock
 //     discipline — every direct mutation of a shared lock-bearing object
 //     (Store, StoreSet, EncryptedStore, token shards) must be dominated
 //     by a .Lock() on one of that object's mutexes. Locally constructed
 //     objects (constructors building a store nobody shares yet) are
 //     exempt.
 //
+// Copied locks (a mutex passed, returned or assigned by value) are go
+// vet's copylocks check, which `make lint` runs; this pass does not repeat
+// it.
+//
 // The analysis is intra-procedural and linear in source order, which
 // matches how the repository writes critical sections (lock at the top,
 // unlock via defer or straight-line code). Mutations through method calls
 // are deliberately out of scope: methods synchronize internally, and rule
-// 3 is about the raw field writes only the owning package can make.
+// 2 is about the raw field writes only the owning package can make.
 //
 // Helpers that run inside a caller's critical section declare it with the
 // repository convention — a name ending in Locked, or a doc comment
@@ -35,11 +37,11 @@ import (
 // Analyzer is the lockdiscipline pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "per-store write-lock discipline: no mutex copies, no writes under RLock, storage mutations dominated by the write lock",
+	Doc:  "per-store write-lock discipline: no writes under RLock, storage mutations dominated by the write lock",
 	Run:  run,
 }
 
-// scopePkgs are the packages where rule 3 (unlocked-mutation) applies.
+// scopePkgs are the packages where rule 2 (unlocked-mutation) applies.
 var scopePkgs = []string{"repro/internal/storage"}
 
 func inScope(pkgPath string) bool {
@@ -53,97 +55,16 @@ func inScope(pkgPath string) bool {
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				checkCopies(pass, fn.Type)
-				if fn.Body != nil {
-					w := newWalker(pass, fn)
-					w.walkBlock(fn.Body)
-				}
-				return false
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				newWalker(pass, fn).walkBlock(fn.Body)
 			}
-			return true
-		})
-		// Copies in assignments anywhere in the file (including inside
-		// function literals, which the FuncDecl walker also covers for
-		// lock-state purposes via walkBlock's recursion).
-		ast.Inspect(file, func(n ast.Node) bool {
-			if as, ok := n.(*ast.AssignStmt); ok {
-				checkAssignCopies(pass, as)
-			}
-			if fl, ok := n.(*ast.FuncLit); ok {
-				checkCopies(pass, fl.Type)
-			}
-			return true
-		})
+		}
 	}
 	return nil
 }
 
-// --- rule 1: mutex copies ------------------------------------------------
-
-func checkCopies(pass *analysis.Pass, ftyp *ast.FuncType) {
-	report := func(field *ast.Field, what string) {
-		pass.Reportf(field.Pos(), "%s carries a lock by value; pass a pointer (a copied mutex guards nothing)", what)
-	}
-	if ftyp.Params != nil {
-		for _, f := range ftyp.Params.List {
-			if fieldCopiesLock(pass, f) {
-				report(f, "parameter")
-			}
-		}
-	}
-	if ftyp.Results != nil {
-		for _, f := range ftyp.Results.List {
-			if fieldCopiesLock(pass, f) {
-				report(f, "result")
-			}
-		}
-	}
-}
-
-func fieldCopiesLock(pass *analysis.Pass, f *ast.Field) bool {
-	tv, ok := pass.TypesInfo.Types[f.Type]
-	if !ok {
-		return false
-	}
-	if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		return false
-	}
-	return analysis.ContainsMutex(tv.Type)
-}
-
-// checkAssignCopies flags x := *p and x := y where the copied value
-// contains a lock.
-func checkAssignCopies(pass *analysis.Pass, as *ast.AssignStmt) {
-	for i, rhs := range as.Rhs {
-		if i >= len(as.Lhs) {
-			break
-		}
-		// A copy into the blank identifier is discarded, not used as a lock.
-		if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-			continue
-		}
-		switch rhs.(type) {
-		case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		default:
-			continue // composite literals build fresh locks; calls return ownership
-		}
-		tv, ok := pass.TypesInfo.Types[rhs]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			continue
-		}
-		if analysis.ContainsMutex(tv.Type) {
-			pass.Reportf(rhs.Pos(), "assignment copies a lock-bearing value; share it through a pointer instead")
-		}
-	}
-}
-
-// --- rules 2 and 3: lock-state walker ------------------------------------
+// --- the lock-state walker ----------------------------------------------
 
 type lockState int
 
@@ -164,7 +85,7 @@ type walker struct {
 	localOrigin map[types.Object]bool
 	// recv is the method receiver object, if any.
 	recv     types.Object
-	scoped   bool // rule 3 applies (storage package)
+	scoped   bool // rule 2 applies (storage package)
 	funcLits int
 }
 

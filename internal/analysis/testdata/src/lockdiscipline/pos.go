@@ -18,12 +18,3 @@ func (c *Counter) BumpUnderRLock() {
 	defer c.mu.RUnlock()
 	c.n++ // want "holding only the read lock"
 }
-
-func CopyParam(c Counter) int { // want "parameter carries a lock by value"
-	return 0
-}
-
-func copyValue(c *Counter) {
-	snapshot := *c // want "assignment copies a lock-bearing value"
-	_ = snapshot
-}

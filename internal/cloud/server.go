@@ -45,8 +45,6 @@ type PlainBackend interface {
 	Load(rns *relation.Relation, attr string) error
 	// Search executes q(Wns)(Rns).
 	Search(values []relation.Value) []relation.Tuple
-	// SearchRange executes a clear-text range selection.
-	SearchRange(lo, hi relation.Value) []relation.Tuple
 	// Insert appends one non-sensitive tuple.
 	Insert(t relation.Tuple) error
 }
@@ -66,10 +64,7 @@ func (l *localPlain) Load(rns *relation.Relation, attr string) error {
 }
 
 func (l *localPlain) Search(values []relation.Value) []relation.Tuple { return l.ps.Search(values) }
-func (l *localPlain) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return l.ps.SearchRange(lo, hi)
-}
-func (l *localPlain) Insert(t relation.Tuple) error { return l.ps.Insert(t) }
+func (l *localPlain) Insert(t relation.Tuple) error                   { return l.ps.Insert(t) }
 
 // Server is one public cloud. It is safe for concurrent use: searches run
 // in parallel (the underlying stores are internally synchronised), and the
@@ -122,17 +117,9 @@ func (s *Server) Plain() *storage.PlainStore {
 	return s.local.ps
 }
 
-// Backend exposes the clear-text backend.
-func (s *Server) Backend() PlainBackend { return s.plain }
-
 // SearchPlain executes q(Wns)(Rns) and returns the matching tuples.
 func (s *Server) SearchPlain(values []relation.Value) []relation.Tuple {
 	return s.plain.Search(values)
-}
-
-// SearchPlainRange executes a clear-text range selection.
-func (s *Server) SearchPlainRange(lo, hi relation.Value) []relation.Tuple {
-	return s.plain.SearchRange(lo, hi)
 }
 
 // InsertPlain appends a non-sensitive tuple.

@@ -38,14 +38,6 @@ func TestSearchPlain(t *testing.T) {
 	}
 }
 
-func TestSearchPlainRange(t *testing.T) {
-	srv := testServer(t)
-	got := srv.SearchPlainRange(relation.Int(1), relation.Int(2))
-	if len(got) != 8 {
-		t.Fatalf("range returned %d tuples, want 8", len(got))
-	}
-}
-
 func TestInsertPlain(t *testing.T) {
 	srv := testServer(t)
 	err := srv.InsertPlain(relation.Tuple{ID: 100, Values: []relation.Value{relation.Int(99), relation.Str("y")}})

@@ -16,7 +16,6 @@ import (
 // ("the two occurrences of E152 have two different ciphertexts", §II).
 type Probabilistic struct {
 	aead cipher.AEAD
-	rand io.Reader
 }
 
 // NewProbabilistic builds a probabilistic cipher from a 16/24/32-byte key.
@@ -29,16 +28,13 @@ func NewProbabilistic(key []byte) (*Probabilistic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypto: probabilistic cipher: %w", err)
 	}
-	return &Probabilistic{aead: aead, rand: rand.Reader}, nil
+	return &Probabilistic{aead: aead}, nil
 }
-
-// SetRand overrides the nonce source; tests use it for determinism.
-func (p *Probabilistic) SetRand(r io.Reader) { p.rand = r }
 
 // Encrypt seals pt under a fresh random nonce. The result is nonce || ct.
 func (p *Probabilistic) Encrypt(pt []byte) ([]byte, error) {
 	nonce := make([]byte, p.aead.NonceSize())
-	if _, err := io.ReadFull(p.rand, nonce); err != nil {
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, fmt.Errorf("crypto: nonce: %w", err)
 	}
 	return p.aead.Seal(nonce, nonce, pt, nil), nil
@@ -67,6 +63,3 @@ func (p *Probabilistic) DecryptAppend(dst, ct []byte) ([]byte, error) {
 	}
 	return pt, nil
 }
-
-// Overhead returns the ciphertext expansion in bytes (nonce + tag).
-func (p *Probabilistic) Overhead() int { return p.aead.NonceSize() + p.aead.Overhead() }

@@ -218,20 +218,10 @@ func encodePayload(flag byte, t relation.Tuple) []byte {
 	return append([]byte{flag}, relation.EncodeTuple(t)...)
 }
 
-func decodePayload(p []byte) (relation.Tuple, bool, error) {
-	if len(p) < 1 {
-		return relation.Tuple{}, false, relation.ErrCorrupt
-	}
-	t, err := relation.DecodeTuple(p[1:])
-	if err != nil {
-		return relation.Tuple{}, false, err
-	}
-	return t, p[0] == flagFake, nil
-}
-
-// decodePayloadSlab is decodePayload drawing Values storage from a shared
-// slab — the q_merge loops decode one payload per retrieved row, and a
-// per-tuple allocation there was a top line in the remote query profile.
+// decodePayloadSlab decodes an encodePayload payload and reports whether
+// it is a fake, drawing Values storage from a shared slab — the q_merge
+// loops decode one payload per retrieved row, and a per-tuple allocation
+// there was a top line in the remote query profile.
 func decodePayloadSlab(p []byte, slab *[]relation.Value) (relation.Tuple, bool, error) {
 	if len(p) < 1 {
 		return relation.Tuple{}, false, relation.ErrCorrupt

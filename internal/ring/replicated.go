@@ -300,20 +300,8 @@ func (s *ReplicatedStore) readmit() {
 
 // Ping succeeds when any replica answers.
 func (s *ReplicatedStore) Ping() error {
-	var lastErr error
-	for _, idx := range s.readOrder() {
-		nc := s.replicas[idx]
-		if err := nc.transport().Ping(); err != nil {
-			lastErr = err
-			s.afterFailure(nc)
-			continue
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("ring: store %q: no replica answered ping", s.name)
-	}
-	return lastErr
+	_, err := readFrom(s, func(v *wire.StoreClient) (struct{}, error) { return struct{}{}, v.Ping() })
+	return err
 }
 
 // Err is the view's sticky transport health: nil while any replica's
@@ -397,35 +385,20 @@ func (s *ReplicatedStore) Add(tupleCT, attrCT, token []byte) int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	addr := -1
-	var quarantine []int
-	for i, nc := range s.replicas {
-		if !s.inSync[i] {
-			continue
-		}
-		if !nc.available() {
-			quarantine = append(quarantine, i)
-			continue
-		}
-		got := s.view(nc).Add(tupleCT, attrCT, token)
-		if got < 0 {
-			quarantine = append(quarantine, i)
-			s.afterFailure(nc)
-			continue
-		}
-		if addr == -1 {
+	err := s.fanOut(func(v *wire.StoreClient) error {
+		switch got := v.Add(tupleCT, attrCT, token); {
+		case got < 0:
+			return fmt.Errorf("ring: store %q: add failed: %w", s.name, v.LogicalErr())
+		case addr == -1:
 			addr = got
-			continue
+		case got != addr:
+			return fmt.Errorf("ring: store %q: replica handed out address %d, its peers %d", s.name, got, addr)
 		}
-		if got != addr {
-			quarantine = append(quarantine, i)
-		}
-	}
-	if addr == -1 {
-		s.noteLogical(fmt.Errorf("ring: store %q: add failed on every in-sync replica", s.name))
+		return nil
+	})
+	if err != nil {
+		s.noteLogical(err)
 		return -1
-	}
-	for _, i := range quarantine {
-		s.inSync[i] = false
 	}
 	return addr
 }
@@ -451,9 +424,11 @@ func (s *ReplicatedStore) Search(values []relation.Value) []relation.Tuple {
 	return readNoted(s, func(v *wire.StoreClient) ([]relation.Tuple, error) { return v.SearchErr(values) })
 }
 
-// SearchRange implements cloud.PlainBackend.
-func (s *ReplicatedStore) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return readNoted(s, func(v *wire.StoreClient) ([]relation.Tuple, error) { return v.SearchRangeErr(lo, hi) })
+// SearchRange is the wire.Backend pin: it records wire.ErrNoRangeSearch
+// and answers nothing, on no replica.
+func (s *ReplicatedStore) SearchRange(_, _ relation.Value) []relation.Tuple {
+	s.noteLogical(wire.ErrNoRangeSearch)
+	return nil
 }
 
 // Len implements technique.EncStore.

@@ -1,3 +1,14 @@
+// Package storage implements the cloud-side stores of the partitioned
+// computation model: a plaintext store for the non-sensitive relation
+// (hash-indexed on the searchable attribute) and an encrypted store for the
+// sensitive relation (address-based fetch plus an optional token index for
+// cloud-side-indexable techniques).
+//
+// All stores are safe for concurrent use: reads (lookups, scans, fetches)
+// take shared locks and may proceed in parallel, writes take exclusive
+// locks. Stored entries are append-only — the cloud never observes a
+// deletion — so slices handed out by read paths stay valid after the lock
+// is released.
 package storage
 
 import (
@@ -14,17 +25,16 @@ import (
 var ErrLenMismatch = errors.New("storage: relation length mismatch")
 
 // PlainStore is the cloud's clear-text store for the non-sensitive relation
-// Rns. It answers selection and range queries over the searchable attribute
-// using a hash index and a B+-tree, exactly as a public cloud database
-// would. It is safe for concurrent use: searches share a read lock and run
-// in parallel, inserts take the write lock.
+// Rns. It answers bin selections over the searchable attribute through a
+// hash index, exactly as a public cloud database would. It is safe for
+// concurrent use: searches share a read lock and run in parallel, inserts
+// take the write lock.
 type PlainStore struct {
 	mu      sync.RWMutex
 	rel     *relation.Relation
 	attr    string
 	attrIdx int
-	hash    *HashIndex
-	tree    *BTree
+	idx     map[relation.Value][]int // searchable value -> tuple positions
 }
 
 // NewPlainStore indexes rel on the searchable attribute attr.
@@ -37,12 +47,10 @@ func NewPlainStore(rel *relation.Relation, attr string) (*PlainStore, error) {
 		rel:     rel,
 		attr:    attr,
 		attrIdx: ci,
-		hash:    NewHashIndex(),
-		tree:    NewBTree(16),
+		idx:     make(map[relation.Value][]int),
 	}
 	for pos, t := range rel.Tuples {
-		s.hash.Add(t.Values[ci], pos)
-		s.tree.Insert(t.Values[ci], pos)
+		s.idx[t.Values[ci]] = append(s.idx[t.Values[ci]], pos)
 	}
 	return s, nil
 }
@@ -54,10 +62,8 @@ func (s *PlainStore) Insert(t relation.Tuple) error {
 	if err := s.rel.Append(t); err != nil {
 		return err
 	}
-	pos := s.rel.Len() - 1
 	v := t.Values[s.attrIdx]
-	s.hash.Add(v, pos)
-	s.tree.Insert(v, pos)
+	s.idx[v] = append(s.idx[v], s.rel.Len()-1)
 	return nil
 }
 
@@ -78,10 +84,8 @@ func (s *PlainStore) InsertIfLen(t relation.Tuple, expectedLen int) (int, error)
 	if err := s.rel.Append(t); err != nil {
 		return s.rel.Len(), err
 	}
-	pos := s.rel.Len() - 1
 	v := t.Values[s.attrIdx]
-	s.hash.Add(v, pos)
-	s.tree.Insert(v, pos)
+	s.idx[v] = append(s.idx[v], s.rel.Len()-1)
 	return s.rel.Len(), nil
 }
 
@@ -93,7 +97,11 @@ func (s *PlainStore) Len() int {
 }
 
 // DistinctValues returns the number of distinct searchable values.
-func (s *PlainStore) DistinctValues() int { return s.hash.Len() }
+func (s *PlainStore) DistinctValues() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.idx)
+}
 
 // Search returns every tuple whose searchable attribute is one of values —
 // the cloud-side execution of q(Wns)(Rns).
@@ -105,31 +113,17 @@ func (s *PlainStore) Search(values []relation.Value) []relation.Tuple {
 	// the server and its growth churn was visible in the remote profile.
 	n := 0
 	for _, v := range values {
-		n += len(s.hash.Lookup(v))
+		n += len(s.idx[v])
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]relation.Tuple, 0, n)
 	for _, v := range values {
-		for _, pos := range s.hash.Lookup(v) {
+		for _, pos := range s.idx[v] {
 			out = append(out, s.rel.Tuples[pos])
 		}
 	}
-	return out
-}
-
-// SearchRange returns every tuple with lo <= attr <= hi via the B+-tree.
-func (s *PlainStore) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []relation.Tuple
-	s.tree.Range(lo, hi, func(_ relation.Value, positions []int) bool {
-		for _, pos := range positions {
-			out = append(out, s.rel.Tuples[pos])
-		}
-		return true
-	})
 	return out
 }
 

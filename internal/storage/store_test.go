@@ -41,16 +41,25 @@ func TestPlainStoreSearch(t *testing.T) {
 	if got := ps.Search([]relation.Value{relation.Int(99)}); len(got) != 0 {
 		t.Errorf("absent value returned %d tuples", len(got))
 	}
-}
-
-func TestPlainStoreRange(t *testing.T) {
-	ps, err := NewPlainStore(genRelation(t, 50), "K")
+	// The index keys by value, kind included: Int 1 and Str "1" are two
+	// keys, and a value's tuples come back in position order.
+	s := relation.MustSchema("T", relation.Column{Name: "K", Kind: relation.KindString})
+	r := relation.New(s)
+	for _, k := range []string{"1", "2", "1"} {
+		r.MustInsert(relation.Str(k))
+	}
+	ps, err = NewPlainStore(r, "K")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ps.SearchRange(relation.Int(2), relation.Int(4))
-	if len(got) != 15 {
-		t.Fatalf("range returned %d tuples, want 15", len(got))
+	if got := ps.Search([]relation.Value{relation.Str("1")}); len(got) != 2 || got[0].ID != r.Tuples[0].ID || got[1].ID != r.Tuples[2].ID {
+		t.Errorf("Search(Str 1) = %v", got)
+	}
+	if got := ps.Search([]relation.Value{relation.Int(1)}); got != nil {
+		t.Errorf("Search(Int 1) over string keys = %v", got)
+	}
+	if ps.DistinctValues() != 2 {
+		t.Errorf("DistinctValues = %d", ps.DistinctValues())
 	}
 }
 
@@ -66,9 +75,11 @@ func TestPlainStoreInsert(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 100 {
 		t.Fatalf("insert not searchable: %v", got)
 	}
-	gotR := ps.SearchRange(relation.Int(42), relation.Int(42))
-	if len(gotR) != 1 {
-		t.Fatalf("insert not range-searchable: %v", gotR)
+	if n, err := ps.InsertIfLen(relation.Tuple{ID: 101, Values: []relation.Value{relation.Int(42), relation.Str("r")}}, 11); err != nil || n != 12 {
+		t.Fatalf("InsertIfLen = %d, %v", n, err)
+	}
+	if got := ps.Search([]relation.Value{relation.Int(42)}); len(got) != 2 || got[1].ID != 101 {
+		t.Fatalf("conditional insert not searchable: %v", got)
 	}
 }
 

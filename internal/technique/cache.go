@@ -13,9 +13,9 @@ import (
 
 // DefaultCacheBytes is the byte budget a Cache gets when the caller does
 // not pick one. It bounds the accounted size of every segment together
-// (column ciphertext bytes, payload plaintexts, token memos, Shamir
-// digests), so one owner process holds at most this much cached state per
-// store regardless of how large the outsourced relation grows.
+// (column ciphertext bytes, payload plaintexts, token memos), so one owner
+// process holds at most this much cached state per store regardless of how
+// large the outsourced relation grows.
 const DefaultCacheBytes = 64 << 20
 
 // Cache is the owner-side cross-query cache that kills the per-query
@@ -29,8 +29,7 @@ const DefaultCacheBytes = 64 << 20
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
 //     (addresses are stable within an epoch: the store is append-only and
 //     Compact preserves addressing);
-//   - DetIndex token→address memos, valid at one exact version;
-//   - ShamirScan reconstructed digests (in-process append-only columns).
+//   - DetIndex token→address memos, valid at one exact version.
 //
 // Safety: every segment is revalidated against the store before use — the
 // cache never turns a stale answer into a fresh-looking one. A version
@@ -70,10 +69,6 @@ type Cache struct {
 	memoVer   storage.EncVersion
 	memo      map[string][]int
 	memoBytes int
-
-	// Shamir segment: reconstructed attribute digests for the first
-	// len(shamir) rows of an append-only share column set.
-	shamir []uint64
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -163,7 +158,7 @@ func (c *Cache) recordSaved(n int) {
 // was, plus 8 bytes per indexed position and one map entry per distinct
 // value.
 func (c *Cache) bytesLocked() int {
-	n := c.payBytes + c.memoBytes + 8*len(c.shamir)
+	n := c.payBytes + c.memoBytes
 	if c.col != nil {
 		n += c.col.ct + 8*len(c.col.addrs) + payEntryOverhead*len(c.col.idx)
 	}
@@ -172,8 +167,7 @@ func (c *Cache) bytesLocked() int {
 
 // rebalanceLocked enforces the byte budget: payload entries go first
 // (FIFO — they are per-address and individually droppable), then the memo
-// map, then the column with its index. The Shamir segment is bounded at
-// store time.
+// map, then the column with its index.
 func (c *Cache) rebalanceLocked() {
 	for c.bytesLocked() > c.maxBytes && len(c.payOrder) > 0 {
 		addr := c.payOrder[0]
@@ -413,31 +407,4 @@ func (c *Cache) memoPut(cur storage.EncVersion, token string, addrs []int) {
 	c.memo[token] = addrs
 	c.memoBytes += len(token) + 8*len(addrs) + payEntryOverhead
 	c.rebalanceLocked()
-}
-
-// --- shamir segment ------------------------------------------------------
-
-// shamirSnapshot returns the cached digest prefix (shared read-only).
-func (c *Cache) shamirSnapshot() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shamir
-}
-
-// shamirStore publishes a longer digest prefix. The prefix is truncated to
-// whatever fits in the remaining byte budget (digests are recomputable, so
-// capping the cache merely costs future reconstructions).
-func (c *Cache) shamirStore(d []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(d) <= len(c.shamir) {
-		return
-	}
-	if room := (c.maxBytes - (c.bytesLocked() - 8*len(c.shamir))) / 8; len(d) > room {
-		if room <= len(c.shamir) {
-			return
-		}
-		d = d[:room]
-	}
-	c.shamir = d
 }

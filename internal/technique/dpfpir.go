@@ -39,18 +39,7 @@ type DPFPIR struct {
 	slotSize int
 	rows     int
 	dirty    bool
-
-	// cache, when set, only accounts: the padded table is already reused
-	// across queries (the dirty flag), so a clean scan is a cache hit — the
-	// table pull/rebuild a cacheless owner-cloud split would repeat — and a
-	// rebuild is a miss.
-	cache *Cache
 }
-
-// SetCache attaches (or, with nil, detaches) a cache for hit/miss
-// accounting of the padded-table reuse. Must be called before the
-// technique is shared across goroutines.
-func (d *DPFPIR) SetCache(c *Cache) { d.cache = c }
 
 // NewDPFPIR builds the technique over the derived key set.
 func NewDPFPIR(keys *crypto.KeySet) (*DPFPIR, error) {
@@ -141,12 +130,10 @@ func xorInto(dst, src []byte) {
 // lockForScan takes the read lock for a search, first rebuilding the
 // padded table if an outsource dirtied it: the rebuild upgrades to the
 // write lock with a double check (another searcher may have rebuilt in the
-// window). The caller must RUnlock. It reports whether this call (or a
-// racing one) found the table dirty — a padded-table cache miss.
-func (d *DPFPIR) lockForScan() (rebuilt bool) {
+// window). The caller must RUnlock.
+func (d *DPFPIR) lockForScan() {
 	d.mu.RLock()
 	if d.dirty {
-		rebuilt = true
 		d.mu.RUnlock()
 		d.mu.Lock()
 		if d.dirty {
@@ -155,23 +142,6 @@ func (d *DPFPIR) lockForScan() (rebuilt bool) {
 		d.mu.Unlock()
 		d.mu.RLock()
 	}
-	return rebuilt
-}
-
-// chargeTableCache folds a clean padded-table reuse (hit) or rebuild
-// (miss) into the stats when a cache is attached; an empty table counts
-// as neither.
-func (d *DPFPIR) chargeTableCache(st *Stats, rebuilt bool) {
-	if d.cache == nil || len(d.table) == 0 {
-		return
-	}
-	if rebuilt {
-		st.CacheMisses++
-		d.cache.recordMiss()
-		return
-	}
-	st.CacheHits++
-	d.cache.recordHit(0)
 }
 
 // Search implements Technique as a batch of one: a k-value bin shares
@@ -206,12 +176,11 @@ func (d *DPFPIR) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, er
 	if nq == 0 {
 		return out, agg, nil
 	}
-	rebuilt := d.lockForScan()
+	d.lockForScan()
 	defer d.mu.RUnlock()
 	if len(d.table) == 0 {
 		return out, agg, nil
 	}
-	d.chargeTableCache(agg, rebuilt)
 	bits := crypto.DPFDomainBits(len(d.table))
 
 	// Plan one PIR retrieval per (query, live value), each query's values

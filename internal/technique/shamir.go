@@ -35,61 +35,6 @@ type ShamirScan struct {
 	mu     sync.RWMutex
 	clouds [][]crypto.Share // clouds[c][row] share of attr digest
 	blobs  [][]byte         // sealed payloads, addressed by row
-	// cache, when set, holds the reconstructed digest prefix: the share
-	// columns are append-only, so digest[row] never changes and a repeat
-	// query reconstructs (and streams) only the appended tail.
-	cache *Cache
-}
-
-// SetCache attaches (or, with nil, detaches) an owner-side cache of
-// reconstructed digests. Must be called before the technique is shared
-// across goroutines.
-func (s *ShamirScan) SetCache(c *Cache) { s.cache = c }
-
-// cachedDigests returns the digest of every current row, reconstructing
-// only rows beyond the cached prefix, and charges st for the avoided and
-// performed work. Caller holds s.mu (read side suffices: the cache
-// synchronises itself and rows are immutable once appended).
-func (s *ShamirScan) cachedDigests(st *Stats) ([]uint64, error) {
-	n := len(s.blobs)
-	cached := s.cache.shamirSnapshot()
-	if len(cached) > n {
-		// A restart cannot shrink an in-process column set, but guard
-		// against a cache shared across instances.
-		cached = cached[:n]
-	}
-	// The clouds stream (and the owner reconstructs) only the tail.
-	tail := n - len(cached)
-	st.TuplesScanned += tail * s.NumClouds
-	st.TuplesTransferred += tail * s.Threshold
-	st.BytesTransferred += 16 * tail * s.Threshold
-	saved := 16 * len(cached) * s.Threshold
-	if tail == 0 && n > 0 {
-		st.CacheHits++
-		st.CacheBytesSaved += saved
-		s.cache.recordHit(saved)
-		return cached, nil
-	}
-	st.CacheMisses++
-	st.CacheBytesSaved += saved
-	s.cache.recordMiss()
-	s.cache.recordSaved(saved)
-	digests := make([]uint64, n)
-	copy(digests, cached)
-	sharesBuf := make([]crypto.Share, s.Threshold)
-	for row := len(cached); row < n; row++ {
-		for c := 0; c < s.Threshold; c++ {
-			sharesBuf[c] = s.clouds[c][row]
-		}
-		dig, err := crypto.Reconstruct(sharesBuf)
-		if err != nil {
-			return nil, fmt.Errorf("technique: shamir reconstruct row %d: %w", row, err)
-		}
-		st.EncOps++
-		digests[row] = dig
-	}
-	s.cache.shamirStore(digests)
-	return digests, nil
 }
 
 // NewShamirScan builds the technique with n clouds and threshold k.
@@ -193,36 +138,22 @@ func (s *ShamirScan) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats
 	defer s.mu.RUnlock()
 	n := len(s.blobs)
 	addrs := make([][]int, nq)
-	if s.cache != nil {
-		// Shared and cached: the clouds stream only the uncached tail, once
-		// for the whole batch.
-		digs, err := s.cachedDigests(agg)
+	// Shared scan: the share columns stream back once per batch.
+	agg.TuplesScanned = n * s.NumClouds
+	agg.TuplesTransferred = n * s.Threshold
+	agg.BytesTransferred = 16 * n * s.Threshold
+	sharesBuf := make([]crypto.Share, s.Threshold)
+	for row := 0; row < n; row++ {
+		for c := 0; c < s.Threshold; c++ {
+			sharesBuf[c] = s.clouds[c][row]
+		}
+		dig, err := crypto.Reconstruct(sharesBuf)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("technique: shamir reconstruct row %d: %w", row, err)
 		}
-		for row, dig := range digs {
-			for _, qi := range wantedBy[dig] {
-				addrs[qi] = append(addrs[qi], row)
-			}
-		}
-	} else {
-		// Shared scan: the share columns stream back once per batch.
-		agg.TuplesScanned = n * s.NumClouds
-		agg.TuplesTransferred = n * s.Threshold
-		agg.BytesTransferred = 16 * n * s.Threshold
-		sharesBuf := make([]crypto.Share, s.Threshold)
-		for row := 0; row < n; row++ {
-			for c := 0; c < s.Threshold; c++ {
-				sharesBuf[c] = s.clouds[c][row]
-			}
-			dig, err := crypto.Reconstruct(sharesBuf)
-			if err != nil {
-				return nil, nil, fmt.Errorf("technique: shamir reconstruct row %d: %w", row, err)
-			}
-			agg.EncOps++ // one reconstruction serves the whole batch
-			for _, qi := range wantedBy[dig] {
-				addrs[qi] = append(addrs[qi], row)
-			}
+		agg.EncOps++ // one reconstruction serves the whole batch
+		for _, qi := range wantedBy[dig] {
+			addrs[qi] = append(addrs[qi], row)
 		}
 	}
 

@@ -1,9 +1,20 @@
 package wire
 
 import (
+	"errors"
+
 	"repro/internal/cloud"
+	"repro/internal/relation"
 	"repro/internal/technique"
 )
+
+// ErrNoRangeSearch is what a Backend's SearchRange records as a logical
+// error. The cloud serves no range search: the owner answers a range with
+// the ordinary search of its covering bins (owner.QueryRange), so a range
+// never reaches the cloud as one. SearchRange stays on Backend only while
+// the benchmark's traced backend forwards it; a caller that still reaches it
+// sees an error through LogicalErrCount, never an empty answer.
+var ErrNoRangeSearch = errors.New("wire: the cloud serves no range search; search the covering bins")
 
 // Backend is the owner-side view of a remote cloud namespace:
 // cloud.PlainBackend plus technique.EncStore (the one encrypted-store
@@ -14,6 +25,9 @@ import (
 type Backend interface {
 	cloud.PlainBackend
 	technique.EncStore
+
+	// SearchRange records ErrNoRangeSearch and returns nil.
+	SearchRange(lo, hi relation.Value) []relation.Tuple
 
 	// Lifecycle and errors.
 	Ping() error

@@ -439,20 +439,11 @@ func (s *StoreClient) Search(values []relation.Value) []relation.Tuple {
 	return ts
 }
 
-// SearchRangeErr is SearchRange with the error surfaced.
-func (s *StoreClient) SearchRangeErr(lo, hi relation.Value) ([]relation.Tuple, error) {
-	resp, err := s.read(&request{Op: opPlainSearchRange, Lo: lo, Hi: hi})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tuples, nil
-}
-
-// SearchRange implements cloud.PlainBackend.
-func (s *StoreClient) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	ts, err := s.SearchRangeErr(lo, hi)
-	s.noteLogical(err)
-	return ts
+// SearchRange is the Backend pin (see ErrNoRangeSearch): it records
+// ErrNoRangeSearch and answers nothing.
+func (s *StoreClient) SearchRange(_, _ relation.Value) []relation.Tuple {
+	s.noteLogical(ErrNoRangeSearch)
+	return nil
 }
 
 // Insert implements cloud.PlainBackend. Inserts are conditional on the

@@ -70,12 +70,6 @@ func (q *request) fields(c *codec) {
 	if c.field(len(q.Values) > 0) {
 		list(c, &q.Values, 1, c.value)
 	}
-	if c.field(q.Lo != relation.Value{}) {
-		c.value(&q.Lo)
-	}
-	if c.field(q.Hi != relation.Value{}) {
-		c.value(&q.Hi)
-	}
 	if c.field(q.Tuple.ID != 0 || q.Tuple.Values != nil) {
 		c.tuple(&q.Tuple)
 	}

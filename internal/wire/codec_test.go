@@ -52,7 +52,6 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opEncAttrColumnIf, ID: 3, Store: "a/b c"},
 		{Op: opEncRowsIf, ID: 4},
 		{Op: opPlainSearch, ID: 5, Store: "s", Values: []relation.Value{relation.Int(9), relation.Str("q")}},
-		{Op: opPlainSearchRange, ID: 6, Lo: relation.Int(-100), Hi: relation.Int(100)},
 		{Op: opPlainInsert, ID: 7, Store: "s", AdminToken: []byte("tok"), Tuple: tuple, Have: 3},
 		{Op: opEncAddBatch, ID: 11, AdminToken: []byte("owner"), Have: 2, Batch: []EncUpload{
 			{TupleCT: []byte("r0"), AttrCT: []byte("a0"), Token: []byte("t0")},
@@ -227,8 +226,8 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 	}
 	// A lying collection count larger than the remaining bytes must be
 	// rejected up front (it is what would otherwise force a huge
-	// allocation). Field 12 is AddrBatches.
-	lie := []byte{byte(opEncFetchBatch), 1, 0, 12, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	// allocation). Field 10 is AddrBatches.
+	lie := []byte{byte(opEncFetchBatch), 1, 0, 10, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	if _, err := decodeRequest(lie); err == nil {
 		t.Error("request with lying addr count decoded successfully")
 	}

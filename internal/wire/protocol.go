@@ -71,7 +71,12 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 8 left one op
+// ProtocolVersion is the wire protocol generation. Version 9 deleted the
+// clear-text range search op and the request's two range bounds: the owner
+// answers a range with the ordinary search of its covering bins, so the
+// cloud only ever serves bin searches. The op table was renumbered without
+// the op (23 ops) and the request fields after the bounds moved down two
+// tags. Version 8 left one op
 // per read shape: the unconditional column and row pulls and the
 // single-list fetch were deleted (their reads ride opEncAttrColumnIf and
 // opEncRowsIf from the zero version and a one-list opEncFetchBatch), the
@@ -102,7 +107,7 @@ import (
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
 // 1 had no handshake and a single implicit store.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -115,7 +120,6 @@ type op uint8
 const (
 	opPlainLoad op = iota + 1
 	opPlainSearch
-	opPlainSearchRange
 	opPlainInsert
 	opEncAddBatch
 	opEncLen
@@ -224,7 +228,6 @@ type request struct {
 	Tuples []relation.Tuple
 	Attr   string
 	Values []relation.Value
-	Lo, Hi relation.Value
 	Tuple  relation.Tuple
 
 	// Encrypted store fields.

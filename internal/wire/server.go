@@ -629,11 +629,6 @@ func (c *Cloud) dispatch(req *request) response {
 			return response{Err: "wire: no relation loaded in store " + name}
 		}
 		return response{Tuples: plain.Search(req.Values)}
-	case opPlainSearchRange:
-		if plain == nil {
-			return response{Err: "wire: no relation loaded in store " + name}
-		}
-		return response{Tuples: plain.SearchRange(req.Lo, req.Hi)}
 	case opPlainInsert:
 		if plain == nil {
 			return response{Err: "wire: no relation loaded in store " + name}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	mrand "math/rand/v2"
 	"net"
 	"reflect"
@@ -56,9 +57,11 @@ func TestPlainBackendOverWire(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("Search = %d tuples, want 5", len(got))
 	}
-	gotR := c.SearchRange(relation.Int(1), relation.Int(2))
-	if len(gotR) != 10 {
-		t.Fatalf("SearchRange = %d tuples, want 10", len(gotR))
+	// The cloud serves no range search: the pin answers nothing and records
+	// why, so a stray caller sees an error, never an empty result.
+	if got := c.SearchRange(relation.Int(1), relation.Int(2)); got != nil ||
+		c.LogicalErrCount() != 1 || !errors.Is(c.LogicalErr(), ErrNoRangeSearch) {
+		t.Fatalf("SearchRange = %v, logical error %v (%d)", got, c.LogicalErr(), c.LogicalErrCount())
 	}
 	if err := c.Insert(relation.Tuple{ID: 99, Values: []relation.Value{relation.Int(42), relation.Str("y")}}); err != nil {
 		t.Fatal(err)

@@ -144,6 +144,27 @@ func TestRingClientMatchesInProcess(t *testing.T) {
 					t.Errorf("Query(%v) via ring = %v, want %v", w, relation.IDs(got), relation.IDs(want))
 				}
 			}
+			// Ranges reach the cloud as searches of their covering bins, so
+			// they need no range op on the wire: inside one bin, across bins,
+			// reversed bounds, no value at all, and the whole domain (values
+			// are 0..15).
+			for _, r := range [][2]int64{{7, 7}, {3, 11}, {11, 3}, {1000, 2000}, {0, 15}} {
+				lo, hi := Int(r[0]), Int(r[1])
+				want, err := local.QueryRange(lo, hi)
+				if err != nil {
+					t.Fatalf("local QueryRange(%v, %v): %v", lo, hi, err)
+				}
+				if r == [2]int64{0, 15} && len(want) != ds.Relation.Len() {
+					t.Fatalf("whole-domain range returned %d of %d tuples", len(want), ds.Relation.Len())
+				}
+				got, err := ringed.QueryRange(lo, hi)
+				if err != nil {
+					t.Fatalf("ring QueryRange(%v, %v): %v", lo, hi, err)
+				}
+				if !reflect.DeepEqual(relation.IDs(got), relation.IDs(want)) {
+					t.Errorf("QueryRange(%v, %v) via ring = %v, want %v", lo, hi, relation.IDs(got), relation.IDs(want))
+				}
+			}
 			lv, rv := local.AdversarialViews(), ringed.AdversarialViews()
 			if len(lv) != len(rv) {
 				t.Fatalf("view counts differ: local %d, ring %d", len(lv), len(rv))
