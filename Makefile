@@ -74,10 +74,9 @@ smoke:
 
 # Static analysis. go vet (whose copylocks check is the repo's rule against
 # copied mutexes) and qbvet (the repo's own go/analysis-style suite:
-# sensleak, lockdiscipline, pooldiscipline, cmpconst, nakedclock) are
-# stdlib-only and always run. staticcheck and govulncheck run when installed
-# — CI installs the pinned versions above; offline sandboxes skip them with
-# a notice.
+# sensleak, lockdiscipline, cmpconst, nakedclock) are stdlib-only and
+# always run. staticcheck and govulncheck run when installed — CI installs
+# the pinned versions above; offline sandboxes skip them with a notice.
 lint: vet
 	$(GO) build -o bin/qbvet ./cmd/qbvet
 	bin/qbvet ./...

@@ -140,6 +140,21 @@ func TestWireHasOneCodec(t *testing.T) {
 	t.Fatal("repro/internal/wire not loaded")
 }
 
+// TestNothingPoolsBuffers pins the one send path per connection end: no
+// non-test file of the repository uses sync.Pool. Each end frames in
+// place into a buffer its frameWriter owns, so nothing is borrowed that
+// could be returned twice, leaked on an error path or used after return.
+// A pool that comes back must bring a checker for those mistakes with it.
+func TestNothingPoolsBuffers(t *testing.T) {
+	for _, p := range loadRepo(t) {
+		for id, obj := range p.TypesInfo.Uses {
+			if tn, ok := obj.(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+				t.Errorf("%s: sync.Pool: frame into a buffer the sender owns", p.Fset.Position(id.Pos()))
+			}
+		}
+	}
+}
+
 // TestOwnerHasOneExecutor pins the one query path: outside its tests, the
 // QB owner (the *Owner methods and the package's plain functions) reaches
 // a technique's search (Search or SearchBatch) from one function,

@@ -10,9 +10,8 @@
 // a Pass holding one type-checked package and reports Diagnostics.
 //
 // The suite's analyzers live in subpackages (sensleak, lockdiscipline,
-// pooldiscipline, cmpconst, nakedclock); cmd/qbvet is the multichecker
-// driver and analysistest is the fixture harness that proves each rule
-// fires.
+// cmpconst, nakedclock); cmd/qbvet runs them as one multichecker and
+// analysistest is the fixture harness that proves each rule fires.
 package analysis
 
 import (

@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis/cmpconst"
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/nakedclock"
-	"repro/internal/analysis/pooldiscipline"
 	"repro/internal/analysis/sensleak"
 )
 
@@ -17,16 +16,14 @@ import (
 //
 //	sensleak        key material / decrypted sensitive values never reach
 //	                error strings, logs, or encoders outside crypto+wire
-//	lockdiscipline  no mutex copies; no writes under RLock; storage
-//	                mutations dominated by the per-store write lock
-//	pooldiscipline  sync.Pool Get/Put balanced on all paths, no
-//	                use-after-Put
+//	lockdiscipline  no writes under RLock; storage mutations dominated
+//	                by the per-store write lock (go vet's copylocks
+//	                catches mutex copies)
 //	cmpconst        token and owner-hash comparisons are constant-time
 //	nakedclock      internal/wire reads time only through wire.Clock
 var Analyzers = []*analysis.Analyzer{
 	sensleak.Analyzer,
 	lockdiscipline.Analyzer,
-	pooldiscipline.Analyzer,
 	cmpconst.Analyzer,
 	nakedclock.Analyzer,
 }

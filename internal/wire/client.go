@@ -18,11 +18,12 @@ import (
 // holds no namespace state: it is the link its views reach the cloud
 // through, plus the store-less planes (Ping, admin ops, ring ops).
 //
-// The connection is multiplexed: every request carries an ID, a writer
-// goroutine frames requests in submission order, and a reader goroutine
-// routes each response back to its caller, so any number of calls can be
-// in flight at once without head-of-line blocking. The batch query engine
-// therefore gains real cloud-side parallelism through a remote backend.
+// The connection is multiplexed: every request carries an ID, each caller
+// frames its own request under the connection's one send lock, and a
+// reader goroutine routes each response back to its caller, so any number
+// of calls can be in flight at once without head-of-line blocking. The
+// batch query engine therefore gains real cloud-side parallelism through a
+// remote backend.
 //
 // The first round trip performs the protocol handshake (opHello): a
 // server that cannot echo ProtocolVersion poisons the client with an
@@ -45,10 +46,10 @@ type Client struct {
 	// seen and reused; decoded frames are arena-copied out of it.
 	readBuf []byte
 
-	// sendq feeds the writer goroutine; dead is closed on the first
-	// transport failure so blocked callers are released.
-	sendq chan *request
-	dead  chan struct{}
+	// send is the one path requests leave by; dead is closed on the
+	// first transport failure so callers awaiting a response are released.
+	send frameWriter
+	dead chan struct{}
 
 	mu       sync.Mutex
 	err      error // sticky transport error
@@ -73,16 +74,16 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an established connection (e.g. net.Pipe in tests) and
-// starts its writer and reader goroutines.
+// starts its reader goroutine.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		br:       bufio.NewReader(conn),
-		sendq:    make(chan *request),
+		send:     frameWriter{conn: conn},
 		dead:     make(chan struct{}),
 		inflight: make(map[uint64]chan *response),
 	}
-	c.start()
+	go c.readLoop()
 	return c
 }
 
@@ -306,10 +307,7 @@ func (s *StoreClient) attempt(f func(c *Client) error) error {
 func (s *StoreClient) roundTrip(req *request) (resp *response, err error) {
 	req.Store = s.store
 	err = s.attempt(func(c *Client) error {
-		// Every attempt frames its own copy: a dead connection's writer
-		// goroutine may still be reading the previous one.
-		r := *req
-		resp, err = c.roundTrip(&r)
+		resp, err = c.roundTrip(req)
 		return err
 	})
 	return resp, err

@@ -34,21 +34,34 @@ const (
 	chunkTarget = 256 << 10
 )
 
-// framePool recycles frame-assembly buffers across writer goroutines: one
-// Get per frame sent, so steady-state sends allocate nothing for framing.
-var framePool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4<<10); return &b },
+// maxRetainedFrame bounds the send buffer a frameWriter keeps between
+// frames: one giant upload must not pin its high-water mark in memory for
+// the life of the connection.
+const maxRetainedFrame = 4 << 20
+
+// frameWriter is the one send path of a connection end. Callers frame in
+// place, under its lock, into a buffer it owns, so frames from concurrent
+// senders never interleave and steady-state sends allocate nothing for
+// framing.
+type frameWriter struct {
+	mu   sync.Mutex
+	conn io.Writer
+	buf  []byte
 }
 
-func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
-
-// putFrameBuf returns a frame buffer to the pool unless it grew huge — one
-// giant upload must not pin its high-water mark in memory forever.
-func putFrameBuf(bp *[]byte) {
-	if cap(*bp) > 4<<20 {
-		return
+// write frames one message, which body appends to the buffer it is given,
+// and sends the frame in one Write. A frame past maxRetainedFrame drops
+// the buffer.
+func (w *frameWriter) write(body func([]byte) []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := body(beginFrame(w.buf))
+	err := finishFrame(w.conn, buf)
+	if cap(buf) > maxRetainedFrame {
+		buf = nil
 	}
-	framePool.Put(bp)
+	w.buf = buf
+	return err
 }
 
 // beginFrame starts assembling a frame in buf: a placeholder for the

@@ -5,22 +5,16 @@ import (
 	"fmt"
 )
 
-// This file is the client-side multiplexing core: one writer goroutine
-// frames requests in submission order, one reader goroutine demultiplexes
-// responses by ID, and any number of callers block on their own in-flight
-// entry. Transport failures tear the whole connection down (every waiter
-// is released with the same sticky error); server-side logical errors are
-// delivered only to the call that caused them.
+// This file is the client-side multiplexing core: each caller frames its
+// own request in place through the connection's frameWriter, one reader
+// goroutine demultiplexes responses by ID, and any number of callers block
+// on their own in-flight entry. Transport failures tear the whole
+// connection down (every waiter is released with the same sticky error);
+// server-side logical errors are delivered only to the call that caused
+// them.
 
 // errClientClosed is the sticky error after an explicit Close.
 var errClientClosed = errors.New("wire: client closed")
-
-// start launches the writer and reader goroutines. Called once from
-// NewClient.
-func (c *Client) start() {
-	go c.writeLoop()
-	go c.readLoop()
-}
 
 // roundTrip is rawRoundTrip behind the version handshake: the first call
 // on a connection performs the opHello exchange (concurrent callers wait
@@ -53,10 +47,11 @@ func (c *Client) ensureHello() error {
 	return c.helloErr
 }
 
-// rawRoundTrip submits one request and blocks until its response arrives
-// or the connection dies. Transport failures come back as the sticky
-// error (the client is poisoned); a server-side logical error comes back
-// as a plain error and leaves the connection healthy.
+// rawRoundTrip registers one request's in-flight slot, frames the request
+// in place and blocks until its response arrives or the connection dies; a
+// failed write fails the connection. Transport failures come back as the
+// sticky error (the client is poisoned); a server-side logical error comes
+// back as a plain error and leaves the connection healthy.
 func (c *Client) rawRoundTrip(req *request) (*response, error) {
 	ch := make(chan *response, 1)
 	c.mu.Lock()
@@ -70,9 +65,8 @@ func (c *Client) rawRoundTrip(req *request) (*response, error) {
 	c.inflight[req.ID] = ch
 	c.mu.Unlock()
 
-	select {
-	case c.sendq <- req:
-	case <-c.dead:
+	if err := c.send.write(func(b []byte) []byte { return appendRequest(b, req) }); err != nil {
+		c.fail(fmt.Errorf("wire: send: %w", err))
 		return nil, c.takeInflightErr(req.ID, ch)
 	}
 
@@ -111,32 +105,6 @@ func (c *Client) takeInflightErr(id uint64, ch chan *response) error {
 		return err
 	default:
 	}
-	return err
-}
-
-// writeLoop frames queued requests in submission order. It owns the
-// outgoing half of the connection; nothing else may touch it.
-func (c *Client) writeLoop() {
-	for {
-		select {
-		case req := <-c.sendq:
-			if err := c.writeRequest(req); err != nil {
-				c.fail(fmt.Errorf("wire: send: %w", err))
-				return
-			}
-		case <-c.dead:
-			return
-		}
-	}
-}
-
-// writeRequest frames one request, assembled in a pooled buffer.
-func (c *Client) writeRequest(req *request) error {
-	bp := getFrameBuf()
-	buf := appendRequest(beginFrame(*bp), req)
-	err := finishFrame(c.conn, buf)
-	*bp = buf
-	putFrameBuf(bp)
 	return err
 }
 
@@ -199,8 +167,9 @@ func (c *Client) readResponse(partials map[uint64]*response) (*response, error) 
 }
 
 // fail records the first transport error, closes the dead channel so
-// every blocked caller is released, and tears down the connection so both
-// loops exit.
+// every caller awaiting a response is released, and tears down the
+// connection so the reader exits and every caller in or waiting for the
+// frame write fails out of it.
 func (c *Client) fail(err error) { _ = c.shutdown(err) }
 
 // shutdown is fail with the underlying conn.Close result reported to the

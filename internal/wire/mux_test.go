@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	mrand "math/rand/v2"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -162,6 +165,69 @@ func TestTransportErrorPoisonsAndReleases(t *testing.T) {
 	}
 	if c.WithStore(DefaultStore).Add([]byte("x"), nil, nil) != -1 {
 		t.Fatal("Add on poisoned client handed out an address")
+	}
+}
+
+// countingConn counts the Write calls entered on a connection, whether or
+// not they have returned.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestCloseReleasesBlockedSenders: the peer answers the handshake and then
+// stops reading, so one caller is stuck inside the frame write and the
+// rest wait for the send lock. A Close releases all of them with the
+// client-closed error, and a clean close leaves Err nil.
+func TestCloseReleasesBlockedSenders(t *testing.T) {
+	cend, send := net.Pipe()
+	defer send.Close()
+	conn := &countingConn{Conn: cend}
+	c := NewClient(conn)
+	go serveHello(newServerStream(send))
+
+	const callers = 5
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() { errs <- c.Ping() }()
+	}
+	// Every caller has registered its in-flight slot, and the one write
+	// past the hello is entered and cannot finish.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		registered := len(c.inflight)
+		c.mu.Unlock()
+		if registered == callers && conn.writes.Load() == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("senders never blocked: %d registered, %d writes entered", registered, conn.writes.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, errClientClosed) {
+				t.Fatalf("blocked sender released with %v, want %v", err, errClientClosed)
+			}
+		case <-timeout:
+			t.Fatalf("Close released %d of %d blocked senders", i, callers)
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err after a clean close = %v, want nil", err)
 	}
 }
 

@@ -8,14 +8,14 @@
 // Client (one connection) or a Reconnector (a self-healing connection).
 //
 // Every request carries a client-assigned ID echoed by its response, so
-// many calls can be in flight on one connection at once: the client runs
-// a writer goroutine (frames requests in submission order) and a
-// reader goroutine (demultiplexes responses by ID back to the waiting
-// callers), and the server dispatches the ops decoded from one connection
-// concurrently through a bounded worker pool, serialising only the
-// response frames. Responses may therefore arrive in any order; ordering
-// guarantees come from callers blocking on their own response, not from
-// the transport.
+// many calls can be in flight on one connection at once: each client
+// caller frames its own request under the connection's one send lock
+// (frameWriter, frame.go) and a reader goroutine demultiplexes responses
+// by ID back to the waiting callers, and the server dispatches the ops
+// decoded from one connection concurrently through a bounded worker pool,
+// serialising only the response frames through the same frameWriter.
+// Responses may therefore arrive in any order; ordering guarantees come
+// from callers blocking on their own response, not from the transport.
 //
 // Namespaces: every request addresses a named store, so one cloud serves
 // any number of independently keyed relations side by side (the

@@ -164,21 +164,10 @@ func (c *Cloud) dispatchRing(req *request) response {
 // encodeStoreSnapshot serialises one namespace in the storeSnapshot gob
 // layout — the same migration unit snapshot files use, so a replica
 // restore and a state-file restore share one code path. It runs under the
-// shared cloud lock (unlike full Save's exclusive lock), so it reads both
-// partitions through their concurrency-safe snapshots.
+// shared cloud lock (unlike full Save's exclusive lock).
 func encodeStoreSnapshot(c *Cloud, name string, st *storage.Store) ([]byte, error) {
-	v, _ := st.Enc().EncVersion()
-	ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash(), EncVersionN: v.N}
-	if ps := st.Plain(); ps != nil {
-		ss.HasPlain = true
-		ss.Schema, ss.Tuples = ps.SnapshotTuples()
-		ss.Attr = ps.Attr()
-	}
-	if w, ok := c.workerOverridesCopy()[name]; ok {
-		ss.HasWorkerCap, ss.WorkerCap = true, w
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ss); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(storeSnapshotOf(c, name, st)); err != nil {
 		return nil, fmt.Errorf("wire: ring: snapshot encode: %w", err)
 	}
 	return buf.Bytes(), nil

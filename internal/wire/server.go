@@ -24,12 +24,12 @@ import (
 // two-level admission: a bounded per-connection worker pool plus an
 // optional per-namespace bound (SetStoreWorkers) that isolates tenants
 // sharing one connection from each other's CPU bursts (responses are
-// serialised by a send mutex, so frames never interleave). Locking is
-// layered: the stores
-// synchronise internally; each storage.Store's lock makes opPlainLoad
-// exclusive against in-flight ops on the same namespace only; and the
-// cloud-level lock is taken exclusively just by snapshot Save/Restore,
-// which must quiesce every namespace at once.
+// serialised by the connection's frameWriter, so frames never
+// interleave). Locking is layered: the stores synchronise internally;
+// each storage.Store's lock makes opPlainLoad exclusive against in-flight
+// ops on the same namespace only; and the cloud-level lock is taken
+// exclusively just by snapshot Save/Restore, which must quiesce every
+// namespace at once.
 //
 // Connections must open with an opHello carrying ProtocolVersion; any
 // other first frame is answered with an explicit version-mismatch error
@@ -190,16 +190,13 @@ func (c *Cloud) StoreWorkersFor(name string) int {
 	return c.effectiveWorkersLocked(storeName(name))
 }
 
-// workerOverridesCopy snapshots the per-namespace overrides (for
-// persistence).
-func (c *Cloud) workerOverridesCopy() map[string]int {
+// workerOverride returns the namespace's admission override, if one is
+// set (for persistence).
+func (c *Cloud) workerOverride(name string) (int, bool) {
 	c.storeSemMu.Lock()
 	defer c.storeSemMu.Unlock()
-	out := make(map[string]int, len(c.workerOverrides))
-	for k, v := range c.workerOverrides {
-		out[k] = v
-	}
-	return out
+	w, ok := c.workerOverrides[name]
+	return w, ok
 }
 
 // effectiveWorkersLocked resolves override-or-default; caller holds
@@ -372,18 +369,17 @@ var errNoHello = fmt.Sprintf(
 	ProtocolVersion)
 
 // serverStream is the server side of one connection's framing: a
-// reader-owned frame scratch, and pooled frame assembly on the send path.
-// Sends from concurrent dispatch workers are serialised by sendMu; the
-// read side is touched only by the decode loop.
+// reader-owned frame scratch, and the frameWriter that serialises sends
+// from concurrent dispatch workers. The read side is touched only by the
+// decode loop.
 type serverStream struct {
-	conn    net.Conn
 	br      *bufio.Reader
 	readBuf []byte
-	sendMu  sync.Mutex
+	send    frameWriter
 }
 
 func newServerStream(conn net.Conn) *serverStream {
-	return &serverStream{conn: conn, br: bufio.NewReader(conn)}
+	return &serverStream{br: bufio.NewReader(conn), send: frameWriter{conn: conn}}
 }
 
 // readRequest decodes one request frame.
@@ -408,19 +404,12 @@ func (s *serverStream) writeResponse(o op, resp *response) error {
 }
 
 func (s *serverStream) writeFrame(resp *response, flags byte) error {
-	bp := getFrameBuf()
-	buf := appendResponse(beginFrame(*bp), resp, flags)
-	s.sendMu.Lock()
-	err := finishFrame(s.conn, buf)
-	s.sendMu.Unlock()
-	*bp = buf
-	putFrameBuf(bp)
-	return err
+	return s.send.write(func(b []byte) []byte { return appendResponse(b, resp, flags) })
 }
 
 // writeChunkedRows streams a large row set as a sequence of frames near
-// chunkTarget bytes each, all but the last flagged partial. sendMu is
-// taken per chunk, so responses to other in-flight ops may interleave
+// chunkTarget bytes each, all but the last flagged partial. The send lock
+// is taken per chunk, so responses to other in-flight ops may interleave
 // between chunks — a big column pull does not head-of-line-block the
 // connection; the client reassembles by ID.
 func (s *serverStream) writeChunkedRows(resp *response) error {

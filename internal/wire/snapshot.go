@@ -63,30 +63,31 @@ func (c *Cloud) Save(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := snapshot{Version: ProtocolVersion}
-	overrides := c.workerOverridesCopy()
 	for _, name := range c.stores.Names() {
-		st, ok := c.stores.Get(name)
-		if !ok {
-			continue
+		if st, ok := c.stores.Get(name); ok {
+			snap.Stores = append(snap.Stores, storeSnapshotOf(c, name, st))
 		}
-		v, _ := st.Enc().EncVersion()
-		ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash(), EncVersionN: v.N}
-		if w, ok := overrides[name]; ok {
-			ss.HasWorkerCap, ss.WorkerCap = true, w
-		}
-		if ps := st.Plain(); ps != nil {
-			rel := ps.Relation()
-			ss.HasPlain = true
-			ss.Schema = rel.Schema
-			ss.Tuples = rel.Tuples
-			ss.Attr = ps.Attr()
-		}
-		snap.Stores = append(snap.Stores, ss)
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("wire: snapshot save: %w", err)
 	}
 	return nil
+}
+
+// storeSnapshotOf builds one namespace's storeSnapshot, the one migration
+// unit of snapshot files and replica restores. It reads both partitions
+// through their concurrency-safe snapshots, so it is correct under the
+// shared cloud lock as well as under Save's exclusive one.
+func storeSnapshotOf(c *Cloud, name string, st *storage.Store) storeSnapshot {
+	v, _ := st.Enc().EncVersion()
+	ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash(), EncVersionN: v.N}
+	if ps := st.Plain(); ps != nil {
+		ss.HasPlain = true
+		ss.Schema, ss.Tuples = ps.SnapshotTuples()
+		ss.Attr = ps.Attr()
+	}
+	ss.WorkerCap, ss.HasWorkerCap = c.workerOverride(name)
+	return ss
 }
 
 // SaveFile writes the snapshot to path atomically: the state is written
