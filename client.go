@@ -94,9 +94,9 @@ type Config struct {
 	// directory once, then routes this namespace's view to its R replicas
 	// directly — writes fan out to every in-sync replica, reads stick to
 	// the nearest live one and fail over instantly when it dies. Mutually
-	// exclusive with CloudAddr; Reconnect is implied by the ring transport
-	// (each node connection self-heals with fast failover timeouts) and
-	// ignored.
+	// exclusive with CloudAddr; Reconnect is ignored: a dead node is
+	// redialed after a short cooldown, and a replica that lost state is
+	// repaired from its peers.
 	Ring string
 	// Reconnect, when set, wraps the cloud connection in a reconnecting
 	// transport: a transport failure — the cloud restarting, a dropped

@@ -27,11 +27,12 @@
 // file on the same address D' later. Reconnecting clients ride through;
 // the outage shows up as a latency spike, not as errors. A lossy
 // snapshot restore cannot reconcile sensitive writes acknowledged after
-// the last snapshot (by design), so chaos runs require -read-frac 1.
-// In ring mode the victim is the first data node: the surviving
-// replicas keep answering (failover, not reconnect-stall), and after
-// the restart the coordinator's anti-entropy repair brings the victim
-// back to row parity.
+// the last snapshot (by design), so single-node chaos runs require
+// -read-frac 1. In ring mode the victim is the first data node: the
+// surviving replicas keep answering (failover, not reconnect-stall) and
+// keep taking writes with the victim quarantined, and after the restart
+// anti-entropy repair brings the victim back to row parity — the writes
+// its snapshot lost included — before readmission.
 //
 // -check cross-checks every read against the sequential reference
 // bounds; -assert exits non-zero unless the run was clean (nonzero ops,
@@ -171,12 +172,15 @@ func run(o runOpts) error {
 		if o.bin == "" {
 			return fmt.Errorf("-kill-at needs -qbcloud (chaos owns the server process)")
 		}
-		if o.cfg.Gen.ReadFraction < 1 {
+		if o.cfg.Gen.ReadFraction < 1 && o.ringN == 0 {
 			// The snapshot restore is lossy by design: a sensitive write
 			// acknowledged after the last snapshot cannot be reconciled
 			// after the crash, so a write-bearing chaos run would report
-			// client-side failures that are really the harness's fault.
-			return fmt.Errorf("-kill-at requires -read-frac 1 (snapshot restore is lossy for post-snapshot writes)")
+			// client-side failures that are really the harness's fault. On
+			// a ring the killed node's peer replica still holds those
+			// writes, and quarantine, anti-entropy and readmission restore
+			// them.
+			return fmt.Errorf("-kill-at requires -read-frac 1 without -ring (snapshot restore is lossy for post-snapshot writes)")
 		}
 	}
 	if o.bin != "" && o.cfg.CloudAddr != "" {

@@ -89,6 +89,28 @@ func TestWireHasTwoLinks(t *testing.T) {
 	}
 }
 
+// TestRingRidesPlainConnections pins the ring's one repair path: no
+// non-test file of internal/ring names the self-healing link. A ring node
+// connection is a plain *wire.Client redialed after the down-cooldown, and
+// a replica that lost state is caught up by quarantine, anti-entropy and
+// readmission; a Reconnector beneath a replica would replay an owner-side
+// mirror into the node as a second, racing repair.
+func TestRingRidesPlainConnections(t *testing.T) {
+	banned := map[string]bool{"Reconnector": true, "NewReconnector": true, "DialReconnect": true, "ReconnectOptions": true}
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/ring" {
+			continue
+		}
+		for id, obj := range p.TypesInfo.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/wire" && banned[obj.Name()] {
+				t.Errorf("%s: wire.%s: ring nodes ride plain connections", p.Fset.Position(id.Pos()), obj.Name())
+			}
+		}
+		return
+	}
+	t.Fatal("repro/internal/ring not loaded")
+}
+
 // TestWireHasOneCodec pins the single wire codec: no type declared in
 // internal/wire holds state from encoding/gob. Since protocol v7 every op,
 // the hello included, rides the field-wise binary codec; gob is left only

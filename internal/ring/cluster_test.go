@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +24,10 @@ type testNode struct {
 	t    *testing.T
 	addr string
 
-	mu    sync.Mutex
-	lis   net.Listener
-	conns map[net.Conn]struct{}
+	mu       sync.Mutex
+	lis      net.Listener
+	conns    map[net.Conn]struct{}
+	accepted int // connections accepted over the node's lifetime
 }
 
 type trackedListener struct {
@@ -38,6 +40,7 @@ func (tl trackedListener) Accept() (net.Conn, error) {
 	if err == nil {
 		tl.n.mu.Lock()
 		tl.n.conns[c] = struct{}{}
+		tl.n.accepted++
 		tl.n.mu.Unlock()
 	}
 	return c, err
@@ -86,10 +89,29 @@ func (n *testNode) kill() {
 		n.lis.Close()
 		n.lis = nil
 	}
+	n.severLocked()
+}
+
+// sever closes every accepted conn but keeps the listener and the store:
+// the node stays up, its clients' connections die.
+func (n *testNode) sever() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.severLocked()
+}
+
+func (n *testNode) severLocked() {
 	for c := range n.conns {
 		c.Close()
+		delete(n.conns, c)
 	}
-	n.conns = nil
+}
+
+// acceptedConns counts the connections the node has accepted.
+func (n *testNode) acceptedConns() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.accepted
 }
 
 // restartEmpty kills the node and brings an empty replacement up on the
@@ -183,8 +205,7 @@ func testRow(i int) storage.EncRow {
 }
 
 // TestCoordinatorHealthFlips: liveness changes bump the directory
-// version, each flip exactly once, and the conditional blob fetch sees
-// them.
+// version, each flip exactly once, and the served blob carries them.
 func TestCoordinatorHealthFlips(t *testing.T) {
 	a, b := startTestNode(t), startTestNode(t)
 	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
@@ -209,12 +230,12 @@ func TestCoordinatorHealthFlips(t *testing.T) {
 			t.Fatalf("node %s alive = %v, want %v", n.ID, n.Alive, want)
 		}
 	}
-	// Conditional fetch: stale version gets the blob, current does not.
-	if blob, ver, changed := co.DirectoryBlob(1); !changed || ver != 2 || len(blob) == 0 {
-		t.Fatalf("stale conditional fetch = (%d bytes, %d, %v)", len(blob), ver, changed)
+	served, err := DecodeDirectory(co.DirectoryBlob())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if blob, ver, changed := co.DirectoryBlob(2); changed || ver != 2 || blob != nil {
-		t.Fatalf("current conditional fetch = (%v, %d, %v)", blob, ver, changed)
+	if !reflect.DeepEqual(served, dir) {
+		t.Fatalf("served directory = %+v, want %+v", served, dir)
 	}
 
 	b.restartEmpty()
@@ -503,5 +524,447 @@ func TestRouterFailureWitnessIsPerNamespace(t *testing.T) {
 	}
 	if failing.LogicalErrCount() == 0 {
 		t.Fatal("the failing namespace's own record stayed empty")
+	}
+}
+
+// TestRouterCloseEndsEveryView: a closed router's views answer nothing and
+// dial nothing — Close is final, not a reconnect — and a stopped
+// coordinator opens no node connection either.
+func TestRouterCloseEndsEveryView(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ns = "data"
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(wire.OwnerToken([]byte("master"), ns))
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Search([]relation.Value{relation.Int(3)}); len(got) != 1 {
+		t.Fatalf("Search = %d tuples, want 1", len(got))
+	}
+	accepted := func() int { return a.acceptedConns() + b.acceptedConns() }
+
+	if err := router.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := accepted()
+	if got := rs.Search([]relation.Value{relation.Int(3)}); len(got) != 0 {
+		t.Errorf("Search after Close = %d tuples, want none", len(got))
+	}
+	if rs.LogicalErrCount() == 0 {
+		t.Error("Search after Close recorded no logical error")
+	}
+	if err := rs.Ping(); err == nil {
+		t.Error("view Ping after Close succeeded")
+	}
+	if err := router.Ping(); err == nil {
+		t.Error("router Ping after Close succeeded")
+	}
+	if err := rs.Flush(); err == nil {
+		t.Error("Flush after Close succeeded")
+	}
+	if got := accepted(); got != before {
+		t.Errorf("closed router opened %d node connections", got-before)
+	}
+
+	co.Stop()
+	before = accepted()
+	co.RepairNamespace(ns)
+	co.HealthCheckOnce()
+	if got := accepted(); got != before {
+		t.Errorf("stopped coordinator opened %d node connections", got-before)
+	}
+}
+
+// TestRingNodeRedialsAfterCooldown: a node whose connections die (its
+// store and listener stay up) is failed over at once and not redialed
+// inside the down-cooldown; once the cooldown lapses exactly one fresh
+// connection reaches it, and the next settled write readmits its replica.
+func TestRingNodeRedialsAfterCooldown(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	nodes := map[string]*testNode{a.addr: a, b.addr: b}
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	// Long enough for the in-cooldown checks to end inside it on a slow
+	// (or -race) host.
+	const cooldown = 300 * time.Millisecond
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const ns = "data"
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(wire.OwnerToken([]byte("master"), ns))
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	appendThrough := func(start, n int) {
+		t.Helper()
+		for i := start; i < start+n; i++ {
+			if addr := rs.Add(testRow(i).TupleCT, testRow(i).AttrCT, testRow(i).Token); addr != i {
+				t.Fatalf("Add row %d: addr = %d", i, addr)
+			}
+		}
+		if err := rs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendThrough(0, 3)
+	if got := rs.Search([]relation.Value{relation.Int(3)}); len(got) != 1 {
+		t.Fatalf("Search = %d tuples, want 1", len(got))
+	}
+
+	victim := nodes[rs.Placement()[0].Addr]
+	before := victim.acceptedConns()
+	victim.sever()
+	severed := time.Now()
+	for i := 0; i < 5; i++ {
+		if got := rs.Search([]relation.Value{relation.Int(int64(i))}); len(got) != 1 {
+			t.Fatalf("Search #%d after sever = %d tuples, want 1", i, len(got))
+		}
+	}
+	if n := rs.LogicalErrCount(); n != 0 {
+		t.Fatalf("failover leaked %d logical errors: %v", n, rs.LogicalErr())
+	}
+	// Writes inside the cooldown leave the victim quarantined, not redialed.
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(severed); elapsed >= cooldown {
+		t.Fatalf("the in-cooldown checks took %v, longer than the %v cooldown", elapsed, cooldown)
+	}
+	if got := victim.acceptedConns(); got != before {
+		t.Fatalf("%d connections reached the victim inside the cooldown", got-before)
+	}
+	if inSync := rs.InSync(); inSync[0] {
+		t.Fatalf("victim still in the write set inside its cooldown: %v", inSync)
+	}
+
+	time.Sleep(cooldown + 10*time.Millisecond)
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := victim.acceptedConns(); got != before+1 {
+		t.Fatalf("%d connections reached the victim after the cooldown, want 1", got-before)
+	}
+	for i, ok := range rs.InSync() {
+		if !ok {
+			t.Fatalf("replica %d not readmitted after the cooldown: %v", i, rs.InSync())
+		}
+	}
+	appendThrough(3, 2)
+	if !sameRows(nodeRows(t, a.addr, ns), nodeRows(t, b.addr, ns)) {
+		t.Fatal("replicas diverge after readmission")
+	}
+}
+
+// TestRingQuarantinesReplicaThatRestartedBehind: a node restarts from an
+// older state while its replica is in the write set, a read finds the dead
+// connection, and the cooldown lapses before the next write. That write
+// must not reach the restarted replica over its fresh connection (whose
+// view would hand out addresses from the shorter length): the replica is
+// quarantined, and readmission repairs it from its peer.
+func TestRingQuarantinesReplicaThatRestartedBehind(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	nodes := map[string]*testNode{a.addr: a, b.addr: b}
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	const cooldown = 20 * time.Millisecond
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const ns = "data"
+	tok := wire.OwnerToken([]byte("master"), ns)
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(tok)
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if addr := rs.Add(testRow(i).TupleCT, testRow(i).AttrCT, testRow(i).Token); addr != i {
+			t.Fatalf("Add row %d: addr = %d", i, addr)
+		}
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first replica comes back holding only the first row, as from a
+	// snapshot taken before the last two.
+	victim := rs.Placement()[0].Addr
+	nodes[victim].restartEmpty()
+	populateNode(t, victim, ns, tok, 1)
+	if got := rs.Search([]relation.Value{relation.Int(3)}); len(got) != 1 {
+		t.Fatalf("Search after restart = %d tuples, want 1", len(got))
+	}
+	time.Sleep(2 * cooldown)
+
+	if addr := rs.Add(testRow(3).TupleCT, testRow(3).AttrCT, testRow(3).Token); addr != 3 {
+		t.Fatalf("Add after the restart: addr = %d, want 3", addr)
+	}
+	if inSync := rs.InSync(); inSync[0] || !inSync[1] {
+		t.Fatalf("write set after the restart = %v, want only the peer", inSync)
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range rs.InSync() {
+		if !ok {
+			t.Fatalf("replica %d not readmitted after repair: %v", i, rs.InSync())
+		}
+	}
+	rowsA, rowsB := nodeRows(t, a.addr, ns), nodeRows(t, b.addr, ns)
+	if len(rowsA) != 4 || !sameRows(rowsA, rowsB) {
+		t.Fatalf("replicas diverge after repair: %d vs %d rows", len(rowsA), len(rowsB))
+	}
+}
+
+// TestRingWritesAfterEveryReplicaReconnected: when every in-sync replica's
+// connection died, no peer is left to verify the others against; once the
+// cooldown lapses, the next write readmits those holding what this view's
+// writes left instead of refusing forever.
+func TestRingWritesAfterEveryReplicaReconnected(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	const cooldown = 20 * time.Millisecond
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const ns = "data"
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(wire.OwnerToken([]byte("master"), ns))
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	a.sever()
+	b.sever()
+	if err := rs.Insert(relation.Tuple{ID: 10, Values: []relation.Value{relation.Int(10)}}); err == nil {
+		t.Fatal("Insert with every connection dead succeeded")
+	}
+	time.Sleep(2 * cooldown)
+	for i := 11; i < 13; i++ {
+		if err := rs.Insert(relation.Tuple{ID: i, Values: []relation.Value{relation.Int(int64(i))}}); err != nil {
+			t.Fatalf("Insert %d after both replicas reconnected: %v", i, err)
+		}
+	}
+	for i, ok := range rs.InSync() {
+		if !ok {
+			t.Fatalf("replica %d left the write set: %v", i, rs.InSync())
+		}
+	}
+	for _, addr := range []string{a.addr, b.addr} {
+		if info := nodeInfo(t, addr, ns); info.PlainTuples != 12 {
+			t.Fatalf("replica %s holds %d tuples, want 12", addr, info.PlainTuples)
+		}
+	}
+}
+
+// TestRingRefusesAddressesLostWithEveryConnection: rows Add buffered live
+// only on the replicas' write views. When every one of those connections
+// dies before the flush, the rows are on no replica: later flushes and
+// adds must fail rather than hand their addresses out again — on a
+// one-replica ring as on a two-replica one.
+func TestRingRefusesAddressesLostWithEveryConnection(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			a, b := startTestNode(t), startTestNode(t)
+			co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: replicas, RingToken: testRingTok, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Stop()
+			const cooldown = 20 * time.Millisecond
+			router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: cooldown})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer router.Close()
+
+			const ns = "data"
+			rs := router.WithStore(ns)
+			rs.SetAdminToken(wire.OwnerToken([]byte("master"), ns))
+			if err := rs.Load(intRelation(10), "K"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if addr := rs.Add(testRow(i).TupleCT, testRow(i).AttrCT, testRow(i).Token); addr != i {
+					t.Fatalf("Add row %d: addr = %d", i, addr)
+				}
+				if i == 2 {
+					if err := rs.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			a.sever()
+			b.sever()
+			for try := 0; try < 2; try++ {
+				time.Sleep(2 * cooldown)
+				if err := rs.Flush(); err == nil {
+					t.Fatalf("Flush #%d of a row no replica holds succeeded", try)
+				}
+			}
+			if addr := rs.Add(testRow(4).TupleCT, testRow(4).AttrCT, testRow(4).Token); addr != -1 {
+				t.Fatalf("Add after the lost flush handed out address %d", addr)
+			}
+			for _, n := range rs.Placement() {
+				if info := nodeInfo(t, n.Addr, ns); info.EncRows != 3 {
+					t.Fatalf("replica %s holds %d rows, want 3", n.Addr, info.EncRows)
+				}
+			}
+		})
+	}
+}
+
+// TestRingReadmitsAgainstItsOwnWritesWhenNoPeerIsLeft: one node restarts
+// from an older state and the other's connections die, so no in-sync peer
+// is left to compare against. The replicas are readmitted against the
+// lengths this view's writes left: the restarted one stays out (repair is
+// off) and the next Add continues from the healthy peer's length.
+func TestRingReadmitsAgainstItsOwnWritesWhenNoPeerIsLeft(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	nodes := map[string]*testNode{a.addr: a, b.addr: b}
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	const cooldown = 20 * time.Millisecond
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const ns = "data"
+	tok := wire.OwnerToken([]byte("master"), ns)
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(tok)
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if addr := rs.Add(testRow(i).TupleCT, testRow(i).AttrCT, testRow(i).Token); addr != i {
+			t.Fatalf("Add row %d: addr = %d", i, addr)
+		}
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	co.Stop() // no repair: the restarted replica must stay out
+	victim, peer := rs.Placement()[0].Addr, rs.Placement()[1].Addr
+	nodes[victim].restartEmpty()
+	populateNode(t, victim, ns, tok, 1)
+	nodes[peer].sever()
+	time.Sleep(2 * cooldown)
+	if addr := rs.Add(testRow(3).TupleCT, testRow(3).AttrCT, testRow(3).Token); addr != -1 {
+		t.Fatalf("Add with every write connection dead: addr = %d, want a refusal", addr)
+	}
+	time.Sleep(2 * cooldown)
+	if addr := rs.Add(testRow(3).TupleCT, testRow(3).AttrCT, testRow(3).Token); addr != 3 {
+		t.Fatalf("Add after the cooldown: addr = %d, want 3", addr)
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if inSync := rs.InSync(); inSync[0] || !inSync[1] {
+		t.Fatalf("write set = %v, want only the healthy peer", inSync)
+	}
+	if got := nodeInfo(t, victim, ns).EncRows; got != 1 {
+		t.Fatalf("restarted replica holds %d rows, want its 1", got)
+	}
+	if got := nodeInfo(t, peer, ns).EncRows; got != 4 {
+		t.Fatalf("healthy peer holds %d rows, want 4", got)
+	}
+}
+
+// TestRingReadsFailOverPastAHangingDial: a node whose connect hangs holds
+// up only the call dialing it. Meanwhile the view's Err answers and other
+// reads fail over to the peer at once.
+func TestRingReadsFailOverPastAHangingDial(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	const ns = "data"
+	tok := wire.OwnerToken([]byte("master"), ns)
+	populateNode(t, a.addr, ns, tok, 0)
+	populateNode(t, b.addr, ns, tok, 0)
+
+	dirConn, err := wire.Dial(startCoordinatorCloud(t, co))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	hung, release := make(chan struct{}), make(chan struct{})
+	router, err := NewRouter(dirConn, func(addr string) (*wire.Client, error) {
+		if addr == victim {
+			close(hung)
+			<-release
+			return nil, fmt.Errorf("dial %s: connect timed out", addr)
+		}
+		return wire.Dial(addr)
+	}, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rs := router.WithStore(ns)
+	victim = rs.Placement()[0].Addr
+	search := func(out chan<- int) { out <- len(rs.Search([]relation.Value{relation.Int(3)})) }
+
+	first, second := make(chan int, 1), make(chan int, 1)
+	go search(first)
+	<-hung
+	go func() {
+		if err := rs.Err(); err != nil {
+			t.Errorf("Err while a dial is in flight = %v", err)
+		}
+		search(second)
+	}()
+	select {
+	case n := <-second:
+		if n != 1 {
+			t.Errorf("read beside the hanging dial = %d tuples, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a read waited on another call's hanging dial")
+	}
+	close(release)
+	if n := <-first; n != 1 {
+		t.Errorf("the dialing read = %d tuples after failing over, want 1", n)
+	}
+	if n := rs.LogicalErrCount(); n != 0 {
+		t.Errorf("failover leaked %d logical errors: %v", n, rs.LogicalErr())
 	}
 }

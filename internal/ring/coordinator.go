@@ -66,8 +66,9 @@ type RepairStats struct {
 // rejoining replicas up to their peers.
 //
 // The coordinator is deliberately OFF the data path — owners talk to the
-// replicas directly — so its own availability only gates directory
-// refresh and repair, never queries.
+// replicas directly — so its own availability only gates new routers
+// (they fetch the directory at dial time) and repair, never queries or
+// writes to in-sync replicas.
 type Coordinator struct {
 	cfg Config
 
@@ -76,8 +77,7 @@ type Coordinator struct {
 	blob []byte
 	ring *Ring
 
-	connMu sync.Mutex
-	conns  map[string]*wire.Client
+	conns map[string]*nodeConn // by node address; fixed at New
 
 	statMu sync.Mutex
 	stats  RepairStats
@@ -114,12 +114,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	conns := make(map[string]*nodeConn, len(nodes))
+	for _, n := range nodes {
+		// No cooldown: the health and repair loops already pace the dials.
+		conns[n.Addr] = newNodeConn(n, wire.Dial, 0)
+	}
 	return &Coordinator{
 		cfg:     cfg,
 		dir:     dir,
 		blob:    blob,
 		ring:    Build(dir),
-		conns:   make(map[string]*wire.Client, len(nodes)),
+		conns:   conns,
 		stopped: make(chan struct{}),
 	}, nil
 }
@@ -138,16 +143,12 @@ func (co *Coordinator) Stats() RepairStats {
 	return co.stats
 }
 
-// DirectoryBlob is the wire.Cloud ring-directory provider: the encoded
-// directory, its version, and whether it changed relative to the
-// caller's known version (the conditional-fetch contract).
-func (co *Coordinator) DirectoryBlob(known uint64) ([]byte, uint64, bool) {
+// DirectoryBlob is the wire.Cloud ring-directory provider: the current
+// directory, encoded.
+func (co *Coordinator) DirectoryBlob() []byte {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if known == co.dir.Version {
-		return nil, co.dir.Version, false
-	}
-	return co.blob, co.dir.Version, true
+	return co.blob
 }
 
 // Run starts the health and repair loops. Stop shuts them down.
@@ -181,36 +182,20 @@ func (co *Coordinator) Run() {
 	}()
 }
 
-// Stop terminates the loops and closes the node connections.
+// Stop terminates the loops and closes the node connections; a stopped
+// coordinator dials no node again.
 func (co *Coordinator) Stop() {
 	co.stopOnce.Do(func() { close(co.stopped) })
 	co.wg.Wait()
-	co.connMu.Lock()
-	for addr, c := range co.conns {
-		c.Close()
-		delete(co.conns, addr)
+	for _, nc := range co.conns {
+		nc.close()
 	}
-	co.connMu.Unlock()
 }
 
-// conn returns a cached control connection to a node, redialing one whose
-// transport has gone sticky-bad.
+// conn returns the control connection to a ring member, redialing one
+// that has died.
 func (co *Coordinator) conn(addr string) (*wire.Client, error) {
-	co.connMu.Lock()
-	defer co.connMu.Unlock()
-	if c, ok := co.conns[addr]; ok {
-		if c.Err() == nil {
-			return c, nil
-		}
-		c.Close()
-		delete(co.conns, addr)
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	co.conns[addr] = c
-	return c, nil
+	return co.conns[addr].client()
 }
 
 // HealthCheckOnce probes every node and publishes a new directory version

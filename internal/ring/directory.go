@@ -17,15 +17,14 @@ type Node struct {
 	// Addr is the node's wire listen address.
 	Addr string
 	// Alive is the coordinator's last health observation. It never moves
-	// placement; clients use it to order their own failover probing and
-	// operators read it from qbadmin ring.
+	// placement and routers ignore it (they order failover by their own
+	// down-cooldown); operators read it from qbadmin ring.
 	Alive bool
 }
 
 // Directory is the placement map a qbring coordinator serves: the
 // configured membership, the replication factor, and a version counter
-// bumped on every observable change so clients cache it and revalidate
-// with a tiny conditional fetch instead of re-pulling per op.
+// bumped on every observable change. Routers fetch it once, at dial time.
 //
 // The wire layer carries it as an opaque gob blob (wire must not depend
 // on this package), so the directory schema can evolve without touching
@@ -55,14 +54,11 @@ func DecodeDirectory(blob []byte) (*Directory, error) {
 }
 
 // FetchDirectory pulls the current directory from a coordinator
-// connection unconditionally.
+// connection.
 func FetchDirectory(c *wire.Client) (*Directory, error) {
-	blob, version, changed, err := c.RingDirectory(0)
+	blob, err := c.RingDirectory()
 	if err != nil {
 		return nil, err
-	}
-	if !changed || len(blob) == 0 {
-		return nil, fmt.Errorf("ring: coordinator answered not-modified to an unconditional directory fetch (version %d)", version)
 	}
 	return DecodeDirectory(blob)
 }

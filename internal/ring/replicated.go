@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
@@ -16,12 +17,15 @@ import (
 // Write consistency is CP by construction. The owner's address arithmetic
 // (client-side Add addresses, token → address postings) must be identical
 // on every replica that accepts writes, so a replica that misses or
-// refuses a write is quarantined out of the write set immediately — it
-// keeps serving reads of its (stale) prefix, but it takes no further
-// writes until anti-entropy repair has restored byte-for-byte row parity
-// and the readmission probe observes equal lengths. If NO replica can
-// take a write, the write fails rather than diverging the survivors:
-// refusing is recoverable, forked address spaces are not.
+// refuses a write is quarantined out of the write set immediately, as is
+// one whose write connection died (the node may have restarted from older
+// state). A quarantined replica keeps serving reads of its (stale)
+// prefix, but it takes no further writes until anti-entropy repair has
+// restored byte-for-byte row parity and the readmission probe observes
+// the lengths of an in-sync peer — or, with none left, the lengths this
+// view's writes left (want). If NO replica can take a write, the write
+// fails rather than diverging the survivors: refusing is recoverable,
+// forked address spaces are not.
 //
 // Failed reads on one replica fall over to the next without surfacing to
 // the owner: replicas are read through their views' error-returning
@@ -35,9 +39,17 @@ type ReplicatedStore struct {
 	replicas []*nodeConn
 
 	// writeMu serialises write fan-out, quarantine decisions and
-	// readmission probing; inSync is only touched under it.
+	// readmission probing; inSync, views and want are only touched under it.
 	writeMu sync.Mutex
 	inSync  []bool
+	// views holds each replica's write view, kept while it stays in the
+	// write set: the rows Add buffered and the lengths it synced live there.
+	views []*wire.StoreClient
+	// want is the namespace as this view's writes left it (EncRows counts
+	// handed-out addresses), probed before the first write (wantOK): the
+	// readmission reference once the write set is empty.
+	want   wire.StoreInfo
+	wantOK bool
 
 	prefMu sync.Mutex
 	pref   int // sticky preferred read replica
@@ -57,7 +69,7 @@ func newReplicatedStore(r *Router, name string, replicas []*nodeConn) *Replicate
 	for i := range inSync {
 		inSync[i] = true
 	}
-	return &ReplicatedStore{r: r, name: name, replicas: replicas, inSync: inSync}
+	return &ReplicatedStore{r: r, name: name, replicas: replicas, inSync: inSync, views: make([]*wire.StoreClient, len(replicas))}
 }
 
 // StoreName returns the namespace this view addresses.
@@ -82,16 +94,34 @@ func (s *ReplicatedStore) InSync() []bool {
 }
 
 // view returns a replica's view of the namespace with the owner token
-// stamped.
-func (s *ReplicatedStore) view(nc *nodeConn) *wire.StoreClient {
-	v := nc.transport().WithStore(s.name)
+// stamped, or why its node cannot be reached.
+func (s *ReplicatedStore) view(nc *nodeConn) (*wire.StoreClient, error) {
+	c, err := nc.client()
+	if err != nil {
+		return nil, err
+	}
+	v := c.WithStore(s.name)
 	s.tokMu.Lock()
 	tok := s.adminTok
 	s.tokMu.Unlock()
 	if tok != nil {
 		v.SetAdminToken(tok)
 	}
-	return v
+	return v, nil
+}
+
+// call runs f on a replica's view. A failure that killed the node's
+// connection starts the node's cooldown at once, so later ops fail over
+// without touching it; a logical refusal leaves the node routable.
+func (s *ReplicatedStore) call(nc *nodeConn, f func(*wire.StoreClient) error) error {
+	v, err := s.view(nc)
+	if err != nil {
+		return err
+	}
+	if err = f(v); err != nil {
+		nc.down() // drops the connection if the failure killed it
+	}
+	return err
 }
 
 // noteLogical records an op that failed on every replica.
@@ -110,35 +140,23 @@ func (s *ReplicatedStore) setPref(i int) {
 	s.prefMu.Unlock()
 }
 
-// readOrder is the failover probe order: available replicas starting at
-// the sticky preference, or every replica forced when all are cooling
-// down (a wrong guess there costs a fast error, not a wrong answer).
+// readOrder is the failover probe order: the replicas not cooling down,
+// starting at the sticky preference, with those whose dial is still in
+// flight last.
 func (s *ReplicatedStore) readOrder() []int {
 	s.prefMu.Lock()
 	pref := s.pref
 	s.prefMu.Unlock()
-	n := len(s.replicas)
-	order := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if idx := (pref + i) % n; s.replicas[idx].available() {
+	var order, dialing []int
+	for i := range s.replicas {
+		idx := (pref + i) % len(s.replicas)
+		if up, wait := s.replicas[idx].status(); up && wait {
+			dialing = append(dialing, idx)
+		} else if up {
 			order = append(order, idx)
 		}
 	}
-	if len(order) == 0 {
-		for i := 0; i < n; i++ {
-			order = append(order, (pref+i)%n)
-		}
-	}
-	return order
-}
-
-// afterFailure books a failed probe: the node cools down only when its
-// transport is actually gone — a logical refusal (unknown relation, bad
-// range) is deterministic and must not eject the node from read routing.
-func (s *ReplicatedStore) afterFailure(nc *nodeConn) {
-	if nc.transportDead() {
-		nc.markDown()
-	}
+	return append(order, dialing...)
 }
 
 // readFrom serves one read with failover: replicas are tried in
@@ -147,19 +165,21 @@ func (s *ReplicatedStore) afterFailure(nc *nodeConn) {
 // other namespace on the same node could be bumping — and the first
 // replica to answer becomes the sticky preference.
 func readFrom[T any](s *ReplicatedStore, f func(*wire.StoreClient) (T, error)) (T, error) {
+	var out T
 	var lastErr error
 	for _, idx := range s.readOrder() {
-		nc := s.replicas[idx]
-		out, err := f(s.view(nc))
+		err := s.call(s.replicas[idx], func(v *wire.StoreClient) (err error) {
+			out, err = f(v)
+			return err
+		})
 		if err == nil {
 			s.setPref(idx)
 			return out, nil
 		}
 		lastErr = err
-		s.afterFailure(nc)
 	}
 	if lastErr == nil {
-		lastErr = fmt.Errorf("ring: store %q: no replica answered", s.name)
+		lastErr = fmt.Errorf("ring: store %q: every replica is down", s.name)
 	}
 	var zero T
 	return zero, lastErr
@@ -176,30 +196,31 @@ func readNoted[T any](s *ReplicatedStore, f func(*wire.StoreClient) (T, error)) 
 }
 
 // fanOut runs one write against every in-sync replica (writeMu held).
-// Replicas that miss the write are quarantined — but only if at least one
-// replica acked; with zero acks the write is refused outright and no
-// quarantine sticks, so a total outage (or a client-side mistake every
-// node refuses identically) cannot strand the namespace with an empty
-// write set.
+// A replica whose write connection died is quarantined first (its node
+// may have restarted from older state); when that empties the write set,
+// readmit may restore it against want. Replicas that miss the write are
+// quarantined only if at least one replica acked: a mistake every node
+// refuses identically must not strand the namespace.
 func (s *ReplicatedStore) fanOut(f func(*wire.StoreClient) error) error {
+	for i, v := range s.views {
+		if v != nil && v.Err() != nil {
+			s.inSync[i] = false
+			s.replicas[i].down() // the node's cooldown starts now
+		}
+	}
+	if !slices.Contains(s.inSync, true) {
+		s.readmit()
+	}
 	acks := 0
 	var quarantine []int
 	var lastErr error
-	for i, nc := range s.replicas {
+	for i := range s.replicas {
 		if !s.inSync[i] {
 			continue
 		}
-		if !nc.available() {
-			quarantine = append(quarantine, i)
-			if lastErr == nil {
-				lastErr = fmt.Errorf("ring: store %q: replica %s is down", s.name, nc.node.ID)
-			}
-			continue
-		}
-		if err := f(s.view(nc)); err != nil {
+		if err := s.write(i, f); err != nil {
 			quarantine = append(quarantine, i)
 			lastErr = err
-			s.afterFailure(nc)
 			continue
 		}
 		acks++
@@ -216,60 +237,68 @@ func (s *ReplicatedStore) fanOut(f func(*wire.StoreClient) error) error {
 	return nil
 }
 
-// readmit probes quarantined replicas for row parity with the in-sync
-// set and restores them to the write set when anti-entropy repair has
-// caught them up. Called after a successful flush (writeMu held) so the
-// in-sync length it compares against is stable.
-//
-// Before the parity probe the replica's client view is told to re-learn
-// the server length (ResyncLen): repair appended rows server-side that
-// this view never uploaded, so its cached address base is stale and
-// reusing it would hand out colliding addresses. A view still holding
-// retained uploads refuses the resync and simply stays quarantined — its
-// transport's eventual replacement clears that state.
-//
-// When the parity probe finds a replica still short, readmit asks the
-// coordinator for one targeted repair round (opRingRepair) and re-probes,
-// instead of waiting for the background sweep: this view's writes are
-// frozen under writeMu while the repair runs, so on a single-writer
-// namespace the round deterministically closes the gap and the replica
-// rejoins within the same write call. At most one coordinator round is
-// requested per readmit, and a failed request (no ring, coordinator
-// unreachable) just leaves the replica to the sweep as before.
-func (s *ReplicatedStore) readmit() {
-	ref := -1
-	for i := range s.replicas {
-		if s.inSync[i] && s.replicas[i].available() {
-			ref = i
-			break
+// write runs f on replica i's write view, acquiring it on the replica's
+// first write. No view is kept before want is learned, so every write and
+// every quarantine comes after it.
+func (s *ReplicatedStore) write(i int, f func(*wire.StoreClient) error) error {
+	v := s.views[i]
+	var err error
+	if v == nil {
+		if v, err = s.view(s.replicas[i]); err == nil && !s.wantOK {
+			s.want, err = v.Info()
+			s.wantOK = err == nil
 		}
 	}
-	if ref == -1 {
-		return
+	if err == nil {
+		s.views[i] = v
+		err = f(v)
 	}
-	var refInfo wire.StoreInfo
-	refOK := false
+	if err != nil {
+		s.replicas[i].down() // drops the connection if the failure killed it
+	}
+	return err
+}
+
+// readmit restores quarantined replicas to the write set once repair has
+// caught them up (writeMu held): after a successful flush or insert, and
+// when the write set is empty. A replica rejoins when its lengths match an
+// in-sync peer's or, with none left, want — so none rejoins below the
+// addresses Add handed out, and rows lost with every write connection
+// make each later write fail instead of reusing their addresses.
+//
+// The probe first resyncs the view's cached lengths (ResyncLen), which
+// repair made stale; a view still holding retained uploads refuses and
+// stays quarantined until its connection dies. A replica still short gets
+// one targeted coordinator repair round (opRingRepair) and a re-probe:
+// this view's writes are frozen under writeMu meanwhile, so on a
+// single-writer namespace it rejoins within the same write call. A failed
+// request leaves the replica to the background sweep.
+func (s *ReplicatedStore) readmit() {
+	ref := slices.Index(s.inSync, true)
+	refInfo, refOK := s.want, ref < 0
 	repairAsked := false
 	for i, nc := range s.replicas {
-		if s.inSync[i] || !nc.available() {
+		if up, _ := nc.status(); s.inSync[i] || !up {
 			continue
 		}
-		v := s.view(nc)
 		if !refOK {
-			info, err := s.view(s.replicas[ref]).Info()
-			if err != nil {
+			var err error
+			if refInfo, err = s.views[ref].Info(); err != nil {
 				return
 			}
-			refInfo = info
 			refOK = true
 		}
 		for attempt := 0; ; attempt++ {
-			if err := v.ResyncLen(); err != nil {
-				break
-			}
-			info, err := v.Info()
+			var info wire.StoreInfo
+			var fresh *wire.StoreClient
+			err := s.call(nc, func(v *wire.StoreClient) (err error) {
+				fresh = v
+				if err = v.ResyncLen(); err == nil {
+					info, err = v.Info()
+				}
+				return err
+			})
 			if err != nil {
-				s.afterFailure(nc)
 				break
 			}
 			// Parity must hold for BOTH partitions: an encrypted-length match
@@ -277,7 +306,7 @@ func (s *ReplicatedStore) readmit() {
 			// the wholesale plain repair, and the next insert would land at a
 			// different position there than on its peers.
 			if info.EncRows == refInfo.EncRows && info.PlainTuples == refInfo.PlainTuples {
-				s.inSync[i] = true
+				s.inSync[i], s.views[i] = true, fresh
 				break
 			}
 			if attempt > 0 || repairAsked {
@@ -288,9 +317,11 @@ func (s *ReplicatedStore) readmit() {
 				break
 			}
 			// Other owners of the namespace may have written while the
-			// repair ran; refresh the reference before the re-probe.
-			if info, err := s.view(s.replicas[ref]).Info(); err == nil {
-				refInfo = info
+			// repair ran; refresh a peer reference before the re-probe.
+			if ref >= 0 {
+				if info, err := s.views[ref].Info(); err == nil {
+					refInfo = info
+				}
 			}
 		}
 	}
@@ -304,19 +335,13 @@ func (s *ReplicatedStore) Ping() error {
 	return err
 }
 
-// Err is the view's sticky transport health: nil while any replica's
-// transport is live (or not yet dialed — it may well succeed). Only when
-// every replica has permanently failed is the view itself failed.
+// Err is the view's transport health: nil while any replica's node is
+// reachable or may be redialed; the reason a node went down once every
+// replica's is cooling down. A closed router is not a failure.
 func (s *ReplicatedStore) Err() error {
 	var firstErr error
 	for _, nc := range s.replicas {
-		nc.mu.Lock()
-		tr := nc.tr
-		nc.mu.Unlock()
-		if tr == nil {
-			return nil
-		}
-		err := tr.Err()
+		err := nc.down()
 		if err == nil {
 			return nil
 		}
@@ -360,7 +385,11 @@ func (s *ReplicatedStore) SetAdminToken(tok []byte) {
 func (s *ReplicatedStore) Load(rel *relation.Relation, attr string) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.fanOut(func(v *wire.StoreClient) error { return v.Load(rel, attr) })
+	if err := s.fanOut(func(v *wire.StoreClient) error { return v.Load(rel, attr) }); err != nil {
+		return err
+	}
+	s.want.PlainTuples = rel.Len()
+	return nil
 }
 
 // Insert applies a clear-text insert on every in-sync replica, then —
@@ -373,6 +402,7 @@ func (s *ReplicatedStore) Insert(t relation.Tuple) error {
 	if err := s.fanOut(func(v *wire.StoreClient) error { return v.Insert(t) }); err != nil {
 		return err
 	}
+	s.want.PlainTuples++
 	s.readmit()
 	return nil
 }
@@ -400,11 +430,14 @@ func (s *ReplicatedStore) Add(tupleCT, attrCT, token []byte) int {
 		s.noteLogical(err)
 		return -1
 	}
+	s.want.EncRows = addr + 1
 	return addr
 }
 
 // Flush uploads the pending rows on every in-sync replica, then uses the
-// settled moment to probe quarantined replicas for readmission.
+// settled moment to probe quarantined replicas for readmission. A failed
+// Flush keeps the rows for the next to retry, unless every write
+// connection holding them died: then every later write fails (readmit).
 func (s *ReplicatedStore) Flush() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

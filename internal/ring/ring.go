@@ -13,8 +13,8 @@
 // node flap never migrates data, it only fails reads over to the
 // surviving replica and pauses that replica's writes until repair.
 // Placement changes only when the configured membership changes, which
-// bumps the directory version and is picked up by clients through a
-// conditional fetch.
+// bumps the directory version; routers fetch the directory once, at dial
+// time.
 //
 // Replication never widens the paper's adversarial view: every byte a
 // replica holds — clear-text partition, ciphertexts, tokens, addresses —

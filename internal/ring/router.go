@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,27 +11,11 @@ import (
 
 // RouterOptions tunes the client-side ring transport.
 type RouterOptions struct {
-	// Reconnect configures each node's reconnecting transport. The zero
-	// value selects fast-failover defaults (3 dial attempts, 10ms base /
-	// 100ms cap): with a surviving replica one hop away, burning the
-	// single-node default's ten capped retries before failing over would
-	// turn a node kill into seconds of stall instead of tens of
-	// milliseconds.
-	Reconnect wire.ReconnectOptions
-
-	// DownCooldown is how long a node transport is skipped after a
-	// transport-level failure before a call probes it again (default
-	// 500ms). Reads fail over instantly either way; the cooldown only
-	// bounds how often a dead node costs a probe.
+	// DownCooldown is how long a node is skipped after a dial failure or a
+	// dead connection before a call redials it (default 500ms). Reads fail
+	// over instantly either way; the cooldown only bounds how often a dead
+	// node costs a dial.
 	DownCooldown time.Duration
-}
-
-func (o RouterOptions) reconnect() wire.ReconnectOptions {
-	r := o.Reconnect
-	if r.MaxRetries == 0 && r.BaseDelay == 0 && r.MaxDelay == 0 {
-		r = wire.ReconnectOptions{MaxRetries: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-	}
-	return r
 }
 
 func (o RouterOptions) cooldown() time.Duration {
@@ -40,94 +25,136 @@ func (o RouterOptions) cooldown() time.Duration {
 	return o.DownCooldown
 }
 
-// nodeConn is the router's handle on one ring node: a lazily dialed
-// reconnecting transport plus the down-cooldown failure memory. When the
-// transport fails permanently (its reconnect cycles exhausted) it is
-// discarded and a fresh one is dialed on the next use after the cooldown
-// — without this a node that died once could never fail back, because a
-// Reconnector's permanent error is sticky by design.
+// errClosed is what a node handle answers once its router or coordinator
+// has shut down.
+var errClosed = errors.New("ring: closed")
+
+// nodeConn is the handle on one ring node that the router and the
+// coordinator both hold: a plain connection dialed on first use, dropped
+// when it dies, and redialed only once the down-cooldown after that death
+// (or after a failed dial) has lapsed. Nothing is replayed into a fresh
+// connection: a replica that lost state is caught up by anti-entropy and
+// readmission (see ReplicatedStore).
 type nodeConn struct {
 	node     Node
-	dial     func() (*wire.Client, error)
-	ropts    wire.ReconnectOptions
+	dial     func(addr string) (*wire.Client, error)
 	cooldown time.Duration
 
 	mu        sync.Mutex
-	tr        *wire.Reconnector
+	c         *wire.Client
+	dialDone  chan struct{} // closed when the dial in flight ends; nil when none is
+	err       error         // why the node is down
 	downUntil time.Time
+	closed    bool
 }
 
-// available reports whether calls should be routed here: not inside the
-// failure cooldown window.
-func (nc *nodeConn) available() bool {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	return !time.Now().Before(nc.downUntil)
+func newNodeConn(n Node, dial func(addr string) (*wire.Client, error), cooldown time.Duration) *nodeConn {
+	return &nodeConn{node: n, dial: dial, cooldown: cooldown}
 }
 
-// markDown starts (or extends) the cooldown window after a
-// transport-level failure.
-func (nc *nodeConn) markDown() {
-	nc.mu.Lock()
+// downLocked drops a connection that has died, starting the cooldown, and
+// returns why the node is down — nil once the cooldown has lapsed. nc.mu
+// must be held.
+func (nc *nodeConn) downLocked() error {
+	if nc.c != nil {
+		if err := nc.c.Err(); err != nil {
+			nc.c.Close()
+			nc.c = nil
+			nc.markDownLocked(err)
+		}
+	}
+	if time.Now().Before(nc.downUntil) {
+		return nc.err
+	}
+	return nil
+}
+
+func (nc *nodeConn) markDownLocked(err error) {
+	nc.err = err
 	nc.downUntil = time.Now().Add(nc.cooldown)
-	nc.mu.Unlock()
 }
 
-// transportDead reports whether the current transport has failed
-// permanently.
-func (nc *nodeConn) transportDead() bool {
+// down returns why calls should not be routed here, or nil.
+func (nc *nodeConn) down() error {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	return nc.tr != nil && nc.tr.Err() != nil
+	return nc.downLocked()
 }
 
-// transport returns the node's live transport, dialing a fresh
-// Reconnector lazily and replacing one that has permanently failed.
-// Replacing drops any upload state retained by the dead transport's
-// views; the replicas repair that loss through anti-entropy (see
-// ReplicatedStore's quarantine).
-func (nc *nodeConn) transport() *wire.Reconnector {
+// status reports whether calls may be routed here, and whether a call
+// would wait on a dial already in flight.
+func (nc *nodeConn) status() (up, dialing bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	if nc.tr != nil && nc.tr.Err() != nil {
-		nc.tr.Close()
-		nc.tr = nil
-	}
-	if nc.tr == nil {
-		nc.tr = wire.NewReconnector(nc.dial, nc.ropts)
-	}
-	return nc.tr
+	return nc.downLocked() == nil, nc.dialDone != nil
 }
 
-// close tears down the node transport.
+// client returns the node's live connection, dialing one when there is
+// none and the node is not cooling down. The dial runs outside nc.mu, so
+// routing checks never wait on a slow connect; concurrent callers share
+// it. A closed handle dials nothing.
+func (nc *nodeConn) client() (*wire.Client, error) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	for nc.dialDone != nil {
+		done := nc.dialDone
+		nc.mu.Unlock()
+		<-done
+		nc.mu.Lock()
+	}
+	if nc.closed {
+		return nil, errClosed
+	}
+	if err := nc.downLocked(); err != nil {
+		return nil, fmt.Errorf("ring: node %s is down: %w", nc.node.ID, err)
+	}
+	if nc.c == nil {
+		done := make(chan struct{})
+		nc.dialDone = done
+		nc.mu.Unlock()
+		c, err := nc.dial(nc.node.Addr)
+		nc.mu.Lock()
+		nc.dialDone = nil
+		close(done)
+		switch {
+		case err != nil:
+			nc.markDownLocked(err)
+			return nil, err
+		case nc.closed:
+			c.Close()
+			return nil, errClosed
+		}
+		nc.c = c
+	}
+	return nc.c, nil
+}
+
+// close tears down the connection for good.
 func (nc *nodeConn) close() error {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	if nc.tr == nil {
+	nc.closed = true
+	if nc.c == nil {
 		return nil
 	}
-	err := nc.tr.Close()
-	nc.tr = nil
+	err := nc.c.Close()
+	nc.c = nil
 	return err
 }
 
 // Router is the client-side ring transport: a wire.Transport whose
 // per-namespace views are ReplicatedStores routed by the coordinator's
-// placement directory. The directory is fetched once at dial time and
-// cached under its version counter; Refresh revalidates it with a
-// conditional fetch (placement over a static membership never moves, so
-// routing needs no per-op directory traffic at all).
+// placement directory. The directory is fetched once at dial time:
+// placement over a static membership never moves, so routing needs no
+// per-op directory traffic at all.
 type Router struct {
-	opts    RouterOptions
 	dirConn *wire.Client
-	dialTo  func(addr string) (*wire.Client, error)
+	dir     *Directory
+	ring    *Ring
+	nodes   map[string]*nodeConn // by node ID
 
 	mu     sync.Mutex
-	dir    *Directory
-	ring   *Ring
-	nodes  map[string]*nodeConn // by node ID
 	stores map[string]*ReplicatedStore
-	closed bool
 }
 
 var _ wire.Transport = (*Router)(nil)
@@ -158,50 +185,20 @@ func NewRouter(dirConn *wire.Client, dialTo func(addr string) (*wire.Client, err
 		return nil, fmt.Errorf("ring: directory version %d lists no nodes", dir.Version)
 	}
 	r := &Router{
-		opts:    opts,
 		dirConn: dirConn,
-		dialTo:  dialTo,
 		dir:     dir,
 		ring:    Build(dir),
 		nodes:   make(map[string]*nodeConn, len(dir.Nodes)),
 		stores:  make(map[string]*ReplicatedStore),
 	}
+	for _, n := range dir.Nodes {
+		r.nodes[n.ID] = newNodeConn(n, dialTo, opts.cooldown())
+	}
 	return r, nil
 }
 
-// Directory returns the cached directory.
-func (r *Router) Directory() *Directory {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dir
-}
-
-// Refresh revalidates the cached directory against the coordinator with a
-// conditional fetch and reports whether it changed. Existing namespace
-// views keep their placement (membership changes that move placement are
-// a re-dial event, not a live migration); fresh views see the new
-// directory.
-func (r *Router) Refresh() (bool, error) {
-	r.mu.Lock()
-	known := r.dir.Version
-	r.mu.Unlock()
-	blob, _, changed, err := r.dirConn.RingDirectory(known)
-	if err != nil {
-		return false, err
-	}
-	if !changed {
-		return false, nil
-	}
-	dir, err := DecodeDirectory(blob)
-	if err != nil {
-		return false, err
-	}
-	r.mu.Lock()
-	r.dir = dir
-	r.ring = Build(dir)
-	r.mu.Unlock()
-	return true, nil
-}
+// Directory returns the directory fetched at dial time.
+func (r *Router) Directory() *Directory { return r.dir }
 
 // RequestRepair asks the coordinator for one immediate targeted
 // anti-entropy round on a namespace (opRingRepair) — the readmission
@@ -210,23 +207,6 @@ func (r *Router) Refresh() (bool, error) {
 // with reads pinned to the stale replica.
 func (r *Router) RequestRepair(ns string) error {
 	return r.dirConn.RingRepair(ns)
-}
-
-// node returns the connection handle for a placement entry, creating it
-// on first use.
-func (r *Router) node(n Node) *nodeConn {
-	if nc, ok := r.nodes[n.ID]; ok {
-		return nc
-	}
-	addr := n.Addr
-	nc := &nodeConn{
-		node:     n,
-		dial:     func() (*wire.Client, error) { return r.dialTo(addr) },
-		ropts:    r.opts.reconnect(),
-		cooldown: r.opts.cooldown(),
-	}
-	r.nodes[n.ID] = nc
-	return nc
 }
 
 // WithStore returns the replicated view of the named namespace (""
@@ -241,7 +221,7 @@ func (r *Router) WithStore(name string) *ReplicatedStore {
 	placement := r.ring.Placement(name)
 	replicas := make([]*nodeConn, len(placement))
 	for i, n := range placement {
-		replicas[i] = r.node(n)
+		replicas[i] = r.nodes[n.ID]
 	}
 	s := newReplicatedStore(r, name, replicas)
 	r.stores[name] = s
@@ -254,21 +234,11 @@ func (r *Router) Store(name string) wire.Backend { return r.WithStore(name) }
 // Ping probes the coordinator connection.
 func (r *Router) Ping() error { return r.dirConn.Ping() }
 
-// Close tears down the coordinator connection and every node transport.
+// Close tears down the coordinator connection and every node connection;
+// no view dials again afterwards.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	nodes := make([]*nodeConn, 0, len(r.nodes))
-	for _, nc := range r.nodes {
-		nodes = append(nodes, nc)
-	}
-	r.mu.Unlock()
 	first := r.dirConn.Close()
-	for _, nc := range nodes {
+	for _, nc := range r.nodes {
 		if err := nc.close(); err != nil && first == nil {
 			first = err
 		}

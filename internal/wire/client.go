@@ -650,39 +650,17 @@ func (s *StoreClient) restore(c *Client) error {
 	if !s.lenSynced && len(s.pending) == 0 {
 		return nil
 	}
-	probe := func() (int, error) {
-		resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
-		if err != nil {
-			return 0, err
-		}
-		return resp.N, nil
-	}
-	n, err := probe()
+	resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
 	if err != nil {
 		return fail("resync", err)
 	}
-	retained := len(s.pending)
+	n, retained := resp.N, len(s.pending)
 	switch {
 	case n == s.serverLen:
 		// The server is exactly where the last acknowledged flush left
 		// it: retained uploads replay at the addresses Add handed out.
 		if err := s.flushLocked(c); err != nil {
-			if !IsStaleWrite(err) || c.stickyErr() != nil {
-				return fail("replaying retained uploads", err)
-			}
-			// The count moved between the probe and the replay — in a
-			// ring, anti-entropy copying this very batch from a replica
-			// that acked it before the crash. Only an exact
-			// batch-already-present count reconciles; flushLocked already
-			// dropped the retained rows either way.
-			n2, err2 := probe()
-			if err2 != nil {
-				return fail("re-probing after stale replay", err2)
-			}
-			if n2 != n+retained {
-				return fail("retained uploads lost to a concurrent write", err)
-			}
-			s.serverLen, s.lenSynced = n2, true
+			return fail("replaying retained uploads", err)
 		}
 	case n == s.serverLen+retained, retained == 0 && n > s.serverLen:
 		// Either the batch was applied but its acknowledgment died with

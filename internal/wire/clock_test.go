@@ -66,7 +66,7 @@ func (f *fakeClock) Delays() []time.Duration {
 // are not all sitting on the nominal schedule (i.e. jitter is real).
 func TestReconnectBackoffSchedule(t *testing.T) {
 	fc := newFakeClock(true)
-	rc := NewReconnector(
+	rc := newReconnector(
 		func() (*Client, error) { return nil, errors.New("dial refused") },
 		ReconnectOptions{
 			MaxRetries: 6,
@@ -113,7 +113,7 @@ func TestReconnectBackoffJitterSpread(t *testing.T) {
 	schedule := func(startNano int64) []time.Duration {
 		fc := newFakeClock(true)
 		fc.now = time.Unix(0, startNano)
-		rc := NewReconnector(
+		rc := newReconnector(
 			func() (*Client, error) { return nil, errors.New("dial refused") },
 			ReconnectOptions{MaxRetries: 8, BaseDelay: 16 * time.Millisecond, MaxDelay: time.Second, Clock: fc})
 		defer rc.Close()
@@ -140,7 +140,7 @@ func TestReconnectBackoffJitterSpread(t *testing.T) {
 // inside the backoff select.
 func TestReconnectBackoffCloseAborts(t *testing.T) {
 	fc := newFakeClock(false)
-	rc := NewReconnector(
+	rc := newReconnector(
 		func() (*Client, error) { return nil, errors.New("dial refused") },
 		ReconnectOptions{MaxRetries: 1000, BaseDelay: time.Hour, MaxDelay: time.Hour, Clock: fc})
 	done := make(chan error, 1)

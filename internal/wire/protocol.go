@@ -163,12 +163,10 @@ const (
 	opAdminSetWorkers
 
 	// Ring plane (protocol v5). opRingDirectory asks a qbring coordinator
-	// for the placement directory: the request's CondN carries the version
-	// the client already holds, and the answer is either a tiny
-	// not-modified frame (Delta=true) or the full directory as an opaque
-	// gob blob plus its version. opStoreInfo is the cheap divergence probe
-	// — existence, row counts and the (epoch, N) version of one namespace
-	// on one node; it needs no secret, like opAdminList. The remaining
+	// for the placement directory, answered whole as an opaque gob blob.
+	// opStoreInfo is the cheap divergence probe — existence, row counts
+	// and the (epoch, N) version of one namespace on one node; it needs no
+	// secret, like opAdminList. The remaining
 	// three move replica state between ring peers and are guarded by the
 	// cluster's ring token (request.RingToken), a secret shared by the
 	// nodes and the coordinator but never by tenants: opStoreSnapshot
@@ -260,8 +258,7 @@ type request struct {
 
 	// Blob carries an opaque payload: the namespace snapshot installed by
 	// opStoreRestore. (opRepairAppend reuses Batch for its rows and Have
-	// for the length CAS; opRingDirectory reuses CondN for the version the
-	// client already holds.)
+	// for the length CAS.)
 	Blob []byte
 }
 
@@ -296,8 +293,7 @@ type response struct {
 	// namespace's current version, and whether Rows is a suffix delta
 	// relative to request.Have (true) or a full resend (false). On chunked
 	// responses these ride every chunk; the client keeps the first chunk's
-	// values. opRingDirectory reuses VerN for the directory version and
-	// Delta for "not modified, keep what you hold".
+	// values.
 	VerEpoch uint64
 	VerN     uint64
 	Delta    bool

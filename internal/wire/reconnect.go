@@ -97,10 +97,10 @@ type Reconnector struct {
 	stores views
 }
 
-// NewReconnector wraps a dial function (lazy: the first operation
+// newReconnector wraps a dial function (lazy: the first operation
 // connects). Tests hand it net.Pipe factories; production uses
 // DialReconnect.
-func NewReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconnector {
+func newReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconnector {
 	rc := &Reconnector{
 		dial:     dial,
 		opts:     opts,
@@ -114,7 +114,7 @@ func NewReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconn
 // first connection is established eagerly so a misconfigured address fails
 // fast at construction rather than at the first query.
 func DialReconnect(addr string, opts ReconnectOptions) (*Reconnector, error) {
-	rc := NewReconnector(func() (*Client, error) { return Dial(addr) }, opts)
+	rc := newReconnector(func() (*Client, error) { return Dial(addr) }, opts)
 	c, err := rc.dial()
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ var fastOpts = ReconnectOptions{MaxRetries: 20, BaseDelay: 2 * time.Millisecond,
 
 func reconnectorFor(t testing.TB, s *chaosServer) *Reconnector {
 	t.Helper()
-	rc := NewReconnector(func() (*Client, error) { return Dial(s.addr) }, fastOpts)
+	rc := newReconnector(func() (*Client, error) { return Dial(s.addr) }, fastOpts)
 	t.Cleanup(func() { rc.Close() })
 	return rc
 }
@@ -268,7 +268,7 @@ func TestReconnectorGivesUpAfterMaxRetries(t *testing.T) {
 	}
 	addr := lis.Addr().String()
 	lis.Close()
-	rc := NewReconnector(func() (*Client, error) { return Dial(addr) },
+	rc := newReconnector(func() (*Client, error) { return Dial(addr) },
 		ReconnectOptions{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Clock: newFakeClock(true)})
 	defer rc.Close()
 	if err := rc.Ping(); err == nil || !strings.Contains(err.Error(), "gave up after 3 attempts") {

@@ -24,12 +24,10 @@ import (
 // tuple ciphertexts are AEAD-sealed under keys the ring never sees.
 
 // SetRingDirectory installs the placement-directory provider a qbring
-// coordinator serves through opRingDirectory. The callback receives the
-// version the client already holds and returns the directory as an opaque
-// blob (the wire layer never interprets it) plus its current version and
-// whether the client's copy is stale. It must be set before Serve; the
-// provider synchronises internally.
-func (c *Cloud) SetRingDirectory(fn func(known uint64) (blob []byte, version uint64, changed bool)) {
+// coordinator serves through opRingDirectory. The callback returns the
+// current directory as an opaque blob (the wire layer never interprets
+// it). It must be set before Serve; the provider synchronises internally.
+func (c *Cloud) SetRingDirectory(fn func() []byte) {
 	c.ringDir = fn
 }
 
@@ -75,11 +73,7 @@ func (c *Cloud) dispatchRingDirectory(req *request) response {
 	if c.ringDir == nil {
 		return response{Err: "wire: ring: this server does not serve a placement directory (not a qbring coordinator)"}
 	}
-	blob, version, changed := c.ringDir(req.CondN)
-	if !changed {
-		return response{VerN: version, Delta: true}
-	}
-	return response{Blob: blob, VerN: version}
+	return response{Blob: c.ringDir()}
 }
 
 // dispatchRingRepair runs a targeted anti-entropy round (coordinator only).
@@ -197,19 +191,13 @@ func (c *Cloud) restoreStore(name string, blob []byte) (int, error) {
 
 // --- client side ---------------------------------------------------------
 
-// RingDirectory fetches the coordinator's placement directory. known is
-// the version the caller already holds (0 for none); when the directory
-// has not moved past it the server answers with a tiny not-modified frame
-// and blob is nil with changed=false.
-func (c *Client) RingDirectory(known uint64) (blob []byte, version uint64, changed bool, err error) {
-	resp, err := c.roundTrip(&request{Op: opRingDirectory, CondN: known})
+// RingDirectory fetches the coordinator's placement directory blob.
+func (c *Client) RingDirectory() ([]byte, error) {
+	resp, err := c.roundTrip(&request{Op: opRingDirectory})
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
-	if resp.Delta {
-		return nil, resp.VerN, false, nil
-	}
-	return resp.Blob, resp.VerN, true, nil
+	return resp.Blob, nil
 }
 
 // RingRepair asks a qbring coordinator to run one targeted anti-entropy

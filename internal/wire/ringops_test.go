@@ -57,29 +57,21 @@ func populateRingStore(t *testing.T, c *Client, name string, tok []byte, encRows
 	}
 }
 
-// TestRingDirectoryOp: the conditional directory fetch contract, plus the
-// refusal on servers without a provider.
+// TestRingDirectoryOp: every fetch, the repeat included, serves the
+// provider's blob whole, and servers without a provider refuse the op.
 func TestRingDirectoryOp(t *testing.T) {
 	blob := []byte("directory-blob-v7")
 	c := startCloudWith(t, func(cl *Cloud) {
-		cl.SetRingDirectory(func(known uint64) ([]byte, uint64, bool) {
-			if known == 7 {
-				return nil, 7, false
-			}
-			return blob, 7, true
-		})
+		cl.SetRingDirectory(func() []byte { return blob })
 	})
-	got, ver, changed, err := c.RingDirectory(0)
-	if err != nil || !changed || ver != 7 || !bytes.Equal(got, blob) {
-		t.Fatalf("unconditional fetch = (%q, %d, %v, %v)", got, ver, changed, err)
-	}
-	got, ver, changed, err = c.RingDirectory(7)
-	if err != nil || changed || ver != 7 || got != nil {
-		t.Fatalf("conditional fetch at current version = (%q, %d, %v, %v)", got, ver, changed, err)
+	for i := 0; i < 2; i++ {
+		if got, err := c.RingDirectory(); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("fetch #%d = (%q, %v), want %q", i, got, err, blob)
+		}
 	}
 
 	plain := startCloud(t)
-	if _, _, _, err := plain.RingDirectory(0); err == nil {
+	if _, err := plain.RingDirectory(); err == nil {
 		t.Fatal("directory fetch from a non-coordinator succeeded")
 	}
 }

@@ -70,7 +70,7 @@ type Cloud struct {
 	// coordinator: it serves the placement directory through
 	// opRingDirectory. The wire layer treats the directory as an opaque
 	// blob; the provider synchronises internally.
-	ringDir func(known uint64) (blob []byte, version uint64, changed bool)
+	ringDir func() []byte
 	// ringRepair, when set (before Serve, coordinator only), serves
 	// opRingRepair: a targeted anti-entropy round for one namespace,
 	// requested by a writer trying to readmit a quarantined replica.
