@@ -102,11 +102,12 @@ type Config struct {
 	// transport: a transport failure — the cloud restarting, a dropped
 	// TCP session — no longer poisons the client permanently. Instead the
 	// transport redials with capped exponential backoff, re-runs the
-	// protocol handshake, re-ships the clear-text partition, resyncs the
-	// encrypted address space and replays any un-acknowledged encrypted
-	// uploads (exactly once), while in-flight queries block and then
-	// retry. The price is an owner-side mirror of the clear-text
-	// partition.
+	// protocol handshake, checks that the cloud still holds every tuple
+	// and row this client saw acknowledged, and replays any
+	// un-acknowledged encrypted uploads (exactly once), while in-flight
+	// queries block and then retry. A reconnect restores the connection,
+	// not the data: a cloud that came back without acknowledged tuples
+	// fails the client permanently instead of being refilled.
 	Reconnect bool
 	// DisableCache turns off the owner-side version cache that is on by
 	// default for remote clouds: cross-query reuse of the pulled column,
@@ -179,7 +180,7 @@ func dialTransport(cfg Config) (wire.Transport, error) {
 		return nil, err
 	}
 	if cfg.Reconnect {
-		return wire.DialReconnect(cfg.CloudAddr, wire.ReconnectOptions{})
+		return wire.DialReconnect(cfg.CloudAddr)
 	}
 	return wire.Dial(cfg.CloudAddr)
 }

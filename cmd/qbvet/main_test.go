@@ -89,6 +89,57 @@ func TestWireHasTwoLinks(t *testing.T) {
 	}
 }
 
+// TestReconnectRestoresNoData pins that a reconnect restores the
+// connection, not the data: wire.StoreClient holds no copy of a relation,
+// and outside its tests internal/wire builds an opPlainLoad request only
+// in (*StoreClient).Load. An owner-side mirror re-shipped on reconnect
+// overwrote the clear-text tuples other writers had inserted since, and
+// a cloud that lost acknowledged tuples must fail loudly, not be refilled.
+func TestReconnectRestoresNoData(t *testing.T) {
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/wire" {
+			continue
+		}
+		scope := p.Types.Scope()
+		plainLoad := scope.Lookup("opPlainLoad")
+		st := scope.Lookup("StoreClient").Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); types.TypeString(f.Type(), nil) == "*repro/internal/relation.Relation" {
+				t.Errorf("wire.StoreClient.%s is a %s: a view keeps lengths, not relations", f.Name(), f.Type())
+			}
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					name = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + name
+				}
+				if name == "(*StoreClient).Load" {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					kv, ok := n.(*ast.KeyValueExpr)
+					if !ok {
+						return true
+					}
+					key, _ := kv.Key.(*ast.Ident)
+					val, _ := kv.Value.(*ast.Ident)
+					if key != nil && key.Name == "Op" && val != nil && p.TypesInfo.Uses[val] == plainLoad {
+						t.Errorf("%s: %s builds an opPlainLoad request; only (*StoreClient).Load ships a relation", p.Fset.Position(kv.Pos()), name)
+					}
+					return true
+				})
+			}
+		}
+		return
+	}
+	t.Fatal("repro/internal/wire not loaded")
+}
+
 // TestRingRidesPlainConnections pins the ring's one repair path: no
 // non-test file of internal/ring names the self-healing link. A ring node
 // connection is a plain *wire.Client redialed after the down-cooldown, and

@@ -58,8 +58,10 @@
 // calls in flight on one connection and the server dispatches them
 // concurrently, and a batched query pays a single round trip for the
 // whole batch's encrypted bin fetches. Reconnect makes that connection
-// heal itself; either way the owner talks to one namespace view type, so
-// reconnection never changes what the cloud observes.
+// heal itself — the connection, not the data: a cloud that lost
+// acknowledged tuples fails the client instead of being refilled. Either
+// way the owner talks to one namespace view type, so reconnection never
+// changes what the cloud observes.
 //
 // One qbcloud hosts any number of relations: Config.Store selects the
 // cloud-side namespace (its own clear-text store, encrypted store and

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -524,6 +525,39 @@ func TestRouterFailureWitnessIsPerNamespace(t *testing.T) {
 	}
 	if failing.LogicalErrCount() == 0 {
 		t.Fatal("the failing namespace's own record stayed empty")
+	}
+}
+
+// TestRingLogicalErrIsTheLatest: a ring view's LogicalErr is its latest
+// failure, as wire.Backend documents, not its first — the root client
+// reports it for every query whose window failed, so a first-error record
+// would blame every later failure on an unrelated cause.
+func TestRingLogicalErrIsTheLatest(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	rs := router.WithStore("never-loaded")
+	if got := rs.Search([]relation.Value{relation.Int(3)}); got != nil {
+		t.Fatalf("Search on a never-loaded namespace = %v", got)
+	}
+	if rs.LogicalErr() == nil {
+		t.Fatal("failed Search recorded no error")
+	}
+	rs.SearchRange(relation.Int(0), relation.Int(9))
+	if err := rs.LogicalErr(); !errors.Is(err, wire.ErrNoRangeSearch) {
+		t.Fatalf("LogicalErr after SearchRange = %v, want %v", err, wire.ErrNoRangeSearch)
+	}
+	if n := rs.LogicalErrCount(); n != 2 {
+		t.Fatalf("LogicalErrCount = %d, want 2", n)
 	}
 }
 

@@ -124,12 +124,11 @@ func (s *ReplicatedStore) call(nc *nodeConn, f func(*wire.StoreClient) error) er
 	return err
 }
 
-// noteLogical records an op that failed on every replica.
+// noteLogical records an op that failed on every replica; the latest
+// failure overwrites the record.
 func (s *ReplicatedStore) noteLogical(err error) {
 	s.logMu.Lock()
-	if s.logical == nil {
-		s.logical = err
-	}
+	s.logical = err
 	s.logicalN++
 	s.logMu.Unlock()
 }
@@ -352,8 +351,9 @@ func (s *ReplicatedStore) Err() error {
 	return firstErr
 }
 
-// LogicalErr returns the view's own per-op error record: ops that failed
-// on EVERY replica. Per-replica failures masked by failover do not count.
+// LogicalErr returns the most recent error of the view's own per-op
+// record: ops that failed on EVERY replica. Per-replica failures masked by
+// failover do not count.
 func (s *ReplicatedStore) LogicalErr() error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

@@ -14,6 +14,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
@@ -73,12 +74,21 @@ func (s *PlainStore) Insert(t relation.Tuple) error {
 // cannot double-apply against anti-entropy repair: if a wholesale restore
 // (or another writer) moved the count between the writer learning it and
 // the insert arriving, the CAS fails cleanly with ErrLenMismatch instead
-// of appending a tuple the restored state may already contain. Returns
-// the relation's current tuple count either way.
+// of appending a tuple the restored state may already contain. An insert
+// whose own tuple (same ID and values) already sits at position
+// expectedLen was applied before — a retry whose acknowledgment was lost,
+// or a tuple repair already copied — and succeeds without appending, so a
+// retried insert lands exactly once. Returns the relation's current tuple
+// count either way.
 func (s *PlainStore) InsertIfLen(t relation.Tuple, expectedLen int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n := s.rel.Len(); n != expectedLen {
+		if expectedLen >= 0 && expectedLen < n {
+			if have := s.rel.Tuples[expectedLen]; have.ID == t.ID && slices.EqualFunc(have.Values, t.Values, relation.Value.Equal) {
+				return n, nil
+			}
+		}
 		return n, fmt.Errorf("%w: relation holds %d tuples, caller expected %d", ErrLenMismatch, n, expectedLen)
 	}
 	if err := s.rel.Append(t); err != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -80,6 +81,27 @@ func TestPlainStoreInsert(t *testing.T) {
 	}
 	if got := ps.Search([]relation.Value{relation.Int(42)}); len(got) != 2 || got[1].ID != 101 {
 		t.Fatalf("conditional insert not searchable: %v", got)
+	}
+	// A retry of the tuple already at the expected position (its first
+	// attempt's acknowledgment was lost) succeeds without appending.
+	if n, err := ps.InsertIfLen(relation.Tuple{ID: 101, Values: []relation.Value{relation.Int(42), relation.Str("r")}}, 11); err != nil || n != 12 {
+		t.Fatalf("retried InsertIfLen = %d, %v; want 12, nil", n, err)
+	}
+	// Any other tuple at a stale length, or a negative length, is refused.
+	for _, c := range []struct {
+		t   relation.Tuple
+		len int
+	}{
+		{relation.Tuple{ID: 102, Values: []relation.Value{relation.Int(42), relation.Str("r")}}, 11},
+		{relation.Tuple{ID: 101, Values: []relation.Value{relation.Int(42), relation.Str("s")}}, 11},
+		{relation.Tuple{ID: 101, Values: []relation.Value{relation.Int(42), relation.Str("r")}}, -1},
+	} {
+		if n, err := ps.InsertIfLen(c.t, c.len); !errors.Is(err, ErrLenMismatch) || n != 12 {
+			t.Fatalf("InsertIfLen(%v, %d) = %d, %v; want 12, ErrLenMismatch", c.t, c.len, n, err)
+		}
+	}
+	if got := ps.Search([]relation.Value{relation.Int(42)}); len(got) != 2 {
+		t.Fatalf("refused or retried inserts appended: %v", got)
 	}
 }
 

@@ -201,20 +201,15 @@ func (r *views) list() []*StoreClient {
 // every request it frames carries the store name, and it owns everything
 // that is per namespace rather than per connection: the owner token, the
 // encrypted upload buffer and client-side address arithmetic, the
-// clear-text length mirror, the clear-text replay mirror, and the
-// logical-error record. It reaches the cloud through a link (a connection
-// or a reconnecting connection) and retries each op through fresh
-// connections until it succeeds, fails logically, or the link's budget is
-// spent.
+// clear-text length mirror, and the logical-error record. It reaches the
+// cloud through a link (a connection or a reconnecting connection) and
+// retries each op through fresh connections until it succeeds, fails
+// logically, or the link's budget is spent.
 //
 // StoreClient is safe for concurrent use.
 type StoreClient struct {
 	store string
 	link  link
-	// replays marks a view whose link heals itself (a Reconnector):
-	// only such a view pays for the clear-text replay mirror, because only
-	// its link ever calls restore.
-	replays bool
 
 	// adminMu guards adminToken: the namespace's control-plane owner
 	// token, attached to write requests so the first write claims the
@@ -236,21 +231,15 @@ type StoreClient struct {
 	serverLen int
 	lenSynced bool
 
-	// plainMu guards the clear-text partition's length mirror and replay
-	// mirror, held across the load/insert round trip so concurrent Inserts
-	// CAS against consecutive lengths instead of racing each other, and so
-	// a reconnect's re-Load (restore takes it too) can never slip between
-	// an acknowledgment and the mirror commit that records it. Lock order:
+	// plainMu guards the clear-text partition's length mirror, held across
+	// the load/insert round trip so concurrent Inserts CAS against
+	// consecutive lengths instead of racing each other, and so a
+	// reconnect's count check (restore takes it too) can never slip
+	// between an acknowledgment and the length it advances. Lock order:
 	// plainMu before bufMu (Load and Insert flush while holding plainMu).
 	plainMu     sync.Mutex
 	plainLen    int
 	plainSynced bool
-	// rel/attr mirror what the cloud's clear-text partition must hold — the
-	// relation last shipped with Load plus every acknowledged Insert since
-	// (the price of transparent retry is an owner-side copy of the plain
-	// partition). nil before Load, and always nil unless replays.
-	rel  *relation.Relation
-	attr string
 
 	// The view's own logical-error record: errors its void interface
 	// methods swallowed into zero values. Per namespace, so one tenant's
@@ -393,12 +382,8 @@ func (s *StoreClient) Info() (StoreInfo, error) {
 // --- cloud.PlainBackend -----------------------------------------------
 
 // Load implements cloud.PlainBackend: ships the non-sensitive relation to
-// the view's namespace in clear-text. Over a self-healing link it also
-// mirrors the relation owner-side, so a reconnect can rebuild a cloud that
-// restarted from a stale (or no) snapshot. The mirror is committed only
-// once the cloud has accepted the relation — a logically rejected Load
-// must not become the relation every future reconnect replays (and fails
-// on, permanently).
+// the view's namespace in clear-text. The view keeps only the length the
+// cloud acknowledged, never a copy of the relation.
 func (s *StoreClient) Load(rns *relation.Relation, attr string) error {
 	return s.attempt(func(c *Client) error {
 		s.plainMu.Lock()
@@ -413,9 +398,6 @@ func (s *StoreClient) Load(rns *relation.Relation, attr string) error {
 			return err
 		}
 		s.plainLen, s.plainSynced = resp.N, true
-		if s.replays {
-			s.rel, s.attr = rns.Clone(), attr
-		}
 		return nil
 	})
 }
@@ -452,16 +434,11 @@ func (s *StoreClient) SearchRange(_, _ relation.Value) []relation.Tuple {
 // replica cannot land twice. A stale-write refusal (IsStaleWrite) drops
 // the mirror; the next insert re-probes before writing.
 //
-// Over a self-healing link the insert is exactly-once when a Load went
-// through this view: a reconnect always re-Loads the replay mirror before
-// any retry can run, so an insert whose acknowledgment died with the
-// connection was either never applied (the retry inserts it once) or was
-// erased by the re-Load of the t-less mirror (the retry re-inserts it
-// once); and an acknowledged tuple joins the mirror under the same plainMu
-// hold as its round trip, so no re-Load can ship a mirror that misses it.
-// Without a mirrored Load (a resumed session that never shipped the
-// relation through this view) a lost acknowledgment may duplicate the
-// insert on retry.
+// Over a self-healing link the insert is exactly-once: the count survives
+// the reconnect, so a retry whose first attempt's acknowledgment died
+// with the connection carries the same expected length, and the server
+// acknowledges it without appending when the tuple already sits at that
+// position (see storage.PlainStore.InsertIfLen).
 func (s *StoreClient) Insert(t relation.Tuple) error {
 	return s.attempt(func(c *Client) error {
 		s.plainMu.Lock()
@@ -487,12 +464,6 @@ func (s *StoreClient) Insert(t relation.Tuple) error {
 			return err
 		}
 		s.plainLen++
-		if s.rel != nil {
-			// Mirror maintenance failing (schema drift) is impossible when
-			// the cloud accepted the same tuple against the same schema;
-			// ignore the error by symmetry.
-			_ = s.rel.Append(t.Clone())
-		}
 		return nil
 	})
 }
@@ -604,17 +575,20 @@ func (s *StoreClient) flushLocked(c *Client) error {
 }
 
 // restore is the hook a self-healing link calls, on a fresh handshaken
-// connection nobody else can see yet, for every view derived from it: make
-// the cloud's copy of this namespace agree with the view again. It
+// connection nobody else can see yet, for every view derived from it:
+// check that the cloud still holds everything this view saw acknowledged.
+// It restores the connection, never the data. One opStoreInfo probe
+// counts both partitions:
 //
-//  1. re-Loads the clear-text replay mirror (the cloud may have restarted
-//     from a snapshot that predates recent plain writes — re-loading makes
-//     the plain partition exactly the owner's copy), and
-//  2. reconciles the encrypted row count (opEncLen) against the
-//     acknowledged count plus the retained upload buffer, replaying the
-//     retained uploads whose flush never got an acknowledgment.
+//  1. fewer clear-text tuples than the view's acknowledged length means
+//     the cloud lost acknowledged tuples (a restart from a stale or no
+//     snapshot) — a permanent error; more means other writers appended,
+//     and the view keeps its length so its next insert's CAS decides;
+//  2. the encrypted row count is reconciled against the acknowledged
+//     count plus the retained upload buffer, replaying the retained
+//     uploads whose flush never got an acknowledgment.
 //
-// The opEncLen arithmetic makes flush replay exactly-once: a batch whose
+// The row arithmetic makes flush replay exactly-once: a batch whose
 // acknowledgment was lost in the crash is detected as already applied
 // (server count == acknowledged + retained) and not replayed; a batch the
 // server never saw is replayed at the exact addresses Add handed out
@@ -625,42 +599,34 @@ func (s *StoreClient) flushLocked(c *Client) error {
 // healthy is the cloud's verdict, hence permanent; with c dead it is one
 // more transport failure and the cycle redials.
 func (s *StoreClient) restore(c *Client) error {
-	fail := func(what string, err error) error {
-		return fmt.Errorf("wire: reconnect: store %q: %s: %w", s.store, what, err)
-	}
-
 	s.plainMu.Lock()
-	// The length mirror described the dead connection's server; without a
-	// replay mirror the next Insert re-probes it.
-	s.plainSynced = false
-	if s.rel != nil {
-		resp, err := c.roundTrip(&request{
-			Op: opPlainLoad, Store: s.store, Schema: s.rel.Schema, Tuples: s.rel.Tuples, Attr: s.attr, AdminToken: s.ownerToken(),
-		})
-		if err != nil {
-			s.plainMu.Unlock()
-			return fail("re-load", err)
-		}
-		s.plainLen, s.plainSynced = resp.N, true
-	}
-	s.plainMu.Unlock()
-
+	defer s.plainMu.Unlock()
 	s.bufMu.Lock()
 	defer s.bufMu.Unlock()
-	if !s.lenSynced && len(s.pending) == 0 {
+	encSynced := s.lenSynced || len(s.pending) > 0
+	if !s.plainSynced && !encSynced {
 		return nil
 	}
-	resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
+	resp, err := c.roundTrip(&request{Op: opStoreInfo, Store: s.store})
 	if err != nil {
-		return fail("resync", err)
+		return fmt.Errorf("wire: reconnect: store %q: probe: %w", s.store, err)
 	}
-	n, retained := resp.N, len(s.pending)
+	info := resp.Info
+	if s.plainSynced && info.PlainTuples < s.plainLen {
+		return fmt.Errorf(
+			"wire: reconnect: store %q: server has %d clear-text tuples, %d were acknowledged (acknowledged tuples lost)",
+			s.store, info.PlainTuples, s.plainLen)
+	}
+	if !encSynced {
+		return nil
+	}
+	n, retained := info.EncRows, len(s.pending)
 	switch {
 	case n == s.serverLen:
 		// The server is exactly where the last acknowledged flush left
 		// it: retained uploads replay at the addresses Add handed out.
 		if err := s.flushLocked(c); err != nil {
-			return fail("replaying retained uploads", err)
+			return fmt.Errorf("wire: reconnect: store %q: replaying retained uploads: %w", s.store, err)
 		}
 	case n == s.serverLen+retained, retained == 0 && n > s.serverLen:
 		// Either the batch was applied but its acknowledgment died with

@@ -57,8 +57,8 @@ func (f *fakeClock) Delays() []time.Duration {
 	return append([]time.Duration(nil), f.delays...)
 }
 
-// TestReconnectBackoffSchedule pins the backoff shape — BaseDelay doubling
-// to the MaxDelay cap, one sleep before every attempt after the first,
+// TestReconnectBackoffSchedule pins the backoff shape — 25ms doubling to
+// the 1s cap, one sleep before every attempt after the first of the ten,
 // each sleep jittered into [nominal/2, nominal] — without sleeping any
 // wall time at all. The jitter generator is seeded from the injected
 // clock, so the schedule is deterministic per fake-clock state; the test
@@ -66,25 +66,22 @@ func (f *fakeClock) Delays() []time.Duration {
 // are not all sitting on the nominal schedule (i.e. jitter is real).
 func TestReconnectBackoffSchedule(t *testing.T) {
 	fc := newFakeClock(true)
-	rc := newReconnector(
-		func() (*Client, error) { return nil, errors.New("dial refused") },
-		ReconnectOptions{
-			MaxRetries: 6,
-			BaseDelay:  10 * time.Millisecond,
-			MaxDelay:   40 * time.Millisecond,
-			Clock:      fc,
-		})
+	rc := newReconnector(func() (*Client, error) { return nil, errors.New("dial refused") }, fc)
 	defer rc.Close()
 
-	if err := rc.Ping(); err == nil || !strings.Contains(err.Error(), "gave up after 6 attempts") {
+	if err := rc.Ping(); err == nil || !strings.Contains(err.Error(), "gave up after 10 attempts") {
 		t.Fatalf("Ping against refusing dial: %v", err)
 	}
 	nominal := []time.Duration{
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		40 * time.Millisecond,
-		40 * time.Millisecond,
+		25 * time.Millisecond,
+		50 * time.Millisecond,
+		100 * time.Millisecond,
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		time.Second,
+		time.Second,
+		time.Second,
 	}
 	got := fc.Delays()
 	if len(got) != len(nominal) {
@@ -113,9 +110,7 @@ func TestReconnectBackoffJitterSpread(t *testing.T) {
 	schedule := func(startNano int64) []time.Duration {
 		fc := newFakeClock(true)
 		fc.now = time.Unix(0, startNano)
-		rc := newReconnector(
-			func() (*Client, error) { return nil, errors.New("dial refused") },
-			ReconnectOptions{MaxRetries: 8, BaseDelay: 16 * time.Millisecond, MaxDelay: time.Second, Clock: fc})
+		rc := newReconnector(func() (*Client, error) { return nil, errors.New("dial refused") }, fc)
 		defer rc.Close()
 		if err := rc.Ping(); err == nil {
 			t.Fatal("Ping against refusing dial succeeded")
@@ -140,9 +135,7 @@ func TestReconnectBackoffJitterSpread(t *testing.T) {
 // inside the backoff select.
 func TestReconnectBackoffCloseAborts(t *testing.T) {
 	fc := newFakeClock(false)
-	rc := newReconnector(
-		func() (*Client, error) { return nil, errors.New("dial refused") },
-		ReconnectOptions{MaxRetries: 1000, BaseDelay: time.Hour, MaxDelay: time.Hour, Clock: fc})
+	rc := newReconnector(func() (*Client, error) { return nil, errors.New("dial refused") }, fc)
 	done := make(chan error, 1)
 	go func() { done <- rc.Ping() }()
 

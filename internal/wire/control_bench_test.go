@@ -11,10 +11,11 @@ import (
 )
 
 // BenchmarkReconnectResync measures one full reconnect cycle — kill every
-// connection, redial, handshake + liveness probe, re-Load the mirrored
-// clear-text relation, opEncLen resync — plus the first op through the
-// recovered transport, per iteration, across plain-partition sizes. It is
-// the price a Config.Reconnect client pays per transport failure.
+// connection, redial, handshake + liveness probe, one opStoreInfo count
+// check — plus the first op through the recovered transport, per
+// iteration, across plain-partition sizes (nothing is re-shipped, so the
+// size should not show). It is the price a Config.Reconnect client pays
+// per transport failure.
 func BenchmarkReconnectResync(b *testing.B) {
 	for _, tuples := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprintf("plainTuples=%d", tuples), func(b *testing.B) {

@@ -239,7 +239,9 @@ type request struct {
 	// The mutation ops reuse Have as their length CAS: opEncAddBatch and
 	// opPlainInsert apply only if the partition still holds exactly Have
 	// rows/tuples, answering a stale-write error (see IsStaleWrite)
-	// otherwise — a Have below zero included.
+	// otherwise — a Have below zero included. An opPlainInsert whose own
+	// tuple already sits at position Have was applied before (a retry
+	// whose acknowledgment was lost) and is acknowledged, not refused.
 	CondEpoch uint64
 	CondN     uint64
 	Have      int

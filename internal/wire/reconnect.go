@@ -18,59 +18,26 @@ import (
 //  1. redial with capped exponential backoff,
 //  2. re-run the opHello handshake and probe liveness with opPing,
 //  3. call the restore hook of every view derived from it
-//     (StoreClient.restore: re-Load the clear-text replay mirror, reconcile
-//     the encrypted row count, replay retained uploads exactly once).
+//     (StoreClient.restore: one opStoreInfo probe that fails if the cloud
+//     lost acknowledged clear-text tuples, reconciles the encrypted row
+//     count and replays retained uploads exactly once).
 //
-// Nothing migrates between connections: the views own their buffers and
-// mirrors, the Reconnector only decides which *Client they get next.
+// A reconnect restores the connection, never the data: nothing is
+// re-shipped to the cloud but uploads it never acknowledged. The views own
+// their buffers and length mirrors, the Reconnector only decides which
+// *Client they get next.
 
 // errReconnClosed is the sticky error after an explicit Close.
 var errReconnClosed = errors.New("wire: reconnector closed")
 
-// ReconnectOptions tunes the redial loop. The zero value selects the
-// defaults: 10 attempts per reconnect cycle, 25ms initial backoff doubling
-// up to a 1s cap.
-type ReconnectOptions struct {
-	// MaxRetries bounds dial attempts per reconnect cycle (and retry
-	// cycles per operation); <= 0 selects 10.
-	MaxRetries int
-	// BaseDelay is the backoff before the second attempt; <= 0 selects
-	// 25ms. Doubles per attempt.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; <= 0 selects 1s.
-	MaxDelay time.Duration
-	// Clock supplies time to the backoff loop; nil selects the real
-	// clock. Tests inject a fake so backoff coverage does not sleep.
-	Clock Clock
-}
-
-func (o ReconnectOptions) maxRetries() int {
-	if o.MaxRetries > 0 {
-		return o.MaxRetries
-	}
-	return 10
-}
-
-func (o ReconnectOptions) baseDelay() time.Duration {
-	if o.BaseDelay > 0 {
-		return o.BaseDelay
-	}
-	return 25 * time.Millisecond
-}
-
-func (o ReconnectOptions) maxDelay() time.Duration {
-	if o.MaxDelay > 0 {
-		return o.MaxDelay
-	}
-	return time.Second
-}
-
-func (o ReconnectOptions) clock() Clock {
-	if o.Clock != nil {
-		return o.Clock
-	}
-	return realClock{}
-}
+// The redial schedule: at most reconnectAttempts dials per reconnect
+// cycle (and retry cycles per operation), the backoff starting at
+// reconnectBaseDelay and doubling up to reconnectMaxDelay.
+const (
+	reconnectAttempts  = 10
+	reconnectBaseDelay = 25 * time.Millisecond
+	reconnectMaxDelay  = time.Second
+)
 
 // Reconnector is a Transport (and a link) over a dial function instead of
 // a single connection: per-namespace views (Store/WithStore) survive
@@ -81,8 +48,8 @@ func (o ReconnectOptions) clock() Clock {
 //
 // Reconnector is safe for concurrent use.
 type Reconnector struct {
-	dial func() (*Client, error)
-	opts ReconnectOptions
+	dial  func() (*Client, error)
+	clock Clock // supplies the backoff loop's time; tests inject a fake
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -98,12 +65,12 @@ type Reconnector struct {
 }
 
 // newReconnector wraps a dial function (lazy: the first operation
-// connects). Tests hand it net.Pipe factories; production uses
-// DialReconnect.
-func newReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconnector {
+// connects) whose backoff reads time from clock. Tests hand it net.Pipe
+// factories and fake clocks; production uses DialReconnect.
+func newReconnector(dial func() (*Client, error), clock Clock) *Reconnector {
 	rc := &Reconnector{
 		dial:     dial,
-		opts:     opts,
+		clock:    clock,
 		closedCh: make(chan struct{}),
 	}
 	rc.cond = sync.NewCond(&rc.mu)
@@ -113,8 +80,8 @@ func newReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconn
 // DialReconnect returns a reconnecting transport to the cloud at addr. The
 // first connection is established eagerly so a misconfigured address fails
 // fast at construction rather than at the first query.
-func DialReconnect(addr string, opts ReconnectOptions) (*Reconnector, error) {
-	rc := newReconnector(func() (*Client, error) { return Dial(addr) }, opts)
+func DialReconnect(addr string) (*Reconnector, error) {
+	rc := newReconnector(func() (*Client, error) { return Dial(addr) }, realClock{})
 	c, err := rc.dial()
 	if err != nil {
 		return nil, err
@@ -129,7 +96,7 @@ func DialReconnect(addr string, opts ReconnectOptions) (*Reconnector, error) {
 // ("" means DefaultStore). The same name always yields the same view.
 func (rc *Reconnector) WithStore(name string) *StoreClient {
 	return rc.stores.get(name, func(name string) *StoreClient {
-		return &StoreClient{store: name, link: rc, replays: true}
+		return &StoreClient{store: name, link: rc}
 	})
 }
 
@@ -167,7 +134,7 @@ func (rc *Reconnector) Err() error {
 }
 
 // budget implements link: retry cycles per operation.
-func (rc *Reconnector) budget() int { return rc.opts.maxRetries() }
+func (rc *Reconnector) budget() int { return reconnectAttempts }
 
 // Ping checks that a live, handshaken connection exists — dialing one if
 // needed — and probes it.
@@ -245,25 +212,19 @@ func (rc *Reconnector) reconnect(old *Client) (*Client, error) {
 	// hammering the restarted node in lockstep. The generator is seeded
 	// from the injected clock, never the wall clock, so tests driving a
 	// fake clock get a deterministic schedule to assert bounds against.
-	delay := rc.opts.baseDelay()
-	seed := uint64(rc.opts.clock().Now().UnixNano())
+	delay := reconnectBaseDelay
+	seed := uint64(rc.clock.Now().UnixNano())
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	var lastErr error
-	for attempt := 0; attempt < rc.opts.maxRetries(); attempt++ {
+	for attempt := 0; attempt < reconnectAttempts; attempt++ {
 		if attempt > 0 {
-			sleep := delay
-			if half := int64(delay / 2); half > 0 {
-				sleep = delay/2 + time.Duration(rng.Int64N(half+1))
-			}
+			sleep := delay/2 + time.Duration(rng.Int64N(int64(delay/2)+1))
 			select {
-			case <-rc.opts.clock().After(sleep):
+			case <-rc.clock.After(sleep):
 			case <-rc.closedCh:
 				return nil, errReconnClosed
 			}
-			delay *= 2
-			if delay > rc.opts.maxDelay() {
-				delay = rc.opts.maxDelay()
-			}
+			delay = min(2*delay, reconnectMaxDelay)
 		}
 		c, err := rc.dial()
 		if err != nil {
@@ -290,7 +251,7 @@ func (rc *Reconnector) reconnect(old *Client) (*Client, error) {
 		}
 		return c, nil
 	}
-	return nil, fmt.Errorf("wire: reconnect: gave up after %d attempts: %w", rc.opts.maxRetries(), lastErr)
+	return nil, fmt.Errorf("wire: reconnect: gave up after %d attempts: %w", reconnectAttempts, lastErr)
 }
 
 // restoreAll runs every view's restore hook against c.

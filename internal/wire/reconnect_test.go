@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,12 +77,9 @@ func (s *chaosServer) restart(t testing.TB, cl *Cloud) {
 	s.start(cl, lis)
 }
 
-// fastOpts keeps test reconnect cycles snappy.
-var fastOpts = ReconnectOptions{MaxRetries: 20, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-
 func reconnectorFor(t testing.TB, s *chaosServer) *Reconnector {
 	t.Helper()
-	rc := newReconnector(func() (*Client, error) { return Dial(s.addr) }, fastOpts)
+	rc := newReconnector(func() (*Client, error) { return Dial(s.addr) }, RealClock())
 	t.Cleanup(func() { rc.Close() })
 	return rc
 }
@@ -98,11 +94,11 @@ func testRelation(n int) *relation.Relation {
 	return rel
 }
 
-// TestReconnectorPlainSurvivesRestart: a kill plus a restart with an EMPTY
-// cloud — the worst case, no snapshot at all — is invisible to the plain
-// path: the reconnect re-ships the mirrored relation, inserts included,
-// exactly once.
-func TestReconnectorPlainSurvivesRestart(t *testing.T) {
+// TestReconnectorRefusesLostPlainTuples: a kill plus a restart with an
+// EMPTY cloud — no snapshot at all — lost every acknowledged clear-text
+// tuple. The reconnect restores the connection, not the data: the view
+// fails permanently and names the loss instead of refilling the cloud.
+func TestReconnectorRefusesLostPlainTuples(t *testing.T) {
 	srv := newChaosServer(t, NewCloud())
 	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
 
@@ -112,23 +108,93 @@ func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 	if err := rc.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}); err != nil {
 		t.Fatal(err)
 	}
-	want := rc.Search([]relation.Value{relation.Int(2)})
-	if len(want) != 4 {
-		t.Fatalf("pre-kill Search = %d tuples, want 4", len(want))
+
+	srv.kill()
+	srv.restart(t, NewCloud())
+
+	before := rc.LogicalErrCount()
+	if got := rc.Search([]relation.Value{relation.Int(2)}); got != nil {
+		t.Fatalf("Search on a cloud that lost the relation = %v", got)
+	}
+	if rc.LogicalErrCount() == before {
+		t.Fatal("Search recorded no error")
+	}
+	err := rc.Err()
+	if err == nil || !strings.Contains(err.Error(), "acknowledged tuples lost") {
+		t.Fatalf("Err = %v, want the lost acknowledged tuples named", err)
+	}
+	if _, err := rc.Fetch([]int{0}); err == nil {
+		t.Fatal("op after permanent failure succeeded")
+	}
+}
+
+// TestReconnectKeepsPeerInserts: one view loads the relation, a second
+// view on its own Reconnector inserts, and the connections die with the
+// cloud's state intact. Neither reconnect may rewrite the clear-text
+// partition: both views still see the peer's acknowledged tuple.
+func TestReconnectKeepsPeerInserts(t *testing.T) {
+	cl := NewCloud()
+	srv := newChaosServer(t, cl)
+	a := reconnectorFor(t, srv).WithStore(DefaultStore)
+	b := reconnectorFor(t, srv).WithStore(DefaultStore)
+
+	if err := a.Load(testRelation(20), "K"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(2)}}); err != nil {
+		t.Fatal(err)
 	}
 
 	srv.kill()
-	srv.restart(t, NewCloud()) // fresh empty cloud: everything must come from the mirror
+	srv.restart(t, cl)
 
-	got := rc.Search([]relation.Value{relation.Int(2)})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-restart Search = %v, want %v", got, want)
+	for _, v := range []*StoreClient{a, b} {
+		if got := v.Search([]relation.Value{relation.Int(2)}); len(got) != 5 {
+			t.Fatalf("Search after the blip = %d tuples, want 5 (logical: %v, err: %v)", len(got), v.LogicalErr(), v.Err())
+		}
 	}
-	if ins := rc.Search([]relation.Value{relation.Int(42)}); len(ins) != 1 || ins[0].ID != 777 {
-		t.Fatalf("insert not exactly-once after restart: %v", ins)
+}
+
+// TestReconnectedInsertLandsOnce: the lost-acknowledgment case of a view
+// that never loaded the relation. The view's next tuple is applied at its
+// expected length behind its back; after a blip the view retries it, and
+// the retry is acknowledged without landing a second copy.
+func TestReconnectedInsertLandsOnce(t *testing.T) {
+	cl := NewCloud()
+	srv := newChaosServer(t, cl)
+	// direct runs one op on a fresh plain connection, whose view probes
+	// the current length.
+	direct := func(op func(v *StoreClient) error) {
+		t.Helper()
+		c, err := Dial(srv.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := op(c.WithStore(DefaultStore)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rc.Err() != nil {
-		t.Fatalf("reconnector poisoned: %v", rc.Err())
+	direct(func(v *StoreClient) error { return v.Load(testRelation(20), "K") })
+	rc := reconnectorFor(t, srv).WithStore(DefaultStore)
+
+	first := relation.Tuple{ID: 100, Values: []relation.Value{relation.Int(42)}}
+	next := relation.Tuple{ID: 101, Values: []relation.Value{relation.Int(42)}}
+	if err := rc.Insert(first); err != nil {
+		t.Fatal(err)
+	}
+	// The view expects 21 tuples; land its next tuple there, as a first
+	// attempt whose acknowledgment died with the connection would have.
+	direct(func(v *StoreClient) error { return v.Insert(next) })
+
+	srv.kill()
+	srv.restart(t, cl)
+
+	if err := rc.Insert(next); err != nil {
+		t.Fatalf("retried insert: %v", err)
+	}
+	if got := rc.Search([]relation.Value{relation.Int(42)}); len(got) != 2 {
+		t.Fatalf("value holds %d tuples after the retry, want 2: %v", len(got), got)
 	}
 }
 
@@ -268,10 +334,9 @@ func TestReconnectorGivesUpAfterMaxRetries(t *testing.T) {
 	}
 	addr := lis.Addr().String()
 	lis.Close()
-	rc := newReconnector(func() (*Client, error) { return Dial(addr) },
-		ReconnectOptions{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Clock: newFakeClock(true)})
+	rc := newReconnector(func() (*Client, error) { return Dial(addr) }, newFakeClock(true))
 	defer rc.Close()
-	if err := rc.Ping(); err == nil || !strings.Contains(err.Error(), "gave up after 3 attempts") {
+	if err := rc.Ping(); err == nil || !strings.Contains(err.Error(), "gave up after 10 attempts") {
 		t.Fatalf("Ping against nothing: %v", err)
 	}
 	if rc.Err() == nil {

@@ -375,7 +375,7 @@ var transportStacks = []struct {
 	home func(v *StoreClient) *Reconnector
 }{
 	{"conns=1", func(addr string) (Transport, error) { return Dial(addr) }, nil},
-	{"reconnect,conns=1", func(addr string) (Transport, error) { return DialReconnect(addr, fastOpts) },
+	{"reconnect,conns=1", func(addr string) (Transport, error) { return DialReconnect(addr) },
 		func(v *StoreClient) *Reconnector { return v.link.(*Reconnector) }},
 }
 
@@ -510,7 +510,7 @@ func TestTransportConformance(t *testing.T) {
 				t.Fatalf("Len after a kill between Add and Flush = %d, want exactly 11", n)
 			}
 			if got := v.Search([]relation.Value{relation.Int(42)}); len(got) != 1 {
-				t.Fatalf("insert after the restore's re-Load: %v", got)
+				t.Fatalf("insert after the reconnect: %v", got)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -507,6 +508,61 @@ func (s *chaosCloud) restart(t *testing.T, cl *wire.Cloud) {
 		t.Fatalf("rebinding %s: %v", s.addr, err)
 	}
 	s.serve(cl, lis)
+}
+
+// TestReconnectResumedWriterKeepsInserts: the writer outsources, a peer
+// resumes its metadata and inserts a non-sensitive tuple for an existing
+// value, and a blip severs both connections with the cloud's state
+// intact. A reconnect restores the connection, not the data: the writer's
+// reconnect must not rewrite the clear-text partition, so the peer's
+// acknowledged insert survives it.
+func TestReconnectResumedWriterKeepsInserts(t *testing.T) {
+	cloud := wire.NewCloud()
+	srv := startChaosCloud(t, cloud)
+	mk := func() *Client {
+		c, err := NewClient(Config{
+			MasterKey: []byte("resumed writer"),
+			Attr:      "EId",
+			Seed:      seed(89),
+			CloudAddr: srv.addr,
+			Reconnect: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	writer, peer := mk(), mk()
+	if err := writer.Outsource(workload.Employee(), workload.EmployeeSensitive); err != nil {
+		t.Fatal(err)
+	}
+	var meta bytes.Buffer
+	if err := writer.SaveMetadata(&meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Resume(&meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Insert(empTuple(4000, "E259"), false); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.kill()
+	srv.restart(t, cloud)
+
+	// The writer reconnects first: the reconnect that used to re-ship its
+	// copy of the clear-text partition over the peer's insert.
+	if _, err := writer.Query(Str("E259")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := peer.Query(Str("E259"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := relation.IDs(got); !slices.Contains(ids, 4000) || len(ids) != 3 {
+		t.Fatalf("peer's Query(E259) after the blip = %v, want the two outsourced tuples and 4000", ids)
+	}
 }
 
 // TestReconnectClientSurvivesCloudKillMidBatch is the crash/recovery
