@@ -13,11 +13,10 @@
 //	qbadmin -addr HOST:PORT -master KEY -store NAME stats
 //	qbadmin -addr HOST:PORT -master KEY -store NAME compact
 //	qbadmin -addr HOST:PORT -master KEY -store NAME drop
-//	qbadmin -addr HOST:PORT -master KEY -store NAME -n N set-workers
 //	qbadmin -addr RING_ADDR ring
 //
-// ping and list need no key (liveness and discovery); stats, compact,
-// drop and set-workers are per-namespace and owner-authenticated. ring
+// ping and list need no key (liveness and discovery); stats, compact and
+// drop are per-namespace and owner-authenticated. ring
 // points -addr at a qbring coordinator instead of a qbcloud and prints
 // the cluster picture: membership with liveness, and for every hosted
 // namespace its replica placement with per-replica row counts and
@@ -25,11 +24,7 @@
 // anti-entropy repair loop's work queue). drop
 // destroys the namespace's clear-text partition, encrypted rows and owner
 // registration irrecoverably (modulo cloud snapshots taken before the
-// drop). set-workers overrides the namespace's admission bound (the
-// server-wide -store-workers default) at runtime: -n N with N > 0 bounds
-// the namespace to N concurrent ops, N = 0 lifts the bound for it, and a
-// negative N clears the override; the override persists across cloud
-// snapshots.
+// drop).
 package main
 
 import (
@@ -45,11 +40,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7040", "qbcloud address")
-	master := flag.String("master", "", "owner master key (required for stats/compact/drop/set-workers)")
+	master := flag.String("master", "", "owner master key (required for stats/compact/drop)")
 	store := flag.String("store", "", "namespace to administer (\"\" = the default store)")
-	workers := flag.Int("n", -1, "set-workers: admission bound (>0 bound, 0 unlimited, <0 clear the override)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: qbadmin -addr HOST:PORT [-master KEY] [-store NAME] [-n N] ping|list|stats|compact|drop|set-workers|ring")
+		fmt.Fprintln(os.Stderr, "usage: qbadmin -addr HOST:PORT [-master KEY] [-store NAME] ping|list|stats|compact|drop|ring")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,13 +51,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *addr, *master, *store, flag.Arg(0), *workers); err != nil {
+	if err := run(os.Stdout, *addr, *master, *store, flag.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "qbadmin:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, addr, master, store, cmd string, workers int) error {
+func run(w io.Writer, addr, master, store, cmd string) error {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return err
@@ -106,8 +100,8 @@ func run(w io.Writer, addr, master, store, cmd string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "qbadmin: store %q: ops=%d plain_tuples=%d enc_rows=%d cond_hits=%d workers=%s\n",
-			storeLabel(store), s.Ops, s.PlainTuples, s.EncRows, s.CondHits, workersLabel(s.Workers))
+		fmt.Fprintf(w, "qbadmin: store %q: ops=%d plain_tuples=%d enc_rows=%d cond_hits=%d\n",
+			storeLabel(store), s.Ops, s.PlainTuples, s.EncRows, s.CondHits)
 	case "compact":
 		tok, err := token()
 		if err != nil {
@@ -127,20 +121,10 @@ func run(w io.Writer, addr, master, store, cmd string, workers int) error {
 			return err
 		}
 		fmt.Fprintf(w, "qbadmin: store %q dropped\n", storeLabel(store))
-	case "set-workers":
-		tok, err := token()
-		if err != nil {
-			return err
-		}
-		n, err := c.AdminSetWorkers(store, tok, workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "qbadmin: store %q admission bound: %s\n", storeLabel(store), workersLabel(n))
 	case "ring":
 		return ringStatus(w, c)
 	default:
-		return fmt.Errorf("unknown command %q (want ping|list|stats|compact|drop|set-workers|ring)", cmd)
+		return fmt.Errorf("unknown command %q (want ping|list|stats|compact|drop|ring)", cmd)
 	}
 	return nil
 }
@@ -237,14 +221,6 @@ func ringStatus(w io.Writer, c *wire.Client) error {
 		}
 	}
 	return nil
-}
-
-// workersLabel renders an effective admission bound (0 = unbounded).
-func workersLabel(n int) string {
-	if n <= 0 {
-		return "unlimited"
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // storeLabel names the namespace in output ("" is the default store).

@@ -69,15 +69,15 @@ func TestAdminCommands(t *testing.T) {
 	before := answers()
 
 	// admin runs one command and returns what it printed.
-	admin := func(master, store, cmd string, workers int) (string, error) {
+	admin := func(master, store, cmd string) (string, error) {
 		var out bytes.Buffer
-		err := run(&out, addr, master, store, cmd, workers)
+		err := run(&out, addr, master, store, cmd)
 		return out.String(), err
 	}
 	// ok additionally requires success and the given substrings.
-	ok := func(master, store, cmd string, workers int, want ...string) {
+	ok := func(master, store, cmd string, want ...string) {
 		t.Helper()
-		out, err := admin(master, store, cmd, workers)
+		out, err := admin(master, store, cmd)
 		if err != nil {
 			t.Fatalf("%s: %v", cmd, err)
 		}
@@ -88,41 +88,43 @@ func TestAdminCommands(t *testing.T) {
 		}
 	}
 
-	ok("", "", "ping", -1, "is alive")
-	ok("", "", "list", -1, "tenant\n", "scratch\n")
-	ok(tenantKey, "tenant", "stats", -1, `store "tenant"`, "enc_rows=", "workers=unlimited")
-	ok(tenantKey, "tenant", "compact", -1, "rows retained")
-	ok(tenantKey, "tenant", "set-workers", 3, "admission bound: 3")
-	ok(tenantKey, "tenant", "stats", -1, "workers=3")
-	ok(tenantKey, "tenant", "set-workers", 0, "admission bound: unlimited")
-	ok(tenantKey, "tenant", "set-workers", -1, "admission bound: unlimited")
+	ok("", "", "ping", "is alive")
+	ok("", "", "list", "tenant\n", "scratch\n")
+	ok(tenantKey, "tenant", "stats", `store "tenant"`, "enc_rows=", "cond_hits=")
+	if out, _ := admin(tenantKey, "tenant", "stats"); strings.Contains(out, "workers=") {
+		t.Errorf("stats printed %q: the cloud has no per-namespace admission bound to report", out)
+	}
+	ok(tenantKey, "tenant", "compact", "rows retained")
 
 	// The cloud refuses another owner's key and keeps the namespace.
-	if out, err := admin(tenantKey, "scratch", "drop", -1); err == nil {
+	if out, err := admin(tenantKey, "scratch", "drop"); err == nil {
 		t.Fatalf("drop with the wrong master key succeeded: %q", out)
 	}
-	ok("", "", "list", -1, "scratch\n")
+	ok("", "", "list", "scratch\n")
 
-	ok(scratchKey, "scratch", "drop", -1, `store "scratch" dropped`)
-	out, err := admin("", "", "list", -1)
+	ok(scratchKey, "scratch", "drop", `store "scratch" dropped`)
+	out, err := admin("", "", "list")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, "scratch") || !strings.Contains(out, "tenant\n") {
 		t.Errorf("list after drop = %q, want tenant only", out)
 	}
-	// The compacted, re-bounded sibling still answers as before.
+	// The compacted sibling still answers as before.
 	if after := answers(); !reflect.DeepEqual(after, before) {
 		t.Errorf("tenant answers changed after admin commands:\n got %v\nwant %v", after, before)
 	}
 
-	for _, cmd := range []string{"stats", "compact", "drop", "set-workers"} {
-		if _, err := admin("", "tenant", cmd, -1); err == nil || !strings.Contains(err.Error(), "requires -master") {
+	for _, cmd := range []string{"stats", "compact", "drop"} {
+		if _, err := admin("", "tenant", cmd); err == nil || !strings.Contains(err.Error(), "requires -master") {
 			t.Errorf("%s without -master: err = %v, want a -master complaint", cmd, err)
 		}
 	}
-	if _, err := admin("", "", "frobnicate", -1); err == nil || !strings.Contains(err.Error(), "unknown command") {
-		t.Errorf("unknown command: err = %v", err)
+	// set-workers went with the per-namespace admission bound.
+	for _, cmd := range []string{"frobnicate", "set-workers"} {
+		if _, err := admin(tenantKey, "tenant", cmd); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Errorf("%s: err = %v, want an unknown command", cmd, err)
+		}
 	}
 }
 
@@ -160,7 +162,7 @@ func TestRingCommand(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if err := run(&out, coAddr, "", "", "ring", -1); err != nil {
+	if err := run(&out, coAddr, "", "", "ring"); err != nil {
 		t.Fatalf("ring: %v", err)
 	}
 	got := out.String()
@@ -188,7 +190,7 @@ func TestRingCommand(t *testing.T) {
 		t.Errorf("ring placement rows %v, want one primary and one replica:\n%s", roles, got)
 	}
 
-	if err := run(io.Discard, nodes[0], "", "", "ring", -1); err == nil ||
+	if err := run(io.Discard, nodes[0], "", "", "ring"); err == nil ||
 		!strings.Contains(err.Error(), "is -addr a qbring coordinator?") {
 		t.Errorf("ring against a plain qbcloud: err = %v", err)
 	}

@@ -9,23 +9,22 @@
 //
 // Usage:
 //
-//	qbcloud -addr :7040 [-workers N] [-store-workers N] [-state FILE]
-//	        [-snapshot-every DUR] [-stats DUR]
+//	qbcloud -addr :7040 [-state FILE [-snapshot-every DUR]] [-stats DUR]
+//	        [-ring-token SECRET]
 //
 // Point a client at it with repro.Config{CloudAddr: "host:7040",
 // Store: "tenant"}. The wire protocol is versioned (clients and server
 // must speak the same generation; a pre-namespace client is refused with
 // an explicit version-mismatch error) and multiplexed: every connection's
-// requests are dispatched concurrently through two-level admission — a
-// bounded per-connection pool (-workers, default GOMAXPROCS) plus an
-// optional per-namespace bound (-store-workers) that keeps one tenant's
-// CPU burst from starving tenants sharing the same connection; namespaces
-// only lock against themselves, so tenants don't otherwise contend.
+// requests are dispatched concurrently, at most GOMAXPROCS at a time per
+// connection; namespaces only lock against themselves, so tenants don't
+// otherwise contend.
 //
 // -state persists every namespace in one snapshot file (restored at
-// start if present, saved on SIGINT/SIGTERM; pre-namespace state files
-// load into "default"); -snapshot-every additionally saves it in the
-// background every DUR. Every save is atomic (tmp + rename), so a crash
+// start if present, saved on SIGINT/SIGTERM; a pre-namespace state file
+// from a protocol-v1 server is refused); -snapshot-every additionally
+// saves it in the background every DUR and requires -state. Every save is
+// atomic (tmp + rename), so a crash
 // mid-save never corrupts the state file. -stats prints per-store op/row
 // counts every DUR (e.g. 30s); the same table is always printed on
 // shutdown. The owner-side control plane (namespace stats/compact/drop,
@@ -50,13 +49,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":7040", "listen address")
 	state := flag.String("state", "", "state file: restored at start if present, saved on SIGINT/SIGTERM (all namespaces)")
-	workers := flag.Int("workers", 0, "concurrent ops dispatched per connection (0 = GOMAXPROCS)")
-	storeWorkers := flag.Int("store-workers", 0, "concurrent ops dispatched per namespace across all connections (0 = unbounded)")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "also save -state at this interval, atomically (0 = only on shutdown)")
+	snapshotEvery := flag.Duration("snapshot-every", 0, "also save -state at this interval, atomically (0 = only on shutdown; needs -state)")
 	statsEvery := flag.Duration("stats", 0, "print per-store stats at this interval (0 = only on shutdown)")
 	ringToken := flag.String("ring-token", "", "cluster secret authorising intra-ring transfer (snapshot restore, repair append); empty refuses those ops")
 	flag.Parse()
-	if err := run(*addr, *state, *workers, *storeWorkers, *snapshotEvery, *statsEvery, *ringToken); err != nil {
+	if err := run(*addr, *state, *snapshotEvery, *statsEvery, *ringToken); err != nil {
 		fmt.Fprintln(os.Stderr, "qbcloud:", err)
 		os.Exit(1)
 	}
@@ -82,10 +79,11 @@ func printStats(cloud *wire.Cloud) {
 	}
 }
 
-func run(addr, state string, workers, storeWorkers int, snapshotEvery, statsEvery time.Duration, ringToken string) error {
+func run(addr, state string, snapshotEvery, statsEvery time.Duration, ringToken string) error {
+	if snapshotEvery > 0 && state == "" {
+		return errors.New("-snapshot-every needs -state (there is no file to save to)")
+	}
 	cloud := wire.NewCloud()
-	cloud.SetConnWorkers(workers)
-	cloud.SetStoreWorkers(storeWorkers)
 	if ringToken != "" {
 		cloud.SetRingToken([]byte(ringToken))
 	}
@@ -119,7 +117,7 @@ func run(addr, state string, workers, storeWorkers int, snapshotEvery, statsEver
 			}
 		}()
 	}
-	if snapshotEvery > 0 && state != "" {
+	if snapshotEvery > 0 {
 		// Periodic background snapshots: every save is atomic (tmp +
 		// rename inside SaveFile), so a SIGKILL mid-save leaves the
 		// previous complete snapshot and a restart loses at most one

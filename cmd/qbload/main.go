@@ -86,7 +86,6 @@ func main() {
 		ringN    = flag.Int("ring", 0, "boot this many qbcloud nodes plus a qbring coordinator and drive the ring (needs -qbcloud and -qbring)")
 		ringBin  = flag.String("qbring", "", "qbring binary for -ring mode")
 		replicas = flag.Int("replicas", 2, "replication factor for -ring mode")
-		workers  = flag.Int("store-workers", 0, "per-namespace dispatch bound for the booted qbcloud (0 = unbounded)")
 		killAt   = flag.Duration("kill-at", 0, "SIGKILL the booted qbcloud this long into the measured window (0 = no chaos)")
 		restart  = flag.Duration("restart-after", 500*time.Millisecond, "restart the killed qbcloud after this long")
 		snapshot = flag.Duration("snapshot-every", 150*time.Millisecond, "background snapshot interval for the booted qbcloud")
@@ -121,7 +120,7 @@ func main() {
 						fmt.Fprintf(os.Stderr, format+"\n", args...)
 					},
 				},
-				bin: *bin, storeWorkers: *workers,
+				bin:   *bin,
 				ringN: *ringN, ringBin: *ringBin, replicas: *replicas,
 				killAt: *killAt, restartAfter: *restart,
 				snapshotEvery: *snapshot, state: *state,
@@ -151,7 +150,6 @@ func parseTechnique(name string) (repro.Technique, error) {
 type runOpts struct {
 	cfg           loadgen.Config
 	bin           string
-	storeWorkers  int
 	ringN         int
 	ringBin       string
 	replicas      int
@@ -217,9 +215,6 @@ func run(o runOpts) error {
 			"-state", o.state,
 			"-snapshot-every", o.snapshotEvery.String(),
 		}
-		if o.storeWorkers > 0 {
-			extra = append(extra, "-store-workers", fmt.Sprint(o.storeWorkers))
-		}
 		var err error
 		if srv, err = loadgen.BootCloud(o.bin, extra...); err != nil {
 			return err
@@ -243,9 +238,6 @@ func run(o runOpts) error {
 				"-state", state,
 				"-snapshot-every", o.snapshotEvery.String(),
 				"-ring-token", ringToken,
-			}
-			if o.storeWorkers > 0 {
-				extra = append(extra, "-store-workers", fmt.Sprint(o.storeWorkers))
 			}
 			n, err := loadgen.BootCloud(o.bin, extra...)
 			if err != nil {

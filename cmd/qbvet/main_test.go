@@ -140,6 +140,56 @@ func TestReconnectRestoresNoData(t *testing.T) {
 	t.Fatal("repro/internal/wire not loaded")
 }
 
+// TestCloudHasOneAdmissionLevel pins the cloud's one admission level: a
+// per-connection bound on ops in flight. Outside its tests internal/wire
+// declares no identifier containing "Workers" but connWorkers (the seam
+// tests use to pin that bound), and (*Cloud).ServeConn makes one channel,
+// the semaphore its decode loop takes a slot of before it spawns an op. A
+// per-namespace bound, a runtime override of it or a second in-flight
+// bound beside the semaphore has to show up here first.
+func TestCloudHasOneAdmissionLevel(t *testing.T) {
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/wire" {
+			continue
+		}
+		for id, obj := range p.TypesInfo.Defs {
+			if obj != nil && strings.Contains(id.Name, "Workers") && id.Name != "connWorkers" {
+				t.Errorf("%s: internal/wire declares %s: the cloud has one admission level, per connection", p.Fset.Position(id.Pos()), id.Name)
+			}
+		}
+		chans := 0
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Name.Name != "ServeConn" || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*Cloud" {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						return true
+					}
+					fun, ok := call.Fun.(*ast.Ident)
+					if !ok || fun.Name != "make" {
+						return true
+					}
+					if _, builtin := p.TypesInfo.Uses[fun].(*types.Builtin); builtin {
+						if _, isChan := p.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Chan); isChan {
+							chans++
+						}
+					}
+					return true
+				})
+			}
+		}
+		if chans != 1 {
+			t.Errorf("(*Cloud).ServeConn makes %d channels, want 1: one semaphore bounds both execution and a flooding peer", chans)
+		}
+		return
+	}
+	t.Fatal("repro/internal/wire not loaded")
+}
+
 // TestRingRidesPlainConnections pins the ring's one repair path: no
 // non-test file of internal/ring names the self-healing link. A ring node
 // connection is a plain *wire.Client redialed after the down-cooldown, and

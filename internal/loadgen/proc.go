@@ -38,7 +38,7 @@ func BootRing(bin string, extra ...string) (*CloudProc, error) {
 // BootCloud starts the qbcloud binary and waits (up to 10s) for it to
 // report its listen address. By default it listens on an ephemeral
 // loopback port; pass "-addr", "host:port" in extra to pin one, plus
-// any other qbcloud flags (-state, -snapshot-every, -workers, ...).
+// any other qbcloud flags (-state, -snapshot-every, -ring-token, ...).
 func BootCloud(bin string, extra ...string) (*CloudProc, error) {
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
 	cmd := exec.Command(bin, args...)

@@ -82,8 +82,6 @@ func (c *Cloud) dispatchAdmin(req *request) response {
 		return response{}
 	case opAdminCompact:
 		return response{N: st.Compact()}
-	case opAdminSetWorkers:
-		return response{N: c.SetStoreWorkersFor(name, req.Workers)}
 	default:
 		return response{Err: "wire: unknown admin op"}
 	}
@@ -126,18 +124,6 @@ func (c *Client) AdminDrop(store string, token []byte) error {
 // row count. Addresses are preserved, so owner metadata stays valid.
 func (c *Client) AdminCompact(store string, token []byte) (int, error) {
 	resp, err := c.roundTrip(&request{Op: opAdminCompact, Store: store, AdminToken: token})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, nil
-}
-
-// AdminSetWorkers overrides one namespace's admission bound at runtime,
-// authenticated by its owner token: n > 0 bounds the namespace to n
-// concurrent ops, 0 lifts the bound for it, n < 0 clears the override back
-// to the server-wide -store-workers default. It returns the effective cap.
-func (c *Client) AdminSetWorkers(store string, token []byte, n int) (int, error) {
-	resp, err := c.roundTrip(&request{Op: opAdminSetWorkers, Store: store, AdminToken: token, Workers: n})
 	if err != nil {
 		return 0, err
 	}

@@ -1,98 +1,19 @@
 package wire
 
 import (
+	"bufio"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/relation"
 )
 
-// TestStoreAdmissionIsolatesTenants is the acceptance property for
-// two-level admission, made deterministic with the dispatch hook: tenant A
-// saturates its per-store bound with ops that park inside dispatch, plus
-// more ops queueing on A's semaphore, all through the SAME connection as
-// tenant B — and B's query still completes, because ops waiting on their
-// own store's bound hold no per-connection capacity. This pins the
-// mechanism; the canonical end-to-end isolation check (bounded p99 for a
-// paced tenant under a saturating co-tenant, with real clients and
-// measured latency) is TestLoadTenantIsolationUnderSaturation in
-// internal/loadgen.
-func TestStoreAdmissionIsolatesTenants(t *testing.T) {
-	cl := NewCloud()
-	cl.SetConnWorkers(4)
-	cl.SetStoreWorkers(2)
-
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	entered := make(chan string, 16)
-	cl.testHookDispatch = func(o op, store string) {
-		if store == "tenant-a" && o == opEncLen {
-			entered <- store
-			<-gate // park inside dispatch, holding both admission slots
-		}
-	}
-	defer gateOnce.Do(func() { close(gate) })
-
-	srvConn, cliConn := net.Pipe()
-	go cl.ServeConn(srvConn)
-	c := NewClient(cliConn)
-	defer c.Close()
-
-	a := c.WithStore("tenant-a")
-	b := c.WithStore("tenant-b")
-
-	// Four ops on tenant A through the one connection: with store-workers=2
-	// exactly two enter dispatch (and park at the gate); two wait on A's
-	// semaphore — crucially, without holding per-connection slots.
-	aDone := make(chan int, 4)
-	for i := 0; i < 4; i++ {
-		go func() { aDone <- a.Len() }()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			t.Fatal("tenant A ops never reached dispatch")
-		}
-	}
-	select {
-	case s := <-entered:
-		t.Fatalf("third %s op passed a store bound of 2", s)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Tenant B's query on the same connection must complete while A is
-	// saturated: B's store semaphore is free and the connection pool (4)
-	// has slots left because A's two queued ops are not holding any.
-	bDone := make(chan int, 1)
-	go func() { bDone <- b.Len() }()
-	select {
-	case n := <-bDone:
-		if n != 0 {
-			t.Fatalf("tenant B Len = %d, want 0", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tenant B starved by tenant A's saturation")
-	}
-
-	// Release the gate: every parked and queued A op completes.
-	gateOnce.Do(func() { close(gate) })
-	for i := 0; i < 4; i++ {
-		select {
-		case <-aDone:
-		case <-time.After(5 * time.Second):
-			t.Fatal("tenant A ops did not drain after the gate opened")
-		}
-	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreAdmissionDisabledByDefault: with store-workers unset the
-// namespace level is off and ops run under the connection bound alone.
+// TestStoreAdmissionDisabledByDefault: ops on one namespace run under the
+// connection bound alone; there is no per-namespace level to configure.
 func TestStoreAdmissionDisabledByDefault(t *testing.T) {
 	cl := NewCloud()
 	srvConn, cliConn := net.Pipe()
@@ -115,12 +36,11 @@ func TestStoreAdmissionDisabledByDefault(t *testing.T) {
 }
 
 // TestStoreAdmissionUnderLoad drives two tenants with real concurrency
-// (no hook) through one connection with a tight store bound; everything
-// must complete and stay correct under -race.
+// through one connection whose execution bound (4) is below its callers
+// (8); everything must complete and stay correct under -race.
 func TestStoreAdmissionUnderLoad(t *testing.T) {
 	cl := NewCloud()
-	cl.SetConnWorkers(4)
-	cl.SetStoreWorkers(1)
+	cl.connWorkers = 4
 	srvConn, cliConn := net.Pipe()
 	go cl.ServeConn(srvConn)
 	c := NewClient(cliConn)
@@ -154,5 +74,72 @@ func TestStoreAdmissionUnderLoad(t *testing.T) {
 	wg.Wait()
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnAdmissionBoundsFlood: a peer that streams requests and never
+// reads a response must not grow the server by a goroutine per request.
+// The decode loop takes an execution slot before it spawns an op, and the
+// op holds it until its response is written, so the server parks at most
+// connWorkers ops plus the connection's own goroutine and stops reading.
+func TestConnAdmissionBoundsFlood(t *testing.T) {
+	const workers, frames = 4, 1000
+	cl := NewCloud()
+	cl.connWorkers = workers
+	srvConn, peer := net.Pipe()
+	defer peer.Close()
+
+	send := func(req *request) error {
+		return finishFrame(peer, appendRequest(beginFrame(nil), req))
+	}
+	base := runtime.NumGoroutine()
+	served := make(chan struct{})
+	go func() {
+		cl.ServeConn(srvConn)
+		close(served)
+	}()
+	if err := send(&request{Op: opHello, ID: 1, Version: ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	if _, err := readFrame(bufio.NewReader(peer), &scratch); err != nil {
+		t.Fatalf("hello response: %v", err)
+	}
+
+	// The flood: pings written from one goroutine, never a response read.
+	var sent atomic.Int64
+	go func() {
+		for id := uint64(2); id < frames+2; id++ {
+			if send(&request{Op: opPing, ID: id}) != nil {
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	// Wait until the server stops reading: the count of frames it took
+	// stays put for a while (or the whole flood went in).
+	for last, still := int64(-1), 0; still < 10 && sent.Load() < frames; {
+		time.Sleep(20 * time.Millisecond)
+		if n := sent.Load(); n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+	// ServeConn and the flooding peer, plus a little slack for runtime
+	// goroutines, on top of the parked ops.
+	if grown, limit := runtime.NumGoroutine()-base, workers+4; grown > limit {
+		t.Fatalf("a peer that reads no responses grew the server by %d goroutines after %d of %d frames, want <= %d",
+			grown, sent.Load(), frames, limit)
+	}
+	if n := sent.Load(); n >= frames {
+		t.Fatalf("the server read all %d frames from a peer that reads no responses", n)
+	}
+
+	peer.Close()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeConn did not return after the peer closed")
 	}
 }

@@ -91,9 +91,6 @@ func (q *request) fields(c *codec) {
 	if c.field(q.Have != 0) {
 		c.int(&q.Have)
 	}
-	if c.field(q.Workers != 0) {
-		c.int(&q.Workers)
-	}
 	if c.field(q.RingToken != nil) {
 		c.bytes(&q.RingToken)
 	}
@@ -484,7 +481,6 @@ func (c *codec) stats(s *StoreStats) {
 	c.int(&s.PlainTuples)
 	c.int(&s.EncRows)
 	c.uint(&s.CondHits)
-	c.int(&s.Workers)
 }
 
 func (c *codec) info(i *StoreInfo) {

@@ -72,7 +72,6 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opAdminStats, ID: 23, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminDrop, ID: 24, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminCompact, ID: 25, Store: "s", AdminToken: []byte("o")},
-		{Op: opAdminSetWorkers, ID: 26, Store: "s", AdminToken: []byte("o"), Workers: -1},
 		{Op: opRingDirectory, ID: 27, CondN: 4},
 		{Op: opStoreInfo, ID: 28, Store: "s"},
 		{Op: opStoreSnapshot, ID: 29, Store: "s"},
@@ -119,7 +118,7 @@ func TestBinResponseRoundTrip(t *testing.T) {
 		{ID: 21, Version: ProtocolVersion}, // opHello
 		{ID: 21, Version: ProtocolVersion, Err: "wire: protocol version mismatch"},
 		{ID: 22, Names: []string{"default", "", "hr"}}, // opAdminList
-		{ID: 23, Stats: StoreStats{Ops: 9, PlainTuples: 2, EncRows: 3, CondHits: 1, Workers: -1}},
+		{ID: 23, Stats: StoreStats{Ops: 9, PlainTuples: 2, EncRows: 3, CondHits: 1}},
 		{ID: 24},                       // opAdminDrop
 		{ID: 27, VerN: 4, Delta: true}, // opRingDirectory, not modified
 		{ID: 27, VerN: 5, Blob: []byte("directory")}, // opRingDirectory
@@ -195,7 +194,7 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		o    op
-	}{{"zero op", 0}, {"op past the table", opEnd}, {"unassigned op", 200}} {
+	}{{"zero op", 0}, {"op past the table", opEnd}, {"unassigned op", 200}, {"deleted admission override op", 23}} {
 		if tc.o.known() {
 			t.Errorf("op %d (%s) is known", tc.o, tc.name)
 		}

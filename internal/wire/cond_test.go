@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -256,74 +255,5 @@ func TestCondHitsCounted(t *testing.T) {
 	}
 	if s2.CondHits != s1.CondHits+3 {
 		t.Fatalf("CondHits = %d after 3 delta pulls, want %d", s2.CondHits, s1.CondHits+3)
-	}
-}
-
-// TestAdminSetWorkers: the runtime admission override is owner-gated and
-// follows the documented semantics — n > 0 bounds the namespace, 0 lifts
-// the bound, n < 0 clears the override back to the server default — with
-// the effective cap echoed back and visible in stats.
-func TestAdminSetWorkers(t *testing.T) {
-	cl := NewCloud()
-	cl.SetStoreWorkers(6) // server-wide default
-	c := startCloudOn(t, cl)
-	master := []byte("workers master")
-	loadTenant(t, c, "tenant", master)
-	good := OwnerToken(master, "tenant")
-	bad := OwnerToken([]byte("attacker"), "tenant")
-
-	if _, err := c.AdminSetWorkers("tenant", bad, 1); err == nil || !strings.Contains(err.Error(), "token mismatch") {
-		t.Fatalf("set-workers with wrong token: %v", err)
-	}
-	if n := cl.StoreWorkersFor("tenant"); n != 6 {
-		t.Fatalf("refused set-workers changed the cap to %d", n)
-	}
-
-	if n, err := c.AdminSetWorkers("tenant", good, 2); err != nil || n != 2 {
-		t.Fatalf("set-workers 2 = %d, %v", n, err)
-	}
-	if s, err := c.AdminStats("tenant", good); err != nil || s.Workers != 2 {
-		t.Fatalf("stats after bound = %+v, %v", s, err)
-	}
-	// 0 lifts the bound for this namespace only.
-	if n, err := c.AdminSetWorkers("tenant", good, 0); err != nil || n != 0 {
-		t.Fatalf("set-workers 0 = %d, %v", n, err)
-	}
-	if n := cl.StoreWorkersFor("other"); n != 6 {
-		t.Fatalf("lifting one namespace's bound changed another's: %d", n)
-	}
-	// Negative clears the override: back to the server default.
-	if n, err := c.AdminSetWorkers("tenant", good, -1); err != nil || n != 6 {
-		t.Fatalf("set-workers -1 = %d, %v; want server default 6", n, err)
-	}
-}
-
-// TestWorkerOverrideSurvivesRestore: per-namespace admission overrides are
-// part of the snapshot, so a crash-restart does not silently forget an
-// operator's runtime bound.
-func TestWorkerOverrideSurvivesRestore(t *testing.T) {
-	cl1 := NewCloud()
-	c1 := startCloudOn(t, cl1)
-	master := []byte("persisted workers")
-	loadTenant(t, c1, "bounded", master)
-	tok := OwnerToken(master, "bounded")
-	if n, err := c1.AdminSetWorkers("bounded", tok, 3); err != nil || n != 3 {
-		t.Fatalf("set-workers = %d, %v", n, err)
-	}
-
-	var buf bytes.Buffer
-	if err := cl1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cl2 := NewCloud()
-	if err := cl2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if n := cl2.StoreWorkersFor("bounded"); n != 3 {
-		t.Fatalf("restored cap = %d, want 3", n)
-	}
-	c2 := startCloudOn(t, cl2)
-	if s, err := c2.AdminStats("bounded", tok); err != nil || s.Workers != 3 {
-		t.Fatalf("restored stats = %+v, %v", s, err)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // build; `make fuzz` (and CI's fuzz smoke) runs each target's mutation
 // engine for a bounded time.
 
-// seedRequests is a spread of valid request encodings — one per op in
-// the table — whose mutations explore the decoder's field structure.
+// seedRequests is a spread of request encodings — one per op in the
+// table, plus two frames for ops outside it — whose mutations explore the
+// decoder's field structure.
 func seedRequests() [][]byte {
 	batch := []EncUpload{{TupleCT: []byte("r")}}
 	reqs := []*request{
@@ -44,7 +45,9 @@ func seedRequests() [][]byte {
 		{Op: opAdminStats, ID: 15, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminDrop, ID: 16, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminCompact, ID: 17, Store: "s", AdminToken: []byte("o")},
-		{Op: opAdminSetWorkers, ID: 18, Store: "s", AdminToken: []byte("o"), Workers: 4},
+		// Op 23 is past the table since protocol v10 deleted the admission
+		// override op; the decoder must refuse this frame.
+		{Op: opEnd, ID: 18, Store: "s", AdminToken: []byte("o")},
 		{Op: opRingDirectory, ID: 19, CondN: 2},
 		{Op: opStoreInfo, ID: 20, Store: "s"},
 		{Op: opStoreSnapshot, ID: 21, Store: "s"},
@@ -52,10 +55,10 @@ func seedRequests() [][]byte {
 		{Op: opRepairAppend, ID: 23, Store: "s", Batch: batch, Have: 5, RingToken: []byte("ring")},
 		{Op: opRingRepair, ID: 24, Store: "s"},
 	}
-	// The last frame carries an op number past the table — one the deleted
-	// read ops held before protocol v8 — so the decoder must refuse it
-	// however the rest of the body mutates.
-	reqs = append(reqs, &request{Op: opEnd, ID: 6, Store: "s", AddrBatches: [][]int{{0}}})
+	// The last frame carries an op number further past the table — one the
+	// deleted read ops held before protocol v8 — so the decoder must refuse
+	// it however the rest of the body mutates.
+	reqs = append(reqs, &request{Op: opEnd + 1, ID: 6, Store: "s", AddrBatches: [][]int{{0}}})
 	out := make([][]byte, 0, len(reqs))
 	for _, r := range reqs {
 		out = append(out, appendRequest(nil, r))
@@ -87,7 +90,7 @@ func seedResponses() [][]byte {
 		{&response{ID: 15, Stats: StoreStats{Ops: 1, EncRows: 2}}, 0},          // opAdminStats
 		{&response{ID: 16}, 0},                                                 // opAdminDrop
 		{&response{ID: 17, N: 3}, 0},                                           // opAdminCompact
-		{&response{ID: 18, N: 4}, 0},                                           // opAdminSetWorkers
+		{&response{ID: 18, N: 4}, 0},                                           // a bare count
 		{&response{ID: 19, VerN: 2, Blob: []byte("dir")}, 0},                   // opRingDirectory
 		{&response{ID: 20, Info: StoreInfo{Exists: true, PlainTuples: -1}}, 0}, // opStoreInfo
 		{&response{ID: 21, Blob: []byte("snap"), N: 4}, 0},                     // opStoreSnapshot

@@ -504,7 +504,7 @@ func TestMuxConcurrentStress(t *testing.T) {
 	}
 	defer lis.Close()
 	cl := NewCloud()
-	cl.SetConnWorkers(4)
+	cl.connWorkers = 4
 	go func() { _ = cl.Serve(lis) }()
 
 	t.Run("single-conn", func(t *testing.T) { // the one arm left; its printed name is pinned

@@ -23,11 +23,11 @@
 // connection is shared across namespaces — WithStore on a Client or a
 // Reconnector returns the namespace's *StoreClient, the only
 // Backend implementation in this package, which owns everything that is
-// per namespace (upload buffer, address arithmetic, owner token, replay
-// mirror, logical-error record) and reaches the cloud through the link
-// it was derived from — and the server keeps per-store state and
-// per-store locks, so tenants never contend except on the transport
-// itself.
+// per namespace (upload buffer and retained uploads, address arithmetic,
+// the clear-text length it saw acknowledged, owner token, logical-error
+// record) and reaches the cloud through the link it was derived from —
+// and the server keeps per-store state and per-store locks, so tenants
+// never contend except on the transport itself.
 //
 // The protocol is versioned: every connection opens with an opHello
 // carrying ProtocolVersion, an ordinary frame in the one codec. A server
@@ -52,9 +52,9 @@
 // derived from the owner's master key (OwnerToken; the cloud stores only
 // its hash, claimed by the namespace's first write), a Reconnector that
 // survives transport failure by redialing, re-handshaking and having each
-// view derived from it restore its namespace (retained uploads replay
-// exactly once), and two-level dispatch admission (per-connection plus
-// per-namespace) so tenants sharing a connection cannot starve each other.
+// view derived from it check its namespace by count (retained uploads
+// replay exactly once; lost clear-text tuples fail the view), and one
+// admission level: a per-connection bound on ops in flight.
 //
 // The protocol deliberately mirrors what the paper's adversary observes:
 // the clear-text side travels in the clear (the cloud owns that data
@@ -71,12 +71,17 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 9 deleted the
-// clear-text range search op and the request's two range bounds: the owner
-// answers a range with the ordinary search of its covering bins, so the
-// cloud only ever serves bin searches. The op table was renumbered without
-// the op (23 ops) and the request fields after the bounds moved down two
-// tags. Version 8 left one op
+// ProtocolVersion is the wire protocol generation. Version 10 deleted the
+// per-namespace admission override op and the request's Workers field,
+// and StoreStats lost its admission cap: the cloud has one admission
+// level, a per-connection bound, and nothing to set at runtime. The op
+// table was renumbered without the op (22 ops), so the ring ops moved
+// down one, and the request fields after Workers moved down one tag.
+// Version 9 deleted the clear-text range search op and the request's two
+// range bounds: the owner answers a range with the ordinary search of its
+// covering bins, so the cloud only ever serves bin searches. The op table
+// was renumbered without the op (23 ops) and the request fields after the
+// bounds moved down two tags. Version 8 left one op
 // per read shape: the unconditional column and row pulls and the
 // single-list fetch were deleted (their reads ride opEncAttrColumnIf and
 // opEncRowsIf from the zero version and a one-list opEncFetchBatch), the
@@ -101,13 +106,13 @@ import (
 // peers (opStoreInfo, opStoreSnapshot, opStoreRestore, opRepairAppend),
 // the latter three guarded by a cluster-wide ring token. Version 4 added
 // namespace version counters and the conditional column/row pulls built
-// on them (opEncVersion, opEncAttrColumnIf, opEncRowsIf) plus the
-// per-namespace admission override (opAdminSetWorkers); version 3
+// on them (opEncVersion, opEncAttrColumnIf, opEncRowsIf) plus a
+// per-namespace admission override op; version 3
 // introduced length-prefixed frames (binary codec for hot ops, chunked row
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
 // 1 had no handshake and a single implicit store.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -156,11 +161,6 @@ const (
 	opEncVersion
 	opEncAttrColumnIf
 	opEncRowsIf
-
-	// opAdminSetWorkers overrides the per-namespace admission bound
-	// (-store-workers) for one namespace at runtime; owner-token-guarded
-	// like the other per-namespace admin ops.
-	opAdminSetWorkers
 
 	// Ring plane (protocol v5). opRingDirectory asks a qbring coordinator
 	// for the placement directory, answered whole as an opaque gob blob.
@@ -245,12 +245,6 @@ type request struct {
 	CondEpoch uint64
 	CondN     uint64
 	Have      int
-
-	// Workers is the per-namespace admission override (opAdminSetWorkers):
-	// n > 0 bounds the namespace to n concurrent ops, 0 lifts the bound for
-	// this namespace, and n < 0 clears the override back to the server-wide
-	// default.
-	Workers int
 
 	// RingToken authenticates intra-ring repair ops (opStoreRestore,
 	// opRepairAppend): the cluster secret shared by nodes and the

@@ -113,7 +113,7 @@ func (c *Cloud) dispatchRing(req *request) response {
 		if !ok {
 			return response{Err: fmt.Sprintf("wire: ring: unknown store %q", name)}
 		}
-		blob, err := encodeStoreSnapshot(c, name, st)
+		blob, err := encodeStoreSnapshot(name, st)
 		if err != nil {
 			return response{Err: err.Error()}
 		}
@@ -159,9 +159,9 @@ func (c *Cloud) dispatchRing(req *request) response {
 // layout — the same migration unit snapshot files use, so a replica
 // restore and a state-file restore share one code path. It runs under the
 // shared cloud lock (unlike full Save's exclusive lock).
-func encodeStoreSnapshot(c *Cloud, name string, st *storage.Store) ([]byte, error) {
+func encodeStoreSnapshot(name string, st *storage.Store) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(storeSnapshotOf(c, name, st)); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(storeSnapshotOf(name, st)); err != nil {
 		return nil, fmt.Errorf("wire: ring: snapshot encode: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -183,9 +183,6 @@ func (c *Cloud) restoreStore(name string, blob []byte) (int, error) {
 		return 0, fmt.Errorf("wire: ring: restore store %q: %w", name, err)
 	}
 	c.stores.Replace(name, st)
-	if ss.HasWorkerCap {
-		c.SetStoreWorkersFor(name, ss.WorkerCap)
-	}
 	return st.Enc().Len(), nil
 }
 

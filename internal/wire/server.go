@@ -20,16 +20,13 @@ import (
 // independently keyed relations side by side.
 //
 // Each connection is handled in its own goroutine, and the ops decoded
-// from one connection are themselves dispatched concurrently through
-// two-level admission: a bounded per-connection worker pool plus an
-// optional per-namespace bound (SetStoreWorkers) that isolates tenants
-// sharing one connection from each other's CPU bursts (responses are
-// serialised by the connection's frameWriter, so frames never
-// interleave). Locking is layered: the stores synchronise internally;
-// each storage.Store's lock makes opPlainLoad exclusive against in-flight
-// ops on the same namespace only; and the cloud-level lock is taken
-// exclusively just by snapshot Save/Restore, which must quiesce every
-// namespace at once.
+// from one connection are themselves dispatched concurrently, at most
+// GOMAXPROCS at a time (responses are serialised by the connection's
+// frameWriter, so frames never interleave). Locking is layered: the
+// stores synchronise internally; each storage.Store's lock makes
+// opPlainLoad exclusive against in-flight ops on the same namespace only;
+// and the cloud-level lock is taken exclusively just by snapshot
+// Save/Restore, which must quiesce every namespace at once.
 //
 // Connections must open with an opHello carrying ProtocolVersion; any
 // other first frame is answered with an explicit version-mismatch error
@@ -40,25 +37,8 @@ type Cloud struct {
 	stores *storage.StoreSet
 
 	// connWorkers bounds concurrent dispatch per connection; 0 selects
-	// GOMAXPROCS.
+	// GOMAXPROCS. Only tests set it, to pin the bound on any host.
 	connWorkers int
-
-	// storeWorkers bounds concurrent dispatch per namespace across all
-	// connections; 0 disables the per-store level. Together with the
-	// per-connection bound this makes admission two-level: the connection
-	// bound caps what one transport can execute at once, the store bound
-	// caps what one tenant can, so tenants multiplexed onto a shared
-	// connection (e.g. behind a proxy) cannot starve each other.
-	// Individual namespaces can override the server-wide default at
-	// runtime through SetStoreWorkersFor (the opAdminSetWorkers control
-	// op); workerOverrides holds those per-namespace caps and
-	// overrideCount mirrors its size so admitStore's fast path stays
-	// lock-free when no bound exists anywhere.
-	storeWorkers    int
-	storeSemMu      sync.Mutex
-	storeSems       map[string]*storeSem
-	workerOverrides map[string]int
-	overrideCount   atomic.Int64
 
 	// statsMu guards the per-store op counters (read-mostly: the fast
 	// path is a shared-lock map hit).
@@ -78,182 +58,15 @@ type Cloud struct {
 	// ringTokenHash is the hash of the cluster's ring token (nil disables
 	// the ring-guarded repair ops); set before Serve.
 	ringTokenHash []byte
-
-	// testHookDispatch, when set (tests only, before Serve), runs after an
-	// op has passed both admission levels and immediately before dispatch.
-	testHookDispatch func(o op, store string)
 }
 
 // NewCloud returns an empty cloud.
 func NewCloud() *Cloud {
 	return &Cloud{
-		stores:          storage.NewStoreSet(),
-		storeSems:       make(map[string]*storeSem),
-		workerOverrides: make(map[string]int),
-		opCounts:        make(map[string]*atomic.Uint64),
-		condCounts:      make(map[string]*atomic.Uint64),
+		stores:     storage.NewStoreSet(),
+		opCounts:   make(map[string]*atomic.Uint64),
+		condCounts: make(map[string]*atomic.Uint64),
 	}
-}
-
-// storeSem is one namespace's admission semaphore. Unlike a buffered
-// channel its capacity is resizable at runtime (opAdminSetWorkers), so an
-// operator can widen or narrow a tenant's bound while ops are queued:
-// raising the cap wakes queued waiters immediately, lowering it lets the
-// excess in-flight ops drain without ever admitting new ones above the
-// new cap. cap == 0 means unbounded.
-type storeSem struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int
-	used int
-}
-
-func newStoreSem(capacity int) *storeSem {
-	s := &storeSem{cap: capacity}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// acquire blocks until the semaphore has a free slot (or is unbounded).
-func (s *storeSem) acquire() {
-	s.mu.Lock()
-	for s.cap > 0 && s.used >= s.cap {
-		s.cond.Wait()
-	}
-	s.used++
-	s.mu.Unlock()
-}
-
-// release frees a slot taken by acquire.
-func (s *storeSem) release() {
-	s.mu.Lock()
-	s.used--
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// setCap resizes the semaphore; every waiter rechecks against the new cap.
-func (s *storeSem) setCap(n int) {
-	s.mu.Lock()
-	s.cap = n
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// SetConnWorkers bounds how many ops from a single connection may execute
-// concurrently (<= 0 selects GOMAXPROCS). It must be called before Serve.
-func (c *Cloud) SetConnWorkers(n int) { c.connWorkers = n }
-
-// SetStoreWorkers bounds how many ops may execute concurrently per
-// namespace, across all connections (<= 0 disables the bound). It sets
-// the server-wide default and must be called before Serve; per-namespace
-// runtime adjustments go through SetStoreWorkersFor.
-func (c *Cloud) SetStoreWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.storeWorkers = n
-}
-
-// SetStoreWorkersFor overrides the admission bound for one namespace at
-// runtime: n > 0 bounds it to n concurrent ops, n == 0 lifts the bound
-// for this namespace, n < 0 clears the override back to the server-wide
-// default. Queued ops see the new cap immediately. It returns the
-// namespace's effective cap.
-func (c *Cloud) SetStoreWorkersFor(name string, n int) int {
-	name = storeName(name)
-	c.storeSemMu.Lock()
-	defer c.storeSemMu.Unlock()
-	if n < 0 {
-		if _, ok := c.workerOverrides[name]; ok {
-			delete(c.workerOverrides, name)
-			c.overrideCount.Add(-1)
-		}
-	} else {
-		if _, ok := c.workerOverrides[name]; !ok {
-			c.overrideCount.Add(1)
-		}
-		c.workerOverrides[name] = n
-	}
-	eff := c.effectiveWorkersLocked(name)
-	if sem, ok := c.storeSems[name]; ok {
-		sem.setCap(eff)
-	}
-	return eff
-}
-
-// StoreWorkersFor reports the namespace's effective admission cap (0 =
-// unbounded).
-func (c *Cloud) StoreWorkersFor(name string) int {
-	c.storeSemMu.Lock()
-	defer c.storeSemMu.Unlock()
-	return c.effectiveWorkersLocked(storeName(name))
-}
-
-// workerOverride returns the namespace's admission override, if one is
-// set (for persistence).
-func (c *Cloud) workerOverride(name string) (int, bool) {
-	c.storeSemMu.Lock()
-	defer c.storeSemMu.Unlock()
-	w, ok := c.workerOverrides[name]
-	return w, ok
-}
-
-// effectiveWorkersLocked resolves override-or-default; caller holds
-// storeSemMu.
-func (c *Cloud) effectiveWorkersLocked(name string) int {
-	if o, ok := c.workerOverrides[name]; ok {
-		return o
-	}
-	return c.storeWorkers
-}
-
-// storeSem returns the named namespace's admission semaphore, creating it
-// on first use. Semaphores survive a drop — the bound is a property of
-// the name, and keeping the semaphore avoids a drop/create race handing
-// out two semaphores for one namespace.
-func (c *Cloud) storeSem(name string) *storeSem {
-	c.storeSemMu.Lock()
-	defer c.storeSemMu.Unlock()
-	sem, ok := c.storeSems[name]
-	if !ok {
-		sem = newStoreSem(c.effectiveWorkersLocked(name))
-		c.storeSems[name] = sem
-	}
-	return sem
-}
-
-// admitStore takes the per-namespace admission slot for a data-plane op
-// and returns its release, or nil when no slot is needed: no bound exists
-// anywhere (neither a default nor any per-namespace override), the op is
-// store-less (ping, hello), or it is a control-plane op — admin ops
-// bypass data-plane admission so an owner can always inspect, drop or
-// re-bound a namespace that is saturated, and drop/compact do their own
-// quiescing through the per-store lock.
-//
-// Caps are eventually enforced, not retroactively: the unbounded fast
-// path admits without touching any semaphore, so ops already in flight
-// when the first override lands (or admitted under a higher previous cap)
-// hold no slot and are not counted against the new bound. A freshly
-// lowered cap can therefore be transiently exceeded by that pre-existing
-// load; every op admitted after the cap is installed honours it. This is
-// the price of keeping the no-bound configuration completely lock-free on
-// the data plane.
-func (c *Cloud) admitStore(req *request) func() {
-	if c.storeWorkers <= 0 && c.overrideCount.Load() == 0 {
-		return nil
-	}
-	switch req.Op {
-	case opPing, opHello, opAdminList, opAdminStats, opAdminDrop, opAdminCompact, opAdminSetWorkers,
-		opRingDirectory, opRingRepair, opStoreInfo:
-		// The two read-only ring ops bypass like admin ops: a coordinator's
-		// divergence probe (and qbadmin ring) must see a namespace that is
-		// saturated with data-plane work.
-		return nil
-	}
-	sem := c.storeSem(storeName(req.Store))
-	sem.acquire()
-	return sem.release
 }
 
 func (c *Cloud) workersPerConn() int {
@@ -263,32 +76,18 @@ func (c *Cloud) workersPerConn() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// connInflightCap bounds decoded-but-unfinished requests per connection —
-// the memory backstop against a client that streams requests without
-// awaiting responses. It is deliberately far above the execution bound so
-// that ops queueing on a saturated namespace don't block the decode loop
-// (which would reintroduce cross-tenant starvation) under any cooperative
-// workload.
-func (c *Cloud) connInflightCap() int {
-	if n := 16 * c.workersPerConn(); n > 256 {
-		return n
-	}
-	return 256
-}
-
 // StoreNames returns the namespaces currently hosted, sorted.
 func (c *Cloud) StoreNames() []string { return c.stores.Names() }
 
 // StoreStats is the per-namespace accounting a multi-tenant operator
-// watches: ops dispatched, clear-text tuples and encrypted rows held,
+// watches: ops dispatched, clear-text tuples and encrypted rows held, and
 // conditional pulls served as a delta (the client cache was valid and the
-// full column transfer was skipped), and the effective admission cap.
+// full column transfer was skipped).
 type StoreStats struct {
 	Ops         uint64
 	PlainTuples int
 	EncRows     int
 	CondHits    uint64
-	Workers     int
 }
 
 // Stats reports per-store statistics for every hosted namespace.
@@ -308,7 +107,6 @@ func (c *Cloud) storeStats(name string, st *storage.Store) StoreStats {
 		EncRows:  st.Enc().Len(),
 		Ops:      c.opCounter(name).Load(),
 		CondHits: c.condCounter(name).Load(),
-		Workers:  c.StoreWorkersFor(name),
 	}
 	if ps := st.Plain(); ps != nil {
 		s.PlainTuples = ps.Len()
@@ -470,42 +268,24 @@ func (c *Cloud) ServeConn(conn net.Conn) {
 		return
 	}
 
+	// One semaphore bounds the connection: the decode loop takes an
+	// execution slot before it spawns an op and the op frees it once its
+	// response is written. So at most workersPerConn ops run at once, and a
+	// peer that streams requests without reading responses stalls the
+	// decode loop instead of growing server goroutines.
 	sem := make(chan struct{}, c.workersPerConn())
-	// inflight is the decode loop's flood bound: it caps live request
-	// goroutines per connection well above the execution bounds, so
-	// admission queueing never stalls decoding but a request stream that
-	// ignores responses cannot grow server memory without limit.
-	inflight := make(chan struct{}, c.connInflightCap())
 	var wg sync.WaitGroup
 	for {
 		req, err := s.readRequest()
 		if err != nil {
 			break
 		}
-		inflight <- struct{}{}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-inflight }()
-			// Two-level admission, namespace level first: an op queueing on
-			// its own saturated store must not hold per-connection capacity,
-			// or one tenant's burst would starve every tenant sharing the
-			// connection. Only once its store admits it does the op compete
-			// for a per-connection execution slot. The decode loop blocks on
-			// the flood bound only, not on admission, so queued-but-waiting
-			// requests are bounded without reintroducing cross-tenant
-			// head-of-line blocking; executing ops stay bounded by both
-			// semaphores.
-			releaseStore := c.admitStore(req)
-			sem <- struct{}{}
-			if h := c.testHookDispatch; h != nil {
-				h(req.Op, storeName(req.Store))
-			}
+			defer func() { <-sem }()
 			resp := c.dispatch(req)
-			<-sem
-			if releaseStore != nil {
-				releaseStore()
-			}
 			resp.ID = req.ID
 			if err := s.writeResponse(req.Op, &resp); err != nil {
 				// The response stream is broken; closing the conn unblocks
@@ -555,7 +335,7 @@ func (c *Cloud) dispatch(req *request) response {
 		// A duplicate hello after the handshake is harmless: echo the
 		// version again.
 		return response{Version: ProtocolVersion}
-	case opAdminList, opAdminStats, opAdminDrop, opAdminCompact, opAdminSetWorkers:
+	case opAdminList, opAdminStats, opAdminDrop, opAdminCompact:
 		// Control plane: resolves (never creates) its namespace itself.
 		return c.dispatchAdmin(req)
 	case opRingDirectory:

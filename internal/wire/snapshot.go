@@ -51,11 +51,6 @@ type storeSnapshot struct {
 	// can lose post-snapshot writes, so the rebuilt store draws a fresh
 	// epoch and every owner-side cache revalidates from scratch.
 	EncVersionN uint64
-	// HasWorkerCap/WorkerCap persist a per-namespace admission override
-	// (opAdminSetWorkers) across restarts. Absent in older snapshots
-	// (restores with no override).
-	HasWorkerCap bool
-	WorkerCap    int
 }
 
 // Save serialises the state of every hosted namespace.
@@ -65,7 +60,7 @@ func (c *Cloud) Save(w io.Writer) error {
 	snap := snapshot{Version: ProtocolVersion}
 	for _, name := range c.stores.Names() {
 		if st, ok := c.stores.Get(name); ok {
-			snap.Stores = append(snap.Stores, storeSnapshotOf(c, name, st))
+			snap.Stores = append(snap.Stores, storeSnapshotOf(name, st))
 		}
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
@@ -78,7 +73,7 @@ func (c *Cloud) Save(w io.Writer) error {
 // unit of snapshot files and replica restores. It reads both partitions
 // through their concurrency-safe snapshots, so it is correct under the
 // shared cloud lock as well as under Save's exclusive one.
-func storeSnapshotOf(c *Cloud, name string, st *storage.Store) storeSnapshot {
+func storeSnapshotOf(name string, st *storage.Store) storeSnapshot {
 	v, _ := st.Enc().EncVersion()
 	ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash(), EncVersionN: v.N}
 	if ps := st.Plain(); ps != nil {
@@ -86,7 +81,6 @@ func storeSnapshotOf(c *Cloud, name string, st *storage.Store) storeSnapshot {
 		ss.Schema, ss.Tuples = ps.SnapshotTuples()
 		ss.Attr = ps.Attr()
 	}
-	ss.WorkerCap, ss.HasWorkerCap = c.workerOverride(name)
 	return ss
 }
 
@@ -177,24 +171,6 @@ func (c *Cloud) Restore(r io.Reader) error {
 	for name, st := range rebuilt {
 		c.stores.Set(name, st)
 	}
-	// Admission overrides describe namespaces, which the snapshot just
-	// replaced wholesale: clear them all, then reapply the persisted ones.
-	c.storeSemMu.Lock()
-	for name := range c.workerOverrides {
-		delete(c.workerOverrides, name)
-	}
-	c.overrideCount.Store(0)
-	c.storeSemMu.Unlock()
-	for _, ss := range stores {
-		if ss.HasWorkerCap {
-			c.SetStoreWorkersFor(ss.Name, ss.WorkerCap)
-		}
-	}
-	c.storeSemMu.Lock()
-	for name, sem := range c.storeSems {
-		sem.setCap(c.effectiveWorkersLocked(name))
-	}
-	c.storeSemMu.Unlock()
 	// The op counters describe the replaced state; restart them with it.
 	c.statsMu.Lock()
 	c.opCounts = make(map[string]*atomic.Uint64)

@@ -288,3 +288,83 @@ func TestSnapshotEmptyCloud(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoresV9SnapshotWithWorkerCap: a protocol-v9 snapshot may carry a
+// per-namespace admission override (HasWorkerCap/WorkerCap), which v10
+// deleted with the per-namespace admission level. Both restore paths — a
+// state file through Cloud.Restore and a ring replica blob through
+// restoreStore — drop the override and keep everything else: encrypted
+// rows, clear-text tuples, the owner claim and the version floor.
+func TestRestoresV9SnapshotWithWorkerCap(t *testing.T) {
+	// The v9 layout, field for field, as a protocol-v9 server wrote it.
+	type v9StoreSnapshot struct {
+		Name         string
+		HasPlain     bool
+		Schema       relation.Schema
+		Tuples       []relation.Tuple
+		Attr         string
+		Enc          []storage.EncRow
+		OwnerHash    []byte
+		EncVersionN  uint64
+		HasWorkerCap bool
+		WorkerCap    int
+	}
+	type v9Snapshot struct {
+		Version int
+		Stores  []v9StoreSnapshot
+	}
+
+	const name = "bounded"
+	master := []byte("v9 master")
+	src := NewCloud()
+	loadTenant(t, startCloudOn(t, src), name, master)
+	st, _ := src.stores.Get(name)
+	ss := storeSnapshotOf(name, st)
+	old := v9StoreSnapshot{
+		Name: ss.Name, HasPlain: ss.HasPlain, Schema: ss.Schema, Tuples: ss.Tuples, Attr: ss.Attr,
+		Enc: ss.Enc, OwnerHash: ss.OwnerHash, EncVersionN: ss.EncVersionN,
+		HasWorkerCap: true, WorkerCap: 3,
+	}
+	var file, blob bytes.Buffer
+	if err := gob.NewEncoder(&file).Encode(v9Snapshot{Version: 9, Stores: []v9StoreSnapshot{old}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&blob).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(path string, cl *Cloud) {
+		t.Helper()
+		got, ok := cl.stores.Get(name)
+		if !ok {
+			t.Fatalf("%s: namespace %q missing after restore", path, name)
+		}
+		if rows := got.Enc().Rows(); len(rows) != 5 || !reflect.DeepEqual(rows, ss.Enc) {
+			t.Errorf("%s: encrypted rows = %v, want %v", path, rows, ss.Enc)
+		}
+		if got.Plain() == nil {
+			t.Fatalf("%s: clear-text partition lost", path)
+		}
+		if _, tuples := got.Plain().SnapshotTuples(); len(tuples) != 8 || !reflect.DeepEqual(tuples, ss.Tuples) {
+			t.Errorf("%s: clear-text tuples = %v, want %v", path, tuples, ss.Tuples)
+		}
+		if !bytes.Equal(got.OwnerHash(), hashToken(OwnerToken(master, name))) {
+			t.Errorf("%s: owner claim lost", path)
+		}
+		if v, _ := got.Enc().EncVersion(); v.N < ss.EncVersionN || ss.EncVersionN == 0 {
+			t.Errorf("%s: version counter %d below the snapshot's floor %d", path, v.N, ss.EncVersionN)
+		}
+	}
+
+	fileCloud := NewCloud()
+	if err := fileCloud.Restore(&file); err != nil {
+		t.Fatalf("v9 state file refused: %v", err)
+	}
+	check("Cloud.Restore", fileCloud)
+
+	ringCloud := NewCloud()
+	if n, err := ringCloud.restoreStore(name, blob.Bytes()); err != nil || n != 5 {
+		t.Fatalf("v9 replica blob: restoreStore = %d, %v; want 5 rows", n, err)
+	}
+	check("restoreStore", ringCloud)
+}
