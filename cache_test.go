@@ -3,8 +3,8 @@ package repro
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,36 +27,34 @@ func empTuple(id int, eid string) Tuple {
 // Config.DisableCache — run the same interleaved query/insert workload
 // against their own clouds and must return identical tuples and log
 // identical adversarial views (same plaintext values, same returned
-// addresses). The cached cloud meanwhile serves strictly fewer ops: the
-// server-observed access sequence of the cached run is a subset of the
-// uncached one, never a superset.
+// tuples and addresses). Inserts land on both sides of the partition:
+// sensitive ones, a non-sensitive one of a value never seen (a re-binning)
+// and non-sensitive ones into the bin just queried and into another bin.
+// The cached cloud meanwhile serves strictly fewer ops and sends strictly
+// fewer bytes: the server-observed access sequence of the cached run is a
+// subset of the uncached one, never a superset.
 func TestCachedQueriesMatchUncached(t *testing.T) {
 	for _, tech := range []Technique{TechNoInd, TechDetIndex} {
 		t.Run(tech.String(), func(t *testing.T) {
-			mk := func(disable bool) (*Client, *wire.Cloud) {
-				lis, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
+			mk := func(disable bool) (*Client, *wire.Cloud, *chaosCloud) {
 				cl := wire.NewCloud()
-				go func() { _ = cl.Serve(lis) }()
-				t.Cleanup(func() { lis.Close() })
+				srv := startChaosCloud(t, cl)
 				c, err := NewClient(Config{
 					MasterKey:    []byte("cache equivalence"),
 					Attr:         "EId",
 					Technique:    tech,
 					Seed:         seed(53),
-					CloudAddr:    lis.Addr().String(),
+					CloudAddr:    srv.addr,
 					DisableCache: disable,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { c.Close() })
-				return c, cl
+				return c, cl, srv
 			}
-			cached, cachedCloud := mk(false)
-			plain, plainCloud := mk(true)
+			cached, cachedCloud, cachedSrv := mk(false)
+			plain, plainCloud, plainSrv := mk(true)
 
 			emp := workload.Employee()
 			for _, c := range []*Client{cached, plain} {
@@ -68,7 +66,7 @@ func TestCachedQueriesMatchUncached(t *testing.T) {
 			// Interleave repeated reads (cache hits), inserts (cache
 			// invalidation) and first reads of fresh values (delta pulls).
 			step := 0
-			query := func(w Value) {
+			query := func(w Value) []Tuple {
 				t.Helper()
 				step++
 				want, err := plain.Query(w)
@@ -83,14 +81,50 @@ func TestCachedQueriesMatchUncached(t *testing.T) {
 					t.Fatalf("step %d: cached Query(%v) = %v, want %v",
 						step, w, relation.IDs(got), relation.IDs(want))
 				}
+				return got
 			}
-			insert(t, cached, plain, empTuple(1000, "E900"))
+			insert(t, cached, plain, empTuple(1000, "E900"), true)
 			for round := 0; round < 3; round++ {
 				for _, eid := range []string{"E101", "E259", "E900", "E199", "E101"} {
 					query(Str(eid))
 				}
-				insert(t, cached, plain, empTuple(1001+round, "E900"))
+				insert(t, cached, plain, empTuple(1001+round, "E900"), true)
 				query(Str("E900")) // must include the tuple just inserted
+
+				// Non-sensitive inserts: one into another bin than E259's
+				// (its held bin stays valid), then one into E259's bin.
+				query(Str("E259"))
+				views := cached.AdversarialViews()
+				bin := views[len(views)-1].PlainValues
+				other := ""
+				for _, eid := range []string{"E152", "E199", "E254", "E259"} {
+					if !slices.ContainsFunc(bin, func(v Value) bool { return v.Equal(Str(eid)) }) {
+						other = eid
+					}
+				}
+				if other == "" {
+					t.Fatalf("E259's bin %v holds every non-sensitive value", bin)
+				}
+				before := len(query(Str("E259")))
+				insert(t, cached, plain, empTuple(1100+round, other), false)
+				hits := condHits(cachedCloud)
+				if got := len(query(Str("E259"))); got != before {
+					t.Fatalf("round %d: insert into another bin moved E259's answer from %d to %d tuples", round, before, got)
+				}
+				// The held bin revalidated, and so did NoInd's column.
+				if got, want := condHits(cachedCloud)-hits, map[Technique]uint64{TechNoInd: 2, TechDetIndex: 1}[tech]; got != want {
+					t.Fatalf("round %d: the read after an insert into another bin revalidated %d times, want %d", round, got, want)
+				}
+				insert(t, cached, plain, empTuple(1200+round, "E259"), false)
+				if got := len(query(Str("E259"))); got != before+1 {
+					t.Fatalf("round %d: insert into E259's bin: %d tuples, want %d", round, got, before+1)
+				}
+				query(Str(other))
+			}
+			// A non-sensitive value never seen re-bins the relation.
+			insert(t, cached, plain, empTuple(1300, "E950"), false)
+			for _, eid := range []string{"E950", "E259", "E950"} {
+				query(Str(eid))
 			}
 
 			// Identical adversarial views, query for query.
@@ -116,17 +150,20 @@ func TestCachedQueriesMatchUncached(t *testing.T) {
 			if co >= po {
 				t.Fatalf("cached run hit the server %d times, uncached %d — cache saved nothing", co, po)
 			}
+			if cb, pb := cachedSrv.sent.Load(), plainSrv.sent.Load(); cb >= pb {
+				t.Fatalf("cached cloud sent %d bytes, uncached %d", cb, pb)
+			}
 		})
 	}
 }
 
-// insert applies the same sensitive insert to both clients.
-func insert(t *testing.T, a, b *Client, tp Tuple) {
+// insert applies the same insert to both clients.
+func insert(t *testing.T, a, b *Client, tp Tuple, sensitive bool) {
 	t.Helper()
-	if err := a.Insert(tp, true); err != nil {
+	if err := a.Insert(tp, sensitive); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Insert(tp, true); err != nil {
+	if err := b.Insert(tp, sensitive); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,6 +173,16 @@ func cloudOps(cl *wire.Cloud) uint64 {
 	var n uint64
 	for _, s := range cl.Stats() {
 		n += s.Ops
+	}
+	return n
+}
+
+// condHits sums the conditional reads a cloud answered "not modified"
+// across its namespaces.
+func condHits(cl *wire.Cloud) uint64 {
+	var n uint64
+	for _, s := range cl.Stats() {
+		n += s.CondHits
 	}
 	return n
 }
@@ -179,15 +226,17 @@ func TestCacheMultiClientReadYourWrites(t *testing.T) {
 
 	// Sequential: after each acknowledged insert by the writer, the caching
 	// reader must count it — a single stale "not modified" would freeze the
-	// count. The inserts reuse an existing searchable value: the resumed
-	// reader's bin metadata predates them, and only values already binned
-	// at SaveMetadata time are visible to both sessions.
+	// count. The inserts reuse a searchable value both partitions hold —
+	// the resumed reader's bin metadata predates them, and only values
+	// already binned at SaveMetadata time are visible to both sessions —
+	// and alternate between the partitions, so the held clear-text bin is
+	// invalidated as surely as the encrypted column.
 	baseSeq, err := reader.Query(Str("E259"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 8; i++ {
-		if err := writer.Insert(empTuple(2000+i, "E259"), true); err != nil {
+		if err := writer.Insert(empTuple(2000+i, "E259"), i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 		got, err := reader.Query(Str("E259"))
@@ -208,8 +257,9 @@ func TestCacheMultiClientReadYourWrites(t *testing.T) {
 
 	// Concurrent: one writer, two caching readers, the acked count as the
 	// staleness bound. acked is loaded BEFORE each query; the result may
-	// only be larger (in-flight insert landed), never smaller.
-	baseCon, err := reader.Query(Str("E101"))
+	// only be larger (in-flight insert landed), never smaller. The writer
+	// alternates partitions again, on another value both hold.
+	baseCon, err := reader.Query(Str("E152"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +270,7 @@ func TestCacheMultiClientReadYourWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 24; i++ {
-			if err := writer.Insert(empTuple(3000+i, "E101"), true); err != nil {
+			if err := writer.Insert(empTuple(3000+i, "E152"), i%2 == 0); err != nil {
 				t.Error(err)
 				break
 			}
@@ -235,7 +285,7 @@ func TestCacheMultiClientReadYourWrites(t *testing.T) {
 			defer wg.Done()
 			check := func() bool {
 				floor := int64(len(baseCon)) + acked.Load()
-				got, err := reader.Query(Str("E101"))
+				got, err := reader.Query(Str("E152"))
 				if err != nil {
 					readErrs <- err
 					return false
@@ -289,10 +339,17 @@ func TestCacheSurvivesCloudRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm the cache, then snapshot exactly this state.
+	// Warm the cache (a second read revalidates the held bin), then
+	// snapshot exactly this state.
 	before, err := c.Query(Str("E259"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := c.Query(Str("E259")); err != nil {
+		t.Fatal(err)
+	}
+	if hits := condHits(cloud); hits != 2 {
+		t.Fatalf("warm read revalidated %d times, want 2: the column and the bin", hits)
 	}
 	var snap bytes.Buffer
 	if err := cloud.Save(&snap); err != nil {
@@ -316,6 +373,17 @@ func TestCacheSurvivesCloudRestart(t *testing.T) {
 	if !reflect.DeepEqual(relation.IDs(after), relation.IDs(before)) {
 		t.Fatalf("post-restart Query = %v, want %v", relation.IDs(after), relation.IDs(before))
 	}
+	// The reborn store's new epoch answered the whole bin and column, then
+	// held them: the next read revalidates both.
+	if hits := condHits(restored); hits != 0 {
+		t.Fatalf("first read after the restart was answered not modified %d times", hits)
+	}
+	if _, err := c.Query(Str("E259")); err != nil {
+		t.Fatal(err)
+	}
+	if hits := condHits(restored); hits != 2 {
+		t.Fatalf("second read after the restart revalidated %d times, want 2", hits)
+	}
 	// Writes applied to the restored cloud are visible immediately.
 	if err := c.Insert(empTuple(4000, "E960"), true); err != nil {
 		t.Fatal(err)
@@ -329,5 +397,91 @@ func TestCacheSurvivesCloudRestart(t *testing.T) {
 	}
 	if cs := c.CacheStats(); cs.Hits+cs.Misses == 0 {
 		t.Fatalf("cache never engaged across the restart: %+v", cs)
+	}
+}
+
+// TestCachedRingFailoverMatchesUncached: the preferred replica of a ring
+// namespace dies between two reads of one bin. The survivor's stores are
+// other instances with their own epochs, so nothing held revalidates
+// there: the first read after the failover gets the whole column and the
+// whole bin (two cache misses), the next one revalidates both (two hits).
+// Answers and adversarial views equal those of a DisableCache client over
+// its own ring, query for query, and the cached ring sends fewer bytes.
+func TestCachedRingFailoverMatchesUncached(t *testing.T) {
+	mk := func(disable bool) (*Client, *ringCluster) {
+		rc := startRingCluster(t, 3, 2)
+		c, err := NewClient(Config{
+			MasterKey:    []byte("ring cache"),
+			Attr:         "EId",
+			Seed:         seed(71),
+			Ring:         rc.coAddr,
+			DisableCache: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := c.Outsource(workload.Employee(), workload.EmployeeSensitive); err != nil {
+			t.Fatal(err)
+		}
+		return c, rc
+	}
+	cached, cachedRing := mk(false)
+	plain, plainRing := mk(true)
+	query := func(eid string) {
+		t.Helper()
+		want, err := plain.Query(Str(eid))
+		if err != nil {
+			t.Fatalf("uncached Query(%s): %v", eid, err)
+		}
+		got, err := cached.Query(Str(eid))
+		if err != nil {
+			t.Fatalf("cached Query(%s): %v", eid, err)
+		}
+		if !reflect.DeepEqual(relation.IDs(got), relation.IDs(want)) {
+			t.Fatalf("cached Query(%s) = %v, want %v", eid, relation.IDs(got), relation.IDs(want))
+		}
+	}
+	query("E259")
+	query("E259")
+
+	for _, rc := range []*ringCluster{cachedRing, plainRing} {
+		rc.replicasFor(t, wire.DefaultStore)[0].kill()
+	}
+	before := cached.CacheStats()
+	query("E259")
+	if cs := cached.CacheStats(); cs.Misses-before.Misses != 2 || cs.Hits != before.Hits {
+		t.Fatalf("first read on the survivor: %d misses, %d hits; want the column and the bin resent",
+			cs.Misses-before.Misses, cs.Hits-before.Hits)
+	}
+	before = cached.CacheStats()
+	query("E259")
+	if cs := cached.CacheStats(); cs.Hits-before.Hits != 2 || cs.Misses != before.Misses {
+		t.Fatalf("second read on the survivor: %d hits, %d misses; want the column and the bin revalidated",
+			cs.Hits-before.Hits, cs.Misses-before.Misses)
+	}
+	// A non-sensitive insert into the bin reaches the survivor's answer.
+	insert(t, cached, plain, empTuple(5000, "E259"), false)
+	for _, eid := range []string{"E259", "E101", "E259"} {
+		query(eid)
+	}
+
+	cv, pv := cached.AdversarialViews(), plain.AdversarialViews()
+	if len(cv) != len(pv) {
+		t.Fatalf("view counts differ: cached %d, uncached %d", len(cv), len(pv))
+	}
+	for i := range cv {
+		if viewKey(cv[i]) != viewKey(pv[i]) {
+			t.Errorf("view %d: cached %s != uncached %s", i, viewKey(cv[i]), viewKey(pv[i]))
+		}
+	}
+	sent := func(rc *ringCluster) (n int64) {
+		for _, srv := range rc.nodes {
+			n += srv.sent.Load()
+		}
+		return n
+	}
+	if cb, pb := sent(cachedRing), sent(plainRing); cb >= pb {
+		t.Fatalf("cached ring sent %d bytes, uncached %d", cb, pb)
 	}
 }

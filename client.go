@@ -111,12 +111,12 @@ type Config struct {
 	Reconnect bool
 	// DisableCache turns off the owner-side version cache that is on by
 	// default for remote clouds: cross-query reuse of the pulled column,
-	// decrypted payloads and index lookups, revalidated per query against
-	// the server's cheap version counter (never served stale — see
-	// docs/ARCHITECTURE.md). Disable it to reproduce the uncached wire
-	// profile of earlier versions. In-process clouds never cache: their
-	// store reads are free and the paper's cost tables assume the
-	// per-query pull.
+	// decrypted payloads, index lookups and clear-text bins, revalidated
+	// per query against the server's cheap version counters (never served
+	// stale — see docs/ARCHITECTURE.md). Disable it to reproduce the
+	// uncached wire profile of earlier versions. In-process clouds never
+	// cache: their store reads are free and the paper's cost tables assume
+	// the per-query pull.
 	DisableCache bool
 	// CacheBytes bounds the owner-side cache footprint in bytes
 	// (0 = technique.DefaultCacheBytes). Ignored when the cache is off.
@@ -260,21 +260,22 @@ func newClientOn(cfg Config, transport wire.Transport, owns bool) (*Client, erro
 		}
 	}
 	// The owner-side version cache is on by default against a remote
-	// cloud, where the per-query column pull it kills is a real network
-	// transfer; techniques without a cached path (Arx) simply ignore it.
+	// cloud, where the per-query column pull and bin resend it kills are
+	// real network transfers. The owner holds clear-text bins in it for
+	// every technique; techniques without a cached encrypted path (Arx)
+	// leave the other segments empty.
 	var cache *technique.Cache
 	if remote != nil && !cfg.DisableCache {
 		cache = technique.NewCache(cfg.CacheBytes)
 		if cs, ok := tech.(interface{ SetCache(*technique.Cache) }); ok {
 			cs.SetCache(cache)
-		} else {
-			cache = nil
 		}
 	}
 	o := owner.New(tech, cfg.Attr)
 	if remote != nil {
 		o.SetCloudBackend(remote)
 	}
+	o.SetCache(cache)
 	return &Client{
 		owner: o, cfg: cfg, remote: remote, cache: cache,
 		transport: transport, ownsTransport: owns,
@@ -285,8 +286,8 @@ func newClientOn(cfg Config, transport wire.Transport, owns bool) (*Client, erro
 type CacheStats = technique.CacheStats
 
 // CacheStats reports the cumulative effect of the owner-side version
-// cache; the zero value when the cache is off (in-process clouds,
-// Config.DisableCache, or a technique without a cached path).
+// cache; the zero value when the cache is off (in-process clouds or
+// Config.DisableCache).
 func (c *Client) CacheStats() CacheStats {
 	if c.cache == nil {
 		return CacheStats{}

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -257,6 +258,51 @@ func TestWireHasOneCodec(t *testing.T) {
 					t.Errorf("wire.%s.%s is a %s: connections speak one codec", name, f.Name(), f.Type())
 				}
 			}
+		}
+		return
+	}
+	t.Fatal("repro/internal/wire not loaded")
+}
+
+// TestWireHasOneBinSearch pins the one clear-text read: the op table of
+// internal/wire holds exactly one plain-search op, and outside its tests
+// the package reaches the clear-text store's search only through the
+// conditional call, (*storage.PlainStore).SearchSince, once, in server.go.
+// An unconditional search is the conditional one from the zero version; a
+// second search op or a call of PlainStore.Search would be a second path
+// that resends whole bins an owner already holds.
+func TestWireHasOneBinSearch(t *testing.T) {
+	for _, p := range loadRepo(t) {
+		if p.ImportPath != "repro/internal/wire" {
+			continue
+		}
+		var ops []string
+		for _, obj := range p.TypesInfo.Defs {
+			if c, ok := obj.(*types.Const); ok && c.Parent() == p.Types.Scope() &&
+				types.TypeString(c.Type(), nil) == "repro/internal/wire.op" && strings.HasPrefix(c.Name(), "opPlainSearch") {
+				ops = append(ops, c.Name())
+			}
+		}
+		sort.Strings(ops)
+		if len(ops) != 1 {
+			t.Errorf("the op table holds %d plain-search ops %v, want 1", len(ops), ops)
+		}
+		var calls []string
+		for id, obj := range p.TypesInfo.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			recv := fn.Type().(*types.Signature).Recv()
+			if recv == nil || types.TypeString(recv.Type(), nil) != "*repro/internal/storage.PlainStore" || !strings.Contains(fn.Name(), "Search") {
+				continue
+			}
+			pos := p.Fset.Position(id.Pos())
+			calls = append(calls, filepath.Base(pos.Filename)+":"+fn.Name())
+		}
+		sort.Strings(calls)
+		if want := []string{"server.go:SearchSince"}; !reflect.DeepEqual(calls, want) {
+			t.Errorf("internal/wire searches the clear-text store through %v, want only %v", calls, want)
 		}
 		return
 	}

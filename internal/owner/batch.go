@@ -262,9 +262,9 @@ func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues
 		share[k] = ri
 	}
 	plainShared := make([][]relation.Tuple, len(reps))
-	srv := o.server
+	search := o.plainSearch()
 	plainPool := startPool(len(reps), normalizeWorkers(workers, len(reps)), func(k int) {
-		plainShared[k] = srv.SearchPlain(nsValues[reps[k]])
+		plainShared[k] = search(nsValues[reps[k]])
 	})
 
 	var payloadBatches [][][]byte

@@ -51,6 +51,7 @@ func (o *Owner) Insert(t relation.Tuple, sensitive bool) error {
 			return fmt.Errorf("owner: re-binning after insert: %w", err)
 		}
 		o.bins = bins
+		o.dropBins()
 	}
 	return o.rebalanceFakes()
 }

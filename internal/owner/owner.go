@@ -72,6 +72,8 @@ type Owner struct {
 	backend cloud.PlainBackend // optional remote clear-text backend
 	bins    *core.Bins
 
+	cache *technique.Cache // holds clear-text bins (plainSearch); may be nil
+
 	binOpts core.Options
 
 	// Owner-side metadata: real tuple counts per value on each side, plus
@@ -117,6 +119,31 @@ func (o *Owner) Attr() string { return o.attr }
 // store. Must be called before Outsource.
 func (o *Owner) SetCloudBackend(b cloud.PlainBackend) { o.backend = b }
 
+// SetCache gives the owner a cache to hold clear-text bins in against a
+// technique.BinSearcher backend. Must be called before Outsource.
+func (o *Owner) SetCache(c *technique.Cache) { o.cache = c }
+
+// plainSearch is the bin search queries run: revalidated through the
+// cache when there is one and the backend can, else unconditional. The
+// backend recorded a failed search, which answers nothing either way.
+func (o *Owner) plainSearch() func([]relation.Value) []relation.Tuple {
+	bs, ok := o.backend.(technique.BinSearcher)
+	if o.cache == nil || !ok {
+		return o.server.SearchPlain
+	}
+	return func(values []relation.Value) []relation.Tuple {
+		ts, _ := o.cache.SearchBin(bs, values)
+		return ts
+	}
+}
+
+// dropBins empties the cache's bin segment after the bin layout changed.
+func (o *Owner) dropBins() {
+	if o.cache != nil {
+		o.cache.DropBins()
+	}
+}
+
 // Outsource partitions r by the sensitivity predicate, uploads the
 // non-sensitive partition in clear-text and the sensitive partition through
 // the technique (with fake-tuple padding), and builds the QB bins.
@@ -145,6 +172,7 @@ func (o *Owner) Outsource(r *relation.Relation, sensitive relation.Predicate, bi
 	if err != nil {
 		return err
 	}
+	o.dropBins()
 
 	if o.backend != nil {
 		o.server, err = cloud.NewServerOn(o.backend, rns, o.attr)

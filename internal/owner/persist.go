@@ -81,6 +81,8 @@ func (o *Owner) LoadMetadata(r io.Reader, backend cloud.PlainBackend) error {
 		o.fakeCounts = make(map[string]int)
 	}
 	o.bins = core.FromSnapshot(snap.Bins)
+	o.dropBins()
+	o.backend = backend
 	o.server = cloud.Attach(backend)
 	return nil
 }

@@ -452,9 +452,20 @@ func (s *ReplicatedStore) Flush() error {
 //
 // Every read serves from the preferred replica, failing over on error.
 
-// Search implements cloud.PlainBackend.
+// SearchSince is the conditional bin search with failover; epochs are per
+// replica, so a failover resends the bin. A failure is recorded, as Search's.
+func (s *ReplicatedStore) SearchSince(values []relation.Value, epoch uint64, have int) (storage.BinAnswer, error) {
+	a, err := readFrom(s, func(v *wire.StoreClient) (storage.BinAnswer, error) { return v.SearchSince(values, epoch, have) })
+	if err != nil {
+		s.noteLogical(err)
+	}
+	return a, err
+}
+
+// Search implements cloud.PlainBackend from the zero version.
 func (s *ReplicatedStore) Search(values []relation.Value) []relation.Tuple {
-	return readNoted(s, func(v *wire.StoreClient) ([]relation.Tuple, error) { return v.SearchErr(values) })
+	a, _ := s.SearchSince(values, 0, 0)
+	return a.Tuples
 }
 
 // SearchRange is the wire.Backend pin: it records wire.ErrNoRangeSearch

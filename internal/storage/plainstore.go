@@ -30,12 +30,24 @@ var ErrLenMismatch = errors.New("storage: relation length mismatch")
 // hash index, exactly as a public cloud database would. It is safe for
 // concurrent use: searches share a read lock and run in parallel, inserts
 // take the write lock.
+// Like EncryptedStore it draws a random epoch at construction; within it
+// tuples only append, so (epoch, length) pins every search's answer.
 type PlainStore struct {
 	mu      sync.RWMutex
 	rel     *relation.Relation
 	attr    string
 	attrIdx int
-	idx     map[relation.Value][]int // searchable value -> tuple positions
+	idx     map[relation.Value][]int // searchable value -> ascending tuple positions
+	epoch   uint64
+}
+
+// BinAnswer is SearchSince's answer: the store's epoch and length, and the
+// whole bin or — NotModified — nothing: the caller's held bin stands.
+type BinAnswer struct {
+	Tuples      []relation.Tuple
+	Epoch       uint64
+	Len         int
+	NotModified bool
 }
 
 // NewPlainStore indexes rel on the searchable attribute attr.
@@ -49,6 +61,7 @@ func NewPlainStore(rel *relation.Relation, attr string) (*PlainStore, error) {
 		attr:    attr,
 		attrIdx: ci,
 		idx:     make(map[relation.Value][]int),
+		epoch:   newEpoch(),
 	}
 	for pos, t := range rel.Tuples {
 		s.idx[t.Values[ci]] = append(s.idx[t.Values[ci]], pos)
@@ -118,6 +131,11 @@ func (s *PlainStore) DistinctValues() int {
 func (s *PlainStore) Search(values []relation.Value) []relation.Tuple {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.searchLocked(values)
+}
+
+// searchLocked is Search under a read lock the caller holds.
+func (s *PlainStore) searchLocked(values []relation.Value) []relation.Tuple {
 	// Two passes: size first, then fill. The result is one exact
 	// allocation instead of append-doubling — this runs once per query on
 	// the server and its growth churn was visible in the remote profile.
@@ -135,6 +153,32 @@ func (s *PlainStore) Search(values []relation.Value) []relation.Tuple {
 		}
 	}
 	return out
+}
+
+// SearchSince is the conditional Search. Holding the answer for values at
+// (epoch, have), the caller gets NotModified when epoch is this store's
+// and no searched value has a tuple at a position ≥ have; otherwise (another
+// epoch, have past the length, the bin grew) the whole bin. The length is
+// read under the search's lock, so an answer holds every tuple below it.
+func (s *PlainStore) SearchSince(values []relation.Value, epoch uint64, have int) BinAnswer {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := s.rel.Len()
+	if epoch == s.epoch && have >= 0 && have <= n && !s.grownLocked(values, have) {
+		return BinAnswer{Epoch: s.epoch, Len: n, NotModified: true}
+	}
+	return BinAnswer{Tuples: s.searchLocked(values), Epoch: s.epoch, Len: n}
+}
+
+// grownLocked reports whether a value has a tuple at a position ≥ have;
+// posting lists ascend, so their last entries decide.
+func (s *PlainStore) grownLocked(values []relation.Value, have int) bool {
+	for _, v := range values {
+		if list := s.idx[v]; len(list) > 0 && list[len(list)-1] >= have {
+			return true
+		}
+	}
+	return false
 }
 
 // SnapshotTuples returns the schema and a copy of the tuple slice under

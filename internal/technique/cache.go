@@ -13,13 +13,14 @@ import (
 
 // DefaultCacheBytes is the byte budget a Cache gets when the caller does
 // not pick one. It bounds the accounted size of every segment together
-// (column ciphertext bytes, payload plaintexts, token memos), so one owner
-// process holds at most this much cached state per store regardless of how
-// large the outsourced relation grows.
+// (column ciphertext bytes, payload plaintexts, token memos, clear-text
+// bins), so one owner process holds at most this much cached state per
+// store regardless of how large the outsourced relation grows.
 const DefaultCacheBytes = 64 << 20
 
 // Cache is the owner-side cross-query cache that kills the per-query
-// column pull. It holds, per technique family:
+// column pull and bin resend. It holds four segments under one byte
+// budget:
 //
 //   - the decrypted searchable-attribute column (NoInd), held as a value ->
 //     column positions index beside the cells' cloud addresses, revalidated
@@ -29,7 +30,10 @@ const DefaultCacheBytes = 64 << 20
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
 //     (addresses are stable within an epoch: the store is append-only and
 //     Compact preserves addressing);
-//   - DetIndex token→address memos, valid at one exact version.
+//   - DetIndex token→address memos, valid at one exact version;
+//   - clear-text bin answers by bin values, revalidated per query by a
+//     conditional bin search at their store's (epoch, length); the owner
+//     fills this segment (SearchBin) and drops it when it re-bins.
 //
 // Safety: every segment is revalidated against the store before use — the
 // cache never turns a stale answer into a fresh-looking one. A version
@@ -70,6 +74,10 @@ type Cache struct {
 	memo      map[string][]int
 	memoBytes int
 
+	// Bin segment: encoded bin values -> held answer; dropped whole.
+	bins     map[string]heldBin
+	binBytes int
+
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	bytesSaved atomic.Uint64
@@ -90,6 +98,15 @@ type column struct {
 	ct    int
 }
 
+// heldBin is a bin answer, the store (epoch, length) it was searched at
+// and its accounted size.
+type heldBin struct {
+	tuples []relation.Tuple
+	epoch  uint64
+	n      int
+	size   int
+}
+
 type payEntry struct {
 	pt []byte
 	// ctLen is the ciphertext size the cached decryption avoids
@@ -103,13 +120,13 @@ func NewCache(maxBytes int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	return &Cache{maxBytes: maxBytes, pay: make(map[int]payEntry), memo: make(map[string][]int)}
+	return &Cache{maxBytes: maxBytes, pay: make(map[int]payEntry), memo: make(map[string][]int), bins: make(map[string]heldBin)}
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's cumulative effect.
 type CacheStats struct {
-	// Hits / Misses count query-level revalidations: a hit confirmed (or
-	// delta-extended) cached state, a miss re-pulled from scratch.
+	// Hits / Misses count revalidations, per query and per clear-text bin:
+	// a hit confirmed (or delta-extended) cached state, a miss re-pulled.
 	Hits, Misses uint64
 	// BytesSaved estimates the wire bytes hits avoided transferring.
 	BytesSaved uint64
@@ -158,7 +175,7 @@ func (c *Cache) recordSaved(n int) {
 // was, plus 8 bytes per indexed position and one map entry per distinct
 // value.
 func (c *Cache) bytesLocked() int {
-	n := c.payBytes + c.memoBytes
+	n := c.payBytes + c.memoBytes + c.binBytes
 	if c.col != nil {
 		n += c.col.ct + 8*len(c.col.addrs) + payEntryOverhead*len(c.col.idx)
 	}
@@ -167,7 +184,7 @@ func (c *Cache) bytesLocked() int {
 
 // rebalanceLocked enforces the byte budget: payload entries go first
 // (FIFO — they are per-address and individually droppable), then the memo
-// map, then the column with its index.
+// map, then the clear-text bins, then the column with its index.
 func (c *Cache) rebalanceLocked() {
 	for c.bytesLocked() > c.maxBytes && len(c.payOrder) > 0 {
 		addr := c.payOrder[0]
@@ -180,6 +197,9 @@ func (c *Cache) rebalanceLocked() {
 	if c.bytesLocked() > c.maxBytes && c.memoBytes > 0 {
 		c.memo = make(map[string][]int)
 		c.memoBytes = 0
+	}
+	if c.bytesLocked() > c.maxBytes && c.binBytes > 0 {
+		c.dropBinsLocked()
 	}
 	if c.bytesLocked() > c.maxBytes {
 		c.col = nil
@@ -407,4 +427,61 @@ func (c *Cache) memoPut(cur storage.EncVersion, token string, addrs []int) {
 	c.memo[token] = addrs
 	c.memoBytes += len(token) + 8*len(addrs) + payEntryOverhead
 	c.rebalanceLocked()
+}
+
+// --- bin segment ---------------------------------------------------------
+
+// BinSearcher revalidates a bin search (storage.PlainStore.SearchSince)
+// remotely and records a failure as its Search does.
+type BinSearcher interface {
+	SearchSince(values []relation.Value, epoch uint64, have int) (storage.BinAnswer, error)
+}
+
+// SearchBin searches a bin through the bin segment: the held answer when
+// the store reports it not modified, else the whole bin, held from then
+// on. A failure touches nothing held. Callers share the tuples read-only.
+func (c *Cache) SearchBin(store BinSearcher, values []relation.Value) ([]relation.Tuple, error) {
+	var kb []byte
+	for _, v := range values {
+		kb = v.AppendEncode(kb)
+	}
+	key := string(kb)
+	c.mu.Lock()
+	held := c.bins[key]
+	c.mu.Unlock()
+	a, err := store.SearchSince(values, held.epoch, held.n)
+	if err != nil {
+		return nil, err
+	}
+	if a.NotModified {
+		c.recordHit(held.size)
+		return held.tuples, nil
+	}
+	c.recordMiss()
+	size := payEntryOverhead + len(key)
+	for _, t := range a.Tuples {
+		size += payEntryOverhead
+		for _, v := range t.Values {
+			size += 24 + len(v.Str())
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.binBytes += size - c.bins[key].size
+	c.bins[key] = heldBin{tuples: a.Tuples, epoch: a.Epoch, n: a.Len, size: size}
+	c.rebalanceLocked()
+	return a.Tuples, nil
+}
+
+// DropBins empties the bin segment, so bins a new layout dropped do not
+// sit in the budget.
+func (c *Cache) DropBins() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropBinsLocked()
+}
+
+func (c *Cache) dropBinsLocked() {
+	c.bins = make(map[string]heldBin)
+	c.binBytes = 0
 }

@@ -402,21 +402,21 @@ func (s *StoreClient) Load(rns *relation.Relation, attr string) error {
 	})
 }
 
-// SearchErr is Search with the error surfaced instead of recorded (ring
-// failover needs the per-replica outcome).
-func (s *StoreClient) SearchErr(values []relation.Value) ([]relation.Tuple, error) {
-	resp, err := s.read(&request{Op: opPlainSearch, Values: values})
+// SearchSince is the conditional bin search (storage.PlainStore's). A
+// failure is recorded, as Search's (LogicalErrCount), and returned.
+func (s *StoreClient) SearchSince(values []relation.Value, epoch uint64, have int) (storage.BinAnswer, error) {
+	resp, err := s.read(&request{Op: opPlainSearch, Values: values, CondEpoch: epoch, Have: have})
 	if err != nil {
-		return nil, err
+		s.noteLogical(err)
+		return storage.BinAnswer{}, err
 	}
-	return resp.Tuples, nil
+	return storage.BinAnswer{Tuples: resp.Tuples, Epoch: resp.VerEpoch, Len: int(resp.VerN), NotModified: resp.Delta}, nil
 }
 
-// Search implements cloud.PlainBackend.
+// Search implements cloud.PlainBackend from the zero version.
 func (s *StoreClient) Search(values []relation.Value) []relation.Tuple {
-	ts, err := s.SearchErr(values)
-	s.noteLogical(err)
-	return ts
+	a, _ := s.SearchSince(values, 0, 0)
+	return a.Tuples
 }
 
 // SearchRange is the Backend pin (see ErrNoRangeSearch): it records

@@ -52,6 +52,8 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opEncAttrColumnIf, ID: 3, Store: "a/b c"},
 		{Op: opEncRowsIf, ID: 4},
 		{Op: opPlainSearch, ID: 5, Store: "s", Values: []relation.Value{relation.Int(9), relation.Str("q")}},
+		// A bin revalidation: the epoch and length of the held answer.
+		{Op: opPlainSearch, ID: 6, Values: []relation.Value{relation.Int(9)}, CondEpoch: 1<<64 - 1, Have: 2000},
 		{Op: opPlainInsert, ID: 7, Store: "s", AdminToken: []byte("tok"), Tuple: tuple, Have: 3},
 		{Op: opEncAddBatch, ID: 11, AdminToken: []byte("owner"), Have: 2, Batch: []EncUpload{
 			{TupleCT: []byte("r0"), AttrCT: []byte("a0"), Token: []byte("t0")},
@@ -113,6 +115,9 @@ func TestBinResponseRoundTrip(t *testing.T) {
 		{ID: 11, Err: "wire: something logical"},
 		{ID: 12, VerEpoch: 1<<64 - 1, VerN: 6},
 		{ID: 13, VerEpoch: 2, VerN: 8, Delta: true, Rows: codecRows},
+		// opPlainSearch: not modified, and a whole bin at its length.
+		{ID: 14, VerEpoch: 1<<64 - 1, VerN: 2000, Delta: true},
+		{ID: 14, VerEpoch: 9, VerN: 2001, Tuples: []relation.Tuple{{ID: 3, Values: []relation.Value{relation.Int(9)}}}},
 		// The ops that rode gob until protocol v7.
 		{ID: 20, N: 2},                     // opPlainLoad
 		{ID: 21, Version: ProtocolVersion}, // opHello

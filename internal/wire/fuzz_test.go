@@ -27,6 +27,7 @@ func seedRequests() [][]byte {
 		{Op: opEncLen, ID: 2, Store: "tenant"},
 		{Op: opPlainSearch, ID: 3, Values: []relation.Value{relation.Int(7), relation.Str("q")}},
 		{Op: opPlainSearch, ID: 4, Store: "s", Values: []relation.Value{relation.Int(-5), relation.Str(""), relation.Int(5)}},
+		{Op: opPlainSearch, ID: 29, Values: []relation.Value{relation.Int(7)}, CondEpoch: 1 << 40, Have: 12}, // a bin revalidation
 		{Op: opPlainInsert, ID: 5, AdminToken: []byte("o"), Tuple: relation.Tuple{ID: 1, Values: []relation.Value{relation.Int(9)}}},
 		{Op: opEncAddBatch, ID: 7, AdminToken: []byte("o"), Batch: batch, Have: 4},
 		{Op: opEncFetchBatch, ID: 8, AddrBatches: [][]int{{0, 1, 2}}}, // a fetch: a batch of one list
@@ -84,6 +85,7 @@ func seedResponses() [][]byte {
 		{&response{ID: 9, Err: "wire: boom"}, 0},
 		{&response{ID: 10, VerEpoch: 3, VerN: 2, Delta: true, Rows: rows}, 0},
 		{&response{ID: 11, RowBatches: [][]storage.EncRow{rows, nil}}, 0},
+		{&response{ID: 25, VerEpoch: 1 << 40, VerN: 12, Delta: true}, 0},       // opPlainSearch, not modified
 		{&response{ID: 12, N: 1}, 0},                                           // opPlainLoad
 		{&response{ID: 13, Version: ProtocolVersion}, 0},                       // opHello
 		{&response{ID: 14, Names: []string{"a", "b"}}, 0},                      // opAdminList

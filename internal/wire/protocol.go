@@ -44,8 +44,9 @@
 // query of a batched search in a single round trip, so a remote QueryBatch
 // avoids paying one network latency per query; a single fetch is a batch
 // of one list. opEncAttrColumnIf and opEncRowsIf are the conditional
-// column and row pulls; a full pull is the conditional pull from the zero
-// version, which no store matches.
+// column and row pulls, opPlainSearch the conditional bin search; a full
+// pull or search is the conditional one from the zero version, which no
+// store matches.
 //
 // The control plane rides the same protocol: namespace lifecycle ops
 // (list/stats/drop/compact) authenticated by a per-namespace owner token
@@ -71,7 +72,10 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 10 deleted the
+// ProtocolVersion is the wire protocol generation. Version 11 made
+// opPlainSearch conditional with the existing fields: the held answer's
+// (CondEpoch, Have) in, (VerEpoch, VerN) and the whole bin or Delta ("not
+// modified", no tuples) out. Version 10 deleted the
 // per-namespace admission override op and the request's Workers field,
 // and StoreStats lost its admission cap: the cloud has one admission
 // level, a per-connection bound, and nothing to set at runtime. The op
@@ -112,7 +116,7 @@ import (
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
 // 1 had no handshake and a single implicit store.
-const ProtocolVersion = 10
+const ProtocolVersion = 11
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -236,6 +240,7 @@ type request struct {
 
 	// Conditional-pull fields (opEncAttrColumnIf/opEncRowsIf): the version
 	// the client's cache was last validated at and how many rows it holds.
+	// opPlainSearch carries its held bin's (CondEpoch, Have).
 	// The mutation ops reuse Have as their length CAS: opEncAddBatch and
 	// opPlainInsert apply only if the partition still holds exactly Have
 	// rows/tuples, answering a stale-write error (see IsStaleWrite)
@@ -289,7 +294,7 @@ type response struct {
 	// namespace's current version, and whether Rows is a suffix delta
 	// relative to request.Have (true) or a full resend (false). On chunked
 	// responses these ride every chunk; the client keeps the first chunk's
-	// values.
+	// values. opPlainSearch's Delta means "not modified": no Tuples.
 	VerEpoch uint64
 	VerN     uint64
 	Delta    bool

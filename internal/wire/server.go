@@ -397,7 +397,11 @@ func (c *Cloud) dispatch(req *request) response {
 		if plain == nil {
 			return response{Err: "wire: no relation loaded in store " + name}
 		}
-		return response{Tuples: plain.Search(req.Values)}
+		a := plain.SearchSince(req.Values, req.CondEpoch, req.Have)
+		if a.NotModified {
+			c.condCounter(name).Add(1)
+		}
+		return response{Tuples: a.Tuples, VerEpoch: a.Epoch, VerN: uint64(a.Len), Delta: a.NotModified}
 	case opPlainInsert:
 		if plain == nil {
 			return response{Err: "wire: no relation loaded in store " + name}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -404,7 +405,14 @@ func killCurrent(rc *Reconnector) {
 func TestTransportConformance(t *testing.T) {
 	const ns = "conformance"
 	tok := OwnerToken([]byte("conformance master key"), ns)
+	// binRow is one conditional bin search's answer without its epoch,
+	// which is random per store instance.
+	type binRow struct {
+		Tuples, Len int
+		NotModified bool
+	}
 	type outcome struct {
+		Bins                []binRow
 		Search              []relation.Tuple
 		Lookup              []int
 		Fetch               []storage.EncRow
@@ -419,7 +427,7 @@ func TestTransportConformance(t *testing.T) {
 	var want *outcome
 	for _, stack := range transportStacks {
 		t.Run(stack.name, func(t *testing.T) {
-			_, addr := startCloudListener(t)
+			cl, addr := startCloudListener(t)
 			tr, err := stack.open(addr)
 			if err != nil {
 				t.Fatal(err)
@@ -443,7 +451,21 @@ func TestTransportConformance(t *testing.T) {
 			}
 
 			var got outcome
+			// The conditional bin search's rows (storage pins the same ones):
+			// each answer is recorded without its epoch.
+			bin := []relation.Value{relation.Int(2)}
+			since := func(epoch uint64, have int) storage.BinAnswer {
+				t.Helper()
+				a, err := v.SearchSince(bin, epoch, have)
+				check(err)
+				got.Bins = append(got.Bins, binRow{len(a.Tuples), a.Len, a.NotModified})
+				return a
+			}
 			check(v.Load(testRelation(20), "K"))
+			loaded := since(0, 0)
+			// After a Load: the new relation is a new epoch, whatever it holds.
+			check(v.Load(testRelation(20), "K"))
+			since(loaded.Epoch, loaded.Len)
 			add(0, 6)
 			check(v.Flush())
 			got.Search = v.Search([]relation.Value{relation.Int(2)})
@@ -479,6 +501,14 @@ func TestTransportConformance(t *testing.T) {
 			}
 			check(v.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}))
 			got.Len = v.Len()
+			first := since(0, 0)
+			since(first.Epoch, first.Len) // not modified
+			check(v.Insert(relation.Tuple{ID: 778, Values: []relation.Value{relation.Int(3)}}))
+			since(first.Epoch, first.Len) // unchanged by an insert into another bin
+			check(v.Insert(relation.Tuple{ID: 779, Values: []relation.Value{relation.Int(2)}}))
+			cur := since(first.Epoch, first.Len) // modified by an insert into the bin
+			since(cur.Epoch^1, cur.Len)          // epoch mismatch
+			since(cur.Epoch, cur.Len+1)          // have past the length
 			if v.LogicalErrCount() != 0 || v.Err() != nil {
 				t.Fatalf("script left errors: %v / %v", v.LogicalErr(), v.Err())
 			}
@@ -487,11 +517,24 @@ func TestTransportConformance(t *testing.T) {
 			defer ctl.Close()
 			got.Stats, err = ctl.AdminStats(ns, tok)
 			check(err)
+			// After a snapshot restore (which restarts the op counters): the
+			// reborn store is a new epoch.
+			var snap bytes.Buffer
+			check(cl.Save(&snap))
+			check(cl.Restore(&snap))
+			reborn := since(cur.Epoch, cur.Len)
+			since(reborn.Epoch, reborn.Len)
 
+			wantBins := []binRow{
+				{4, 20, false}, {4, 20, false}, // zero version; after a Load
+				{4, 21, false}, {0, 21, true}, {0, 22, true}, {5, 23, false}, // zero version; not modified; other bin; the bin
+				{5, 23, false}, {5, 23, false}, // epoch mismatch; have past the length
+				{5, 23, false}, {0, 23, true}, // after a restore; revalidated there
+			}
 			if len(got.Search) != 4 || len(got.Lookup) != 6 || len(got.Batch) != 2 ||
 				!got.HitDelta || len(got.HitRows) != 0 || !got.TailDelta || len(got.TailRows) != 2 ||
-				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 21 ||
-				got.Stats.Ops != 17 || got.Stats.CondHits != 2 {
+				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 23 ||
+				got.Stats.Ops != 28 || got.Stats.CondHits != 4 || !reflect.DeepEqual(got.Bins, wantBins) {
 				t.Fatalf("script answers wrong: %+v", got)
 			}
 			if want == nil {

@@ -136,3 +136,52 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkRemoteHotRead repeats one selection — one hot pair of bins —
+// through the public client against a cloud over TCP loopback, with the
+// owner-side cache on (the remote default) and with Config.DisableCache.
+// With the cache on, each read after the first revalidates the held
+// column and clear-text bin in not-modified round trips; without it,
+// each read pulls the column and resends the whole bin. The gated
+// equivalent is read_p50_ms on bench's hot-read workload.
+func BenchmarkRemoteHotRead(b *testing.B) {
+	ds := benchDataset(b, 20_000, 0.3)
+	hot := workload.QueryStream(ds, workload.QuerySpec{Queries: 1, Seed: 9})[0]
+	for _, arm := range []struct {
+		name    string
+		disable bool
+	}{{"cache", false}, {"nocache", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { lis.Close() })
+			go func() { _ = wire.NewCloud().Serve(lis) }()
+			c, err := NewClient(Config{
+				MasterKey:    []byte("remote hot read"),
+				Attr:         workload.Attr,
+				Seed:         seed(9),
+				CloudAddr:    lis.Addr().String(),
+				DisableCache: arm.disable,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { c.Close() })
+			if err := c.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Query(hot); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Query(hot); err != nil {
+					b.Fatal(err)
+				}
+				c.owner.Server().ResetViews()
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,6 +457,20 @@ type chaosCloud struct {
 	mu    sync.Mutex
 	lis   net.Listener
 	conns []net.Conn
+	// sent counts the bytes the cloud wrote to its clients.
+	sent atomic.Int64
+}
+
+// sentConn counts what a cloud writes to one connection.
+type sentConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c sentConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 func startChaosCloud(t *testing.T, cl *wire.Cloud) *chaosCloud {
@@ -483,7 +498,7 @@ func (s *chaosCloud) serve(cl *wire.Cloud, lis net.Listener) {
 			s.mu.Lock()
 			s.conns = append(s.conns, conn)
 			s.mu.Unlock()
-			go cl.ServeConn(conn)
+			go cl.ServeConn(sentConn{conn, &s.sent})
 		}
 	}()
 }
