@@ -161,6 +161,93 @@ func TestClientInsertAndRange(t *testing.T) {
 	}
 }
 
+// TestClientQueryAggregate: COUNT/SUM/MIN/MAX through the public client,
+// in process and against a remote cloud, equal the same aggregate over
+// the clear-text selection, and a column the aggregate cannot read is
+// refused.
+func TestClientQueryAggregate(t *testing.T) {
+	emp := workload.Employee()
+	office, _ := workload.EmployeeSchema.ColumnIndex("Office")
+	for _, remote := range []bool{false, true} {
+		cfg := Config{MasterKey: []byte("aggregate test"), Attr: "EId", Seed: seed(31)}
+		if remote {
+			cfg.CloudAddr = startRemoteCloud(t)
+		}
+		c, err := NewClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Outsource(emp.Clone(), workload.EmployeeSensitive); err != nil {
+			t.Fatal(err)
+		}
+		for _, eid := range []string{"E101", "E259", "E152", "E254"} {
+			sel, err := emp.Select("EId", Str(eid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[AggOp]int64{AggCount: int64(len(sel)), AggMin: 1 << 62, AggMax: -1 << 62}
+			for _, tp := range sel {
+				v := tp.Values[office].Int()
+				want[AggSum] += v
+				want[AggMin], want[AggMax] = min(want[AggMin], v), max(want[AggMax], v)
+			}
+			for op, w := range want {
+				if got, err := c.QueryAggregate(Str(eid), "Office", op); err != nil || got != w {
+					t.Errorf("remote=%v: aggregate %d of %s = %d, %v; want %d", remote, op, eid, got, err, w)
+				}
+			}
+		}
+		if _, err := c.QueryAggregate(Str("E259"), "FirstName", AggSum); err == nil {
+			t.Errorf("remote=%v: SUM over a string column accepted", remote)
+		}
+		if _, err := c.QueryAggregate(Str("E259"), "Missing", AggCount); err == nil {
+			t.Errorf("remote=%v: aggregate over an unknown column accepted", remote)
+		}
+	}
+}
+
+// TestClientInsertRejectsBadTuple: Insert refuses a tuple of the wrong
+// arity or with a value of the wrong kind, on either side of the
+// partition, and the refusal leaves the client writable.
+func TestClientInsertRejectsBadTuple(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		cfg := Config{MasterKey: []byte("insert test"), Attr: "EId", Seed: seed(32)}
+		if remote {
+			cfg.CloudAddr = startRemoteCloud(t)
+		}
+		c, err := NewClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Outsource(workload.Employee(), workload.EmployeeSensitive); err != nil {
+			t.Fatal(err)
+		}
+		bad := map[string][]Value{
+			"arity": {Str("E900")},
+			"kind":  {Str("E900"), Str("Zoe"), Str("Quinn"), Str("900"), Int(3), Str("Design")},
+		}
+		for name, vals := range bad {
+			for _, sensitive := range []bool{false, true} {
+				if err := c.Insert(Tuple{ID: 900, Values: vals}, sensitive); err == nil {
+					t.Errorf("remote=%v: %s-mismatched tuple (sensitive=%v) accepted", remote, name, sensitive)
+				}
+			}
+		}
+		if got, err := c.Query(Str("E900")); err != nil || len(got) != 0 {
+			t.Fatalf("remote=%v: refused inserts left %v, %v", remote, got, err)
+		}
+		good := Tuple{ID: 900, Values: []Value{Str("E900"), Str("Zoe"), Str("Quinn"), Int(900), Int(3), Str("Design")}}
+		if err := c.Insert(good, false); err != nil {
+			t.Fatalf("remote=%v: insert after refusals: %v", remote, err)
+		}
+		if got, err := c.Query(Str("E900")); err != nil || len(got) != 1 || got[0].ID != 900 {
+			t.Fatalf("remote=%v: inserted tuple lookup = %v, %v", remote, got, err)
+		}
+	}
+}
+
 func TestClientJoin(t *testing.T) {
 	mk := func(keys []int64) *Client {
 		s := MustSchema("J",

@@ -5,23 +5,98 @@
 //
 // Usage:
 //
-//	qbbench [-exp all|fig5|fig6a|fig6b|fig6c|table2|table4|table6|security|metadata|insert] [-full] [-seed N]
+//	qbbench [-exp all|NAME] [-full] [-seed N]
 //
-// -cpuprofile/-memprofile write pprof profiles of the selected experiments
-// (see docs/BENCHMARKS.md for the analysis workflow).
+// -exp all (the default) runs every experiment in turn; `qbbench -h`
+// lists the names. -cpuprofile/-memprofile write pprof profiles of the
+// selected experiments (see docs/BENCHMARKS.md for the analysis
+// workflow).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/profile"
 )
 
+// table wraps one experiment's single table as the list exps returns.
+func table(t *experiments.Table, err error) ([]*experiments.Table, error) {
+	return []*experiments.Table{t}, err
+}
+
+// exps is the one list of experiments, in the order -exp all runs them.
+// Each returns the tables it prints.
+var exps = []struct {
+	name string
+	run  func(full bool, seed int64) ([]*experiments.Table, error)
+}{
+	{"table2", func(bool, int64) ([]*experiments.Table, error) {
+		naive, qb, err := experiments.TablesIIandIII()
+		return []*experiments.Table{naive, qb}, err
+	}},
+	{"table4", func(bool, int64) ([]*experiments.Table, error) {
+		return table(experiments.TableIVandFigure4())
+	}},
+	{"fig5", func(bool, int64) ([]*experiments.Table, error) {
+		return table(experiments.FigureV(), nil)
+	}},
+	{"fig6a", func(bool, int64) ([]*experiments.Table, error) {
+		return table(experiments.Figure6a(), nil)
+	}},
+	{"fig6b", func(full bool, seed int64) ([]*experiments.Table, error) {
+		spec := experiments.DefaultFig6b()
+		spec.Seed = seed
+		if full {
+			spec.Sizes = []int{150_000, 1_500_000, 4_500_000}
+		}
+		return table(experiments.Figure6b(spec))
+	}},
+	{"fig6c", func(full bool, seed int64) ([]*experiments.Table, error) {
+		spec := experiments.DefaultFig6c()
+		spec.Seed = seed
+		if full {
+			spec.Tuples, spec.DistinctValues, spec.Queries = 600_000, 36_000, 16
+		}
+		return table(experiments.Figure6c(spec))
+	}},
+	{"table6", func(bool, int64) ([]*experiments.Table, error) {
+		return table(experiments.TableVI())
+	}},
+	{"security", func(_ bool, seed int64) ([]*experiments.Table, error) {
+		return table(experiments.SecurityAblation(seed))
+	}},
+	{"metadata", func(full bool, seed int64) ([]*experiments.Table, error) {
+		n := 10_000
+		if full {
+			n = 6_000_000
+		}
+		return table(experiments.MetadataSizes(n, seed))
+	}},
+	{"insert", func(full bool, seed int64) ([]*experiments.Table, error) {
+		n, k := 5_000, 20
+		if full {
+			n, k = 500_000, 200
+		}
+		return table(experiments.InsertCost(n, k, seed))
+	}},
+}
+
+// names lists -exp's accepted values.
+func names() string {
+	all := []string{"all"}
+	for _, e := range exps {
+		all = append(all, e.name)
+	}
+	return strings.Join(all, ", ")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, fig5, fig6a, fig6b, fig6c, table2, table4, table6, security, metadata, insert)")
+	exp := flag.String("exp", "all", "experiment to run ("+names()+")")
 	full := flag.Bool("full", false, "use the paper's dataset sizes (slow)")
 	seed := flag.Int64("seed", 1, "seed for data generation and binning")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run here (pprof)")
@@ -30,7 +105,7 @@ func main() {
 
 	stopProf, err := profile.Start("qbbench", *cpuProf, *memProf)
 	if err == nil {
-		err = run(*exp, *full, *seed)
+		err = run(os.Stdout, *exp, *full, *seed)
 		stopProf()
 	}
 	if err != nil {
@@ -39,96 +114,25 @@ func main() {
 	}
 }
 
-func run(exp string, full bool, seed int64) error {
-	all := exp == "all"
-	out := os.Stdout
-
-	if all || exp == "table2" {
-		naive, qb, err := experiments.TablesIIandIII()
+// run prints the tables of the experiment named exp, or of every
+// experiment for "all", to w.
+func run(w io.Writer, exp string, full bool, seed int64) error {
+	ran := false
+	for _, e := range exps {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		ran = true
+		tabs, err := e.run(full, seed)
 		if err != nil {
 			return err
 		}
-		naive.Fprint(out)
-		qb.Fprint(out)
-	}
-	if all || exp == "table4" {
-		tab, err := experiments.TableIVandFigure4()
-		if err != nil {
-			return err
+		for _, t := range tabs {
+			t.Fprint(w)
 		}
-		tab.Fprint(out)
 	}
-	if all || exp == "fig5" {
-		experiments.FigureV().Fprint(out)
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", exp, names())
 	}
-	if all || exp == "fig6a" {
-		experiments.Figure6a().Fprint(out)
-	}
-	if all || exp == "fig6b" {
-		spec := experiments.DefaultFig6b()
-		spec.Seed = seed
-		if full {
-			spec.Sizes = []int{150_000, 1_500_000, 4_500_000}
-		}
-		tab, err := experiments.Figure6b(spec)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-	if all || exp == "fig6c" {
-		spec := experiments.DefaultFig6c()
-		spec.Seed = seed
-		if full {
-			spec.Tuples, spec.DistinctValues, spec.Queries = 600_000, 36_000, 16
-		}
-		tab, err := experiments.Figure6c(spec)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-	if all || exp == "table6" {
-		tab, err := experiments.TableVI()
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-	if all || exp == "security" {
-		tab, err := experiments.SecurityAblation(seed)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-	if all || exp == "metadata" {
-		n := 10_000
-		if full {
-			n = 6_000_000
-		}
-		tab, err := experiments.MetadataSizes(n, seed)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-	if all || exp == "insert" {
-		n, k := 5_000, 20
-		if full {
-			n, k = 500_000, 200
-		}
-		tab, err := experiments.InsertCost(n, k, seed)
-		if err != nil {
-			return err
-		}
-		tab.Fprint(out)
-	}
-
-	switch exp {
-	case "all", "fig5", "fig6a", "fig6b", "fig6c", "table2", "table4", "table6", "security", "metadata", "insert":
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
+	return nil
 }

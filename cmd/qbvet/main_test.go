@@ -3,9 +3,11 @@ package main
 import (
 	"go/ast"
 	"go/types"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -419,4 +421,39 @@ func TestTechniqueHasOneStoreContract(t *testing.T) {
 		return
 	}
 	t.Fatal("repro/internal/technique not loaded")
+}
+
+// TestEveryBinaryHasAConsumer pins that no binary sits unexercised: every
+// main package under cmd/ has a test file of its own, or a Makefile
+// recipe builds it (make smoke, lint and audit run what they build). A
+// binary nothing runs rots unseen, as the SQL shell did at 0 % coverage.
+func TestEveryBinaryHasAConsumer(t *testing.T) {
+	var root string
+	var mains []*analysis.Package
+	for _, p := range loadRepo(t) {
+		if p.ImportPath == "repro" {
+			root = p.Dir
+		}
+		if strings.HasPrefix(p.ImportPath, "repro/cmd/") && p.Types.Name() == "main" {
+			mains = append(mains, p)
+		}
+	}
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mains) == 0 {
+		t.Fatal("no main package under cmd/ loaded")
+	}
+	for _, p := range mains {
+		tests, err := filepath.Glob(filepath.Join(p.Dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := "./cmd/" + filepath.Base(p.Dir)
+		built := regexp.MustCompile(`(?m)^\t.*\bbuild\b.*` + regexp.QuoteMeta(cmd) + `(\s|$)`).Match(makefile)
+		if len(tests) == 0 && !built {
+			t.Errorf("%s has no test file and no Makefile recipe builds it", cmd)
+		}
+	}
 }

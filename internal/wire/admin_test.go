@@ -75,7 +75,8 @@ func TestOwnerTokenDerivation(t *testing.T) {
 // and are refused without it (wrong key, no key, unclaimed namespace,
 // unknown namespace).
 func TestAdminOpsRequireOwnerToken(t *testing.T) {
-	c := startCloudOn(t, NewCloud())
+	cloud := NewCloud()
+	c := startCloudOn(t, cloud)
 	master := []byte("owner master key")
 	loadTenant(t, c, "tenant", master)
 	good := OwnerToken(master, "tenant")
@@ -120,8 +121,19 @@ func TestAdminOpsRequireOwnerToken(t *testing.T) {
 	if n := c.WithStore("tenant").Len(); n != 0 {
 		t.Fatalf("enc rows after drop = %d, want 0", n)
 	}
-	// Dropping again: the namespace was re-created empty (and unclaimed)
-	// by the Len probe above, so the old owner no longer holds it either.
+	// The Len probe reads the namespace without creating it.
+	if names, err := c.AdminList(); err != nil || len(names) != 0 {
+		t.Fatalf("stores after drop and a Len probe = %v, %v; want none", names, err)
+	}
+	// Another writer's untokened write re-creates the namespace
+	// unclaimed, so the old owner no longer holds it either.
+	v := startCloudOn(t, cloud).WithStore("tenant")
+	if a := v.Add([]byte("ct"), nil, nil); a != 0 {
+		t.Fatalf("untokened write after drop: address %d, %v", a, v.LogicalErr())
+	}
+	if err := v.Flush(); err != nil {
+		t.Fatalf("untokened write after drop: %v", err)
+	}
 	if err := c.AdminDrop("tenant", good); err == nil || !strings.Contains(err.Error(), "no registered owner") {
 		t.Fatalf("drop of unclaimed recreated namespace: %v", err)
 	}

@@ -482,11 +482,11 @@ func (s *StoreClient) Add(tupleCT, attrCT, token []byte) int {
 		s.bufMu.Lock()
 		defer s.bufMu.Unlock()
 		if !s.lenSynced {
-			resp, err := c.roundTrip(&request{Op: opEncLen, Store: s.store})
+			resp, err := c.roundTrip(&request{Op: opStoreInfo, Store: s.store})
 			if err != nil {
 				return err
 			}
-			s.serverLen, s.lenSynced = resp.N, true
+			s.serverLen, s.lenSynced = resp.Info.EncRows, true
 		}
 		addr = s.serverLen + len(s.pending)
 		s.pending = append(s.pending, EncUpload{
@@ -551,18 +551,18 @@ func (s *StoreClient) flushLocked(c *Client) error {
 		// Keep the batch buffered for retry: its addresses were already
 		// handed out by Add, so dropping the rows would silently corrupt
 		// the technique's index. If the server rejected the batch
-		// logically the connection is still healthy; confirm via opEncLen
-		// that nothing was applied, in which case the retained addresses
-		// are still the ones a retry will materialise. A shifted length
-		// means the batch was partially applied and the handed-out
+		// logically the connection is still healthy; confirm via
+		// opStoreInfo that nothing was applied, in which case the retained
+		// addresses are still the ones a retry will materialise. A shifted
+		// length means the batch was partially applied and the handed-out
 		// addresses can no longer be honoured — no retry can fix that, so
 		// fail the connection loudly rather than let every later Fetch
 		// return the wrong row.
 		if c.stickyErr() == nil {
-			if lenResp, lerr := c.roundTrip(&request{Op: opEncLen, Store: s.store}); lerr == nil && lenResp.N != s.serverLen {
+			if probe, perr := c.roundTrip(&request{Op: opStoreInfo, Store: s.store}); perr == nil && probe.Info.EncRows != s.serverLen {
 				c.fail(fmt.Errorf(
 					"wire: flush: store %q length %d after rejected batch, expected %d: batch partially applied, handed-out addresses lost (%w)",
-					s.store, lenResp.N, s.serverLen, err))
+					s.store, probe.Info.EncRows, s.serverLen, err))
 			}
 		}
 		return err
@@ -666,13 +666,15 @@ func (s *StoreClient) ResyncLen() error {
 	return nil
 }
 
-// LenErr is Len with the error surfaced.
+// LenErr is Len with the error surfaced: the encrypted row count of one
+// opStoreInfo probe, taken after the buffered uploads are flushed. A
+// namespace nothing was written to answers 0 and is not created.
 func (s *StoreClient) LenErr() (int, error) {
-	resp, err := s.read(&request{Op: opEncLen})
+	resp, err := s.read(&request{Op: opStoreInfo})
 	if err != nil {
 		return 0, err
 	}
-	return resp.N, nil
+	return resp.Info.EncRows, nil
 }
 
 // Len implements technique.EncStore.

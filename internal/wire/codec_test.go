@@ -46,7 +46,6 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		relation.Column{Name: "K", Kind: relation.KindInt}, relation.Column{Name: "S", Kind: relation.KindString})
 	reqs := []*request{
 		{Op: opPing, ID: 1},
-		{Op: opEncLen, ID: 2, Store: "tenant"},
 		// A full column or row pull is the conditional pull from the zero
 		// version.
 		{Op: opEncAttrColumnIf, ID: 3, Store: "a/b c"},

@@ -24,7 +24,7 @@ func seedRequests() [][]byte {
 	batch := []EncUpload{{TupleCT: []byte("r")}}
 	reqs := []*request{
 		{Op: opPing, ID: 1},
-		{Op: opEncLen, ID: 2, Store: "tenant"},
+		{Op: opStoreInfo, ID: 2, Store: "tenant"}, // a view's row-count probe
 		{Op: opPlainSearch, ID: 3, Values: []relation.Value{relation.Int(7), relation.Str("q")}},
 		{Op: opPlainSearch, ID: 4, Store: "s", Values: []relation.Value{relation.Int(-5), relation.Str(""), relation.Int(5)}},
 		{Op: opPlainSearch, ID: 29, Values: []relation.Value{relation.Int(7)}, CondEpoch: 1 << 40, Have: 12}, // a bin revalidation
@@ -46,8 +46,9 @@ func seedRequests() [][]byte {
 		{Op: opAdminStats, ID: 15, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminDrop, ID: 16, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminCompact, ID: 17, Store: "s", AdminToken: []byte("o")},
-		// Op 23 is past the table since protocol v10 deleted the admission
-		// override op; the decoder must refuse this frame.
+		// opEnd is past the table (protocol v10 deleted the admission
+		// override op, v12 the row-count op); the decoder must refuse this
+		// frame.
 		{Op: opEnd, ID: 18, Store: "s", AdminToken: []byte("o")},
 		{Op: opRingDirectory, ID: 19, CondN: 2},
 		{Op: opStoreInfo, ID: 20, Store: "s"},

@@ -253,7 +253,7 @@ func TestUnknownResponseIDFailsConnection(t *testing.T) {
 
 // TestFlushFailureRetainsPending: a logically rejected upload batch stays
 // buffered (its addresses are already live in the technique), serverLen
-// is resynced via opEncLen, and a retry delivers the same rows at the
+// is resynced via opStoreInfo, and a retry delivers the same rows at the
 // same addresses.
 func TestFlushFailureRetainsPending(t *testing.T) {
 	c, ss := pipeClient(t)
@@ -282,8 +282,8 @@ func TestFlushFailureRetainsPending(t *testing.T) {
 					serverRows += len(req.Batch)
 					resp.N = len(req.Batch)
 				}
-			case opEncLen:
-				resp.N = serverRows
+			case opStoreInfo:
+				resp.Info.EncRows = serverRows
 			default:
 				resp.Err = "unexpected op in script"
 			}
@@ -360,8 +360,8 @@ func TestFlushPartialApplicationPoisons(t *testing.T) {
 			case opEncAddBatch:
 				serverRows++ // applies ONE row, then rejects the batch
 				resp.Err = "enc store: simulated mid-batch failure"
-			case opEncLen:
-				resp.N = serverRows
+			case opStoreInfo:
+				resp.Info.EncRows = serverRows
 			}
 			if err := ss.writeResponse(req.Op, &resp); err != nil {
 				return

@@ -72,7 +72,11 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 11 made
+// ProtocolVersion is the wire protocol generation. Version 12 deleted
+// the encrypted row-count op: a view's count probes (Len, Add's lazy
+// length sync, a rejected flush's reconcile) ride opStoreInfo's EncRows,
+// which neither creates the namespace nor counts as a store op. The op
+// table was renumbered without it (21 ops). Version 11 made
 // opPlainSearch conditional with the existing fields: the held answer's
 // (CondEpoch, Have) in, (VerEpoch, VerN) and the whole bin or Delta ("not
 // modified", no tuples) out. Version 10 deleted the
@@ -116,7 +120,7 @@ import (
 // streaming) that both sides switch to after the hello; version 2
 // introduced store namespaces and the mandatory hello handshake; version
 // 1 had no handshake and a single implicit store.
-const ProtocolVersion = 11
+const ProtocolVersion = 12
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -131,7 +135,6 @@ const (
 	opPlainSearch
 	opPlainInsert
 	opEncAddBatch
-	opEncLen
 	opEncLookupToken
 	opPing
 	// opEncFetchBatch serves a whole batch's bin fetches in one round
@@ -170,7 +173,8 @@ const (
 	// for the placement directory, answered whole as an opaque gob blob.
 	// opStoreInfo is the cheap divergence probe — existence, row counts
 	// and the (epoch, N) version of one namespace on one node; it needs no
-	// secret, like opAdminList. The remaining
+	// secret, like opAdminList, and is also every view's row-count probe
+	// (protocol v12). The remaining
 	// three move replica state between ring peers and are guarded by the
 	// cluster's ring token (request.RingToken), a secret shared by the
 	// nodes and the coordinator but never by tenants: opStoreSnapshot

@@ -444,8 +444,6 @@ func (c *Cloud) dispatch(req *request) response {
 				staleWriteMark, name, n, req.Have)}
 		}
 		return response{Addr: n - 1, N: len(req.Batch)}
-	case opEncLen:
-		return response{N: encStore.Len()}
 	case opEncFetchBatch:
 		batches, err := encStore.FetchBatch(req.AddrBatches)
 		if err != nil {

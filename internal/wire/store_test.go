@@ -68,7 +68,7 @@ func dialRaw(t *testing.T, addr string) net.Conn {
 func TestHelloRejectsLegacyClient(t *testing.T) {
 	cl, addr := startCloudListener(t)
 	conn := dialRaw(t, addr)
-	sendFrame(t, conn, &request{ID: 7, Op: opEncLen, Store: "skipped-hello"})
+	sendFrame(t, conn, &request{ID: 7, Op: opEncVersion, Store: "skipped-hello"})
 	resp, err := recvFrame(conn)
 	if err != nil {
 		t.Fatalf("no explicit refusal frame: %v", err)
@@ -534,7 +534,7 @@ func TestTransportConformance(t *testing.T) {
 			if len(got.Search) != 4 || len(got.Lookup) != 6 || len(got.Batch) != 2 ||
 				!got.HitDelta || len(got.HitRows) != 0 || !got.TailDelta || len(got.TailRows) != 2 ||
 				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 23 ||
-				got.Stats.Ops != 28 || got.Stats.CondHits != 4 || !reflect.DeepEqual(got.Bins, wantBins) {
+				got.Stats.Ops != 26 || got.Stats.CondHits != 4 || !reflect.DeepEqual(got.Bins, wantBins) {
 				t.Fatalf("script answers wrong: %+v", got)
 			}
 			if want == nil {

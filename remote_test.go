@@ -437,6 +437,41 @@ func TestRemoteQueryAfterConnectionLost(t *testing.T) {
 	}
 }
 
+// TestRemoteAggregateAfterCloudClosed: once the remote cloud is gone an
+// aggregate returns an error, never a COUNT of 0 that reads as "no such
+// tuples" — for every store-backed technique, owner cache on and off.
+func TestRemoteAggregateAfterCloudClosed(t *testing.T) {
+	for _, tech := range []Technique{TechNoInd, TechDetIndex, TechArx} {
+		for _, disableCache := range []bool{false, true} {
+			cloud := startChaosCloud(t, wire.NewCloud())
+			c, err := NewClient(Config{
+				MasterKey:    []byte("remote aggregate"),
+				Attr:         "EId",
+				Technique:    tech,
+				Seed:         seed(62),
+				CloudAddr:    cloud.addr,
+				DisableCache: disableCache,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Outsource(workload.Employee(), workload.EmployeeSensitive); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := c.QueryAggregate(Str("E259"), "Office", AggCount); err != nil || n != 2 {
+				t.Fatalf("%v, cache off=%v: COUNT before closing = %d, %v; want 2", tech, disableCache, n, err)
+			}
+			cloud.kill()
+			for _, op := range []AggOp{AggCount, AggSum, AggMin, AggMax} {
+				if n, err := c.QueryAggregate(Str("E259"), "Office", op); err == nil {
+					t.Errorf("%v, cache off=%v: aggregate %d over a closed cloud = %d with nil error", tech, disableCache, op, n)
+				}
+			}
+		}
+	}
+}
+
 // TestRemoteCloudUnreachable: a misconfigured address fails at
 // construction — also with Reconnect, whose first dial is eager.
 func TestRemoteCloudUnreachable(t *testing.T) {
