@@ -83,8 +83,6 @@ type Config struct {
 	// DisableFakePadding turns off §IV-B volume equalisation (attack
 	// demonstrations only).
 	DisableFakePadding bool
-	// DisableNearestSquare forces unmodified Algorithm 1 factorisation.
-	DisableNearestSquare bool
 	// CloudAddr, when non-empty, connects to a remote qbcloud process at
 	// this address instead of hosting the cloud stores in-process. Only
 	// store-backed techniques (NoInd, DetIndex, Arx) support remote mode.
@@ -215,8 +213,8 @@ func newClientOn(cfg Config, transport wire.Transport, owns bool) (*Client, erro
 	if transport != nil {
 		remote = transport.Store(cfg.Store)
 		// Control plane: the first write claims the namespace for this
-		// master key, making the owner-authenticated admin ops (stats,
-		// drop, compact — see cmd/qbadmin) available to it alone.
+		// master key, making the owner-authenticated admin ops (stats and
+		// drop — see cmd/qbadmin) available to it alone.
 		remote.SetAdminToken(wire.OwnerToken(cfg.MasterKey, cfg.Store))
 	}
 	encStore := func() technique.EncStore {
@@ -327,10 +325,7 @@ func (c *Client) Resume(r io.Reader) error {
 }
 
 func (c *Client) binOptions() core.Options {
-	opts := core.Options{
-		DisableFakePadding:   c.cfg.DisableFakePadding,
-		DisableNearestSquare: c.cfg.DisableNearestSquare,
-	}
+	opts := core.Options{DisableFakePadding: c.cfg.DisableFakePadding}
 	if c.cfg.Seed != nil {
 		opts.Rand = mrand.New(mrand.NewPCG(*c.cfg.Seed, *c.cfg.Seed^0x6a09e667f3bcc908))
 	}

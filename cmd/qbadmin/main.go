@@ -11,20 +11,18 @@
 //	qbadmin -addr HOST:PORT ping
 //	qbadmin -addr HOST:PORT list
 //	qbadmin -addr HOST:PORT -master KEY -store NAME stats
-//	qbadmin -addr HOST:PORT -master KEY -store NAME compact
 //	qbadmin -addr HOST:PORT -master KEY -store NAME drop
 //	qbadmin -addr RING_ADDR ring
 //
-// ping and list need no key (liveness and discovery); stats, compact and
-// drop are per-namespace and owner-authenticated. ring
-// points -addr at a qbring coordinator instead of a qbcloud and prints
-// the cluster picture: membership with liveness, and for every hosted
-// namespace its replica placement with per-replica row counts and
-// version counters, marking replicas whose row counts diverge (the
-// anti-entropy repair loop's work queue). drop
-// destroys the namespace's clear-text partition, encrypted rows and owner
-// registration irrecoverably (modulo cloud snapshots taken before the
-// drop).
+// ping and list need no key (liveness and discovery); stats and drop are
+// per-namespace and owner-authenticated. ring points -addr at a qbring
+// coordinator instead of a qbcloud and prints the cluster picture:
+// membership with liveness, and for every hosted namespace its replica
+// placement with per-replica row counts and version counters, marking
+// replicas whose row counts diverge (the anti-entropy repair loop's work
+// queue). drop destroys the namespace's clear-text partition, encrypted
+// rows and owner registration irrecoverably (modulo cloud snapshots taken
+// before the drop).
 package main
 
 import (
@@ -40,10 +38,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7040", "qbcloud address")
-	master := flag.String("master", "", "owner master key (required for stats/compact/drop)")
+	master := flag.String("master", "", "owner master key (required for stats/drop)")
 	store := flag.String("store", "", "namespace to administer (\"\" = the default store)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: qbadmin -addr HOST:PORT [-master KEY] [-store NAME] ping|list|stats|compact|drop|ring")
+		fmt.Fprintln(os.Stderr, "usage: qbadmin -addr HOST:PORT [-master KEY] [-store NAME] ping|list|stats|drop|ring")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -102,16 +100,6 @@ func run(w io.Writer, addr, master, store, cmd string) error {
 		}
 		fmt.Fprintf(w, "qbadmin: store %q: ops=%d plain_tuples=%d enc_rows=%d cond_hits=%d\n",
 			storeLabel(store), s.Ops, s.PlainTuples, s.EncRows, s.CondHits)
-	case "compact":
-		tok, err := token()
-		if err != nil {
-			return err
-		}
-		n, err := c.AdminCompact(store, tok)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "qbadmin: store %q compacted: %d rows retained\n", storeLabel(store), n)
 	case "drop":
 		tok, err := token()
 		if err != nil {
@@ -124,7 +112,7 @@ func run(w io.Writer, addr, master, store, cmd string) error {
 	case "ring":
 		return ringStatus(w, c)
 	default:
-		return fmt.Errorf("unknown command %q (want ping|list|stats|compact|drop|ring)", cmd)
+		return fmt.Errorf("unknown command %q (want ping|list|stats|drop|ring)", cmd)
 	}
 	return nil
 }

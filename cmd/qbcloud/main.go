@@ -27,7 +27,7 @@
 // atomic (tmp + rename), so a crash
 // mid-save never corrupts the state file. -stats prints per-store op/row
 // counts every DUR (e.g. 30s); the same table is always printed on
-// shutdown. The owner-side control plane (namespace stats/compact/drop,
+// shutdown. The owner-side control plane (namespace stats/drop,
 // owner-authenticated) is driven by cmd/qbadmin.
 package main
 

@@ -457,3 +457,62 @@ func TestEveryBinaryHasAConsumer(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryConfigFieldHasASetter pins that repro.Config carries no option
+// only its own package reads: every exported field is assigned somewhere
+// in the non-test code of another package — a binary, an example, the
+// load generator or the benchmark — by key in a composite literal or as
+// x.F = …. A field nothing outside the root package sets is a knob no
+// user reaches; an ablation that needs it can set the internal option
+// directly, as the bin-shape benchmark sets core.Options.
+func TestEveryConfigFieldHasASetter(t *testing.T) {
+	pkgs := loadRepo(t)
+	isConfig := func(typ types.Type) bool {
+		if ptr, ok := typ.(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		return typ != nil && types.TypeString(typ, nil) == "repro.Config"
+	}
+	set := make(map[string]bool)
+	var fields *types.Struct
+	for _, p := range pkgs {
+		if p.ImportPath == "repro" {
+			fields = p.Types.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+			continue
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if !isConfig(p.TypesInfo.TypeOf(n)) {
+						return true
+					}
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								set[key.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal && isConfig(s.Recv()) {
+								set[sel.Sel.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if fields == nil {
+		t.Fatal("package repro not loaded")
+	}
+	for i := 0; i < fields.NumFields(); i++ {
+		if f := fields.Field(i); f.Exported() && !set[f.Name()] {
+			t.Errorf("repro.Config.%s is set nowhere outside the root package", f.Name())
+		}
+	}
+}

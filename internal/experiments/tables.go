@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/crypto"
@@ -123,7 +124,7 @@ func TableIVandFigure4() (*Table, error) {
 	}
 	pred := func(tp relation.Tuple) bool { return sens[tp.ID] }
 
-	run := func(useQB bool) (*adversaryStats, error) {
+	run := func(useQB bool) (*adversary.BinGraph, error) {
 		tech, err := technique.NewNoInd(crypto.DeriveKeys([]byte("table4")))
 		if err != nil {
 			return nil, err
@@ -142,7 +143,7 @@ func TableIVandFigure4() (*Table, error) {
 				return nil, err
 			}
 		}
-		return analyzeBins(o), nil
+		return adversary.AnalyzeViews(o.Server().Views()), nil
 	}
 
 	qb, err := run(true)
@@ -160,55 +161,14 @@ func TableIVandFigure4() (*Table, error) {
 	}
 	for _, r := range []struct {
 		name string
-		st   *adversaryStats
+		g    *adversary.BinGraph
 	}{{"QB (Algorithm 2)", qb}, {"naive retrieval", naive}} {
 		t.AddRow(r.name,
-			fmt.Sprintf("%d", r.st.sensGroups), fmt.Sprintf("%d", r.st.nsGroups),
-			fmt.Sprintf("%d", r.st.edges),
-			fmt.Sprintf("%v", r.st.complete), fmt.Sprintf("%d", r.st.dropped))
+			fmt.Sprintf("%d", len(r.g.SensGroups)), fmt.Sprintf("%d", len(r.g.NSGroups)),
+			fmt.Sprintf("%d", r.g.Edges()),
+			fmt.Sprintf("%v", r.g.IsCompleteBipartite()), fmt.Sprintf("%d", r.g.DroppedMatches()))
 	}
 	return t, nil
-}
-
-type adversaryStats struct {
-	sensGroups, nsGroups, edges, dropped int
-	complete                             bool
-}
-
-func analyzeBins(o *owner.Owner) *adversaryStats {
-	type pair = [2]string
-	sensSet := make(map[string]bool)
-	nsSet := make(map[string]bool)
-	edges := make(map[pair]bool)
-	for _, v := range o.Server().Views() {
-		var sk, nk string
-		if v.EncPredicates > 0 {
-			addrs := append([]int(nil), v.EncResultAddrs...)
-			sort.Ints(addrs)
-			sk = fmt.Sprint(addrs)
-			sensSet[sk] = true
-		}
-		if len(v.PlainValues) > 0 {
-			keys := make([]string, len(v.PlainValues))
-			for i, pv := range v.PlainValues {
-				keys[i] = pv.Key()
-			}
-			sort.Strings(keys)
-			nk = strings.Join(keys, "|")
-			nsSet[nk] = true
-		}
-		if sk != "" && nk != "" {
-			edges[pair{sk, nk}] = true
-		}
-	}
-	st := &adversaryStats{
-		sensGroups: len(sensSet),
-		nsGroups:   len(nsSet),
-		edges:      len(edges),
-	}
-	st.dropped = st.sensGroups*st.nsGroups - st.edges
-	st.complete = st.dropped == 0
-	return st
 }
 
 // FigureV compares sensitive-value-to-bin assignment strategies on the

@@ -1,9 +1,6 @@
 package storage
 
 import (
-	"fmt"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -74,69 +71,4 @@ func TestStoreSetDropQuiesces(t *testing.T) {
 	}
 	release()
 	<-dropped
-}
-
-// TestEncStoreCompact: compaction preserves rows, addresses and token
-// lookups exactly, under concurrent readers (-race covers the interleaving).
-func TestEncStoreCompact(t *testing.T) {
-	s := NewEncryptedStore()
-	const rows = 100
-	for i := 0; i < rows; i++ {
-		s.Add([]byte(fmt.Sprintf("ct-%d", i)), []byte(fmt.Sprintf("attr-%d", i)), []byte(fmt.Sprintf("tok-%d", i%7)))
-	}
-	before := s.Rows()
-	wantTok := s.LookupToken([]byte("tok-3"))
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					s.Rows()
-					s.LookupToken([]byte("tok-3"))
-				}
-			}
-		}()
-	}
-	if n := s.Compact(); n != rows {
-		t.Fatalf("Compact = %d, want %d", n, rows)
-	}
-	close(stop)
-	wg.Wait()
-
-	if !reflect.DeepEqual(s.Rows(), before) {
-		t.Fatal("Compact changed the row column")
-	}
-	if got := s.LookupToken([]byte("tok-3")); !reflect.DeepEqual(got, wantTok) {
-		t.Fatalf("LookupToken after Compact = %v, want %v", got, wantTok)
-	}
-	if _, err := s.Fetch([]int{0, rows - 1}); err != nil {
-		t.Fatalf("Fetch after Compact: %v", err)
-	}
-}
-
-// TestStoreCompactExclusive: Store.Compact takes the store write lock, so
-// it waits for in-flight read views like SetPlain does.
-func TestStoreCompactExclusive(t *testing.T) {
-	st := NewStore()
-	st.Enc().Add([]byte("ct"), nil, nil)
-	_, _, release := st.ReadView()
-	done := make(chan int, 1)
-	go func() { done <- st.Compact() }()
-	time.Sleep(20 * time.Millisecond) // let Compact reach the lock
-	select {
-	case <-done:
-		t.Fatal("Compact returned while a read view was still held")
-	default:
-	}
-	release()
-	if n := <-done; n != 1 {
-		t.Fatalf("Compact = %d, want 1", n)
-	}
 }

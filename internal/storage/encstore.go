@@ -20,14 +20,15 @@ type EncRow struct {
 	Token   []byte // deterministic/Arx token, nil for non-indexable techniques
 }
 
-// EncVersion identifies a point in an EncryptedStore's write history.
-// Epoch is a random nonzero instance identifier: two stores (or the same
-// namespace before and after a snapshot restore, which can silently drop
-// post-snapshot writes) never share an epoch, so a cache keyed by an old
-// epoch can never be validated against rewritten addresses. N counts
-// writes (Add, Compact) within the epoch. Within one epoch the row column
-// is append-only and rows are immutable, so any state captured at
-// (Epoch, have rows) extends to the present by fetching only rows[have:].
+// EncVersion identifies a point in an EncryptedStore's write history. Epoch
+// is a random nonzero instance identifier: two stores (or the same namespace
+// before and after a snapshot restore, which can silently drop post-snapshot
+// writes) never share an epoch, so a cache keyed by an old epoch can never
+// be validated against rewritten addresses. N counts the rows appended
+// within the epoch, so once writes stop N equals Len. Readers compare
+// versions by equality only. Within one epoch the row column is append-only
+// and rows are immutable, so any state captured at (Epoch, have rows)
+// extends to the present by fetching only rows[have:].
 type EncVersion struct {
 	Epoch uint64
 	N     uint64
@@ -85,16 +86,15 @@ type EncryptedStore struct {
 
 	tokens [tokenShards]tokenShard
 
-	// epoch is fixed at construction; ver counts writes. Writers bump ver
-	// only AFTER publishing the new snapshot AND indexing the row's token,
+	// epoch is fixed at construction; ver counts appended rows. Writers bump
+	// ver only AFTER publishing the new snapshot AND indexing the row's token,
 	// and readers load ver BEFORE probing either, so state observed at a
-	// version is never fresher than that version vouches for: a client
-	// that caches (rows, version) and later revalidates can at worst be
-	// sent rows it already holds, never be told "unchanged" while rows it
-	// lacks exist under that version; and a posting list looked up after
-	// loading ver includes every write counted by it, so memoising the
-	// list at that version can never capture a pre-write list under a
-	// post-write version.
+	// version is never fresher than that version vouches for: a client that
+	// caches (rows, version) and later revalidates can at worst be sent rows
+	// it already holds, never be told "unchanged" while rows it lacks exist
+	// under that version; and a posting list looked up after loading ver
+	// includes every write counted by it, so memoising the list at that
+	// version can never capture a pre-write list under a post-write version.
 	epoch uint64
 	ver   atomic.Uint64
 }
@@ -208,38 +208,6 @@ func fetchFrom(rows []EncRow, addrs []int) ([]EncRow, error) {
 	return out, nil
 }
 
-// Compact rebuilds the row column and the token index into exactly-sized
-// allocations and returns the row count. The row column is append-only, so
-// successive Adds leave up to 2x capacity slack in the snapshot slice and
-// growth garbage in the stripe maps; a long-lived multi-tenant cloud
-// reclaims it per namespace through the control plane's compact op.
-// Addresses are preserved exactly — rows never move relative to their
-// Addr — so owner-side metadata stays valid. Readers are lock-free and
-// see either the old or the new snapshot, which hold identical content.
-func (s *EncryptedStore) Compact() int {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	rows := make([]EncRow, len(s.rows))
-	copy(rows, s.rows)
-	s.rows = rows
-	s.snap.Store(&rows)
-	s.ver.Add(1)
-
-	// Rebuild each stripe's map with exact-size buckets; per-stripe locks
-	// keep concurrent LookupToken calls safe throughout.
-	for i := range s.tokens {
-		sh := &s.tokens[i]
-		sh.mu.Lock()
-		m := make(map[string][]int, len(sh.m))
-		for k, addrs := range sh.m {
-			m[k] = append(make([]int, 0, len(addrs)), addrs...)
-		}
-		sh.m = m
-		sh.mu.Unlock()
-	}
-	return len(rows)
-}
-
 // LookupToken returns the addresses whose token equals tok (indexable
 // techniques only). Only the stripe owning tok is locked.
 func (s *EncryptedStore) LookupToken(tok []byte) []int {
@@ -315,17 +283,4 @@ func (s *EncryptedStore) AppendIfLen(rows []EncRow, expectedLen int) (int, error
 		return len(s.rows), fmt.Errorf("storage: append-if-len: store holds %d rows, caller expected %d", len(s.rows), expectedLen)
 	}
 	return s.appendLocked(rows), nil
-}
-
-// SetVersionFloor raises the write counter to at least n. Snapshot restore
-// uses it so a restored namespace never reports a version below the one it
-// was saved at; the epoch is freshly drawn at construction regardless, so
-// caches validated against the pre-restore store can never match.
-func (s *EncryptedStore) SetVersionFloor(n uint64) {
-	for {
-		cur := s.ver.Load()
-		if cur >= n || s.ver.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }

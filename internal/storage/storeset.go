@@ -90,16 +90,6 @@ func (s *Store) OwnerHash() []byte {
 	return s.ownerHash
 }
 
-// Compact rebuilds the encrypted side into exactly-sized allocations (see
-// EncryptedStore.Compact) under the store's write lock, so it is exclusive
-// against every in-flight operation on the same namespace — the same
-// quiescence SetPlain relies on — and returns the retained row count.
-func (s *Store) Compact() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.Compact()
-}
-
 // StoreSet is a race-safe registry of named stores — the state of a
 // multi-tenant cloud. Lookup and creation are atomic: two clients
 // touching the same new namespace concurrently get the same *Store.

@@ -84,7 +84,9 @@ func (a *Arx) Outsource(rows []Row) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.store.Add(tupleCT, nil, token)
+		if a.store.Add(tupleCT, nil, token) < 0 {
+			return nil, errAddRefused
+		}
 		st.EncOps += 2
 		st.TuplesTransferred++
 		st.BytesTransferred += len(token) + len(tupleCT)

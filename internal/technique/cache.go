@@ -28,8 +28,7 @@ const DefaultCacheBytes = 64 << 20
 //     tiny not-modified round trip replaces the full column transfer, and
 //     matching a predicate costs its posting lists, not the column;
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
-//     (addresses are stable within an epoch: the store is append-only and
-//     Compact preserves addressing);
+//     (addresses are stable within an epoch: the store is append-only);
 //   - DetIndex token→address memos, valid at one exact version;
 //   - clear-text bin answers by bin values, revalidated per query by a
 //     conditional bin search at their store's (epoch, length); the owner

@@ -70,7 +70,9 @@ func (d *DetIndex) Outsource(rows []Row) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.store.Add(tupleCT, nil, token)
+		if d.store.Add(tupleCT, nil, token) < 0 {
+			return nil, errAddRefused
+		}
 		st.EncOps += 2
 		st.TuplesTransferred++
 		st.BytesTransferred += len(token) + len(tupleCT)

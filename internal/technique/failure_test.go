@@ -19,6 +19,14 @@ type corruptStore struct {
 	failFetch    bool
 	shortFetch   bool // Fetch drops the last row it was asked for
 	swapFetch    bool // Fetch exchanges the first two rows it returns
+	refuseAdd    bool // Add refuses every row, as a remote store does on error
+}
+
+func (c *corruptStore) Add(tupleCT, attrCT, token []byte) int {
+	if c.refuseAdd {
+		return -1
+	}
+	return c.EncryptedStore.Add(tupleCT, attrCT, token)
 }
 
 // AttrColumnSince serves every column pull, the uncached full one (from
@@ -104,6 +112,23 @@ func TestShortFetchIsAnError(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestOutsourceReportsARefusedAdd: a row the store refuses fails the
+// Outsource of every technique that uploads through Add, instead of
+// leaving a hole that no search can find.
+func TestOutsourceReportsARefusedAdd(t *testing.T) {
+	for name, build := range onStore() {
+		t.Run(name, func(t *testing.T) {
+			tech, err := build(&corruptStore{EncryptedStore: storage.NewEncryptedStore(), refuseAdd: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tech.Outsource(testRows()); !errors.Is(err, errAddRefused) {
+				t.Fatalf("Outsource over a refusing store = %v, want errAddRefused", err)
+			}
+		})
 	}
 }
 

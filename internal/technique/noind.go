@@ -119,7 +119,9 @@ func (n *NoInd) Outsource(rows []Row) (*Stats, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.store.Add(tupleCT, attrCT, nil)
+		if n.store.Add(tupleCT, attrCT, nil) < 0 {
+			return nil, errAddRefused
+		}
 		st.EncOps += 2
 		st.TuplesTransferred++
 		st.BytesTransferred += len(attrCT) + len(tupleCT)

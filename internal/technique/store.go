@@ -1,12 +1,17 @@
 package technique
 
-import "repro/internal/storage"
+import (
+	"errors"
+
+	"repro/internal/storage"
+)
 
 // EncStore is the one contract through which a technique reaches the
 // cloud-side encrypted store, in process or over the wire protocol.
 // *storage.EncryptedStore is the canonical implementation.
 type EncStore interface {
-	// Add uploads one encrypted row and returns its cloud address.
+	// Add uploads one encrypted row and returns its cloud address, or -1
+	// when the store refused the row (a remote store records why).
 	Add(tupleCT, attrCT, token []byte) int
 	// Len reports the number of stored rows.
 	Len() int
@@ -26,7 +31,8 @@ type EncStore interface {
 	// EncVersion returns the store's current (Epoch, N) version: Epoch
 	// identifies one store instance (it changes on restore-from-snapshot,
 	// so a cache never survives into a state that silently lost writes)
-	// and N counts writes within it. Techniques treat versions as opaque.
+	// and N counts the rows appended within it. Techniques compare
+	// versions for equality only.
 	EncVersion() (storage.EncVersion, error)
 	// AttrColumnSince returns the attribute column conditionally: if v is
 	// current-epoch and the caller already holds `have` rows, only the rows
@@ -38,6 +44,11 @@ type EncStore interface {
 	// token), serving techniques that cache the whole padded table.
 	RowsSince(v storage.EncVersion, have int) (rows []storage.EncRow, cur storage.EncVersion, delta bool, err error)
 }
+
+// errAddRefused is Outsource's error when the store refuses a row: the
+// relation is not fully outsourced, so reporting success would hide rows
+// that no search can find.
+var errAddRefused = errors.New("technique: the encrypted store refused an uploaded row")
 
 // BatchEncStore and VersionedEncStore are EncStore under the names of the
 // parts it used to be split into. They exist only because bench/trace.go

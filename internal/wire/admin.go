@@ -13,9 +13,9 @@ import (
 // ops. A namespace's owner token is derived from the owner's master key
 // (OwnerToken), travels only inside requests, and is stored cloud-side as
 // a hash — registered by the first tokened write to the namespace — so
-// possession of the master key is what authorises dropping, compacting or
-// inspecting an outsourced partition, exactly the trust model of the
-// paper: the cloud is honest-but-curious, the owner alone holds keys.
+// possession of the master key is what authorises dropping or inspecting
+// an outsourced partition, exactly the trust model of the paper: the
+// cloud is honest-but-curious, the owner alone holds keys.
 
 // OwnerToken derives the control-plane token for a namespace from the
 // owner's master key: PRF(K_admin, storeName) with K_admin an independent
@@ -56,10 +56,10 @@ func (c *Cloud) authorizeAdmin(req *request) (*storage.Store, string, *response)
 	return st, name, nil
 }
 
-// dispatchAdmin handles the four control-plane ops. It runs under the
-// cloud-level read lock like every op, so admin mutations stay exclusive
-// against snapshot Save/Restore; Drop and Compact additionally quiesce
-// their own namespace through the per-store lock (see storage.StoreSet).
+// dispatchAdmin handles the three control-plane ops. It runs under the
+// cloud-level read lock like every op, so a drop stays exclusive against
+// snapshot Save/Restore, and it additionally quiesces its own namespace
+// through the per-store lock (see storage.StoreSet).
 func (c *Cloud) dispatchAdmin(req *request) response {
 	if req.Op == opAdminList {
 		return response{Names: c.stores.Names()}
@@ -80,8 +80,6 @@ func (c *Cloud) dispatchAdmin(req *request) response {
 		delete(c.condCounts, name)
 		c.statsMu.Unlock()
 		return response{}
-	case opAdminCompact:
-		return response{N: st.Compact()}
 	default:
 		return response{Err: "wire: unknown admin op"}
 	}
@@ -111,21 +109,17 @@ func (c *Client) AdminStats(store string, token []byte) (StoreStats, error) {
 
 // AdminDrop destroys a namespace — clear-text partition, encrypted rows,
 // token index, owner registration — authenticated by its owner token. The
-// name is free for re-use (and re-claim) afterwards; any client-side view
-// of the dropped store holds stale address arithmetic and must be
-// discarded.
+// name is free for re-use (and re-claim) afterwards. On success this
+// connection's view of the namespace forgets it too: its unflushed
+// uploads are discarded and its next write starts at an empty store.
+// Views on other connections still hold the old lengths; their next
+// write is refused as stale and resyncs.
 func (c *Client) AdminDrop(store string, token []byte) error {
-	_, err := c.roundTrip(&request{Op: opAdminDrop, Store: store, AdminToken: token})
-	return err
-}
-
-// AdminCompact rebuilds a namespace's encrypted store into exactly-sized
-// allocations, authenticated by its owner token, and returns the retained
-// row count. Addresses are preserved, so owner metadata stays valid.
-func (c *Client) AdminCompact(store string, token []byte) (int, error) {
-	resp, err := c.roundTrip(&request{Op: opAdminCompact, Store: store, AdminToken: token})
-	if err != nil {
-		return 0, err
+	if _, err := c.roundTrip(&request{Op: opAdminDrop, Store: store, AdminToken: token}); err != nil {
+		return err
 	}
-	return resp.N, nil
+	if s, ok := c.stores.find(store); ok {
+		s.forget()
+	}
+	return nil
 }

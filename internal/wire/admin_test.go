@@ -71,7 +71,7 @@ func TestOwnerTokenDerivation(t *testing.T) {
 }
 
 // TestAdminOpsRequireOwnerToken is the acceptance property, both
-// directions: drop/compact/stats succeed with the namespace's owner token
+// directions: drop/stats succeed with the namespace's owner token
 // and are refused without it (wrong key, no key, unclaimed namespace,
 // unknown namespace).
 func TestAdminOpsRequireOwnerToken(t *testing.T) {
@@ -86,9 +86,6 @@ func TestAdminOpsRequireOwnerToken(t *testing.T) {
 	if _, err := c.AdminStats("tenant", bad); err == nil || !strings.Contains(err.Error(), "token mismatch") {
 		t.Fatalf("stats with wrong token: %v", err)
 	}
-	if _, err := c.AdminCompact("tenant", bad); err == nil || !strings.Contains(err.Error(), "token mismatch") {
-		t.Fatalf("compact with wrong token: %v", err)
-	}
 	if err := c.AdminDrop("tenant", bad); err == nil || !strings.Contains(err.Error(), "token mismatch") {
 		t.Fatalf("drop with wrong token: %v", err)
 	}
@@ -101,19 +98,13 @@ func TestAdminOpsRequireOwnerToken(t *testing.T) {
 		t.Fatalf("enc rows after refused admin ops = %d, want 5", n)
 	}
 
-	// Right token: stats, compact, then drop.
+	// Right token: stats, then drop.
 	s, err := c.AdminStats("tenant", good)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.PlainTuples != 8 || s.EncRows != 5 || s.Ops == 0 {
 		t.Fatalf("stats = %+v", s)
-	}
-	if n, err := c.AdminCompact("tenant", good); err != nil || n != 5 {
-		t.Fatalf("compact = %d, %v; want 5, nil", n, err)
-	}
-	if got := c.WithStore("tenant").LookupToken([]byte("tok")); len(got) != 5 {
-		t.Fatalf("token index broken after compact: %v", got)
 	}
 	if err := c.AdminDrop("tenant", good); err != nil {
 		t.Fatal(err)
@@ -140,6 +131,34 @@ func TestAdminOpsRequireOwnerToken(t *testing.T) {
 	// Unknown namespace.
 	if err := c.AdminDrop("never-existed", good); err == nil || !strings.Contains(err.Error(), "unknown store") {
 		t.Fatalf("drop of unknown namespace: %v", err)
+	}
+}
+
+// TestDropResetsTheDroppingView: a drop made over a connection resets that
+// connection's view of the namespace, so the view's next write lands at
+// address 0 of the empty store instead of past the destroyed rows, and
+// its unflushed uploads go with the namespace.
+func TestDropResetsTheDroppingView(t *testing.T) {
+	c := startCloudOn(t, NewCloud())
+	master := []byte("drop master")
+	v := loadTenant(t, c, "tenant", master)
+	v.Add([]byte("unflushed"), nil, nil)
+	if err := c.AdminDrop("tenant", OwnerToken(master, "tenant")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if a := v.Add([]byte{byte(i)}, nil, []byte("tok")); a != i {
+			t.Fatalf("Add %d after drop: address %d, want %d (%v)", i, a, i, v.LogicalErr())
+		}
+	}
+	if err := v.Flush(); err != nil {
+		t.Fatalf("flush after drop: %v", err)
+	}
+	if n, err := v.LenErr(); err != nil || n != 3 {
+		t.Fatalf("Len after drop and 3 adds = %d, %v; want 3", n, err)
+	}
+	if got := v.LookupToken([]byte("tok")); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("token postings after drop = %v, want [0 1 2]", got)
 	}
 }
 

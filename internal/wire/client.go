@@ -182,6 +182,15 @@ func (r *views) get(name string, mk func(name string) *StoreClient) *StoreClient
 	return s
 }
 
+// find returns the view registered under name, if any, without creating
+// one.
+func (r *views) find(name string) (*StoreClient, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.m[storeName(name)]
+	return s, ok
+}
+
 // list snapshots the registered views.
 func (r *views) list() []*StoreClient {
 	r.mu.Lock()
@@ -255,7 +264,7 @@ func (s *StoreClient) StoreName() string { return s.store }
 // SetAdminToken attaches the namespace's owner token (see OwnerToken) to
 // this view: every write request carries it, so the first write registers
 // the caller as the namespace's owner and the matching admin ops (stats,
-// drop, compact) become available to whoever holds the master key. A nil
+// drop) become available to whoever holds the master key. A nil
 // token leaves the namespace unclaimed — and its admin ops permanently
 // refused until a tokened writer claims it.
 func (s *StoreClient) SetAdminToken(tok []byte) {
@@ -659,11 +668,27 @@ func (s *StoreClient) ResyncLen() error {
 	if len(s.pending) > 0 {
 		return fmt.Errorf("wire: resync len: store %q holds %d retained uploads whose addresses were already handed out", s.store, len(s.pending))
 	}
-	s.lenSynced = false
-	s.serverLen = 0
-	s.plainSynced = false
-	s.plainLen = 0
+	s.resetLocked()
 	return nil
+}
+
+// forget drops everything the view mirrors of its namespace — both
+// lengths and the unflushed uploads — after the namespace was dropped:
+// the uploads' addresses belonged to the destroyed store.
+func (s *StoreClient) forget() {
+	s.plainMu.Lock()
+	defer s.plainMu.Unlock()
+	s.bufMu.Lock()
+	defer s.bufMu.Unlock()
+	s.pending = nil
+	s.resetLocked()
+}
+
+// resetLocked clears both length mirrors, so the next Add or Insert
+// re-reads the server's; run with plainMu and bufMu held.
+func (s *StoreClient) resetLocked() {
+	s.lenSynced, s.serverLen = false, 0
+	s.plainSynced, s.plainLen = false, 0
 }
 
 // LenErr is Len with the error surfaced: the encrypted row count of one
@@ -766,7 +791,7 @@ func (s *StoreClient) EncVersion() (storage.EncVersion, error) {
 
 // since performs a conditional row pull.
 func (s *StoreClient) since(o op, v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	resp, err := s.read(&request{Op: o, CondEpoch: v.Epoch, CondN: v.N, Have: have})
+	resp, err := s.read(&request{Op: o, CondEpoch: v.Epoch, Have: have})
 	if err != nil {
 		return nil, storage.EncVersion{}, false, err
 	}

@@ -85,9 +85,6 @@ func (q *request) fields(c *codec) {
 	if c.field(q.CondEpoch != 0) {
 		c.uint(&q.CondEpoch)
 	}
-	if c.field(q.CondN != 0) {
-		c.uint(&q.CondN)
-	}
 	if c.field(q.Have != 0) {
 		c.int(&q.Have)
 	}

@@ -63,8 +63,8 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opEncFetchBatch, ID: 13, AddrBatches: [][]int{{1, 2}, nil, {3}}},
 		{Op: opEncLookupToken, ID: 14, Store: "s", Token: []byte("needle")},
 		{Op: opEncVersion, ID: 15},
-		{Op: opEncAttrColumnIf, ID: 16, CondEpoch: 1<<64 - 1, CondN: 9, Have: -1},
-		{Op: opEncRowsIf, ID: 17, CondEpoch: 77, CondN: 3, Have: 3},
+		{Op: opEncAttrColumnIf, ID: 16, CondEpoch: 1<<64 - 1, Have: -1},
+		{Op: opEncRowsIf, ID: 17, CondEpoch: 77, Have: 3},
 		// The ops that rode gob until protocol v7.
 		{Op: opPlainLoad, ID: 20, Store: "s", Schema: schema, Attr: "K", AdminToken: []byte("o"),
 			Tuples: []relation.Tuple{tuple, {ID: 43, Values: []relation.Value{relation.Int(0), relation.Str("")}}}},
@@ -72,8 +72,7 @@ func TestBinRequestRoundTrip(t *testing.T) {
 		{Op: opAdminList, ID: 22},
 		{Op: opAdminStats, ID: 23, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminDrop, ID: 24, Store: "s", AdminToken: []byte("o")},
-		{Op: opAdminCompact, ID: 25, Store: "s", AdminToken: []byte("o")},
-		{Op: opRingDirectory, ID: 27, CondN: 4},
+		{Op: opRingDirectory, ID: 27},
 		{Op: opStoreInfo, ID: 28, Store: "s"},
 		{Op: opStoreSnapshot, ID: 29, Store: "s"},
 		{Op: opStoreRestore, ID: 30, Store: "s", Blob: []byte("snapshot"), RingToken: []byte("ring")},

@@ -179,7 +179,7 @@ func TestCondChunkedDelta(t *testing.T) {
 // TestCondAcrossRestore: a snapshot restore rebirths every namespace
 // under a fresh epoch, so a client cache validated against the old cloud
 // gets a full resend — never a bogus "not modified" — and the restored
-// version floor keeps N from regressing below the saved value.
+// version counts the re-added rows.
 func TestCondAcrossRestore(t *testing.T) {
 	cl1 := NewCloud()
 	c1 := startCloudOn(t, cl1)
@@ -214,9 +214,79 @@ func TestCondAcrossRestore(t *testing.T) {
 	if cur.Epoch == old.Epoch || cur.Epoch == 0 {
 		t.Fatalf("restored epoch %d not fresh (old %d)", cur.Epoch, old.Epoch)
 	}
-	if cur.N < old.N {
-		t.Fatalf("restored version N=%d regressed below saved N=%d", cur.N, old.N)
+	if cur.N != 4 {
+		t.Fatalf("restored version N=%d, want the 4 re-added rows", cur.N)
 	}
+}
+
+// TestVersionCountsRows pins what every reader of a namespace's version
+// relies on: once writes stop, EncVersion().N equals the row count, after
+// every kind of write — a local Add, batched flushes over the wire, a
+// repair append (and a refused one), a state-file restore and a ring
+// replica restore.
+func TestVersionCountsRows(t *testing.T) {
+	ringTok := []byte("version ring token")
+	cloud := func() (*Cloud, *Client) {
+		cl := NewCloud()
+		cl.SetRingToken(ringTok)
+		return cl, startCloudOn(t, cl)
+	}
+	check := func(stage string, c *Client, want int) {
+		t.Helper()
+		info, err := c.StoreInfo("ns")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.EncRows != want || info.VerN != uint64(want) {
+			t.Fatalf("%s: %d rows at N = %d, want both %d", stage, info.EncRows, info.VerN, want)
+		}
+	}
+
+	cl, c := cloud()
+	cl.stores.GetOrCreate("ns").Enc().Add([]byte("local"), nil, []byte("tok"))
+	check("local Add", c, 1)
+	v := c.WithStore("ns")
+	encFill(t, v, 3, 2)
+	check("one flush", c, 4)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 5; i++ {
+			v.Add([]byte{byte(i)}, nil, nil)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("batched flushes", c, 14)
+
+	tail := []storage.EncRow{{TupleCT: []byte("r0")}, {TupleCT: []byte("r1"), Token: []byte("tok")}}
+	if _, err := c.RepairAppend("ns", tail, 13, ringTok); err == nil {
+		t.Fatal("repair append at a stale length succeeded")
+	}
+	check("refused repair append", c, 14)
+	if n, err := c.RepairAppend("ns", tail, 14, ringTok); err != nil || n != 16 {
+		t.Fatalf("repair append = %d, %v; want 16 rows", n, err)
+	}
+	check("repair append", c, 16)
+
+	var state bytes.Buffer
+	if err := cl.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	restored, rc := cloud()
+	if err := restored.Restore(&state); err != nil {
+		t.Fatal(err)
+	}
+	check("Cloud.Restore", rc, 16)
+
+	blob, err := c.StoreSnapshot("ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, replica := cloud()
+	if _, err := replica.StoreRestore("ns", blob, ringTok); err != nil {
+		t.Fatal(err)
+	}
+	check("restoreStore", replica, 16)
 }
 
 // TestCondHitsCounted: delta-served conditional pulls increment the

@@ -33,8 +33,8 @@ func seedRequests() [][]byte {
 		{Op: opEncFetchBatch, ID: 8, AddrBatches: [][]int{{0, 1, 2}}}, // a fetch: a batch of one list
 		{Op: opEncFetchBatch, ID: 9, AddrBatches: [][]int{{1}, {2, 3}}},
 		{Op: opEncLookupToken, ID: 10, Token: []byte("needle")},
-		{Op: opEncAttrColumnIf, ID: 11, CondEpoch: 3, CondN: 2, Have: -1},
-		{Op: opEncRowsIf, ID: 25, CondEpoch: 3, CondN: 2, Have: 1},
+		{Op: opEncAttrColumnIf, ID: 11, CondEpoch: 3, Have: -1},
+		{Op: opEncRowsIf, ID: 25, CondEpoch: 3, Have: 1},
 		{Op: opEncAttrColumnIf, ID: 26},       // a full column pull: the zero version
 		{Op: opEncRowsIf, ID: 27, Store: "s"}, // a full row pull: the zero version
 		{Op: opEncVersion, ID: 28},
@@ -45,12 +45,14 @@ func seedRequests() [][]byte {
 		{Op: opAdminList, ID: 14},
 		{Op: opAdminStats, ID: 15, Store: "s", AdminToken: []byte("o")},
 		{Op: opAdminDrop, ID: 16, Store: "s", AdminToken: []byte("o")},
-		{Op: opAdminCompact, ID: 17, Store: "s", AdminToken: []byte("o")},
+		// A column revalidation: since protocol v13 the epoch and the held
+		// row count are its only conditional fields.
+		{Op: opEncAttrColumnIf, ID: 17, Store: "s", CondEpoch: 1 << 63, Have: 1 << 20},
 		// opEnd is past the table (protocol v10 deleted the admission
-		// override op, v12 the row-count op); the decoder must refuse this
-		// frame.
+		// override op, v12 the row-count op, v13 the compact op); the
+		// decoder must refuse this frame.
 		{Op: opEnd, ID: 18, Store: "s", AdminToken: []byte("o")},
-		{Op: opRingDirectory, ID: 19, CondN: 2},
+		{Op: opRingDirectory, ID: 19},
 		{Op: opStoreInfo, ID: 20, Store: "s"},
 		{Op: opStoreSnapshot, ID: 21, Store: "s"},
 		{Op: opStoreRestore, ID: 22, Store: "s", Blob: []byte("blob"), RingToken: []byte("ring")},
@@ -92,7 +94,7 @@ func seedResponses() [][]byte {
 		{&response{ID: 14, Names: []string{"a", "b"}}, 0},                      // opAdminList
 		{&response{ID: 15, Stats: StoreStats{Ops: 1, EncRows: 2}}, 0},          // opAdminStats
 		{&response{ID: 16}, 0},                                                 // opAdminDrop
-		{&response{ID: 17, N: 3}, 0},                                           // opAdminCompact
+		{&response{ID: 17, VerEpoch: 3, VerN: 2}, 0},                           // opEncVersion
 		{&response{ID: 18, N: 4}, 0},                                           // a bare count
 		{&response{ID: 19, VerN: 2, Blob: []byte("dir")}, 0},                   // opRingDirectory
 		{&response{ID: 20, Info: StoreInfo{Exists: true, PlainTuples: -1}}, 0}, // opStoreInfo

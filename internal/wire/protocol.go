@@ -49,7 +49,7 @@
 // store matches.
 //
 // The control plane rides the same protocol: namespace lifecycle ops
-// (list/stats/drop/compact) authenticated by a per-namespace owner token
+// (list/stats/drop) authenticated by a per-namespace owner token
 // derived from the owner's master key (OwnerToken; the cloud stores only
 // its hash, claimed by the namespace's first write), a Reconnector that
 // survives transport failure by redialing, re-handshaking and having each
@@ -72,55 +72,14 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation. Version 12 deleted
-// the encrypted row-count op: a view's count probes (Len, Add's lazy
-// length sync, a rejected flush's reconcile) ride opStoreInfo's EncRows,
-// which neither creates the namespace nor counts as a store op. The op
-// table was renumbered without it (21 ops). Version 11 made
-// opPlainSearch conditional with the existing fields: the held answer's
-// (CondEpoch, Have) in, (VerEpoch, VerN) and the whole bin or Delta ("not
-// modified", no tuples) out. Version 10 deleted the
-// per-namespace admission override op and the request's Workers field,
-// and StoreStats lost its admission cap: the cloud has one admission
-// level, a per-connection bound, and nothing to set at runtime. The op
-// table was renumbered without the op (22 ops), so the ring ops moved
-// down one, and the request fields after Workers moved down one tag.
-// Version 9 deleted the clear-text range search op and the request's two
-// range bounds: the owner answers a range with the ordinary search of its
-// covering bins, so the cloud only ever serves bin searches. The op table
-// was renumbered without the op (23 ops) and the request fields after the
-// bounds moved down two tags. Version 8 left one op
-// per read shape: the unconditional column and row pulls and the
-// single-list fetch were deleted (their reads ride opEncAttrColumnIf and
-// opEncRowsIf from the zero version and a one-list opEncFetchBatch), the
-// op table was renumbered without the reserved slot 5, and the client
-// mutation ops became conditional only: a Have below zero fails the length
-// CAS like any stale one. Version 7 moved every op — the hello, the
-// clear-text load, the admin and ring planes — onto one field-wise binary
-// codec and deleted the per-connection gob stream and the raw gob hello,
-// so the hello is an ordinary first frame and version skew against a
-// gob-era peer shows up as a closed connection rather than a version
-// message. Version 6 made the client mutation ops
-// conditional: opPlainInsert and opEncAddBatch carry the length the
-// writer expects the partition to hold (request.Have) and the server
-// applies them only if it still does, so a mutation that races
-// anti-entropy repair — a tail copy or snapshot restore landing between
-// the writer learning the length and the write arriving — is refused
-// cleanly instead of appending rows the repaired state already contains.
-// It also added opRingRepair, the targeted repair trigger a writer uses
-// to readmit a quarantined replica without waiting for the next sweep.
-// Version 5 added the ring plane: the directory op a qbring coordinator
-// serves (opRingDirectory) and the replication/repair ops between ring
-// peers (opStoreInfo, opStoreSnapshot, opStoreRestore, opRepairAppend),
-// the latter three guarded by a cluster-wide ring token. Version 4 added
-// namespace version counters and the conditional column/row pulls built
-// on them (opEncVersion, opEncAttrColumnIf, opEncRowsIf) plus a
-// per-namespace admission override op; version 3
-// introduced length-prefixed frames (binary codec for hot ops, chunked row
-// streaming) that both sides switch to after the hello; version 2
-// introduced store namespaces and the mandatory hello handshake; version
-// 1 had no handshake and a single implicit store.
-const ProtocolVersion = 12
+// ProtocolVersion is the wire protocol generation: 13, with the op table
+// below (20 ops) and the request and response envelopes' fields in
+// declaration order. Both ends send it in the opHello frame, and a
+// mismatch in either direction fails the connection with an explicit
+// version error before any other op runs; a peer from before the
+// field-wise codec (version 7) shows up as a closed connection instead.
+// How earlier versions differed is in the git history and CHANGES.md.
+const ProtocolVersion = 13
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -151,17 +110,15 @@ const (
 	// by the namespace's owner token (request.AdminToken): the cloud keeps
 	// only a hash of the token, registered by the first tokened write to
 	// the namespace, so only the data owner — who derives the token from
-	// the master key — can inspect, destroy or compact an outsourced
-	// partition.
+	// the master key — can inspect or destroy an outsourced partition.
 	opAdminList
 	opAdminStats
 	opAdminDrop
-	opAdminCompact
 
 	// Version-validated caching ops (protocol v4). opEncVersion returns the
 	// namespace's current storage.EncVersion. opEncAttrColumnIf and
 	// opEncRowsIf are the column and row pulls: the request carries the
-	// version the client's cache was validated at plus how many rows it
+	// epoch the client's cache was validated at plus how many rows it
 	// holds, and the server answers with only the missing suffix (delta) —
 	// an empty delta being a tiny not-modified frame — or the full set when
 	// the epoch does not match (always, from the zero version).
@@ -242,7 +199,7 @@ type request struct {
 	// AddrBatches is one address list per query (opEncFetchBatch).
 	AddrBatches [][]int
 
-	// Conditional-pull fields (opEncAttrColumnIf/opEncRowsIf): the version
+	// Conditional-pull fields (opEncAttrColumnIf/opEncRowsIf): the epoch
 	// the client's cache was last validated at and how many rows it holds.
 	// opPlainSearch carries its held bin's (CondEpoch, Have).
 	// The mutation ops reuse Have as their length CAS: opEncAddBatch and
@@ -252,7 +209,6 @@ type request struct {
 	// tuple already sits at position Have was applied before (a retry
 	// whose acknowledgment was lost) and is acknowledged, not refused.
 	CondEpoch uint64
-	CondN     uint64
 	Have      int
 
 	// RingToken authenticates intra-ring repair ops (opStoreRestore,

@@ -171,8 +171,8 @@ func encodeStoreSnapshot(name string, st *storage.Store) ([]byte, error) {
 // returning the encrypted row count. The store is materialised fully
 // before the registry swap (a bad blob leaves the replica untouched), the
 // displaced store is quiesced like a drop, and — as with file restore —
-// the rebuilt store draws a fresh epoch with only the version-counter
-// floor carried over, so every owner-side cache revalidates.
+// the rebuilt store draws a fresh epoch, so every owner-side cache
+// revalidates.
 func (c *Cloud) restoreStore(name string, blob []byte) (int, error) {
 	var ss storeSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&ss); err != nil {

@@ -112,7 +112,7 @@ func TestStoreInfoOp(t *testing.T) {
 
 // TestStoreSnapshotRestore: a snapshot from one node restored onto
 // another yields an equivalent replica (rows, plain partition, claim),
-// with a fresh epoch and the version floor carried over.
+// with a fresh epoch and a counter equal to its rows.
 func TestStoreSnapshotRestore(t *testing.T) {
 	ringTok := []byte("cluster-secret")
 	src := startCloudWith(t, func(cl *Cloud) { cl.SetRingToken(ringTok) })
@@ -145,8 +145,8 @@ func TestStoreSnapshotRestore(t *testing.T) {
 	if dstInfo.VerEpoch == srcInfo.VerEpoch {
 		t.Fatal("restored replica shares the source's epoch; restores must draw a fresh one")
 	}
-	if dstInfo.VerN < srcInfo.VerN {
-		t.Fatalf("restored version floor %d < source %d", dstInfo.VerN, srcInfo.VerN)
+	if dstInfo.VerN != uint64(dstInfo.EncRows) {
+		t.Fatalf("restored version N = %d, want its %d rows", dstInfo.VerN, dstInfo.EncRows)
 	}
 
 	// Replica content equality, row by row.

@@ -335,7 +335,7 @@ func (c *Cloud) dispatch(req *request) response {
 		// A duplicate hello after the handshake is harmless: echo the
 		// version again.
 		return response{Version: ProtocolVersion}
-	case opAdminList, opAdminStats, opAdminDrop, opAdminCompact:
+	case opAdminList, opAdminStats, opAdminDrop:
 		// Control plane: resolves (never creates) its namespace itself.
 		return c.dispatchAdmin(req)
 	case opRingDirectory:
@@ -457,14 +457,14 @@ func (c *Cloud) dispatch(req *request) response {
 		return response{VerEpoch: v.Epoch, VerN: v.N}
 	case opEncAttrColumnIf:
 		rows, cur, delta, _ := encStore.AttrColumnSince(
-			storage.EncVersion{Epoch: req.CondEpoch, N: req.CondN}, req.Have)
+			storage.EncVersion{Epoch: req.CondEpoch}, req.Have)
 		if delta {
 			c.condCounter(name).Add(1)
 		}
 		return response{Rows: rows, VerEpoch: cur.Epoch, VerN: cur.N, Delta: delta}
 	case opEncRowsIf:
 		rows, cur, delta, _ := encStore.RowsSince(
-			storage.EncVersion{Epoch: req.CondEpoch, N: req.CondN}, req.Have)
+			storage.EncVersion{Epoch: req.CondEpoch}, req.Have)
 		if delta {
 			c.condCounter(name).Add(1)
 		}

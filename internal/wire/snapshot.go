@@ -44,13 +44,11 @@ type storeSnapshot struct {
 	// snapshot confers no admin rights. Absent in older snapshots, which
 	// restore as unclaimed (gob leaves the field nil).
 	OwnerHash []byte
-	// EncVersionN is the namespace's write counter at save time; restore
-	// raises the rebuilt store's counter to at least this value so a
-	// restored namespace never reports a version older than one it already
-	// served. The version epoch is deliberately NOT persisted: a restore
-	// can lose post-snapshot writes, so the rebuilt store draws a fresh
-	// epoch and every owner-side cache revalidates from scratch.
-	EncVersionN uint64
+	// No version is persisted: a restore can lose post-snapshot writes, so
+	// the rebuilt store draws a fresh epoch, re-adds every row (so its N
+	// equals its row count), and every owner-side cache revalidates from
+	// scratch. Snapshots from protocol v12 and older also carry the saved
+	// write counter; gob skips that field.
 }
 
 // Save serialises the state of every hosted namespace.
@@ -74,8 +72,7 @@ func (c *Cloud) Save(w io.Writer) error {
 // through their concurrency-safe snapshots, so it is correct under the
 // shared cloud lock as well as under Save's exclusive one.
 func storeSnapshotOf(name string, st *storage.Store) storeSnapshot {
-	v, _ := st.Enc().EncVersion()
-	ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash(), EncVersionN: v.N}
+	ss := storeSnapshot{Name: name, Enc: st.Enc().Rows(), OwnerHash: st.OwnerHash()}
 	if ps := st.Plain(); ps != nil {
 		ss.HasPlain = true
 		ss.Schema, ss.Tuples = ps.SnapshotTuples()
@@ -117,7 +114,7 @@ func (c *Cloud) SaveFile(path string) error {
 // materialiseStore rebuilds one namespace's live store from its
 // serialised form — the shared path of file restore and ring replica
 // restore. The rebuilt store's epoch is fresh (rebirth invalidates every
-// owner-side cache); only the version-counter floor carries over.
+// owner-side cache) and its N counts the re-added rows.
 func materialiseStore(ss storeSnapshot) (*storage.Store, error) {
 	st := storage.NewStore()
 	if ss.HasPlain {
@@ -136,7 +133,6 @@ func materialiseStore(ss storeSnapshot) (*storage.Store, error) {
 	for _, row := range ss.Enc {
 		st.Enc().Add(row.TupleCT, row.AttrCT, row.Token)
 	}
-	st.Enc().SetVersionFloor(ss.EncVersionN)
 	st.ClaimOwner(ss.OwnerHash)
 	return st, nil
 }

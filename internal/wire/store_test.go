@@ -533,7 +533,7 @@ func TestTransportConformance(t *testing.T) {
 			}
 			if len(got.Search) != 4 || len(got.Lookup) != 6 || len(got.Batch) != 2 ||
 				!got.HitDelta || len(got.HitRows) != 0 || !got.TailDelta || len(got.TailRows) != 2 ||
-				got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 23 ||
+				got.VerN != 6 || got.Len != 8 || got.Stats.EncRows != 8 || got.Stats.PlainTuples != 23 ||
 				got.Stats.Ops != 26 || got.Stats.CondHits != 4 || !reflect.DeepEqual(got.Bins, wantBins) {
 				t.Fatalf("script answers wrong: %+v", got)
 			}
