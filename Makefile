@@ -37,11 +37,13 @@ bench:
 # Fuzz smoke: run each binary-codec fuzz target's mutation engine briefly
 # (the seed corpora already run as plain tests on every `make test`). The
 # targets cover the framed-protocol attack surface: request/response body
-# decoders and the length-prefixed frame reader.
+# decoders, the client's reassembly of streamed responses and the
+# length-prefixed frame reader.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinRequest -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinResponse -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzReadResponseStream -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeTuple -fuzztime=$(FUZZTIME) ./internal/relation
 

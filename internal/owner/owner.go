@@ -301,8 +301,10 @@ func (o *Owner) QueryDetached(w relation.Value) ([]relation.Tuple, *QueryStats, 
 }
 
 // selectLocked runs the QB selection attr = w through its two bins. A value
-// absent from both partitions fetches nothing; the cloud still observes an
-// (empty) interaction. The caller holds o.mu (read suffices).
+// this session's bins lack sends nothing to the cloud at all and answers
+// no tuples, so a session whose metadata predates another session's
+// insert of w cannot notice it (ROADMAP item 15). The caller holds o.mu
+// (read suffices).
 func (o *Owner) selectLocked(w relation.Value, st *QueryStats) ([]relation.Tuple, cloud.View, error) {
 	ret, ok := o.bins.Retrieve(w)
 	if !ok {

@@ -138,7 +138,10 @@ func (s *EncryptedStore) appendLocked(rows []EncRow) int {
 	for _, r := range rows {
 		s.rows = append(s.rows, EncRow{Addr: len(s.rows), TupleCT: r.TupleCT, AttrCT: r.AttrCT, Token: r.Token})
 	}
-	published := s.rows
+	// The published slice is clipped to its length, so a reader that
+	// appends to a snapshot gets its own array instead of writing into
+	// the spare capacity the next append fills.
+	published := s.rows[:len(s.rows):len(s.rows)]
 	s.snap.Store(&published)
 	for i, r := range rows {
 		if r.Token != nil {
@@ -233,37 +236,31 @@ func (s *EncryptedStore) EncVersion() (EncVersion, error) {
 // no cache, a different store, or a post-restore rebirth — the full column
 // is returned with delta=false. The returned version is never fresher than
 // the returned rows, so (cached rows + delta, returned version) is always
-// a sound pair to revalidate with later.
+// a sound pair to revalidate with later. It is RowsSince projected onto
+// the rows' addresses and attribute cells; a remote pull encodes that
+// projection straight from the snapshot instead (wire's opEncAttrColumnIf).
 func (s *EncryptedStore) AttrColumnSince(v EncVersion, have int) ([]EncRow, EncVersion, bool, error) {
-	return s.since(v, have, true)
+	rows, cur, delta, err := s.RowsSince(v, have)
+	out := make([]EncRow, len(rows))
+	for i, r := range rows {
+		out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
+	}
+	return out, cur, delta, err
 }
 
 // RowsSince is the conditional form of Rows: full rows instead of the
-// attribute column, same delta contract as AttrColumnSince.
+// attribute column, same delta contract as AttrColumnSince. Like Rows it
+// shares the published snapshot instead of copying it: the rows are the
+// store's own and must not be modified. The version is loaded before the
+// snapshot is taken (see the field comment on ver).
 func (s *EncryptedStore) RowsSince(v EncVersion, have int) ([]EncRow, EncVersion, bool, error) {
-	return s.since(v, have, false)
-}
-
-// since is the one projection body of the conditional pulls: the rows past
-// have when v still holds (delta), else all of them, projected onto their
-// addresses and attribute cells when attrOnly. The version is loaded
-// before the snapshot is taken (see the field comment on ver).
-func (s *EncryptedStore) since(v EncVersion, have int, attrOnly bool) ([]EncRow, EncVersion, bool, error) {
 	cur := EncVersion{Epoch: s.epoch, N: s.ver.Load()}
 	rows := s.snapshot()
 	delta := v.Epoch == s.epoch && have >= 0 && have <= len(rows)
 	if delta {
 		rows = rows[have:]
 	}
-	out := make([]EncRow, len(rows))
-	if !attrOnly {
-		copy(out, rows)
-		return out, cur, delta, nil
-	}
-	for i, r := range rows {
-		out[i] = EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
-	}
-	return out, cur, delta, nil
+	return rows, cur, delta, nil
 }
 
 // AppendIfLen appends rows only if the store currently holds exactly

@@ -191,18 +191,21 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 func (n *NoInd) matchScan(queries [][]relation.Value, rep []int, agg *Stats, out [][][]byte) error {
 	// Inverted predicate index: value -> the representative queries
 	// wanting it, so the column pass costs one lookup per row, not one per
-	// (row, query). Values are comparable, so the map is keyed by the value
-	// itself and the scan below never materialises Key() strings.
-	wantedBy := make(map[relation.Value][]int)
+	// (row, query). A cell's plaintext is its value's encoding, which is
+	// one-to-one, so the map is keyed by encoded bytes and the scan below
+	// looks each decrypted cell up as it is, without decoding it.
+	wantedBy := make(map[string][]int)
 	reps := 0
+	var enc []byte
 	for i, q := range queries {
 		if rep[i] != i {
 			continue
 		}
 		reps++
 		for _, v := range q {
-			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
-				wantedBy[v] = append(qs, i)
+			enc = v.AppendEncode(enc[:0])
+			if qs := wantedBy[string(enc)]; len(qs) == 0 || qs[len(qs)-1] != i {
+				wantedBy[string(enc)] = append(qs, i)
 			}
 		}
 	}
@@ -227,11 +230,7 @@ func (n *NoInd) matchScan(queries [][]relation.Value, rep []int, agg *Stats, out
 		}
 		scratch = pt
 		agg.EncOps++
-		v, _, err := relation.DecodeValue(pt)
-		if err != nil {
-			return err
-		}
-		for _, qi := range wantedBy[v] {
+		for _, qi := range wantedBy[string(pt)] {
 			addrs[qi] = append(addrs[qi], row.Addr)
 		}
 	}

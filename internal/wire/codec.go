@@ -44,8 +44,10 @@ import (
 //
 // flags bit 0 marks a partial chunk of a streamed row response — the
 // reader accumulates chunks by ID until a frame without the bit arrives
-// (see serverStream.writeChunkedRows). An error response is just a
-// response whose Err field is set.
+// (see serverStream.writeChunkedRows). Every chunk of a stream declares
+// the stream's row total in N; a stream whose chunks bring more rows than
+// that, end with fewer, or change it midway is a corrupt frame. An error
+// response is just a response whose Err field is set.
 const respFlagPartial byte = 1 << 0
 
 var errCorruptFrame = errors.New("wire: corrupt frame")
@@ -111,13 +113,13 @@ func (p *response) fields(c *codec) {
 		list(c, &p.Tuples, 2, c.tuple)
 	}
 	if c.field(len(p.Rows) > 0) {
-		c.rows(&p.Rows)
+		c.rows(&p.Rows, p.attrOnly, p.N)
 	}
 	if c.field(len(p.Addrs) > 0) {
 		list(c, &p.Addrs, 1, c.int)
 	}
 	if c.field(len(p.RowBatches) > 0) {
-		list(c, &p.RowBatches, 1, c.rows)
+		list(c, &p.RowBatches, 1, func(r *[]storage.EncRow) { c.rows(r, false, -1) })
 	}
 	if c.field(p.Version != 0) {
 		c.int(&p.Version)
@@ -182,20 +184,36 @@ func decodeRequest(body []byte) (*request, error) {
 }
 
 // decodeResponse parses a response frame body; partial reports whether
-// this is a non-final chunk of a streamed row response. The same safety
-// contract as decodeRequest applies.
-func decodeResponse(body []byte) (resp *response, partial bool, err error) {
+// this is a non-final chunk of a streamed row response. open holds the
+// streams still arriving, by ID: a frame continuing one appends its rows
+// to that stream's row slice and returns the stream's response. The same
+// safety contract as decodeRequest applies, to a whole stream as to one
+// frame (see growStream).
+func decodeResponse(body []byte, open map[uint64]*response) (resp *response, partial bool, err error) {
 	c := codec{b: body, a: arena{size: len(body)}}
 	resp = &response{ID: c.uvarint()}
 	flags := c.byte()
 	if flags&^respFlagPartial != 0 {
 		c.fail()
 	}
+	partial = flags&respFlagPartial != 0
+	prev := open[resp.ID]
+	if prev != nil {
+		resp.Rows = prev.Rows
+	}
+	c.stream = partial || prev != nil
 	resp.fields(&c)
+	if c.stream && (prev != nil && resp.N != prev.N || !partial && len(resp.Rows) != resp.N) {
+		c.fail() // the declared total changed midway, or the stream fell short of it
+	}
 	if err := c.done(); err != nil {
 		return nil, false, err
 	}
-	return resp, flags&respFlagPartial != 0, nil
+	if prev != nil {
+		prev.Rows, prev.Err = resp.Rows, resp.Err
+		resp = prev
+	}
+	return resp, partial, nil
 }
 
 // --- the codec -------------------------------------------------------------
@@ -214,6 +232,10 @@ type codec struct {
 	err  error
 	a    arena
 	slab []relation.Value // tuple Values backing for the whole frame
+
+	// stream marks a decoded frame as a chunk of a streamed row response,
+	// whose Rows land in the stream's one row slice (growStream).
+	stream bool
 
 	tag  uint64 // the field being visited
 	next uint64 // decode: the tag read off the wire and not yet matched (0 = none)
@@ -452,15 +474,71 @@ func (c *codec) upload(u *EncUpload) {
 	c.bytes(&u.Token)
 }
 
-// rows walks a row list; a row is its address plus three length bytes,
-// minimum.
-func (c *codec) rows(p *[]storage.EncRow) {
-	list(c, p, 4, func(r *storage.EncRow) {
-		c.int(&r.Addr)
-		c.bytes(&r.TupleCT)
-		c.bytes(&r.AttrCT)
-		c.bytes(&r.Token)
-	})
+// minRowBytes is the least a row costs on the wire: its address plus
+// three nil-aware length bytes.
+const minRowBytes = 4
+
+// rows walks a row list. Encoding, attrOnly writes each row as its
+// (Addr, nil, AttrCT, nil) projection, the bytes AttrColumnSince's rows
+// encode to, so a server streams a column straight from the store's
+// snapshot. Decoding appends to *p: the chunks of a stream that declared
+// total rows all land in one slice (growStream); any other list gets its
+// own exact one.
+func (c *codec) rows(p *[]storage.EncRow, attrOnly bool, total int) {
+	if c.enc {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*p)))
+		for _, r := range *p {
+			if attrOnly {
+				r = storage.EncRow{Addr: r.Addr, AttrCT: r.AttrCT}
+			}
+			c.row(&r)
+		}
+		return
+	}
+	n := c.count(minRowBytes)
+	if n == 0 {
+		return
+	}
+	s := *p
+	if c.stream && total >= 0 {
+		s = c.growStream(s, n, total)
+	} else {
+		s = make([]storage.EncRow, 0, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		s = append(s, storage.EncRow{})
+		c.row(&s[len(s)-1])
+	}
+	*p = s
+}
+
+func (c *codec) row(r *storage.EncRow) {
+	c.int(&r.Addr)
+	c.bytes(&r.TupleCT)
+	c.bytes(&r.AttrCT)
+	c.bytes(&r.Token)
+}
+
+// growStream makes room in a stream's row slice s for a chunk of n more
+// rows. A chunk that takes the stream past its declared total is corrupt.
+// The slice is sized toward the total but never beyond what the bytes
+// delivered so far can hold: this frame's rows at minRowBytes each, or
+// twice the slice so far, which earlier frames' bytes paid for. So a lying
+// total cannot drive allocation, and the whole stream allocates at most a
+// small multiple of its bytes; an honest stream of up to chunkTarget /
+// minRowBytes rows is sized from its first chunk, in one allocation.
+func (c *codec) growStream(s []storage.EncRow, n, total int) []storage.EncRow {
+	want := len(s) + n
+	if want > total {
+		c.fail()
+		return s
+	}
+	if want <= cap(s) {
+		return s
+	}
+	grown := make([]storage.EncRow, len(s), min(total, max(want, 2*cap(s), c.a.size/minRowBytes)))
+	copy(grown, s)
+	return grown
 }
 
 func (c *codec) schema(s *relation.Schema) {

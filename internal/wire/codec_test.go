@@ -24,7 +24,7 @@ func roundTripRequest(t *testing.T, req *request) *request {
 func roundTripResponse(t *testing.T, resp *response, flags byte) (*response, bool) {
 	t.Helper()
 	body := appendResponse(nil, resp, flags)
-	got, partial, err := decodeResponse(body)
+	got, partial, err := decodeResponse(body, nil)
 	if err != nil {
 		t.Fatalf("decodeResponse(ID %d): %v", resp.ID, err)
 	}
@@ -140,8 +140,10 @@ func TestBinResponseRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The partial flag survives independently of the payload.
-	chunk := &response{ID: 20, Rows: codecRows}
+	// The partial flag survives independently of the payload; a stream's
+	// chunk declares the stream's row total, here one row more than it
+	// brings.
+	chunk := &response{ID: 20, N: len(codecRows) + 1, Rows: codecRows}
 	got, partial := roundTripResponse(t, chunk, respFlagPartial)
 	if !partial {
 		t.Error("partial flag lost in round trip")
@@ -209,21 +211,21 @@ func TestBinDecodeRejectsCorruptInput(t *testing.T) {
 	resp := &response{ID: 3, Rows: []storage.EncRow{{Addr: 1, TupleCT: []byte("ct")}}}
 	rbody := appendResponse(nil, resp, 0)
 	for n := 0; n < len(rbody); n++ {
-		if _, _, err := decodeResponse(rbody[:n]); (err == nil) != (n == 2) { // ID and flags only
+		if _, _, err := decodeResponse(rbody[:n], nil); (err == nil) != (n == 2) { // ID and flags only
 			t.Errorf("response truncated to %d/%d bytes: err = %v", n, len(rbody), err)
 		}
 	}
-	if _, _, err := decodeResponse(append(append([]byte{}, rbody...), 100)); err == nil {
+	if _, _, err := decodeResponse(append(append([]byte{}, rbody...), 100), nil); err == nil {
 		t.Error("response with an unknown tag decoded successfully")
 	}
 	// Flag bits other than partial are not defined.
-	if _, _, err := decodeResponse([]byte{1, 1 << 1}); err == nil {
+	if _, _, err := decodeResponse([]byte{1, 1 << 1}, nil); err == nil {
 		t.Error("response with an undefined flag bit decoded successfully")
 	}
 	// A bool inside a sub-record is 0 or 1, nothing else.
 	info := appendResponse(nil, &response{ID: 1, Info: StoreInfo{Exists: true}}, 0)
 	info[len(info)-6] = 4 // Exists (zigzag 2): the first of StoreInfo's six values
-	if _, _, err := decodeResponse(info); err == nil {
+	if _, _, err := decodeResponse(info, nil); err == nil {
 		t.Error("StoreInfo with a non-canonical bool decoded successfully")
 	}
 	// A lying collection count larger than the remaining bytes must be

@@ -84,7 +84,7 @@ func seedResponses() [][]byte {
 		{&response{ID: 5, N: 44}, 0},
 		{&response{ID: 6, Addrs: []int{1, 2}}, 0},
 		{&response{ID: 7, Rows: rows}, 0},
-		{&response{ID: 8, Rows: rows}, respFlagPartial},
+		{&response{ID: 8, N: 3, Rows: rows}, respFlagPartial}, // the first chunk of a 3-row stream
 		{&response{ID: 9, Err: "wire: boom"}, 0},
 		{&response{ID: 10, VerEpoch: 3, VerN: 2, Delta: true, Rows: rows}, 0},
 		{&response{ID: 11, RowBatches: [][]storage.EncRow{rows, nil}}, 0},
@@ -161,7 +161,7 @@ func FuzzDecodeBinResponse(f *testing.F) {
 	}
 	f.Add([]byte{1, 0xff}) // undefined flag bits
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, partial, err := decodeResponse(body)
+		resp, partial, err := decodeResponse(body, nil)
 		if err == nil && resp == nil {
 			t.Fatal("nil response with nil error")
 		}
@@ -170,7 +170,7 @@ func FuzzDecodeBinResponse(f *testing.F) {
 			if partial {
 				flags = respFlagPartial
 			}
-			again, partial2, err := decodeResponse(appendResponse(nil, resp, flags))
+			again, partial2, err := decodeResponse(appendResponse(nil, resp, flags), nil)
 			if err != nil {
 				t.Fatalf("re-encoded response does not decode: %v", err)
 			}

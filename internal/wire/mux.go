@@ -112,9 +112,10 @@ func (c *Client) takeInflightErr(id uint64, ch chan *response) error {
 // waiting caller. It owns the frame scratch and the incoming half of the
 // connection; nothing else may touch them.
 func (c *Client) readLoop() {
-	// partials accumulates chunked row responses by ID until their final
-	// frame (respFlagPartial clear) arrives; chunks of one response are
-	// ordered, frames of other responses may interleave between them.
+	// partials holds chunked row responses by ID until their final frame
+	// (respFlagPartial clear) arrives, each chunk decoded straight into the
+	// stream's one row slice; chunks of one response are ordered, frames
+	// of other responses may interleave between them.
 	partials := make(map[uint64]*response)
 	for {
 		resp, err := c.readResponse(partials)
@@ -149,14 +150,9 @@ func (c *Client) readResponse(partials map[uint64]*response) (*response, error) 
 	if err != nil {
 		return nil, err
 	}
-	resp, partial, err := decodeResponse(body)
+	resp, partial, err := decodeResponse(body, partials)
 	if err != nil {
 		return nil, err
-	}
-	if prev, ok := partials[resp.ID]; ok {
-		prev.Rows = append(prev.Rows, resp.Rows...)
-		prev.Err = resp.Err
-		resp = prev
 	}
 	if partial {
 		partials[resp.ID] = resp

@@ -72,14 +72,16 @@ import (
 	"repro/internal/storage"
 )
 
-// ProtocolVersion is the wire protocol generation: 13, with the op table
-// below (20 ops) and the request and response envelopes' fields in
-// declaration order. Both ends send it in the opHello frame, and a
-// mismatch in either direction fails the connection with an explicit
-// version error before any other op runs; a peer from before the
-// field-wise codec (version 7) shows up as a closed connection instead.
+// ProtocolVersion is the wire protocol generation: 14, with the op table
+// below (20 ops), the request and response envelopes' fields in
+// declaration order, and every chunk of a streamed row response declaring
+// the stream's row total in N (codec.go). Both ends send it in the
+// opHello frame, and a mismatch in either direction fails the connection
+// with an explicit version error before any other op runs; a peer from
+// before the field-wise codec (version 7) shows up as a closed connection
+// instead.
 // How earlier versions differed is in the git history and CHANGES.md.
-const ProtocolVersion = 13
+const ProtocolVersion = 14
 
 // DefaultStore is the namespace used when a request names none — the
 // single implicit store of protocol v1, preserved so one-relation
@@ -233,9 +235,11 @@ type EncUpload struct {
 // response is the single wire response envelope.
 type response struct {
 	// ID echoes the request ID this response answers.
-	ID     uint64
-	Err    string
-	Addr   int
+	ID   uint64
+	Err  string
+	Addr int
+	// N is a count: tuples loaded, rows appended, and on a row pull the
+	// rows of the whole response, declared on every chunk of its stream.
 	N      int
 	Tuples []relation.Tuple
 	Rows   []storage.EncRow
@@ -264,6 +268,11 @@ type response struct {
 	Blob []byte
 	// Info is one namespace's replica state on this node (opStoreInfo).
 	Info StoreInfo
+
+	// attrOnly is not on the wire: the server sets it on a column pull,
+	// whose Rows are the store's full snapshot rows, so they are encoded
+	// as their (Addr, AttrCT) projection without being copied.
+	attrOnly bool
 }
 
 // StoreInfo is the divergence probe's answer: what one node holds for one

@@ -209,14 +209,19 @@ func (s *serverStream) writeFrame(resp *response, flags byte) error {
 // chunkTarget bytes each, all but the last flagged partial. The send lock
 // is taken per chunk, so responses to other in-flight ops may interleave
 // between chunks — a big column pull does not head-of-line-block the
-// connection; the client reassembles by ID.
+// connection; the client reassembles by ID, into one row slice sized by
+// the total that N declares.
 func (s *serverStream) writeChunkedRows(resp *response) error {
 	rows := resp.Rows
+	resp.N = len(rows)
 	for {
 		n, size := 0, 0
 		for n < len(rows) && size < chunkTarget {
 			r := &rows[n]
-			size += 16 + len(r.TupleCT) + len(r.AttrCT) + len(r.Token)
+			size += 16 + len(r.AttrCT)
+			if !resp.attrOnly {
+				size += len(r.TupleCT) + len(r.Token)
+			}
 			n++
 		}
 		// Every other field rides every chunk (the client keeps the first
@@ -455,20 +460,16 @@ func (c *Cloud) dispatch(req *request) response {
 	case opEncVersion:
 		v, _ := encStore.EncVersion()
 		return response{VerEpoch: v.Epoch, VerN: v.N}
-	case opEncAttrColumnIf:
-		rows, cur, delta, _ := encStore.AttrColumnSince(
-			storage.EncVersion{Epoch: req.CondEpoch}, req.Have)
-		if delta {
-			c.condCounter(name).Add(1)
-		}
-		return response{Rows: rows, VerEpoch: cur.Epoch, VerN: cur.N, Delta: delta}
-	case opEncRowsIf:
+	case opEncAttrColumnIf, opEncRowsIf:
+		// Both pulls serve the snapshot's rows as they are; a column pull
+		// encodes only their addresses and attribute cells.
 		rows, cur, delta, _ := encStore.RowsSince(
 			storage.EncVersion{Epoch: req.CondEpoch}, req.Have)
 		if delta {
 			c.condCounter(name).Add(1)
 		}
-		return response{Rows: rows, VerEpoch: cur.Epoch, VerN: cur.N, Delta: delta}
+		return response{Rows: rows, VerEpoch: cur.Epoch, VerN: cur.N, Delta: delta,
+			attrOnly: req.Op == opEncAttrColumnIf}
 	default:
 		return response{Err: "wire: unknown op"}
 	}

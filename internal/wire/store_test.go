@@ -46,7 +46,7 @@ func recvFrame(conn net.Conn) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, _, err := decodeResponse(body)
+	resp, _, err := decodeResponse(body, nil)
 	return resp, err
 }
 

@@ -175,6 +175,7 @@ func BenchmarkRemoteHotRead(b *testing.B) {
 			if _, err := c.Query(hot); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Query(hot); err != nil {
