@@ -317,6 +317,11 @@ func (c *Client) SaveMetadata(w io.Writer) error {
 // populated remote cloud of Config.CloudAddr, skipping Outsource entirely.
 // The configuration (master key, technique, attribute) must match the
 // session that saved the metadata.
+//
+// The resumed session answers from the bins it loaded, and nothing
+// refreshes them: it sees only the values that were binned when the
+// metadata was saved. A value another session inserts afterwards answers
+// 0 tuples here, with no error.
 func (c *Client) Resume(r io.Reader) error {
 	if c.remote == nil {
 		return errors.New("repro: Resume requires Config.CloudAddr (the cloud must outlive the owner)")

@@ -156,25 +156,33 @@ func binValues(bins [][]relation.ValueCount, picked map[int]bool) []relation.Val
 	return out
 }
 
-// mergeEnc is the encrypted half of q_merge for one query: it decodes the
-// technique's payloads, discards fakes and bin co-residents, and appends
-// the matches to out.
+// mergeEnc is the encrypted half of q_merge for one query: it discards
+// fakes and bin co-residents and appends the matches to out. Most of a
+// sensitive bin is discarded, so each payload is checked whole but read
+// only at the search attribute, and only the tuples kept are decoded.
 func (o *Owner) mergeEnc(payloads [][]byte, match func(relation.Value) bool, st *QueryStats, out []relation.Tuple) ([]relation.Tuple, error) {
 	var slab []relation.Value
 	for _, p := range payloads {
-		t, fake, err := decodePayloadSlab(p, &slab)
+		if len(p) < 1 {
+			return nil, relation.ErrCorrupt
+		}
+		v, err := relation.TupleValueAt(p[1:], o.attrIdx)
 		if err != nil {
 			return nil, err
 		}
-		if fake {
+		if p[0] == flagFake {
 			st.FakeDiscarded++
 			continue
 		}
-		if match(t.Values[o.attrIdx]) {
-			out = append(out, t)
-		} else {
+		if !match(v) {
 			st.BinDiscarded++
+			continue
 		}
+		t, _, err := decodePayloadSlab(p, &slab)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
 	}
 	return out, nil
 }

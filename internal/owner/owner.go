@@ -248,8 +248,8 @@ func encodePayload(flag byte, t relation.Tuple) []byte {
 
 // decodePayloadSlab decodes an encodePayload payload and reports whether
 // it is a fake, drawing Values storage from a shared slab — the q_merge
-// loops decode one payload per retrieved row, and a per-tuple allocation
-// there was a top line in the remote query profile.
+// loops decode many payloads per query, and a per-tuple allocation there
+// was a top line in the remote query profile.
 func decodePayloadSlab(p []byte, slab *[]relation.Value) (relation.Tuple, bool, error) {
 	if len(p) < 1 {
 		return relation.Tuple{}, false, relation.ErrCorrupt

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"fmt"
 )
 
 // AppendEncodeTuple appends a self-describing binary encoding of t to buf
@@ -22,61 +23,51 @@ func AppendEncodeTuple(buf []byte, t Tuple) []byte {
 // EncodeTuple serialises a tuple to its binary form.
 func EncodeTuple(t Tuple) []byte { return AppendEncodeTuple(nil, t) }
 
-// DecodeTupleFrom decodes one tuple from the front of b and returns the
-// remaining bytes — the streaming form of DecodeTuple for buffers carrying
-// several tuples back to back. The declared arity is bounded by the bytes
-// actually present before any allocation, so corrupt input cannot force a
-// huge allocation.
-func DecodeTupleFrom(b []byte) (Tuple, []byte, error) {
+// decodeTupleHeader reads a tuple's ID and arity from the front of b and
+// returns the bytes holding its values. Every value costs at least one
+// byte, so a lying arity is rejected before anything is sized by it.
+func decodeTupleHeader(b []byte) (id, n uint64, rest []byte, err error) {
 	id, w := binary.Uvarint(b)
 	if w <= 0 {
-		return Tuple{}, b, ErrCorrupt
+		return 0, 0, b, ErrCorrupt
 	}
 	b = b[w:]
-	n, w := binary.Uvarint(b)
+	n, w = binary.Uvarint(b)
 	if w <= 0 {
-		return Tuple{}, b, ErrCorrupt
+		return 0, 0, b, ErrCorrupt
 	}
 	b = b[w:]
-	// Every value costs at least one byte.
 	if n > uint64(len(b)) {
-		return Tuple{}, b, ErrCorrupt
+		return 0, 0, b, ErrCorrupt
 	}
-	t := Tuple{ID: int(id), Values: make([]Value, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var v Value
-		var err error
-		v, b, err = DecodeValue(b)
-		if err != nil {
-			return Tuple{}, b, err
-		}
-		t.Values = append(t.Values, v)
-	}
-	return t, b, nil
+	return id, n, b, nil
 }
 
-// DecodeTupleSlab is DecodeTupleFrom with the Values backing drawn from
-// *slab instead of a fresh allocation per tuple, for decode loops that
-// materialise many tuples from one buffer (the wire codec's search
-// responses, the owner's q_merge payload decode). The slab grows
-// geometrically; when it grows, previously returned tuples keep their old
-// backing, and every returned Values slice is capped with a full slice
-// expression so a caller's append cannot clobber a neighbour.
+// appendValues decodes n values from the front of b onto dst.
+func appendValues(dst []Value, b []byte, n uint64) ([]Value, []byte, error) {
+	for ; n > 0; n-- {
+		v, rest, err := DecodeValue(b)
+		if err != nil {
+			return dst, rest, err
+		}
+		dst = append(dst, v)
+		b = rest
+	}
+	return dst, b, nil
+}
+
+// DecodeTupleSlab decodes one tuple from the front of b and returns the
+// remaining bytes, drawing the Values backing from *slab instead of a
+// fresh allocation per tuple, for decode loops that materialise many
+// tuples from one buffer (the wire codec's search responses, the owner's
+// q_merge payload decode). The slab grows geometrically; when it grows,
+// previously returned tuples keep their old backing, and every returned
+// Values slice is capped with a full slice expression so a caller's
+// append cannot clobber a neighbour.
 func DecodeTupleSlab(b []byte, slab *[]Value) (Tuple, []byte, error) {
-	id, w := binary.Uvarint(b)
-	if w <= 0 {
-		return Tuple{}, b, ErrCorrupt
-	}
-	b = b[w:]
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return Tuple{}, b, ErrCorrupt
-	}
-	b = b[w:]
-	// Every value costs at least one byte, so a lying arity cannot force
-	// allocation beyond the bytes actually present.
-	if n > uint64(len(b)) {
-		return Tuple{}, b, ErrCorrupt
+	id, n, b, err := decodeTupleHeader(b)
+	if err != nil {
+		return Tuple{}, b, err
 	}
 	s := *slab
 	if uint64(cap(s)-len(s)) < n {
@@ -90,29 +81,82 @@ func DecodeTupleSlab(b []byte, slab *[]Value) (Tuple, []byte, error) {
 		s = make([]Value, 0, grow)
 	}
 	base := len(s)
-	for i := uint64(0); i < n; i++ {
-		var v Value
-		var err error
-		v, b, err = DecodeValue(b)
-		if err != nil {
-			*slab = s
-			return Tuple{}, b, err
-		}
-		s = append(s, v)
-	}
+	s, b, err = appendValues(s, b, n)
 	*slab = s
+	if err != nil {
+		return Tuple{}, b, err
+	}
 	return Tuple{ID: int(id), Values: s[base:len(s):len(s)]}, b, nil
 }
 
 // DecodeTuple parses a tuple previously produced by EncodeTuple,
-// requiring the buffer to contain exactly one tuple.
+// requiring the buffer to contain exactly one tuple. Its Values are one
+// allocation of exactly the tuple's arity.
 func DecodeTuple(b []byte) (Tuple, error) {
-	t, rest, err := DecodeTupleFrom(b)
+	id, n, b, err := decodeTupleHeader(b)
+	if err != nil {
+		return Tuple{}, err
+	}
+	vals, rest, err := appendValues(make([]Value, 0, n), b, n)
 	if err != nil {
 		return Tuple{}, err
 	}
 	if len(rest) != 0 {
 		return Tuple{}, ErrCorrupt
 	}
-	return t, nil
+	return Tuple{ID: int(id), Values: vals}, nil
+}
+
+// TupleValueAt returns the value at column idx of the one tuple encoded in
+// b. It checks the whole encoding exactly as DecodeTuple does, but steps
+// over the other values without building them, so a caller that only
+// needs one column to decide whether it wants the tuple at all pays for
+// that column alone. An idx at or past the tuple's arity is ErrCorrupt.
+func TupleValueAt(b []byte, idx int) (Value, error) {
+	_, n, b, err := decodeTupleHeader(b)
+	if err != nil {
+		return Value{}, err
+	}
+	if idx < 0 || uint64(idx) >= n {
+		return Value{}, ErrCorrupt
+	}
+	var at []byte
+	for i := uint64(0); i < n; i++ {
+		w, err := valueLen(b)
+		if err != nil {
+			return Value{}, err
+		}
+		if i == uint64(idx) {
+			at = b[:w]
+		}
+		b = b[w:]
+	}
+	if len(b) != 0 {
+		return Value{}, ErrCorrupt
+	}
+	v, _, err := DecodeValue(at)
+	return v, err
+}
+
+// valueLen returns the length of the value encoding at the front of b,
+// rejecting exactly what DecodeValue rejects.
+func valueLen(b []byte) (int, error) {
+	if len(b) < 1 {
+		return 0, ErrCorrupt
+	}
+	switch Kind(b[0]) {
+	case KindInt:
+		if len(b) < 9 {
+			return 0, ErrCorrupt
+		}
+		return 9, nil
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		if w <= 0 || uint64(len(b)-1-w) < n {
+			return 0, ErrCorrupt
+		}
+		return 1 + w + int(n), nil
+	default:
+		return 0, fmt.Errorf("relation: unknown value kind %d: %w", b[0], ErrCorrupt)
+	}
 }

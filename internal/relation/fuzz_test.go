@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 )
@@ -37,17 +38,38 @@ func FuzzDecodeValue(f *testing.F) {
 // binary.Uvarint accepts non-minimal varints (e.g. 0x80 0x00 for zero), so
 // distinct inputs may decode to the same tuple — what must hold is that
 // re-encoding and re-decoding reach a fixed point, and that the slab
-// decoder agrees with the per-tuple one.
+// decoder and TupleValueAt agree with the per-tuple one.
 func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeTuple(Tuple{ID: 7, Values: []Value{Int(1), Str("x")}}))
 	f.Add(EncodeTuple(Tuple{}))
 	f.Add([]byte{'0', 0x80, 0x00}) // non-minimal arity varint, found by fuzzing
+	// A trailing byte, and an unknown kind after a good value.
+	f.Add(append(EncodeTuple(Tuple{ID: 1, Values: []Value{Str("a"), Int(2)}}), 0))
+	f.Add([]byte{1, 2, byte(KindInt), 0, 0, 0, 0, 0, 0, 0, 1, 9})
 	tupleEq := func(a, b Tuple) bool {
 		return a.ID == b.ID && slices.Equal(a.Values, b.Values)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tu, err := DecodeTuple(data)
+		// TupleValueAt fails wherever DecodeTuple does, and at every idx
+		// outside the arity; elsewhere it returns DecodeTuple's value. A
+		// rejected input is tried at every idx up to len(data), past any
+		// arity its bytes could hold.
+		arity := len(data)
+		if err == nil {
+			arity = len(tu.Values)
+		}
+		for idx := -1; idx <= arity; idx++ {
+			v, verr := TupleValueAt(data, idx)
+			if err != nil || idx < 0 || idx >= arity {
+				if !errors.Is(verr, ErrCorrupt) {
+					t.Fatalf("TupleValueAt(%x, %d) = %v, %v; want ErrCorrupt (DecodeTuple err %v)", data, idx, v, verr, err)
+				}
+			} else if verr != nil || v != tu.Values[idx] {
+				t.Fatalf("TupleValueAt(%x, %d) = %v, %v; want %v", data, idx, v, verr, tu.Values[idx])
+			}
+		}
 		if err != nil {
 			return
 		}
