@@ -76,13 +76,16 @@ smoke:
 	done
 
 # Static analysis. go vet (whose copylocks check is the repo's rule against
-# copied mutexes) and qbvet (the repo's own go/analysis-style suite:
-# sensleak, lockdiscipline, cmpconst, nakedclock) are stdlib-only and
-# always run. staticcheck and govulncheck run when installed — CI installs
-# the pinned versions above; offline sandboxes skip them with a notice.
+# copied mutexes), qbvet (the repo's own go/analysis-style suite:
+# sensleak, lockdiscipline) and qbvet's type-checked pins (one token
+# comparison, named clock reads and the other structural invariants in
+# cmd/qbvet/main_test.go) are stdlib-only and always run. staticcheck and
+# govulncheck run when installed — CI installs the pinned versions above;
+# offline sandboxes skip them with a notice.
 lint: vet
 	$(GO) build -o bin/qbvet ./cmd/qbvet
 	bin/qbvet ./...
+	$(GO) test ./cmd/qbvet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

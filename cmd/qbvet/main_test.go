@@ -2,32 +2,70 @@ package main
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"iter"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
 
-// loadRepo type-checks the repository's own tree.
+// repo is the repository's own tree, type-checked once per test binary:
+// the pins below only read it.
+var repo struct {
+	once sync.Once
+	pkgs []*analysis.Package
+	err  error
+}
+
+// loadRepo returns the repository's own tree, type-checked.
 func loadRepo(t *testing.T) []*analysis.Package {
 	t.Helper()
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatal(err)
+	repo.once.Do(func() { repo.pkgs, repo.err = analysis.NewLoader("").Load("repro/...") })
+	if repo.err != nil {
+		t.Fatal(repo.err)
 	}
-	root := filepath.Dir(strings.TrimSpace(string(out)))
-	pkgs, err := analysis.NewLoader(root).Load("./...")
-	if err != nil {
-		t.Fatal(err)
+	return repo.pkgs
+}
+
+// repoPackage returns the repository's package with the given import path.
+func repoPackage(t *testing.T, path string) *analysis.Package {
+	t.Helper()
+	for _, p := range loadRepo(t) {
+		if p.ImportPath == path {
+			return p
+		}
 	}
-	return pkgs
+	t.Fatalf("%s not loaded", path)
+	return nil
+}
+
+// decls yields each top-level declaration of p with the name of the
+// function it declares — f, or (*T).m for a method — or "" for others.
+func decls(p *analysis.Package) iter.Seq2[string, ast.Decl] {
+	return func(yield func(string, ast.Decl) bool) {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				name := ""
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					name = fn.Name.Name
+					if fn.Recv != nil {
+						name = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + name
+					}
+				}
+				if !yield(name, decl) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // TestSuiteCleanOnRepo runs the full qbvet suite over the repository's
@@ -47,26 +85,19 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 // interface iface — exported or not.
 func wireImplementers(t *testing.T, iface string) []string {
 	t.Helper()
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/wire" {
+	scope := repoPackage(t, "repro/internal/wire").Types.Scope()
+	want := scope.Lookup(iface).Type().Underlying().(*types.Interface)
+	var impls []string
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || types.IsInterface(tn.Type()) {
 			continue
 		}
-		scope := p.Types.Scope()
-		want := scope.Lookup(iface).Type().Underlying().(*types.Interface)
-		var impls []string
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || types.IsInterface(tn.Type()) {
-				continue
-			}
-			if types.Implements(tn.Type(), want) || types.Implements(types.NewPointer(tn.Type()), want) {
-				impls = append(impls, name)
-			}
+		if types.Implements(tn.Type(), want) || types.Implements(types.NewPointer(tn.Type()), want) {
+			impls = append(impls, name)
 		}
-		return impls
 	}
-	t.Fatal("repro/internal/wire not loaded")
-	return nil
+	return impls
 }
 
 // TestWireHasOneBackend pins the one-backend-stack collapse: exactly one
@@ -99,48 +130,32 @@ func TestWireHasTwoLinks(t *testing.T) {
 // overwrote the clear-text tuples other writers had inserted since, and
 // a cloud that lost acknowledged tuples must fail loudly, not be refilled.
 func TestReconnectRestoresNoData(t *testing.T) {
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/wire" {
+	p := repoPackage(t, "repro/internal/wire")
+	scope := p.Types.Scope()
+	plainLoad := scope.Lookup("opPlainLoad")
+	st := scope.Lookup("StoreClient").Type().Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); types.TypeString(f.Type(), nil) == "*repro/internal/relation.Relation" {
+			t.Errorf("wire.StoreClient.%s is a %s: a view keeps lengths, not relations", f.Name(), f.Type())
+		}
+	}
+	for name, decl := range decls(p) {
+		if name == "" || name == "(*StoreClient).Load" {
 			continue
 		}
-		scope := p.Types.Scope()
-		plainLoad := scope.Lookup("opPlainLoad")
-		st := scope.Lookup("StoreClient").Type().Underlying().(*types.Struct)
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); types.TypeString(f.Type(), nil) == "*repro/internal/relation.Relation" {
-				t.Errorf("wire.StoreClient.%s is a %s: a view keeps lengths, not relations", f.Name(), f.Type())
+		ast.Inspect(decl, func(n ast.Node) bool {
+			kv, ok := n.(*ast.KeyValueExpr)
+			if !ok {
+				return true
 			}
-		}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				name := fn.Name.Name
-				if fn.Recv != nil {
-					name = "(" + types.ExprString(fn.Recv.List[0].Type) + ")." + name
-				}
-				if name == "(*StoreClient).Load" {
-					continue
-				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					kv, ok := n.(*ast.KeyValueExpr)
-					if !ok {
-						return true
-					}
-					key, _ := kv.Key.(*ast.Ident)
-					val, _ := kv.Value.(*ast.Ident)
-					if key != nil && key.Name == "Op" && val != nil && p.TypesInfo.Uses[val] == plainLoad {
-						t.Errorf("%s: %s builds an opPlainLoad request; only (*StoreClient).Load ships a relation", p.Fset.Position(kv.Pos()), name)
-					}
-					return true
-				})
+			key, _ := kv.Key.(*ast.Ident)
+			val, _ := kv.Value.(*ast.Ident)
+			if key != nil && key.Name == "Op" && val != nil && p.TypesInfo.Uses[val] == plainLoad {
+				t.Errorf("%s: %s builds an opPlainLoad request; only (*StoreClient).Load ships a relation", p.Fset.Position(kv.Pos()), name)
 			}
-		}
-		return
+			return true
+		})
 	}
-	t.Fatal("repro/internal/wire not loaded")
 }
 
 // TestCloudHasOneAdmissionLevel pins the cloud's one admission level: a
@@ -151,46 +166,37 @@ func TestReconnectRestoresNoData(t *testing.T) {
 // per-namespace bound, a runtime override of it or a second in-flight
 // bound beside the semaphore has to show up here first.
 func TestCloudHasOneAdmissionLevel(t *testing.T) {
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/wire" {
+	p := repoPackage(t, "repro/internal/wire")
+	for id, obj := range p.TypesInfo.Defs {
+		if obj != nil && strings.Contains(id.Name, "Workers") && id.Name != "connWorkers" {
+			t.Errorf("%s: internal/wire declares %s: the cloud has one admission level, per connection", p.Fset.Position(id.Pos()), id.Name)
+		}
+	}
+	chans := 0
+	for name, decl := range decls(p) {
+		if name != "(*Cloud).ServeConn" {
 			continue
 		}
-		for id, obj := range p.TypesInfo.Defs {
-			if obj != nil && strings.Contains(id.Name, "Workers") && id.Name != "connWorkers" {
-				t.Errorf("%s: internal/wire declares %s: the cloud has one admission level, per connection", p.Fset.Position(id.Pos()), id.Name)
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
 			}
-		}
-		chans := 0
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "ServeConn" || fn.Recv == nil || types.ExprString(fn.Recv.List[0].Type) != "*Cloud" {
-					continue
+			fun, ok := call.Fun.(*ast.Ident)
+			if !ok || fun.Name != "make" {
+				return true
+			}
+			if _, builtin := p.TypesInfo.Uses[fun].(*types.Builtin); builtin {
+				if _, isChan := p.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Chan); isChan {
+					chans++
 				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) == 0 {
-						return true
-					}
-					fun, ok := call.Fun.(*ast.Ident)
-					if !ok || fun.Name != "make" {
-						return true
-					}
-					if _, builtin := p.TypesInfo.Uses[fun].(*types.Builtin); builtin {
-						if _, isChan := p.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Chan); isChan {
-							chans++
-						}
-					}
-					return true
-				})
 			}
-		}
-		if chans != 1 {
-			t.Errorf("(*Cloud).ServeConn makes %d channels, want 1: one semaphore bounds both execution and a flooding peer", chans)
-		}
-		return
+			return true
+		})
 	}
-	t.Fatal("repro/internal/wire not loaded")
+	if chans != 1 {
+		t.Errorf("(*Cloud).ServeConn makes %d channels, want 1: one semaphore bounds both execution and a flooding peer", chans)
+	}
 }
 
 // TestRingRidesPlainConnections pins the ring's one repair path: no
@@ -201,18 +207,12 @@ func TestCloudHasOneAdmissionLevel(t *testing.T) {
 // mirror into the node as a second, racing repair.
 func TestRingRidesPlainConnections(t *testing.T) {
 	banned := map[string]bool{"Reconnector": true, "NewReconnector": true, "DialReconnect": true, "ReconnectOptions": true}
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/ring" {
-			continue
+	p := repoPackage(t, "repro/internal/ring")
+	for id, obj := range p.TypesInfo.Uses {
+		if obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/wire" && banned[obj.Name()] {
+			t.Errorf("%s: wire.%s: ring nodes ride plain connections", p.Fset.Position(id.Pos()), obj.Name())
 		}
-		for id, obj := range p.TypesInfo.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/wire" && banned[obj.Name()] {
-				t.Errorf("%s: wire.%s: ring nodes ride plain connections", p.Fset.Position(id.Pos()), obj.Name())
-			}
-		}
-		return
 	}
-	t.Fatal("repro/internal/ring not loaded")
 }
 
 // TestWireHasOneCodec pins the single wire codec: no type declared in
@@ -241,29 +241,22 @@ func TestWireHasOneCodec(t *testing.T) {
 		}
 		return false
 	}
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/wire" {
+	scope := repoPackage(t, "repro/internal/wire").Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
 			continue
 		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); fromGob(f.Type()) {
-					t.Errorf("wire.%s.%s is a %s: connections speak one codec", name, f.Name(), f.Type())
-				}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); fromGob(f.Type()) {
+				t.Errorf("wire.%s.%s is a %s: connections speak one codec", name, f.Name(), f.Type())
 			}
 		}
-		return
 	}
-	t.Fatal("repro/internal/wire not loaded")
 }
 
 // TestWireHasOneBinSearch pins the one clear-text read: the op table of
@@ -274,41 +267,35 @@ func TestWireHasOneCodec(t *testing.T) {
 // second search op or a call of PlainStore.Search would be a second path
 // that resends whole bins an owner already holds.
 func TestWireHasOneBinSearch(t *testing.T) {
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/wire" {
+	p := repoPackage(t, "repro/internal/wire")
+	var ops []string
+	for _, obj := range p.TypesInfo.Defs {
+		if c, ok := obj.(*types.Const); ok && c.Parent() == p.Types.Scope() &&
+			types.TypeString(c.Type(), nil) == "repro/internal/wire.op" && strings.HasPrefix(c.Name(), "opPlainSearch") {
+			ops = append(ops, c.Name())
+		}
+	}
+	sort.Strings(ops)
+	if len(ops) != 1 {
+		t.Errorf("the op table holds %d plain-search ops %v, want 1", len(ops), ops)
+	}
+	var calls []string
+	for id, obj := range p.TypesInfo.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
 			continue
 		}
-		var ops []string
-		for _, obj := range p.TypesInfo.Defs {
-			if c, ok := obj.(*types.Const); ok && c.Parent() == p.Types.Scope() &&
-				types.TypeString(c.Type(), nil) == "repro/internal/wire.op" && strings.HasPrefix(c.Name(), "opPlainSearch") {
-				ops = append(ops, c.Name())
-			}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || types.TypeString(recv.Type(), nil) != "*repro/internal/storage.PlainStore" || !strings.Contains(fn.Name(), "Search") {
+			continue
 		}
-		sort.Strings(ops)
-		if len(ops) != 1 {
-			t.Errorf("the op table holds %d plain-search ops %v, want 1", len(ops), ops)
-		}
-		var calls []string
-		for id, obj := range p.TypesInfo.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
-			}
-			recv := fn.Type().(*types.Signature).Recv()
-			if recv == nil || types.TypeString(recv.Type(), nil) != "*repro/internal/storage.PlainStore" || !strings.Contains(fn.Name(), "Search") {
-				continue
-			}
-			pos := p.Fset.Position(id.Pos())
-			calls = append(calls, filepath.Base(pos.Filename)+":"+fn.Name())
-		}
-		sort.Strings(calls)
-		if want := []string{"server.go:SearchSince"}; !reflect.DeepEqual(calls, want) {
-			t.Errorf("internal/wire searches the clear-text store through %v, want only %v", calls, want)
-		}
-		return
+		pos := p.Fset.Position(id.Pos())
+		calls = append(calls, filepath.Base(pos.Filename)+":"+fn.Name())
 	}
-	t.Fatal("repro/internal/wire not loaded")
+	sort.Strings(calls)
+	if want := []string{"server.go:SearchSince"}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("internal/wire searches the clear-text store through %v, want only %v", calls, want)
+	}
 }
 
 // TestNothingPoolsBuffers pins the one send path per connection end: no
@@ -326,6 +313,123 @@ func TestNothingPoolsBuffers(t *testing.T) {
 	}
 }
 
+// TestTokensCompareInOnePlace pins the cloud's one token check: outside
+// its tests, only wire.tokenMatches calls hmac.Equal or a function of
+// crypto/subtle, and outside internal/storage a reference to a stored
+// token hash (wire.hashToken, (*storage.Store).OwnerHash,
+// Cloud.ringTokenHash) is an argument of tokenMatches, a nil check, or
+// one of the three sites that store a hash: SetRingToken, the owner claim
+// in (*Cloud).dispatch and storeSnapshotOf. A hash that reaches ==,
+// bytes.Equal or a second comparison leaks through its timing how much
+// of a forged owner or ring token matched.
+func TestTokensCompareInOnePlace(t *testing.T) {
+	hashes := map[string]bool{"repro/internal/wire.hashToken": true, "repro/internal/wire.ringTokenHash": true,
+		"repro/internal/storage.OwnerHash": true}
+	for _, p := range loadRepo(t) {
+		for name, decl := range decls(p) {
+			if p.ImportPath == "repro/internal/wire" && name == "tokenMatches" {
+				continue
+			}
+			ok := map[ast.Node]bool{} // the expressions a hash may be
+			pass := func(es ...ast.Expr) {
+				for _, e := range es {
+					ok[ast.Unparen(e)] = true
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if callee := objName(analysis.CalleeObj(p.TypesInfo, n)); callee == "repro/internal/wire.tokenMatches" ||
+						callee == "repro/internal/storage.ClaimOwner" && name == "(*Cloud).dispatch" {
+						pass(n.Args...)
+					}
+					if ok[n] {
+						pass(n.Fun)
+					}
+				case *ast.SelectorExpr:
+					if ok[n] {
+						pass(n.Sel)
+					}
+				case *ast.BinaryExpr:
+					if (n.Op == token.EQL || n.Op == token.NEQ) && (isNil(p, n.X) || isNil(p, n.Y)) {
+						pass(n.X, n.Y)
+					}
+				case *ast.AssignStmt:
+					if name == "(*Cloud).SetRingToken" {
+						pass(append(n.Lhs, n.Rhs...)...)
+					}
+				case *ast.KeyValueExpr:
+					if name == "storeSnapshotOf" {
+						pass(n.Value)
+					}
+				case *ast.Ident:
+					if key := objName(p.TypesInfo.Uses[n]); key == "crypto/hmac.Equal" || strings.HasPrefix(key, "crypto/subtle.") {
+						t.Errorf("%s: %s in %s: tokens compare only in wire.tokenMatches", p.Fset.Position(n.Pos()), key, name)
+					} else if hashes[key] && !ok[n] && p.ImportPath != "repro/internal/storage" {
+						t.Errorf("%s: %s in %s is not an argument of tokenMatches, a nil check or a stored hash: tokens compare only in wire.tokenMatches",
+							p.Fset.Position(n.Pos()), key, name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// objName names obj as pkgpath.name, or "" when it belongs to no package.
+func objName(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// isNil reports whether e is the untyped nil.
+func isNil(p *analysis.Package, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	_, isNil := p.TypesInfo.Uses[id].(*types.Nil)
+	return ok && isNil
+}
+
+// TestClockReadsAreNamed pins where internal/wire and internal/ring read
+// or wait on the wall clock: outside their tests, time.Now, Sleep, After,
+// Tick, NewTimer, NewTicker, AfterFunc, Since and Until are used only in
+// wire/clock.go, the real wire.Clock the reconnect backoff runs on so its
+// tests do not sleep wall time, and at the ring sites named below, as
+// often as listed. A ring site that moves onto an injected clock leaves
+// by deleting its entry.
+func TestClockReadsAreNamed(t *testing.T) {
+	clockFunc := regexp.MustCompile(`^(Now|Sleep|After|Tick|NewTimer|NewTicker|AfterFunc|Since|Until)$`)
+	want := map[string]int{"ring.(*nodeConn).downLocked": 1, "ring.(*nodeConn).markDownLocked": 1,
+		"ring.(*Coordinator).Run": 2, "ring.(*Coordinator).confirmDivergence": 1}
+	got := map[string][]string{}
+	for _, pkg := range []string{"wire", "ring"} {
+		p := repoPackage(t, "repro/internal/"+pkg)
+		for name, decl := range decls(p) {
+			if pkg == "wire" && filepath.Base(p.Fset.Position(decl.Pos()).Filename) == "clock.go" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := p.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" &&
+						clockFunc.MatchString(fn.Name()) && fn.Type().(*types.Signature).Recv() == nil {
+						got[pkg+"."+name] = append(got[pkg+"."+name], p.Fset.Position(id.Pos()).String())
+					}
+				}
+				return true
+			})
+		}
+	}
+	for site := range got {
+		want[site] += 0 // an unnamed site is allowed no reads
+	}
+	for site, n := range want {
+		if len(got[site]) != n {
+			t.Errorf("%s reads the wall clock %d times %v, want %d: wire reads it through wire.Clock, ring at named sites only", site, len(got[site]), got[site], n)
+		}
+	}
+}
+
 // TestOwnerHasOneExecutor pins the one query path: outside its tests, the
 // QB owner (the *Owner methods and the package's plain functions) reaches
 // a technique's search (Search or SearchBatch) from one function,
@@ -334,37 +438,28 @@ func TestNothingPoolsBuffers(t *testing.T) {
 // semantics. Other owners are out of scope: VerticalOwner's column fetch
 // logs no view and merges nothing, so it calls its column store directly.
 func TestOwnerHasOneExecutor(t *testing.T) {
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/owner" {
+	p := repoPackage(t, "repro/internal/owner")
+	callers := map[string]bool{}
+	for name, decl := range decls(p) {
+		if name == "" || strings.HasPrefix(name, "(") && !strings.HasPrefix(name, "(*Owner).") {
 			continue
 		}
-		callers := map[string]bool{}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || (fn.Recv != nil && types.ExprString(fn.Recv.List[0].Type) != "*Owner") {
-					continue
-				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal &&
-						s.Obj().Pkg().Path() == "repro/internal/technique" &&
-						(s.Obj().Name() == "Search" || s.Obj().Name() == "SearchBatch") {
-						callers[fn.Name.Name] = true
-					}
-					return true
-				})
+		ast.Inspect(decl, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
 			}
-		}
-		if want := map[string]bool{"searchEnc": true}; !reflect.DeepEqual(callers, want) {
-			t.Fatalf("functions of internal/owner calling a technique search = %v, want only searchEnc", callers)
-		}
-		return
+			if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal &&
+				s.Obj().Pkg().Path() == "repro/internal/technique" &&
+				(s.Obj().Name() == "Search" || s.Obj().Name() == "SearchBatch") {
+				callers[strings.TrimPrefix(name, "(*Owner).")] = true
+			}
+			return true
+		})
 	}
-	t.Fatal("repro/internal/owner not loaded")
+	if want := map[string]bool{"searchEnc": true}; !reflect.DeepEqual(callers, want) {
+		t.Fatalf("functions of internal/owner calling a technique search = %v, want only searchEnc", callers)
+	}
 }
 
 // TestTechniqueHasOneStoreContract pins the one encrypted-store contract:
@@ -375,52 +470,46 @@ func TestOwnerHasOneExecutor(t *testing.T) {
 // BatchEncStore and VersionedEncStore only as aliases of EncStore.
 func TestTechniqueHasOneStoreContract(t *testing.T) {
 	storeNames := map[string]bool{"EncStore": true, "BatchEncStore": true, "VersionedEncStore": true}
-	for _, p := range loadRepo(t) {
-		if p.ImportPath != "repro/internal/technique" {
-			continue
-		}
-		// isStore reports whether a type expression denotes one of the store
-		// interfaces, through an alias or not.
-		isStore := func(e ast.Expr) bool {
-			tv, ok := p.TypesInfo.Types[e]
-			if !ok {
-				return false
-			}
-			for _, typ := range []types.Type{tv.Type, types.Unalias(tv.Type)} {
-				if n, ok := typ.(interface{ Obj() *types.TypeName }); ok && n.Obj().Pkg() == p.Types && storeNames[n.Obj().Name()] {
-					return true
-				}
-			}
+	p := repoPackage(t, "repro/internal/technique")
+	// isStore reports whether a type expression denotes one of the store
+	// interfaces, through an alias or not.
+	isStore := func(e ast.Expr) bool {
+		tv, ok := p.TypesInfo.Types[e]
+		if !ok {
 			return false
 		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeAssertExpr:
-					if n.Type != nil && isStore(n.Type) {
-						t.Errorf("%s: type assertion to a store interface", p.Fset.Position(n.Pos()))
-					}
-				case *ast.CaseClause:
-					for _, e := range n.List {
-						if isStore(e) {
-							t.Errorf("%s: type switch case on a store interface", p.Fset.Position(e.Pos()))
-						}
-					}
-				case *ast.SelectorExpr:
-					if s := p.TypesInfo.Selections[n]; s != nil && s.Obj().Name() == "AttrColumn" {
-						t.Errorf("%s: AttrColumn called; a full pull is AttrColumnSince from the zero version", p.Fset.Position(n.Pos()))
-					}
-				case *ast.TypeSpec:
-					if (n.Name.Name == "BatchEncStore" || n.Name.Name == "VersionedEncStore") && !n.Assign.IsValid() {
-						t.Errorf("%s: %s is its own type, not an alias of EncStore", p.Fset.Position(n.Pos()), n.Name.Name)
+		for _, typ := range []types.Type{tv.Type, types.Unalias(tv.Type)} {
+			if n, ok := typ.(interface{ Obj() *types.TypeName }); ok && n.Obj().Pkg() == p.Types && storeNames[n.Obj().Name()] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if n.Type != nil && isStore(n.Type) {
+					t.Errorf("%s: type assertion to a store interface", p.Fset.Position(n.Pos()))
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if isStore(e) {
+						t.Errorf("%s: type switch case on a store interface", p.Fset.Position(e.Pos()))
 					}
 				}
-				return true
-			})
-		}
-		return
+			case *ast.SelectorExpr:
+				if s := p.TypesInfo.Selections[n]; s != nil && s.Obj().Name() == "AttrColumn" {
+					t.Errorf("%s: AttrColumn called; a full pull is AttrColumnSince from the zero version", p.Fset.Position(n.Pos()))
+				}
+			case *ast.TypeSpec:
+				if (n.Name.Name == "BatchEncStore" || n.Name.Name == "VersionedEncStore") && !n.Assign.IsValid() {
+					t.Errorf("%s: %s is its own type, not an alias of EncStore", p.Fset.Position(n.Pos()), n.Name.Name)
+				}
+			}
+			return true
+		})
 	}
-	t.Fatal("repro/internal/technique not loaded")
 }
 
 // TestEveryBinaryHasAConsumer pins that no binary sits unexercised: every
@@ -428,17 +517,13 @@ func TestTechniqueHasOneStoreContract(t *testing.T) {
 // recipe builds it (make smoke, lint and audit run what they build). A
 // binary nothing runs rots unseen, as the SQL shell did at 0 % coverage.
 func TestEveryBinaryHasAConsumer(t *testing.T) {
-	var root string
 	var mains []*analysis.Package
 	for _, p := range loadRepo(t) {
-		if p.ImportPath == "repro" {
-			root = p.Dir
-		}
 		if strings.HasPrefix(p.ImportPath, "repro/cmd/") && p.Types.Name() == "main" {
 			mains = append(mains, p)
 		}
 	}
-	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	makefile, err := os.ReadFile(filepath.Join(repoPackage(t, "repro").Dir, "Makefile"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +551,6 @@ func TestEveryBinaryHasAConsumer(t *testing.T) {
 // user reaches; an ablation that needs it can set the internal option
 // directly, as the bin-shape benchmark sets core.Options.
 func TestEveryConfigFieldHasASetter(t *testing.T) {
-	pkgs := loadRepo(t)
 	isConfig := func(typ types.Type) bool {
 		if ptr, ok := typ.(*types.Pointer); ok {
 			typ = ptr.Elem()
@@ -474,10 +558,9 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 		return typ != nil && types.TypeString(typ, nil) == "repro.Config"
 	}
 	set := make(map[string]bool)
-	var fields *types.Struct
-	for _, p := range pkgs {
+	fields := repoPackage(t, "repro").Types.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+	for _, p := range loadRepo(t) {
 		if p.ImportPath == "repro" {
-			fields = p.Types.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
 			continue
 		}
 		for _, f := range p.Files {
@@ -506,9 +589,6 @@ func TestEveryConfigFieldHasASetter(t *testing.T) {
 				return true
 			})
 		}
-	}
-	if fields == nil {
-		t.Fatal("package repro not loaded")
 	}
 	for i := 0; i < fields.NumFields(); i++ {
 		if f := fields.Field(i); f.Exported() && !set[f.Name()] {

@@ -9,9 +9,9 @@
 // Analyzer bundles a name, a doc string and a Run function; Run receives
 // a Pass holding one type-checked package and reports Diagnostics.
 //
-// The suite's analyzers live in subpackages (sensleak, lockdiscipline,
-// cmpconst, nakedclock); cmd/qbvet runs them as one multichecker and
-// analysistest is the fixture harness that proves each rule fires.
+// The suite's analyzers live in subpackages (sensleak, lockdiscipline);
+// cmd/qbvet runs them as one multichecker and analysistest is the fixture
+// harness that proves each rule fires.
 package analysis
 
 import (

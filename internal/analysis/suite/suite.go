@@ -6,9 +6,7 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/cmpconst"
 	"repro/internal/analysis/lockdiscipline"
-	"repro/internal/analysis/nakedclock"
 	"repro/internal/analysis/sensleak"
 )
 
@@ -19,11 +17,7 @@ import (
 //	lockdiscipline  no writes under RLock; storage mutations dominated
 //	                by the per-store write lock (go vet's copylocks
 //	                catches mutex copies)
-//	cmpconst        token and owner-hash comparisons are constant-time
-//	nakedclock      internal/wire reads time only through wire.Clock
 var Analyzers = []*analysis.Analyzer{
 	sensleak.Analyzer,
 	lockdiscipline.Analyzer,
-	cmpconst.Analyzer,
-	nakedclock.Analyzer,
 }

@@ -60,6 +60,3 @@ func PRF2(key, a, b []byte) []byte {
 	m.Write(b)
 	return m.Sum(nil)
 }
-
-// Equal is constant-time token comparison.
-func Equal(a, b []byte) bool { return hmac.Equal(a, b) }

@@ -34,23 +34,35 @@ func hashToken(tok []byte) []byte {
 	return h[:]
 }
 
+// tokenMatches is the cloud's one token check: it reports whether
+// presented hashes to the stored hash, comparing in constant time so the
+// cloud's answer time does not leak how much of a forged token's hash
+// matched. An empty stored hash or an empty presented token never
+// matches. cmd/qbvet's TestTokensCompareInOnePlace pins that every
+// owner- and ring-token comparison goes through here.
+func tokenMatches(stored, presented []byte) bool {
+	if len(stored) == 0 || len(presented) == 0 {
+		return false
+	}
+	return hmac.Equal(stored, hashToken(presented))
+}
+
 // authorizeAdmin resolves the namespace of a per-namespace admin op and
 // checks the presented owner token against the registered hash. It never
 // creates the namespace: an admin op on an unknown store is an error, not
 // a phantom store. Both refusal paths — no registered owner, and token
-// mismatch — are explicit errors; the comparison is constant-time.
+// mismatch — are explicit errors.
 func (c *Cloud) authorizeAdmin(req *request) (*storage.Store, string, *response) {
 	name := storeName(req.Store)
 	st, ok := c.stores.Get(name)
 	if !ok {
 		return nil, name, &response{Err: fmt.Sprintf("wire: admin: unknown store %q", name)}
 	}
-	stored := st.OwnerHash()
-	if stored == nil {
+	if st.OwnerHash() == nil {
 		return nil, name, &response{Err: fmt.Sprintf(
 			"wire: admin: store %q has no registered owner token (the first write to a namespace must present one)", name)}
 	}
-	if len(req.AdminToken) == 0 || !hmac.Equal(stored, hashToken(req.AdminToken)) {
+	if !tokenMatches(st.OwnerHash(), req.AdminToken) {
 		return nil, name, &response{Err: fmt.Sprintf("wire: admin: store %q: owner token mismatch", name)}
 	}
 	return st, name, nil

@@ -70,6 +70,29 @@ func TestOwnerTokenDerivation(t *testing.T) {
 	}
 }
 
+// TestTokenMatches: the one token check accepts exactly the token whose
+// hash is stored, and nothing when either side is empty.
+func TestTokenMatches(t *testing.T) {
+	tok := OwnerToken([]byte("master"), "ns")
+	stored := hashToken(tok)
+	for _, tc := range []struct {
+		name              string
+		stored, presented []byte
+		want              bool
+	}{
+		{"empty stored", nil, tok, false},
+		{"empty presented", stored, nil, false},
+		{"both empty", nil, nil, false},
+		{"wrong token", stored, OwnerToken([]byte("other"), "ns"), false},
+		{"right token", stored, tok, true},
+		{"right token truncated", stored, tok[:len(tok)-1], false},
+	} {
+		if got := tokenMatches(tc.stored, tc.presented); got != tc.want {
+			t.Errorf("%s: tokenMatches = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestAdminOpsRequireOwnerToken is the acceptance property, both
 // directions: drop/stats succeed with the namespace's owner token
 // and are refused without it (wrong key, no key, unclaimed namespace,
@@ -89,9 +112,12 @@ func TestAdminOpsRequireOwnerToken(t *testing.T) {
 	if err := c.AdminDrop("tenant", bad); err == nil || !strings.Contains(err.Error(), "token mismatch") {
 		t.Fatalf("drop with wrong token: %v", err)
 	}
-	// No token at all.
-	if err := c.AdminDrop("tenant", nil); err == nil {
-		t.Fatal("drop with no token succeeded")
+	// No token at all, or the right one cut short by a byte.
+	if err := c.AdminDrop("tenant", nil); err == nil || !strings.Contains(err.Error(), "token mismatch") {
+		t.Fatalf("drop with no token: %v", err)
+	}
+	if _, err := c.AdminStats("tenant", good[:len(good)-1]); err == nil || !strings.Contains(err.Error(), "token mismatch") {
+		t.Fatalf("stats with a truncated token: %v", err)
 	}
 	// The data survived every refusal.
 	if n := c.WithStore("tenant").Len(); n != 5 {
@@ -178,6 +204,12 @@ func TestAdminFirstWriteClaims(t *testing.T) {
 	err := v2.Insert(relation.Tuple{ID: 99, Values: []relation.Value{relation.Int(42)}})
 	if err == nil || !strings.Contains(err.Error(), "owner token mismatch") {
 		t.Fatalf("second writer's insert = %v, want owner-token refusal", err)
+	}
+	first := OwnerToken([]byte("first owner"), "claimed")
+	v2.SetAdminToken(first[:len(first)-1])
+	err = v2.Insert(relation.Tuple{ID: 99, Values: []relation.Value{relation.Int(42)}})
+	if err == nil || !strings.Contains(err.Error(), "owner token mismatch") {
+		t.Fatalf("insert with a truncated owner token = %v, want owner-token refusal", err)
 	}
 	if err := c.AdminDrop("claimed", OwnerToken([]byte("second owner"), "claimed")); err == nil {
 		t.Fatal("second writer stole the namespace")

@@ -8,8 +8,8 @@ import "time"
 // default (the real clock); tests inject a fake whose After channels they
 // fire by hand.
 //
-// This file is the only one in internal/wire allowed to touch the time
-// package directly; the nakedclock analyzer in cmd/qbvet enforces that.
+// This file is the only one in internal/wire allowed to read or wait on
+// the wall clock directly; cmd/qbvet's TestClockReadsAreNamed pins that.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"encoding/gob"
 	"fmt"
 
@@ -57,12 +56,12 @@ func (c *Cloud) SetRingToken(tok []byte) {
 }
 
 // authorizeRing checks a ring-guarded op's token. Both refusals are
-// explicit; the comparison is constant-time like the owner-token paths.
+// explicit.
 func (c *Cloud) authorizeRing(req *request) *response {
 	if c.ringTokenHash == nil {
 		return &response{Err: "wire: ring: repair ops disabled on this server (no ring token configured)"}
 	}
-	if len(req.RingToken) == 0 || !hmac.Equal(c.ringTokenHash, hashToken(req.RingToken)) {
+	if !tokenMatches(c.ringTokenHash, req.RingToken) {
 		return &response{Err: "wire: ring: ring token mismatch"}
 	}
 	return nil

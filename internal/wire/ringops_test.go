@@ -172,7 +172,8 @@ func TestStoreSnapshotRestore(t *testing.T) {
 }
 
 // TestRingTokenGuard: restore and repair-append are refused without the
-// ring token, with the wrong token, and on servers with none configured.
+// ring token, with an empty or wrong token, and on servers with none
+// configured; the right token is accepted.
 func TestRingTokenGuard(t *testing.T) {
 	ringTok := []byte("cluster-secret")
 	src := startCloudWith(t, func(cl *Cloud) { cl.SetRingToken(ringTok) })
@@ -190,8 +191,14 @@ func TestRingTokenGuard(t *testing.T) {
 	if _, err := guarded.StoreRestore("ns", blob, []byte("wrong")); err == nil {
 		t.Fatal("restore with wrong ring token succeeded")
 	}
+	if _, err := guarded.StoreRestore("ns", blob, []byte{}); err == nil {
+		t.Fatal("restore with an empty ring token succeeded")
+	}
 	if _, err := guarded.RepairAppend("ns", src.WithStore("ns").Rows(), 0, []byte("wrong")); err == nil {
 		t.Fatal("repair append with wrong ring token succeeded")
+	}
+	if _, err := guarded.StoreRestore("ns", blob, ringTok); err != nil {
+		t.Fatalf("restore with the right ring token: %v", err)
 	}
 
 	unguarded := startCloud(t)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"crypto/hmac"
 	"errors"
 	"fmt"
 	"net"
@@ -305,18 +304,16 @@ func (c *Cloud) ServeConn(conn net.Conn) {
 // authorizeWrite refuses a write into a claimed namespace whose caller
 // does not hold the owner token. Unclaimed namespaces accept tokenless
 // writes (the open single-tenant mode earlier versions shipped with); the
-// first tokened write closes the door behind its owner. The comparison is
-// constant-time, like the admin path's.
+// first tokened write closes the door behind its owner.
 func authorizeWrite(st *storage.Store, name string, tok []byte) *response {
-	stored := st.OwnerHash()
-	if stored == nil {
+	if st.OwnerHash() == nil {
 		return nil
 	}
 	if len(tok) == 0 {
 		return &response{Err: fmt.Sprintf(
 			"wire: write to store %q refused: namespace is owner-claimed and the request carries no owner token", name)}
 	}
-	if !hmac.Equal(stored, hashToken(tok)) {
+	if !tokenMatches(st.OwnerHash(), tok) {
 		return &response{Err: fmt.Sprintf("wire: write to store %q refused: owner token mismatch", name)}
 	}
 	return nil
