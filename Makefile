@@ -27,12 +27,15 @@ docs: vet
 
 # Go benchmarks of the root package — every paper table/figure plus the
 # batch engine in process (BenchmarkQueryBatch) and against a cloud behind
-# net.Pipe and TCP loopback (BenchmarkRemoteQueryBatch) — and of
-# internal/technique (BenchmarkNoIndSearchCached: one warm cached search
-# over columns 100x apart in size). Numbers to read while working; the gate
-# that decides a PR is `go run ./bench`.
+# net.Pipe and TCP loopback (BenchmarkRemoteQueryBatch, NoInd and
+# DetIndex) — and of the packages under it: internal/technique
+# (BenchmarkNoIndSearchCached: one warm cached search over columns 100x
+# apart in size), internal/owner (q_merge), internal/wire and
+# internal/storage. The package list is CI's "Benchmarks run" step's.
+# Numbers to read while working; the gate that decides a PR is
+# `go run ./bench`.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/technique
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/technique ./internal/wire ./internal/storage ./internal/owner .
 
 # Fuzz smoke: run each binary-codec fuzz target's mutation engine briefly
 # (the seed corpora already run as plain tests on every `make test`). The

@@ -10,9 +10,9 @@ type BatchResult = owner.BatchResult
 // work across them: the encrypted side of every query goes to the
 // technique in a single batched search (scan-shaped techniques pull the
 // attribute column or scan their table once per batch instead of once per
-// query; on a remote cloud, one round trip serves the whole batch's bin
-// fetches), while the plaintext bin fetches fan out over a GOMAXPROCS
-// worker pool. It returns one answer slice per query, indexed like ws.
+// query, index-shaped ones search each distinct bin once), while each
+// distinct plaintext bin is fetched once on a GOMAXPROCS worker pool. It
+// returns one answer slice per query, indexed like ws; no two alias.
 //
 // The batch is observationally equivalent to looping Query sequentially:
 // per-query results are identical and the adversarial views are logged in

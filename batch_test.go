@@ -2,11 +2,14 @@ package repro
 
 import (
 	"fmt"
+	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -21,6 +24,13 @@ var allTechniques = []Technique{
 // bin permutation (so twin runs on the same client are reproducible).
 func datasetClient(t *testing.T, tech Technique, genSeed int64) (*Client, *workload.Dataset) {
 	t.Helper()
+	return datasetClientOn(t, tech, genSeed, nil)
+}
+
+// datasetClientOn is datasetClient over the given transport (nil: an
+// in-process cloud), with the owner-side cache off.
+func datasetClientOn(t *testing.T, tech Technique, genSeed int64, transport wire.Transport) (*Client, *workload.Dataset) {
+	t.Helper()
 	ds, err := workload.Generate(workload.GenSpec{
 		Tuples: 160, DistinctValues: 16, Alpha: 0.4,
 		AssocFraction: 0.5, Seed: genSeed,
@@ -28,25 +38,30 @@ func datasetClient(t *testing.T, tech Technique, genSeed int64) (*Client, *workl
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClient(Config{
-		MasterKey: []byte("batch test master key"),
-		Attr:      workload.Attr,
-		Technique: tech,
-		Seed:      seed(uint64(genSeed) + 7),
-	})
+	c, err := newClientOn(Config{
+		MasterKey:    []byte("batch test master key"),
+		Attr:         workload.Attr,
+		Technique:    tech,
+		Seed:         seed(uint64(genSeed) + 7),
+		DisableCache: true,
+	}, transport, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	if err := c.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
 		t.Fatal(err)
 	}
 	return c, ds
 }
 
-// batchWorkload draws a query stream including values absent from the
-// relation, so empty adversarial views are exercised too.
+// batchWorkload draws a query stream, then appends every value of the
+// domain, so that each drawn value repeats and several selections fall in
+// one bin, and values absent from the relation, so that empty
+// adversarial views are exercised too.
 func batchWorkload(ds *workload.Dataset, n int, qSeed int64) []Value {
 	ws := workload.QueryStream(ds, workload.QuerySpec{Queries: n, Seed: qSeed})
+	ws = append(ws, ds.Values...)
 	for i := 0; i < 3; i++ {
 		ws = append(ws, Int(int64(100_000+i)))
 	}
@@ -272,5 +287,102 @@ func TestQueryBatchWithStats(t *testing.T) {
 		if st.Result != len(out[i]) {
 			t.Errorf("stats[%d].Result = %d, want %d", i, st.Result, len(out[i]))
 		}
+	}
+}
+
+// TestQueryBatchStatsMatchSequential: each query of a batch, with repeated
+// values and several values per bin, gets an answer slice of its own and
+// reports the stats that QueryWithStats reports for its value alone:
+// Result, PlainTuples, FakeDiscarded, BinDiscarded, Enc.ReturnedAddrs and
+// Enc.TuplesTransferred. This holds for every technique in process and
+// for the store-backed ones over net.Pipe. The owner cache is off there,
+// because with it on a query's transfers depend on what ran before it.
+// One difference is by design: a batch counts work shared across its
+// queries once, at the technique level and in no query. So a query of
+// NoInd or ShamirScan, whose column pull or share scan is shared,
+// transfers the same number of tuples fewer than alone.
+func TestQueryBatchStatsMatchSequential(t *testing.T) {
+	sharedScan := map[Technique]bool{TechNoInd: true, TechShamir: true}
+	type arm struct {
+		name string
+		tech Technique
+		pipe bool
+	}
+	var arms []arm
+	for _, tech := range allTechniques {
+		arms = append(arms, arm{tech.String(), tech, false})
+	}
+	for _, tech := range []Technique{TechNoInd, TechDetIndex, TechArx} {
+		arms = append(arms, arm{tech.String() + "/pipe", tech, true})
+	}
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			var transport wire.Transport
+			if a.pipe {
+				cend, send := net.Pipe()
+				go wire.NewCloud().ServeConn(send)
+				transport = wire.NewClient(cend)
+			}
+			c, ds := datasetClientOn(t, a.tech, 13, transport)
+			ws := batchWorkload(ds, 12, 113)
+			out, stats, err := c.QueryBatchWithStats(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A repeated value's answer is its own copy.
+			backing := make(map[*Tuple]int)
+			for i, ts := range out {
+				if len(ts) == 0 {
+					continue
+				}
+				if j, ok := backing[&ts[0]]; ok {
+					t.Fatalf("queries %d and %d (%v) share one answer slice", j, i, ws[i])
+				}
+				backing[&ts[0]] = i
+			}
+			bins := make(map[int]map[Value]bool)
+			shared := -1
+			for i, w := range ws {
+				_, want, err := c.QueryWithStats(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := stats[i]
+				if got.Result != want.Result || got.PlainTuples != want.PlainTuples ||
+					got.FakeDiscarded != want.FakeDiscarded || got.BinDiscarded != want.BinDiscarded {
+					t.Errorf("query %d (%v): batch result %d, plain %d, fakes %d, co-residents %d; alone %d, %d, %d, %d",
+						i, w, got.Result, got.PlainTuples, got.FakeDiscarded, got.BinDiscarded,
+						want.Result, want.PlainTuples, want.FakeDiscarded, want.BinDiscarded)
+				}
+				if !slices.Equal(got.Enc.ReturnedAddrs, want.Enc.ReturnedAddrs) {
+					t.Errorf("query %d (%v): batch addrs %v, alone %v", i, w, got.Enc.ReturnedAddrs, want.Enc.ReturnedAddrs)
+				}
+				ret, ok := c.owner.Bins().Retrieve(w)
+				if !ok || len(ret.SensValues) == 0 {
+					continue
+				}
+				if bins[ret.SensBin] == nil {
+					bins[ret.SensBin] = make(map[Value]bool)
+				}
+				bins[ret.SensBin][w] = true
+				diff := want.Enc.TuplesTransferred - got.Enc.TuplesTransferred
+				switch {
+				case !sharedScan[a.tech] && diff != 0:
+					t.Errorf("query %d (%v): batch transferred %d tuples, alone %d",
+						i, w, got.Enc.TuplesTransferred, want.Enc.TuplesTransferred)
+				case sharedScan[a.tech] && (diff <= 0 || shared >= 0 && diff != shared):
+					t.Errorf("query %d (%v): batch transferred %d tuples, alone %d; the shared scan is %d",
+						i, w, got.Enc.TuplesTransferred, want.Enc.TuplesTransferred, shared)
+				}
+				shared = diff
+			}
+			coBinned := false
+			for _, vals := range bins {
+				coBinned = coBinned || len(vals) > 1
+			}
+			if !coBinned {
+				t.Fatalf("vacuous: no sensitive bin holds two of the %d selections", len(ws))
+			}
+		})
 	}
 }

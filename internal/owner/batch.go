@@ -3,6 +3,7 @@ package owner
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,9 +79,11 @@ func startPool(n, workers int, f func(i int)) *sync.WaitGroup {
 }
 
 // QueryBatch executes the selections ws as one batch, sharing cloud-side
-// work across them: every query's sensitive bin goes to the technique in
-// one call (searchEnc; so NoInd pulls the attribute column once per batch,
-// DPF-PIR and ShamirScan scan their tables once per batch), the
+// work across them: each distinct value is answered once, every query's
+// sensitive bin goes to the technique in one call (searchEnc; so NoInd
+// pulls the attribute column once per batch, DPF-PIR and ShamirScan scan
+// their tables once per batch, DetIndex and Arx search each distinct bin
+// once), q_merge reads each bin once for all its selections, NoInd's
 // matched tuples come back in one batched fetch round trip on remote
 // backends, and the plaintext bin fetches fan out over a bounded worker
 // pool (workers <= 0 selects GOMAXPROCS). It returns the per-query answers
@@ -118,8 +121,10 @@ func (o *Owner) QueryBatch(ws []relation.Value, workers int) ([][]relation.Tuple
 	return out, stats, nil
 }
 
-// queryBatchShared is the batched fast path: one bins.Retrieve per query,
-// then executeViewBatch under a single read lock.
+// queryBatchShared is the batched fast path: each distinct selection
+// value is answered once — one bins.Retrieve, then executeViewBatch under a
+// single read lock — and a repeated value gets its own copy of that
+// answer, its own QueryStats and, at its own input index, the view.
 func (o *Owner) queryBatchShared(ws []relation.Value, workers int) ([][]relation.Tuple, []*QueryStats, []cloud.View, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -127,23 +132,42 @@ func (o *Owner) queryBatchShared(ws []relation.Value, workers int) ([][]relation
 		return nil, nil, nil, ErrNotOutsourced
 	}
 	n := len(ws)
-	stats := make([]*QueryStats, n)
-	matches := make([]func(relation.Value) bool, n)
-	sens := make([][]relation.Value, n)
-	ns := make([][]relation.Value, n)
+	at := make(map[relation.Value]int, n) // value -> its place in uniq
+	var uniq []int                        // input index of each distinct value
 	for i, w := range ws {
-		w := w
-		stats[i] = &QueryStats{}
-		matches[i] = func(v relation.Value) bool { return v.Equal(w) }
+		if _, ok := at[w]; !ok {
+			at[w] = len(uniq)
+			uniq = append(uniq, i)
+		}
+	}
+	matches := make([]func(relation.Value) bool, len(uniq))
+	sens := make([][]relation.Value, len(uniq))
+	ns := make([][]relation.Value, len(uniq))
+	sts := make([]*QueryStats, len(uniq))
+	for k, i := range uniq {
+		w := ws[i]
+		sts[k] = &QueryStats{}
+		matches[k] = func(v relation.Value) bool { return v.Equal(w) }
 		if ret, ok := o.bins.Retrieve(w); ok {
-			sens[i], ns[i] = ret.SensValues, ret.NSValues
+			sens[k], ns[k] = ret.SensValues, ret.NSValues
 		}
 		// A value absent from both partitions fetches nothing; its view
 		// stays empty, exactly like sequential Query.
 	}
-	out, views, err := o.executeViewBatch(matches, sens, ns, stats, workers)
+	answers, uniqViews, err := o.executeViewBatch(matches, sens, ns, sts, workers)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	out := make([][]relation.Tuple, n)
+	stats := make([]*QueryStats, n)
+	views := make([]cloud.View, n)
+	for i, w := range ws {
+		k := at[w]
+		out[i], stats[i], views[i] = answers[k], sts[k], uniqViews[k]
+		if uniq[k] != i {
+			st := *sts[k]
+			out[i], stats[i] = slices.Clone(answers[k]), &st
+		}
 	}
 	return out, stats, views, nil
 }
@@ -236,78 +260,82 @@ func (o *Owner) executeViewBatch(matches []func(relation.Value) bool, sensValues
 		}
 	}
 
-	// The plaintext fetches do not depend on the cryptographic work, so
-	// they run on the pool concurrently with the encrypted search below.
-	// The pool is waited for on every path, so no worker outlives the
-	// caller's lock.
-	// Queries whose selection values fall in the same non-sensitive bin
-	// issue the exact same whole-bin search (Bins.Retrieve hands out one
-	// shared value slice per bin), so each distinct bin is fetched once
-	// and the result shared. Identity is by slice backing: distinct bins
-	// never share a first element address, and callers only read the
-	// shared result. This is the plaintext counterpart of the technique
-	// sharing its column pull across the batch.
-	plains := make([][]relation.Tuple, n)
-	reps := plainIdx[:0:0]
-	share := make([]int, len(plainIdx))
-	repFor := make(map[*relation.Value]int, len(plainIdx))
-	for k, i := range plainIdx {
-		key := &nsValues[i][0]
-		ri, ok := repFor[key]
-		if !ok {
-			ri = len(reps)
-			reps = append(reps, i)
-			repFor[key] = ri
-		}
-		share[k] = ri
-	}
-	plainShared := make([][]relation.Tuple, len(reps))
+	// The plaintext fetches, one per distinct bin, do not depend on the
+	// cryptographic work, so they run on the pool concurrently with the
+	// encrypted search below. The pool is waited for on every path, so no
+	// worker outlives the caller's lock.
+	plainGroups := binGroups(plainIdx, nsValues)
+	plains := make([][]relation.Tuple, len(plainGroups))
 	search := o.plainSearch()
-	plainPool := startPool(len(reps), normalizeWorkers(workers, len(reps)), func(k int) {
-		plainShared[k] = search(nsValues[reps[k]])
+	plainPool := startPool(len(plainGroups), normalizeWorkers(workers, len(plainGroups)), func(k int) {
+		plains[k] = search(nsValues[plainGroups[k][0]])
 	})
 
-	var payloadBatches [][][]byte
-	var encSts []*technique.Stats
+	payloads := make([][][]byte, n)
 	if len(encIdx) > 0 {
 		queries := make([][]relation.Value, len(encIdx))
 		for k, i := range encIdx {
 			queries[k] = sensValues[i]
 		}
-		var err error
-		payloadBatches, encSts, err = searchEnc(o.tech, queries)
+		payloadBatches, encSts, err := searchEnc(o.tech, queries)
 		if err != nil {
 			plainPool.Wait()
 			return nil, nil, err
 		}
+		for k, i := range encIdx {
+			per := encSts[k]
+			if per == nil {
+				per = &technique.Stats{}
+			}
+			sts[i].Enc = *per
+			views[i].EncResultAddrs = per.ReturnedAddrs
+			payloads[i] = payloadBatches[k]
+		}
 	}
 	plainPool.Wait()
-	for k, i := range plainIdx {
-		plains[i] = plainShared[share[k]]
-	}
 
-	for k, i := range encIdx {
-		per := encSts[k]
-		if per == nil {
-			per = &technique.Stats{}
-		}
-		sts[i].Enc = *per
-		views[i].EncResultAddrs = per.ReturnedAddrs
-		var err error
-		out[i], err = o.mergeEnc(payloadBatches[k], matches[i], sts[i], out[i])
-		if err != nil {
+	// q_merge reads each bin once for all the selections that retrieved it.
+	for _, g := range binGroups(encIdx, sensValues) {
+		if err := o.mergeEnc(payloads[g[0]], g, matches, sts, out); err != nil {
 			return nil, nil, err
 		}
 	}
-	for _, i := range plainIdx {
-		views[i].PlainResults = plains[i]
-		out[i] = o.mergePlain(plains[i], matches[i], sts[i], out[i])
+	for k, g := range plainGroups {
+		for _, i := range g {
+			views[i].PlainResults = plains[k]
+		}
+		o.mergePlain(plains[k], g, matches, sts, out)
 	}
 	for i := range out {
 		relation.SortByID(out[i])
 		sts[i].Result = len(out[i])
 	}
 	return out, views, nil
+}
+
+// binGroups groups the selections idx by the bin they retrieve, in order
+// of first appearance. Bins.Retrieve hands out one shared value slice per
+// bin, so distinct bins never share a first element. A lone selection is
+// its own group, found without a map.
+func binGroups(idx []int, vals [][]relation.Value) [][]int {
+	switch len(idx) {
+	case 0:
+		return nil
+	case 1:
+		return [][]int{idx}
+	}
+	var groups [][]int
+	at := make(map[*relation.Value]int, len(idx))
+	for _, i := range idx {
+		g, ok := at[&vals[i][0]]
+		if !ok {
+			g = len(groups)
+			at[&vals[i][0]] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }
 
 // QueryAsync streams the batch: it runs each selection as its own query

@@ -156,49 +156,63 @@ func binValues(bins [][]relation.ValueCount, picked map[int]bool) []relation.Val
 	return out
 }
 
-// mergeEnc is the encrypted half of q_merge for one query: it discards
-// fakes and bin co-residents and appends the matches to out. Most of a
-// sensitive bin is discarded, so each payload is checked whole but read
-// only at the search attribute, and only the tuples kept are decoded.
-func (o *Owner) mergeEnc(payloads [][]byte, match func(relation.Value) bool, st *QueryStats, out []relation.Tuple) ([]relation.Tuple, error) {
+// mergeEnc is the encrypted half of q_merge for the selections g, which
+// share one sensitive bin's payloads: it discards fakes and co-residents
+// and appends each selection's matches to its answer. Most of a bin is
+// discarded, so each payload is checked whole but read once, at its flag
+// and search attribute, and only a kept one is decoded, once.
+func (o *Owner) mergeEnc(payloads [][]byte, g []int, matches []func(relation.Value) bool, sts []*QueryStats, out [][]relation.Tuple) error {
 	var slab []relation.Value
+	fakes := 0
 	for _, p := range payloads {
 		if len(p) < 1 {
-			return nil, relation.ErrCorrupt
+			return relation.ErrCorrupt
 		}
 		v, err := relation.TupleValueAt(p[1:], o.attrIdx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if p[0] == flagFake {
-			st.FakeDiscarded++
+			fakes++
 			continue
 		}
-		if !match(v) {
-			st.BinDiscarded++
-			continue
+		var t relation.Tuple // decoded at the first match, then has Values
+		for _, i := range g {
+			if !matches[i](v) {
+				sts[i].BinDiscarded++
+				continue
+			}
+			if t.Values == nil {
+				if t, _, err = decodePayloadSlab(p, &slab); err != nil {
+					return err
+				}
+			}
+			out[i] = append(out[i], t)
 		}
-		t, _, err := decodePayloadSlab(p, &slab)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
 	}
-	return out, nil
+	for _, i := range g {
+		sts[i].FakeDiscarded += fakes
+	}
+	return nil
 }
 
-// mergePlain is the clear-text half of q_merge for one query: it filters
-// the non-sensitive bin's tuples down to the actual matches.
-func (o *Owner) mergePlain(plain []relation.Tuple, match func(relation.Value) bool, st *QueryStats, out []relation.Tuple) []relation.Tuple {
-	st.PlainTuples = len(plain)
+// mergePlain is the clear-text half of q_merge for the selections g, which
+// share one non-sensitive bin: it filters its tuples down to each
+// selection's matches.
+func (o *Owner) mergePlain(plain []relation.Tuple, g []int, matches []func(relation.Value) bool, sts []*QueryStats, out [][]relation.Tuple) {
+	for _, i := range g {
+		sts[i].PlainTuples = len(plain)
+	}
 	for _, t := range plain {
-		if match(t.Values[o.attrIdx]) {
-			out = append(out, t)
-		} else {
-			st.BinDiscarded++
+		v := t.Values[o.attrIdx]
+		for _, i := range g {
+			if matches[i](v) {
+				out[i] = append(out[i], t)
+			} else {
+				sts[i].BinDiscarded++
+			}
 		}
 	}
-	return out
 }
 
 // AggOp is an aggregation operator for QueryAggregate.

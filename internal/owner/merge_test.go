@@ -123,13 +123,36 @@ func TestMergeEncMatchesFullDecode(t *testing.T) {
 			}
 			kept, fakes, binDiscarded := fullDecodeMerge(t, o.attrIdx, rec.last, match)
 			var mst QueryStats
-			merged, err := o.mergeEnc(rec.last, match, &mst, nil)
+			merged, err := mergeOne(o, rec.last, match, &mst)
 			if err != nil {
 				t.Fatalf("trial %d %s: mergeEnc: %v", trial, name, err)
 			}
 			if !reflect.DeepEqual(merged, kept) || mst.FakeDiscarded != fakes || mst.BinDiscarded != binDiscarded {
 				t.Fatalf("trial %d %s: mergeEnc kept %v (%d fakes, %d co-residents), full decode %v (%d, %d)",
 					trial, name, merged, mst.FakeDiscarded, mst.BinDiscarded, kept, fakes, binDiscarded)
+			}
+			// The same payloads merged in one pass for this selection and
+			// every domain value at once give each selection what merging
+			// it alone gives.
+			matches := []func(relation.Value) bool{match}
+			for _, w := range domain {
+				matches = append(matches, func(v relation.Value) bool { return v.Equal(w) })
+			}
+			g := make([]int, len(matches))
+			sts := make([]*QueryStats, len(matches))
+			for i := range matches {
+				g[i], sts[i] = i, &QueryStats{}
+			}
+			grouped := make([][]relation.Tuple, len(matches))
+			if err := o.mergeEnc(rec.last, g, matches, sts, grouped); err != nil {
+				t.Fatalf("trial %d %s: grouped mergeEnc: %v", trial, name, err)
+			}
+			for i, m := range matches {
+				kept, fakes, binDiscarded := fullDecodeMerge(t, o.attrIdx, rec.last, m)
+				if !reflect.DeepEqual(grouped[i], kept) || sts[i].FakeDiscarded != fakes || sts[i].BinDiscarded != binDiscarded {
+					t.Fatalf("trial %d %s: grouped selection %d kept %v (%d fakes, %d co-residents), full decode %v (%d, %d)",
+						trial, name, i, grouped[i], sts[i].FakeDiscarded, sts[i].BinDiscarded, kept, fakes, binDiscarded)
+				}
 			}
 			if st.FakeDiscarded != fakes {
 				t.Fatalf("trial %d %s: query counted %d fakes, full decode %d", trial, name, st.FakeDiscarded, fakes)
@@ -244,64 +267,98 @@ func TestMergeEncRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
+// mergeOne runs mergeEnc for one selection, a group of one.
+func mergeOne(o *Owner, payloads [][]byte, match func(relation.Value) bool, st *QueryStats) ([]relation.Tuple, error) {
+	out := make([][]relation.Tuple, 1)
+	err := o.mergeEnc(payloads, []int{0}, []func(relation.Value) bool{match}, []*QueryStats{st}, out)
+	return out[0], err
+}
+
 // hotBin is one sensitive bin as q_merge receives it: n payloads over a
-// two-column schema searched on column 0, of which kept match w; every
-// fourth of the rest is a fake.
-func hotBin(n, kept int) (o *Owner, payloads [][]byte, w relation.Value) {
+// two-column schema searched on column 0, of which kept match one of the
+// k selection values ws, taken in turn; every fourth of the rest is a
+// fake.
+func hotBin(n, kept, k int) (o *Owner, payloads [][]byte, ws []relation.Value) {
 	o = &Owner{attrIdx: 0}
-	w = relation.Int(7)
+	for j := 0; j < k; j++ {
+		ws = append(ws, relation.Int(int64(7+j)))
+	}
 	for i := 0; i < n; i++ {
 		flag, v := flagReal, relation.Int(int64(100+i%40))
 		switch {
 		case i%(n/kept) == 0 && i/(n/kept) < kept:
-			v = w
+			v = ws[i/(n/kept)%k]
 		case i%4 == 1:
 			flag = flagFake
 		}
 		payloads = append(payloads, encodePayload(flag, relation.Tuple{ID: i + 1, Values: []relation.Value{v, relation.Int(int64(i))}}))
 	}
-	return o, payloads, w
+	return o, payloads, ws
 }
 
 // TestMergeEncAllocations: merging a 1,000-row bin that keeps 25 tuples
-// allocates for the 25 alone. Decoding every payload before looking at it
-// costs about 135 KB here; the bound leaves room for the kept tuples'
-// slab and the answer slice (about 4.4 KB) and no more.
+// allocates for the 25 alone, whether one selection keeps them all or
+// four selections sharing the bin keep them between them in one pass.
+// Decoding every payload before looking at it costs about 135 KB here;
+// the bound leaves room for the kept tuples' slab and the answer slices
+// (about 4.4 KB) and no more.
 func TestMergeEncAllocations(t *testing.T) {
-	o, payloads, w := hotBin(1000, 25)
-	match := func(v relation.Value) bool { return v.Equal(w) }
-	merge := func() {
-		var st QueryStats
-		out, err := o.mergeEnc(payloads, match, &st, nil)
-		if err != nil || len(out) != 25 || st.FakeDiscarded+st.BinDiscarded != 975 {
-			t.Fatalf("merge kept %d (%d fakes, %d co-residents), err %v", len(out), st.FakeDiscarded, st.BinDiscarded, err)
-		}
-	}
-	merge()
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		merge()
-	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	const bound = 8 << 10
-	t.Logf("%d B allocated per merge of 1,000 payloads keeping 25; bound %d B", per, bound)
-	if per > bound {
-		t.Fatalf("mergeEnc allocates %d B per merge, above %d B", per, bound)
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("selections=%d", k), func(t *testing.T) {
+			o, payloads, ws := hotBin(1000, 25, k)
+			g := make([]int, k)
+			matches := make([]func(relation.Value) bool, k)
+			sts := make([]*QueryStats, k)
+			out := make([][]relation.Tuple, k)
+			for i, w := range ws {
+				g[i], sts[i] = i, &QueryStats{}
+				matches[i] = func(v relation.Value) bool { return v.Equal(w) }
+			}
+			merge := func() {
+				for i := range g {
+					out[i], *sts[i] = nil, QueryStats{}
+				}
+				if err := o.mergeEnc(payloads, g, matches, sts, out); err != nil {
+					t.Fatal(err)
+				}
+				kept := 0
+				for i, st := range sts {
+					if len(out[i])+st.FakeDiscarded+st.BinDiscarded != 1000 {
+						t.Fatalf("selection %d kept %d (%d fakes, %d co-residents) of 1,000", i, len(out[i]), st.FakeDiscarded, st.BinDiscarded)
+					}
+					kept += len(out[i])
+				}
+				if kept != 25 {
+					t.Fatalf("merge kept %d tuples, want 25", kept)
+				}
+			}
+			merge()
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				merge()
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / runs
+			const bound = 8 << 10
+			t.Logf("%d B allocated per merge of 1,000 payloads keeping 25 for %d selections; bound %d B", per, k, bound)
+			if per > bound {
+				t.Fatalf("mergeEnc allocates %d B per merge, above %d B", per, bound)
+			}
+		})
 	}
 }
 
 // BenchmarkMergeEnc merges one hot bin: 1,000 payloads, 25 kept.
 func BenchmarkMergeEnc(b *testing.B) {
-	o, payloads, w := hotBin(1000, 25)
-	match := func(v relation.Value) bool { return v.Equal(w) }
+	o, payloads, ws := hotBin(1000, 25, 1)
+	match := func(v relation.Value) bool { return v.Equal(ws[0]) }
 	b.ReportAllocs()
 	for b.Loop() {
 		var st QueryStats
-		if _, err := o.mergeEnc(payloads, match, &st, nil); err != nil {
+		if _, err := mergeOne(o, payloads, match, &st); err != nil {
 			b.Fatal(err)
 		}
 	}

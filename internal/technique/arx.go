@@ -130,9 +130,9 @@ func (a *Arx) Search(values []relation.Value) ([][]byte, *Stats, error) {
 	return payloads, st, nil
 }
 
-// SearchBatch implements Technique as a per-query fallback: Arx probes the
-// index once per occurrence token, so there is no shared scan for a batch
-// to amortise. The queries run concurrently over a bounded worker pool.
+// SearchBatch implements Technique through fallbackSearchBatch: Arx probes
+// the index once per occurrence token, so a batch has no shared scan to
+// amortise, but each distinct bin is searched once, concurrently.
 func (a *Arx) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	return fallbackSearchBatch(a, queries)
 }

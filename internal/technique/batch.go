@@ -16,7 +16,7 @@ import (
 // (NoInd, DPF-PIR, ShamirScan) share their scan across a batch and answer
 // a single Search through searchOne; the index-shaped ones (Arx, DetIndex)
 // and the simulated cost models are per-query by nature and answer a batch
-// through fallbackSearchBatch.
+// through fallbackSearchBatch, one Search per distinct bin.
 
 // searchOne answers one selection as a batch of one. The batch-level
 // counters already hold the whole cost of the call; the query's access
@@ -32,12 +32,12 @@ func searchOne(t Technique, values []relation.Value) ([][]byte, *Stats, error) {
 }
 
 // fallbackSearchBatch implements SearchBatch for techniques with no
-// cross-query work to share: every query runs through Search, concurrently
-// over a bounded worker pool (Technique implementations are documented as
-// safe for concurrent Search), and the per-query stats are folded into one
-// batch-level aggregate. Results and stats are identical to a sequential
-// loop; on failure the lowest-index error is returned and the whole batch
-// fails.
+// cross-query scan to share: each distinct bin retrieval (binReps) runs
+// through Search once, concurrently over a bounded worker pool (Technique
+// implementations are documented as safe for concurrent Search), and a
+// repeated one shares its answer. Results and per-query stats are
+// identical to a sequential loop; on failure the lowest-index error is
+// returned and the whole batch fails.
 func fallbackSearchBatch(t Technique, queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	nq := len(queries)
 	agg := &Stats{PerQuery: make([]*Stats, nq)}
@@ -45,6 +45,7 @@ func fallbackSearchBatch(t Technique, queries [][]relation.Value) ([][][]byte, *
 	if nq == 0 {
 		return out, agg, nil
 	}
+	rep := binReps(queries)
 	errs := make([]error, nq)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > nq {
@@ -61,7 +62,9 @@ func fallbackSearchBatch(t Technique, queries [][]relation.Value) ([][][]byte, *
 				if i >= nq {
 					return
 				}
-				out[i], agg.PerQuery[i], errs[i] = t.Search(queries[i])
+				if rep[i] == i {
+					out[i], agg.PerQuery[i], errs[i] = t.Search(queries[i])
+				}
 			}
 		}()
 	}
@@ -71,17 +74,25 @@ func fallbackSearchBatch(t Technique, queries [][]relation.Value) ([][][]byte, *
 			return nil, nil, err
 		}
 	}
-	for _, st := range agg.PerQuery {
-		agg.Add(st)
+	// shareBins folds every query's transfers and simulated charge, so a
+	// representative contributes only the rest of its work here.
+	for i, per := range agg.PerQuery {
+		if rep[i] != i {
+			agg.PerQuery[i] = &Stats{}
+			continue
+		}
+		work := *per
+		work.TuplesTransferred, work.BytesTransferred, work.SimulatedTime = 0, 0, 0
+		agg.Add(&work)
 	}
+	shareBins(rep, agg, out)
 	return out, agg, nil
 }
 
 // binReps maps each query to the lowest index carrying the same predicate
 // slice. Bins.Retrieve hands out one shared value slice per bin, so such
-// queries are one bin retrieval: a scan-shaped technique matches and
-// fetches it once and shares the rows. Distinct bins never share a first
-// element address.
+// queries are one bin retrieval, searched once. Distinct bins never share
+// a first element address.
 func binReps(queries [][]relation.Value) []int {
 	rep := make([]int, len(queries))
 	firstFor := make(map[*relation.Value]int, len(queries))
@@ -97,6 +108,25 @@ func binReps(queries [][]relation.Value) []int {
 		}
 	}
 	return rep
+}
+
+// shareBins gives each repeated bin retrieval its representative's
+// payloads, access pattern, transfers and simulated charge, and folds
+// every query's transfers and charge into agg.
+func shareBins(rep []int, agg *Stats, out [][][]byte) {
+	for qi, per := range agg.PerQuery {
+		if r := rep[qi]; r != qi {
+			repPer := agg.PerQuery[r]
+			per.TuplesTransferred = repPer.TuplesTransferred
+			per.BytesTransferred = repPer.BytesTransferred
+			per.ReturnedAddrs = repPer.ReturnedAddrs
+			per.SimulatedTime = repPer.SimulatedTime
+			out[qi] = out[r]
+		}
+		agg.TuplesTransferred += per.TuplesTransferred
+		agg.BytesTransferred += per.BytesTransferred
+		agg.SimulatedTime += per.SimulatedTime
+	}
 }
 
 // fetchBatch retrieves each address list's rows in one batched round trip,

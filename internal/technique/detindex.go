@@ -174,10 +174,10 @@ func (d *DetIndex) searchCached(values []relation.Value) ([][]byte, *Stats, erro
 	return payloads, st, nil
 }
 
-// SearchBatch implements Technique as a per-query fallback: the cloud-side
-// index answers each predicate with a point probe, so there is no shared
-// scan for a batch to amortise. The queries run concurrently over a
-// bounded worker pool.
+// SearchBatch implements Technique through fallbackSearchBatch: the
+// cloud-side index answers each predicate with a point probe, so a batch
+// has no shared scan to amortise, but each distinct bin is searched once,
+// concurrently.
 func (d *DetIndex) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	return fallbackSearchBatch(d, queries)
 }

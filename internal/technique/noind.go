@@ -169,19 +169,7 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 	if err != nil {
 		return nil, nil, err
 	}
-	// A repeated bin retrieval shares its representative's rows, access
-	// pattern and transfer accounting.
-	for qi, per := range agg.PerQuery {
-		if r := rep[qi]; r != qi {
-			repPer := agg.PerQuery[r]
-			per.TuplesTransferred = repPer.TuplesTransferred
-			per.BytesTransferred = repPer.BytesTransferred
-			per.ReturnedAddrs = repPer.ReturnedAddrs
-			out[qi] = out[r]
-		}
-		agg.TuplesTransferred += per.TuplesTransferred
-		agg.BytesTransferred += per.BytesTransferred
-	}
+	shareBins(rep, agg, out)
 	return out, agg, nil
 }
 

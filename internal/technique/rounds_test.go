@@ -145,3 +145,54 @@ func TestRoundsCountStoreCalls(t *testing.T) {
 		})
 	}
 }
+
+// TestSearchBatchSearchesEachBinOnce: an index-shaped batch of seven
+// selections over three distinct bins (one predicate slice each) makes
+// exactly the store calls of three Searches, one per bin, each technique
+// measured on a fresh store.
+func TestSearchBatchSearchesEachBinOnce(t *testing.T) {
+	bins := [][]relation.Value{
+		{relation.Int(1), relation.Int(5)},
+		{relation.Int(4)},
+		{relation.Int(9), relation.Int(2)},
+	}
+	var queries [][]relation.Value
+	for _, b := range []int{0, 1, 0, 2, 1, 0, 2} {
+		queries = append(queries, bins[b])
+	}
+	for _, name := range []string{"det", "det/cached", "arx"} {
+		t.Run(name, func(t *testing.T) {
+			calls := func(run func(Technique) error) int64 {
+				cs := &callCountingStore{EncryptedStore: storage.NewEncryptedStore()}
+				tech, err := onStore()[name](cs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tech.Outsource(testRows()); err != nil {
+					t.Fatal(err)
+				}
+				cs.calls.Store(0)
+				if err := run(tech); err != nil {
+					t.Fatal(err)
+				}
+				return cs.calls.Load()
+			}
+			batch := calls(func(tech Technique) error {
+				_, _, err := tech.SearchBatch(queries)
+				return err
+			})
+			searches := calls(func(tech Technique) error {
+				for _, b := range bins {
+					if _, _, err := tech.Search(b); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if batch != searches {
+				t.Errorf("batch of %d selections over %d bins made %d store calls, %d Searches make %d",
+					len(queries), len(bins), batch, len(bins), searches)
+			}
+		})
+	}
+}

@@ -86,11 +86,11 @@ func (s *Simulated) Search(values []relation.Value) ([][]byte, *Stats, error) {
 	return payloads, st, nil
 }
 
-// SearchBatch implements Technique as a per-query fallback: the simulated
-// systems charge a fixed per-query setup cost (enclave entry / MPC circuit
-// initialisation), so sharing work across a batch would falsify the very
-// cost model the technique exists to reproduce. Every query runs Search
-// and pays full freight; the aggregate SimulatedTime is the sum.
+// SearchBatch implements Technique through fallbackSearchBatch: a repeated
+// bin's real work is done once, but every query is charged the full fixed
+// plus per-tuple cost. The modelled systems pay a per-query setup (enclave
+// entry / MPC circuit initialisation) and an oblivious pass per query, so
+// a shared charge would falsify the cost model the technique reproduces.
 func (s *Simulated) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error) {
 	return fallbackSearchBatch(s, queries)
 }

@@ -16,10 +16,10 @@
 // SearchBatch, sharing their column pull or table scan across all queries
 // of a batch, and answer Search as a batch of one. The index-shaped ones
 // (DetIndex, Arx) and the simulated cost models implement Search, a point
-// probe or a per-query setup charge, and answer a batch with concurrent
-// per-query searches. Either way a batch's results and per-query access
-// patterns are identical to a sequential Search loop; only the cost
-// profile changes. One consequence: DPF-PIR's Search over a k-value bin
+// probe or a per-query setup charge, and answer a batch with one
+// concurrent Search per distinct bin. Either way a batch's results and
+// per-query access patterns are identical to a sequential Search loop;
+// only the cost profile changes. One consequence: DPF-PIR's Search over a k-value bin
 // scans its table ⌈k/64⌉ times, not k times.
 package technique
 
@@ -133,11 +133,11 @@ type Technique interface {
 	// access patterns are identical to calling Search once per element of
 	// queries — batching changes only the cost profile: scan-shaped
 	// techniques (NoInd, DPF-PIR, ShamirScan) perform their column pull /
-	// table scan once for the whole batch, and index-shaped ones run
-	// concurrent per-query probes. The returned Stats is batch-level —
-	// shared work counted once in the top-level counters — with one
-	// PerQuery entry per query carrying that query's ReturnedAddrs and
-	// result transfers. On error the whole batch fails; callers needing
+	// table scan once for the whole batch, and index-shaped ones probe
+	// once per distinct bin (predicate slice), concurrently. The returned
+	// Stats is batch-level — shared work counted once in the top-level
+	// counters — with one PerQuery entry per query carrying that query's
+	// ReturnedAddrs and result transfers. On error the whole batch fails; callers needing
 	// sequential failure attribution re-run query by query.
 	SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, error)
 	// StoredRows reports how many encrypted rows the cloud holds.

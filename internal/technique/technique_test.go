@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/crypto"
 	"repro/internal/relation"
@@ -238,6 +239,50 @@ func TestSimulatedCostCalibration(t *testing.T) {
 	want := opq.FixedCost() + opq.PerTupleCost()*55
 	if st.SimulatedTime != want {
 		t.Errorf("SimulatedTime = %v, want %v", st.SimulatedTime, want)
+	}
+}
+
+// TestSimulatedBatchChargesEveryQuery: a simulated batch shares a
+// repeated bin's real work but not its charge. Every query pays the full
+// fixed plus per-tuple cost its Search pays, and the batch's
+// SimulatedTime is the sum of those charges.
+func TestSimulatedBatchChargesEveryQuery(t *testing.T) {
+	for _, build := range []func(*crypto.KeySet) (*Simulated, error){NewSimOpaque, NewSimJana} {
+		sim, err := build(testKeys())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(sim.Name(), func(t *testing.T) {
+			if _, err := sim.Outsource(testRows()); err != nil {
+				t.Fatal(err)
+			}
+			bins := [][]relation.Value{{relation.Int(1), relation.Int(5)}, {relation.Int(4)}, {}}
+			var queries [][]relation.Value
+			for _, b := range []int{0, 1, 0, 2, 0, 1} {
+				queries = append(queries, bins[b])
+			}
+			_, agg, err := sim.SearchBatch(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum time.Duration
+			for i, q := range queries {
+				_, st, err := sim.Search(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sim.FixedCost() + sim.PerTupleCost()*55; st.SimulatedTime != want {
+					t.Fatalf("Search(%v) charged %v, want %v", q, st.SimulatedTime, want)
+				}
+				if got := agg.PerQuery[i].SimulatedTime; got != st.SimulatedTime {
+					t.Errorf("query %d (%v) charged %v in the batch, %v alone", i, q, got, st.SimulatedTime)
+				}
+				sum += st.SimulatedTime
+			}
+			if agg.SimulatedTime != sum {
+				t.Errorf("batch SimulatedTime = %v, want the sum of its Search charges %v", agg.SimulatedTime, sum)
+			}
+		})
 	}
 }
 

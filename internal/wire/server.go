@@ -362,7 +362,7 @@ func (c *Cloud) dispatch(req *request) response {
 	// claimed store.
 	switch req.Op {
 	case opPlainLoad, opPlainInsert, opEncAddBatch:
-		if len(req.AdminToken) != 0 {
+		if len(req.AdminToken) != 0 && st.OwnerHash() == nil {
 			st.ClaimOwner(hashToken(req.AdminToken))
 		}
 		if refuse := authorizeWrite(st, name, req.AdminToken); refuse != nil {

@@ -16,12 +16,29 @@ import (
 	"repro/internal/workload"
 )
 
+// cacheableTechnique is a store-backed technique that can hold the
+// owner-side version cache: NoInd or DetIndex.
+type cacheableTechnique interface {
+	technique.Technique
+	SetCache(*technique.Cache)
+}
+
+func remoteNoInd(keys *crypto.KeySet, s technique.EncStore) (cacheableTechnique, error) {
+	return technique.NewNoIndOn(keys, s)
+}
+
+func remoteDetIndex(keys *crypto.KeySet, s technique.EncStore) (cacheableTechnique, error) {
+	return technique.NewDetIndexOn(keys, s)
+}
+
 // remoteBenchOwner builds an owner whose clear-text AND encrypted stores
-// live behind the given wire backend; cached attaches the owner-side
-// version cache (the library default against a remote cloud).
-func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, cached bool) *owner.Owner {
+// live behind the given wire backend, searching through the technique
+// build makes; cached attaches the owner-side version cache (the library
+// default against a remote cloud).
+func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend,
+	build func(*crypto.KeySet, technique.EncStore) (cacheableTechnique, error), cached bool) *owner.Owner {
 	b.Helper()
-	tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("remote bench")), backend)
+	tech, err := build(crypto.DeriveKeys([]byte("remote bench")), backend)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +60,9 @@ func remoteBenchOwner(b *testing.B, ds *workload.Dataset, backend wire.Backend, 
 // BenchmarkRemoteQueryBatch is the remote-batching headline: a
 // 256-selection batch against a cloud reached over the multiplexed wire
 // protocol, sequential vs QueryBatch at 1, 4 and GOMAXPROCS workers, on
-// both an in-memory net.Pipe transport and real TCP loopback. QueryBatch
+// both an in-memory net.Pipe transport and real TCP loopback, over NoInd;
+// the detindex-pipe arm runs the same sweep over DetIndex on net.Pipe,
+// whose batch searches each distinct bin once. For NoInd, QueryBatch
 // pays one opEncAttrColumnIf and one opEncFetchBatch round trip for the
 // whole batch where the sequential loop pays one pair per query, so the
 // batched sub-benchmarks win even on a single CPU; extra workers
@@ -63,7 +82,8 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 	const batch = 256
 	ws := slices.Repeat(queries, batch/len(queries))
 
-	sweep := func(b *testing.B, mk func(b *testing.B) wire.Backend) {
+	sweep := func(b *testing.B, mk func(b *testing.B) wire.Backend,
+		build func(*crypto.KeySet, technique.EncStore) (cacheableTechnique, error)) {
 		b.Helper()
 		qps := func(b *testing.B) {
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
@@ -81,7 +101,7 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 		}
 
 		backend := mk(b)
-		o := remoteBenchOwner(b, ds, backend, true)
+		o := remoteBenchOwner(b, ds, backend, build, true)
 		b.Run("sequential", func(b *testing.B) { sequential(b, o) })
 		workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 		slices.Sort(workerCounts)
@@ -102,22 +122,22 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 
 		// Control arm on a fresh cloud: the uncached per-query column pull.
 		ncBackend := mk(b)
-		nc := remoteBenchOwner(b, ds, ncBackend, false)
+		nc := remoteBenchOwner(b, ds, ncBackend, build, false)
 		b.Run("sequential-nocache", func(b *testing.B) { sequential(b, nc) })
 		if err := ncBackend.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}
 
-	b.Run("pipe", func(b *testing.B) {
-		sweep(b, func(b *testing.B) wire.Backend {
-			cend, send := net.Pipe()
-			go wire.NewCloud().ServeConn(send)
-			c := wire.NewClient(cend)
-			b.Cleanup(func() { c.Close() })
-			return c.WithStore(wire.DefaultStore)
-		})
-	})
+	pipe := func(b *testing.B) wire.Backend {
+		cend, send := net.Pipe()
+		go wire.NewCloud().ServeConn(send)
+		c := wire.NewClient(cend)
+		b.Cleanup(func() { c.Close() })
+		return c.WithStore(wire.DefaultStore)
+	}
+	b.Run("pipe", func(b *testing.B) { sweep(b, pipe, remoteNoInd) })
+	b.Run("detindex-pipe", func(b *testing.B) { sweep(b, pipe, remoteDetIndex) })
 
 	b.Run("tcp-loopback", func(b *testing.B) {
 		sweep(b, func(b *testing.B) wire.Backend {
@@ -133,7 +153,7 @@ func BenchmarkRemoteQueryBatch(b *testing.B) {
 			}
 			b.Cleanup(func() { c.Close() })
 			return c.WithStore(wire.DefaultStore)
-		})
+		}, remoteNoInd)
 	})
 }
 

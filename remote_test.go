@@ -300,7 +300,7 @@ func TestSaveResumeOverRemoteCloud(t *testing.T) {
 // and log the same adversarial views, in the same order, as a sequential
 // Query loop — exactly as it does against the in-process cloud.
 func TestRemoteQueryBatchMatchesSequential(t *testing.T) {
-	for _, tech := range []Technique{TechNoInd, TechArx} {
+	for _, tech := range []Technique{TechNoInd, TechDetIndex, TechArx} {
 		t.Run(tech.String()+"/conns=1", func(t *testing.T) {
 			ds, err := workload.Generate(workload.GenSpec{
 				Tuples: 160, DistinctValues: 16, Alpha: 0.4,
